@@ -21,14 +21,23 @@ reproduces):
                       with heterogeneous activities the infection/contact
                       channels use rejection sampling (one extra
                       ``rng.random()`` per attempt)
-   general graph   -- ``rng.random()`` positioned in the cumulative
-                      per-node rate vector of the channel
+   general graph   -- ``rng.random()`` times the channel's total, positioned
+                      in the cumulative per-node rate vector of the channel:
+                      mu*y (recovery), the activities (contact initiator),
+                      the per-node infection rates (aggregated infection),
+                      (1-x)*q01 (adopt) or x*q10 (drop)
 4. contact events only: ``rng.random()`` for the partner (uniform over the
    other n-1 agents) and, only when a transmissible pair realises,
    ``rng.random()`` against the per-contact infection probability.
 
 Initial conditions sampled from fractions consume ``rng.random(n)`` twice
 (behaviours first, then healths) before any event draw.
+
+Cost per event: O(1) on the complete graph (group lists with swap-with-last
+removal). On a general graph with out-degree d, a behaviour flip costs
+O(n*d) to recompute the cached imitation rates; any other event costs O(1)
+plus one O(n) cumulative sum to pick the channel's member (aggregated
+infection mode also rebuilds its O(n) per-node infection rates every event).
 """
 from __future__ import annotations
 
@@ -181,7 +190,7 @@ class AbmConfig:
             raise ConfigError("activities must be positive")
         if self.horizon <= 0:
             raise ConfigError("horizon must be > 0")
-        if self.sample_dt <= 0:
+        if self.sample_dt is None or self.sample_dt <= 0:
             raise ConfigError("sample_dt must be > 0")
         if self.infection_mode not in ("aggregated", "contact"):
             raise ConfigError(f"unknown infection_mode {self.infection_mode!r}")
@@ -513,28 +522,58 @@ def _run_complete(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
     return grid, out_x, out_y, log
 
 
+def _require_close(name: str, got, ref, rtol: float = 1e-5, atol: float = 1e-8) -> None:
+    if not np.allclose(got, ref, rtol=rtol, atol=atol):
+        raise NumericalError(f"{name} diverged from its from-scratch value")
+
+
 def _debug_check_complete(cfg, pop, n, a, adopters, infected, eligible, a_inf, a_elig):
     q01, q10 = switch_rates(cfg.graph, pop, cfg.params)
     xbar = pop.x_bar
     ybar = pop.y_bar
     pi1 = xbar + cfg.params.zeta * ybar
     pi0 = 1.0 - xbar + cfg.params.c
-    assert np.allclose(q01, xbar * pi1), "complete-graph adoption rate mismatch"
-    assert np.allclose(q10, (1.0 - xbar) * pi0), "complete-graph drop rate mismatch"
-    assert len(adopters) == int(pop.behaviours.sum())
-    assert len(infected) == int((pop.healths == INFECTED).sum())
+    _require_close("complete-graph adoption rate", xbar * pi1, q01)
+    _require_close("complete-graph drop rate", (1.0 - xbar) * pi0, q10)
+    _check_counts(pop, len(adopters), len(infected))
     mask = (pop.healths == SUSCEPTIBLE) & (pop.behaviours == NO_PROTECTION)
-    assert len(eligible) == int(mask.sum())
-    assert math.isclose(a_inf, float(a[pop.healths == INFECTED].sum()), abs_tol=1e-9)
-    assert math.isclose(a_elig, float(a[mask].sum()), abs_tol=1e-9)
-    for i in np.nonzero(pop.healths == SUSCEPTIBLE)[0][:5]:
-        expect = infection_rate(pop, int(i), cfg.params, cfg.bidirectional)
-        assert expect >= 0.0
+    if len(eligible) != int(mask.sum()):
+        raise NumericalError("eligible set diverged from agent vectors")
+    a_inf_ref = float(a[pop.healths == INFECTED].sum())
+    _require_close("infected activity sum", a_inf, a_inf_ref, 0.0, 1e-9)
+    _require_close("eligible activity sum", a_elig, float(a[mask].sum()), 0.0, 1e-9)
+
+
+def _debug_check_general(cfg, pop, n1, n_inf, B, A, Q, r_rec, r_adopt, r_drop):
+    """Compare the general-graph engine's cached imitation state and channel
+    totals with a from-scratch ``switch_rates``."""
+    _check_counts(pop, n1, n_inf)
+    g, p = cfg.graph, cfg.params
+    x = pop.behaviours.astype(float)
+    q01, q10 = switch_rates(g, pop, p)
+    b_ref = g.neighbor_mean(x)
+    _require_close("cached B = Wx", B, b_ref)
+    _require_close("cached A = W(x*B)", A, g.neighbor_mean(x * b_ref))
+    _require_close("cached Q = q10", Q, q10)
+    _require_close("recovery total", r_rec, p.mu * float((pop.healths == INFECTED).sum()))
+    _require_close("adoption total", r_adopt, float(q01[x == 0.0].sum()))
+    _require_close("drop total", r_drop, float(q10[x == 1.0].sum()))
 
 
 def _run_general(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
-    """General influence graph: rates are recomputed from scratch every event
-    (O(n * d) per event; intended for modest populations)."""
+    """General influence graph, with the imitation rates cached between
+    behaviour flips.
+
+    With W the row-normalised influence matrix, B = Wx, A = W(x*B) and
+    Q = W((1-x)*(1-B+c)), the imitation rates are q01 = A + zeta*ybar*B and
+    q10 = Q. Only adopt and drop events change x; they recompute B, A, Q and
+    their masked sums from x in full, so nothing drifts (O(n*d)). Every other
+    event changes the channel totals only through the counters n1, n_inf and
+    the scalar ybar (O(1)). The member of the channel that fires is picked
+    from its per-node rate vector, built only then (O(n)). Aggregated
+    infection mode rebuilds its per-node vector every event, since every
+    event changes it.
+    """
     p = cfg.params
     g = cfg.graph
     n = pop.n
@@ -547,6 +586,22 @@ def _run_general(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
     log = EventLog()
     cum_act = np.cumsum(a)
     a_total = float(cum_act[-1])
+    lam, mu, c, zeta = p.lam, p.mu, p.c, p.zeta
+    n1 = int(x.sum())
+    n_inf = int((y == INFECTED).sum())
+
+    def imitation_cache():
+        xf = x.astype(float)
+        free = 1.0 - xf
+        B = g.neighbor_mean(xf)
+        A = g.neighbor_mean(xf * B)
+        Q = g.neighbor_mean(free * (1.0 - B + c))
+        # A and B are sums of non-negative terms; 1 - B + c can round below 0
+        if Q.min() < 0:
+            raise NumericalError("negative imitation rate")
+        return B, A, Q, float(free @ A), float(free @ B), float(xf @ Q)
+
+    B, A, Q, sum_a, sum_b, sum_q = imitation_cache()
 
     grid = _grid(cfg)
     out_x = np.empty(grid.size)
@@ -556,36 +611,32 @@ def _run_general(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
 
     def record_through(t_limit):
         nonlocal si
-        n1 = int(x.sum())
-        n_inf = int((y == INFECTED).sum())
         while si < grid.size and grid[si] < t_limit:
             out_x[si] = n1 / n
             out_y[si] = n_inf / n
             si += 1
 
+    def pick(rates):
+        cum = rates.cumsum()
+        return int(cum.searchsorted(rng.random() * cum[-1], side="right"))
+
     while True:
-        n_inf = int((y == INFECTED).sum())
-        q01, q10 = switch_rates(g, pop, p)
-        adopt_rates = np.where(x == NO_PROTECTION, q01, 0.0)
-        drop_rates = np.where(x == PROTECTION, q10, 0.0)
-        rec_rates = np.where(y == INFECTED, p.mu, 0.0)
-        if np.any(adopt_rates < 0) or np.any(drop_rates < 0):
-            raise NumericalError("negative imitation rate")
+        ybar = n_inf / n
+        r_rec = mu * n_inf
+        r_adopt = sum_a + zeta * ybar * sum_b
+        r_drop = sum_q
         if contact_mode:
             r_mid = a_total if (n_inf > 0 or record) else 0.0
-            mid_rates = None
         else:
             a_inf = float(a[y == INFECTED].sum())
             elig = (y == SUSCEPTIBLE) & (x == NO_PROTECTION)
-            ybar = n_inf / n
             if bidi:
-                mid_rates = np.where(elig, p.lam / (n - 1) * (n * a * ybar + a_inf), 0.0)
+                mid_rates = np.where(elig, lam / (n - 1) * (n * a * ybar + a_inf), 0.0)
             else:
-                mid_rates = np.where(elig, p.lam / (n - 1) * a_inf, 0.0)
+                mid_rates = np.where(elig, lam / (n - 1) * a_inf, 0.0)
             r_mid = float(mid_rates.sum())
-        r_rec = float(rec_rates.sum())
-        r_adopt = float(adopt_rates.sum())
-        r_drop = float(drop_rates.sum())
+        if cfg.debug_check:
+            _debug_check_general(cfg, pop, n1, n_inf, B, A, Q, r_rec, r_adopt, r_drop)
         total = r_rec + r_mid + r_adopt + r_drop
         if total <= 0.0:
             break
@@ -598,19 +649,15 @@ def _run_general(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
         t = t_new
         u = rng.random() * total
 
-        def pick(rates, subtotal):
-            v = rng.random() * subtotal
-            return int(np.searchsorted(np.cumsum(rates), v, side="right"))
-
         if u < r_rec:
-            i = pick(rec_rates, r_rec)
+            i = pick(mu * y)
             y[i] = SUSCEPTIBLE
+            n_inf -= 1
             if record:
                 log.append(t, EVENT_RECOVERY, i)
         elif u < r_rec + r_mid:
             if contact_mode:
-                v = rng.random() * a_total
-                i = int(np.searchsorted(cum_act, v, side="right"))
+                i = int(cum_act.searchsorted(rng.random() * a_total, side="right"))
                 j = int(rng.random() * (n - 1))
                 if j >= i:
                     j += 1
@@ -623,27 +670,34 @@ def _run_general(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
                     bidi and y[i] == SUSCEPTIBLE and x[i] == NO_PROTECTION and y[j] == INFECTED
                 ):
                     target, source = i, j
-                if target is not None and rng.random() < p.lam:
+                if target is not None and rng.random() < lam:
                     y[target] = INFECTED
+                    n_inf += 1
                     if record:
                         log.append(t, EVENT_INFECTION, target, source)
             else:
-                i = pick(mid_rates, r_mid)
+                i = pick(mid_rates)
                 y[i] = INFECTED
+                n_inf += 1
                 if record:
                     log.append(t, EVENT_INFECTION, i)
         elif u < r_rec + r_mid + r_adopt:
-            i = pick(adopt_rates, r_adopt)
+            i = pick((1 - x) * (A + zeta * ybar * B))
             x[i] = PROTECTION
+            n1 += 1
+            B, A, Q, sum_a, sum_b, sum_q = imitation_cache()
             if record:
                 log.append(t, EVENT_ADOPT, i)
         else:
-            i = pick(drop_rates, r_drop)
+            i = pick(x * Q)
             x[i] = NO_PROTECTION
+            n1 -= 1
+            B, A, Q, sum_a, sum_b, sum_q = imitation_cache()
             if record:
                 log.append(t, EVENT_DROP, i)
 
     record_through(cfg.horizon + cfg.sample_dt)
+    _check_counts(pop, n1, n_inf)
     return grid, out_x, out_y, log
 
 

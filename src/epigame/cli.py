@@ -44,7 +44,7 @@ from .network import GraphError, InfluenceGraph
 
 OUTDIR_ENV = "EPIGAME_OUTDIR"
 
-SWEEPABLE = ("alpha", "lambda", "mu", "c", "zeta")
+PARAM_KEYS = ("alpha", "lambda", "mu", "c", "zeta")
 
 
 def _load_config(path: str | None) -> dict:
@@ -59,22 +59,25 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"malformed config JSON in {path}: {exc}") from exc
 
 
-def _merge_params(cfg: dict, args) -> ModelParams:
+def _param_dict(cfg: dict, args) -> dict:
+    """The config's params block with the parameter flags applied on top."""
     d = dict(cfg.get("params", {}))
-    for key, attr in (
-        ("alpha", "alpha"),
-        ("lambda", "lambda_"),
-        ("mu", "mu"),
-        ("c", "c"),
-        ("zeta", "zeta"),
-    ):
-        v = getattr(args, attr, None)
+    for key in PARAM_KEYS:
+        v = getattr(args, "lambda_" if key == "lambda" else key, None)
         if v is not None:
             d[key] = v
-    missing = [k for k in ("alpha", "lambda", "mu", "c", "zeta") if k not in d]
+    return d
+
+
+def _params_from(d: dict) -> ModelParams:
+    missing = [k for k in PARAM_KEYS if k not in d]
     if missing:
         raise ConfigError(f"missing model parameters: {', '.join(missing)}")
     return ModelParams.from_dict(d)
+
+
+def _merge_params(cfg: dict, args) -> ModelParams:
+    return _params_from(_param_dict(cfg, args))
 
 
 def _outdir(cfg: dict, args) -> Path:
@@ -265,7 +268,7 @@ def _abm_config(cfg: dict, args, p: ModelParams) -> abm_mod.AbmConfig:
         graph=graph,
         activities=activities,
         horizon=_scalar(cfg, args, "horizon", cfg.get("horizon", 30.0)),
-        sample_dt=_scalar(cfg, args, "sample_dt", cfg.get("sample_dt", 0.1)) or 0.1,
+        sample_dt=_scalar(cfg, args, "sample_dt", cfg.get("sample_dt", 0.1)),
         seed=int(seed),
         infection_mode=mode,
         directionality=block.get("directionality", "bidirectional"),
@@ -351,14 +354,9 @@ def _cmd_sweep(args) -> int:
     if not 1 <= len(grid) <= 2:
         raise ConfigError("sweep grid must vary one or two parameters")
     for name in grid:
-        if name not in SWEEPABLE:
-            raise ConfigError(f"cannot sweep {name!r}; choose from {SWEEPABLE}")
-    base = dict(cfg.get("params", {}))
-    for key, attr in (("alpha", "alpha"), ("lambda", "lambda_"), ("mu", "mu"),
-                      ("c", "c"), ("zeta", "zeta")):
-        v = getattr(args, attr, None)
-        if v is not None:
-            base[key] = v
+        if name not in PARAM_KEYS:
+            raise ConfigError(f"cannot sweep {name!r}; choose from {PARAM_KEYS}")
+    base = _param_dict(cfg, args)
     names = list(grid.keys())
     axes = []
     for name in names:
@@ -377,11 +375,7 @@ def _cmd_sweep(args) -> int:
             d = dict(base)
             for name, v in zip(names, values):
                 d[name] = float(v)
-            missing = [k for k in ("alpha", "lambda", "mu", "c", "zeta") if k not in d]
-            if missing:
-                raise ConfigError(f"missing model parameters: {', '.join(missing)}")
-            p = ModelParams.from_dict(d)
-            report = classify_regime(p)
+            report = classify_regime(_params_from(d))
             if header is None:
                 cond_cols = []
                 for c in report.conditions:

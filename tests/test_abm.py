@@ -13,6 +13,7 @@ from epigame import (
     InfluenceGraph,
     MacroState,
     ModelParams,
+    NumericalError,
     Population,
     ensemble,
     global_payoffs,
@@ -21,6 +22,7 @@ from epigame import (
     simulate,
     switch_rates,
 )
+from epigame import abm as abm_mod
 from .conftest import example_params
 
 
@@ -106,6 +108,35 @@ class TestRates:
         assert infection_rate(pop, 0, p) == 0.0  # protected
         with pytest.raises(ValueError):
             infection_rate(pop, 1, p)  # already infected
+
+
+def random_digraph(rng, n, max_degree=4):
+    """Directed influence graph with out-degrees 1..max_degree, no self-loops."""
+    adj = []
+    for i in range(n):
+        nbrs = rng.choice(n - 1, size=int(rng.integers(1, max_degree + 1)), replace=False)
+        nbrs[nbrs >= i] += 1
+        adj.append(sorted(nbrs.tolist()))
+    return adj
+
+
+def general_config(seed=77, n=24, **overrides):
+    """Small random directed graph with heterogeneous activities and explicit
+    initial vectors."""
+    p = example_params(zeta=8.0)
+    rng = np.random.default_rng(seed)
+    base = dict(
+        params=p,
+        graph=InfluenceGraph.from_adjacency(random_digraph(rng, n)),
+        activities=rng.uniform(1.0, 5.0, n),
+        horizon=3.0,
+        sample_dt=1.0,
+        seed=seed,
+        behaviours0=(rng.random(n) < 0.4).astype(int),
+        healths0=(rng.random(n) < 0.3).astype(int),
+    )
+    base.update(overrides)
+    return AbmConfig(**base)
 
 
 def replay_events(cfg, log):
@@ -285,6 +316,37 @@ class TestSimulate:
             debug_check=True,
         )
         simulate(cfg2)
+        # general graph: the cached imitation rates and channel totals are
+        # compared with a from-scratch recomputation before every draw
+        for mode in ("aggregated", "contact"):
+            simulate(general_config(n=30, horizon=4.0, infection_mode=mode, debug_check=True))
+
+        # a stale cache (one behaviour flipped, rates not recomputed) must raise
+        cfg3 = general_config(n=30)
+        g, p = cfg3.graph, cfg3.params
+        pop = Population(cfg3.behaviours0.copy(), cfg3.healths0.copy(), cfg3.activities)
+        x = pop.behaviours.astype(float)
+        b = g.neighbor_mean(x)
+        a = g.neighbor_mean(x * b)
+        q01, q10 = switch_rates(g, pop, p)
+        n1, n_inf = int(x.sum()), int(pop.healths.sum())
+        totals = (p.mu * n_inf, float(q01[x == 0].sum()), float(q10[x == 1].sum()))
+        abm_mod._debug_check_general(cfg3, pop, n1, n_inf, b, a, q10, *totals)
+        k = int(g.neighbors(0)[0])  # node 0 imitates k, so flipping k changes B_0
+        pop.behaviours[k] = 1 - pop.behaviours[k]
+        n1 += 1 if pop.behaviours[k] else -1
+        with pytest.raises(NumericalError, match="cached B"):
+            abm_mod._debug_check_general(cfg3, pop, n1, n_inf, b, a, q10, *totals)
+        # complete graph: a drifted infected-activity sum must raise
+        pop = Population([1, 0, 0, 1], [0, 1, 0, 0], np.full(4, p.alpha))
+        cfg4 = small_config(n=4)
+        sets = [abm_mod._IndexedSet(4, np.nonzero(m)[0]) for m in
+                (pop.behaviours == 1, pop.healths == 1,
+                 (pop.behaviours == 0) & (pop.healths == 0))]
+        a_elig = p.alpha  # only agent 2 is unprotected and susceptible
+        abm_mod._debug_check_complete(cfg4, pop, 4, pop.activities, *sets, p.alpha, a_elig)
+        with pytest.raises(NumericalError, match="infected activity"):
+            abm_mod._debug_check_complete(cfg4, pop, 4, pop.activities, *sets, 2 * p.alpha, a_elig)
 
     def test_warns_outside_payoff_ordering(self):
         p = ModelParams(alpha=3.0, lam=0.5, mu=1.0, c=0.5, zeta=8.0)
@@ -394,6 +456,88 @@ class TestDrawByDrawReplay:
         ):
             assert k_ref == k_got and a_ref == a_got and c_ref == c_got
             assert t_got == pytest.approx(t_ref, abs=1e-9)
+
+
+    @pytest.mark.parametrize("mode", ["aggregated", "contact"])
+    @pytest.mark.parametrize("directionality", ["bidirectional", "activator-infects"])
+    def test_general_graph(self, mode, directionality):
+        cfg = general_config(infection_mode=mode, directionality=directionality)
+        p = cfg.params
+        n = cfg.graph.n
+        _, log = simulate(cfg)
+        assert {"recovery", "infection", "adopt", "drop"} <= {k for _, k, _, _ in log}
+
+        # reference: no cached state; every per-node rate vector is rebuilt
+        # from the public rate functions before every draw
+        rng = np.random.default_rng(cfg.seed)
+        x = cfg.behaviours0.copy()
+        y = cfg.healths0.copy()
+        act = cfg.activities
+        bidi = directionality == "bidirectional"
+
+        def pick(rates):
+            cum = np.cumsum(rates)
+            return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+
+        events = []
+        t = 0.0
+        while True:
+            pop = Population(x, y, act)
+            q01, q10 = switch_rates(cfg.graph, pop, p)
+            rec = np.where(y == 1, p.mu, 0.0)
+            if mode == "contact":
+                mid = act  # the event log is on, so contacts always fire
+            else:
+                mid = np.array(
+                    [infection_rate(pop, i, p, bidi) if y[i] == 0 else 0.0 for i in range(n)]
+                )
+            adopt = np.where(x == 0, q01, 0.0)
+            drop = np.where(x == 1, q10, 0.0)
+            r_rec, r_mid, r_adopt, r_drop = (float(r.sum()) for r in (rec, mid, adopt, drop))
+            total = r_rec + r_mid + r_adopt + r_drop
+            if total <= 0:
+                break
+            t += rng.exponential(1.0 / total)
+            if t >= cfg.horizon:
+                break
+            u = rng.random() * total
+            if u < r_rec:
+                i = pick(rec)
+                y[i] = 0
+                events.append((t, "recovery", i, None))
+            elif u < r_rec + r_mid and mode == "aggregated":
+                i = pick(mid)
+                y[i] = 1
+                events.append((t, "infection", i, None))
+            elif u < r_rec + r_mid:
+                i = pick(act)
+                j = int(rng.random() * (n - 1))
+                if j >= i:
+                    j += 1
+                events.append((t, "contact", i, j))
+                pair = None
+                if y[i] == 1 and y[j] == 0 and x[j] == 0:
+                    pair = (j, i)
+                elif bidi and y[i] == 0 and x[i] == 0 and y[j] == 1:
+                    pair = (i, j)
+                if pair is not None and rng.random() < p.lam:
+                    y[pair[0]] = 1
+                    events.append((t, "infection", *pair))
+            elif u < r_rec + r_mid + r_adopt:
+                i = pick(adopt)
+                x[i] = 1
+                events.append((t, "adopt", i, None))
+            else:
+                i = pick(drop)
+                x[i] = 0
+                events.append((t, "drop", i, None))
+
+        assert len(events) == len(log.events)
+        for (t_ref, k_ref, a_ref, c_ref), (t_got, k_got, a_got, c_got) in zip(
+            events, log.events
+        ):
+            assert k_ref == k_got and a_ref == a_got and c_ref == c_got
+            assert t_got == pytest.approx(t_ref, rel=0, abs=1e-12)
 
 
 class TestEnsemble:

@@ -177,6 +177,18 @@ class TestAbmSim:
         assert run(["abm-sim", *REF, "--zeta", "8"], tmp_path) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("source", ["flag", "config-zero", "config-null"])
+    def test_rejects_nonpositive_sample_dt(self, tmp_path, capsys, source):
+        args = ["abm-sim", *REF, "--zeta", "8", "--n", "20", "--seed", "1", "--horizon", "1"]
+        if source == "flag":
+            args += ["--sample-dt", "0"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"sample_dt": 0 if source == "config-zero" else None}))
+            args += ["--config", str(cfg)]
+        assert run(args, tmp_path) == 2
+        assert "sample_dt" in capsys.readouterr().err
+
 
 class TestCycle:
     def test_limit_cycle_verdict(self, tmp_path, capsys):
