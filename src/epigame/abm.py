@@ -17,10 +17,13 @@ reproduces):
 2. ``rng.random()``             -- channel choice, cumulative over
    [recovery, infection|contact, adopt, drop]
 3. member selection inside the channel:
-   complete graph  -- ``rng.random()`` uniform index into the group list;
-                      with heterogeneous activities the infection/contact
-                      channels use rejection sampling (one extra
-                      ``rng.random()`` per attempt)
+   complete graph  -- ``rng.random()`` uniform index into the group list
+                      (the lists start in ascending agent order; a member
+                      joins at the end, and a leaving member's slot takes
+                      the last member); with heterogeneous activities the
+                      contact initiator and the bidirectional aggregated
+                      infection target are drawn by rejection (one extra
+                      ``rng.random()`` against the largest weight per attempt)
    general graph   -- ``rng.random()`` times the channel's total, positioned
                       in the cumulative per-node rate vector of the channel:
                       mu*y (recovery), the activities (contact initiator),
@@ -34,10 +37,19 @@ Initial conditions sampled from fractions consume ``rng.random(n)`` twice
 (behaviours first, then healths) before any event draw.
 
 Cost per event: O(1) on the complete graph (group lists with swap-with-last
-removal). On a general graph with out-degree d, a behaviour flip costs
-O(n*d) to recompute the cached imitation rates; any other event costs O(1)
-plus one O(n) cumulative sum to pick the channel's member (aggregated
-infection mode also rebuilds its O(n) per-node infection rates every event).
+removal). That engine holds the agent state in Python lists for the whole
+run, so no event touches a numpy scalar; it writes the lists back into the
+``Population`` for the debug checks and for the final counter check, and
+draws exactly as above. On a general graph with out-degree d, a behaviour
+flip costs O(n*d) to recompute the cached imitation rates; any other event
+costs O(1) plus one O(n) cumulative sum to pick the channel's member
+(aggregated infection mode also rebuilds its O(n) per-node infection rates
+every event).
+
+Both engines count their events per kind in ``Trajectory.meta["events"]``,
+also when no log is kept. Without a log, contact mode skips the contacts
+made while nobody is infected: they cannot change the state, so skipping
+them is exact thinning, and they are not counted.
 """
 from __future__ import annotations
 
@@ -62,6 +74,7 @@ EVENT_INFECTION = "infection"
 EVENT_RECOVERY = "recovery"
 EVENT_ADOPT = "adopt"
 EVENT_DROP = "drop"
+EVENT_KINDS = (EVENT_RECOVERY, EVENT_INFECTION, EVENT_ADOPT, EVENT_DROP, EVENT_CONTACT)
 
 
 @dataclass
@@ -188,7 +201,7 @@ class AbmConfig:
             raise ConfigError("activities length must equal graph order")
         if np.any(self.activities <= 0.0):
             raise ConfigError("activities must be positive")
-        if self.horizon <= 0:
+        if self.horizon is None or self.horizon <= 0:
             raise ConfigError("horizon must be > 0")
         if self.sample_dt is None or self.sample_dt <= 0:
             raise ConfigError("sample_dt must be > 0")
@@ -278,7 +291,13 @@ class AbmConfig:
 
 
 class _IndexedSet:
-    """Set of agent ids with O(1) add/remove/uniform-sample (swap-with-last)."""
+    """Agent ids in ``items``, with each member's slot in ``pos``.
+
+    The complete-graph loop adds by appending and removes a given id by
+    moving the last id into its slot, both in O(1). It does this inline,
+    because method calls here cost a measurable share of each event. Slots
+    of ids that are not members are stale and never read.
+    """
 
     __slots__ = ("items", "pos")
 
@@ -290,24 +309,6 @@ class _IndexedSet:
 
     def __len__(self):
         return len(self.items)
-
-    def __contains__(self, i):
-        return self.pos[i] >= 0
-
-    def add(self, i):
-        self.pos[i] = len(self.items)
-        self.items.append(i)
-
-    def remove(self, i):
-        k = self.pos[i]
-        last = self.items.pop()
-        if last != i:
-            self.items[k] = last
-            self.pos[last] = k
-        self.pos[i] = -1
-
-    def sample(self, u: float):
-        return self.items[int(u * len(self.items))]
 
 
 def _initial_population(cfg: AbmConfig, rng: np.random.Generator) -> Population:
@@ -334,9 +335,9 @@ def simulate(cfg: AbmConfig) -> tuple[Trajectory, EventLog]:
             stacklevel=2,
         )
     if cfg.graph.is_complete:
-        times, xs, ys, log = _run_complete(cfg, pop, rng)
+        times, xs, ys, log, counts = _run_complete(cfg, pop, rng)
     else:
-        times, xs, ys, log = _run_general(cfg, pop, rng)
+        times, xs, ys, log, counts = _run_general(cfg, pop, rng)
     log.seed = cfg.seed
     traj = Trajectory(
         times=times,
@@ -344,7 +345,8 @@ def simulate(cfg: AbmConfig) -> tuple[Trajectory, EventLog]:
         ys=ys,
         params=cfg.params,
         meta={"seed": cfg.seed, "rng": RNG_NAME, "mode": cfg.infection_mode,
-              "directionality": cfg.directionality, "n": cfg.graph.n},
+              "directionality": cfg.directionality, "n": cfg.graph.n,
+              "events": counts},
     )
     return traj, log
 
@@ -363,63 +365,59 @@ def _check_counts(pop: Population, n1: int, n_inf: int):
 
 
 def _run_complete(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
-    """Fast path for the complete influence graph (payoffs uniform across agents)."""
+    """Fast path for the complete influence graph (payoffs uniform across agents).
+
+    The agent vectors are copied once into Python lists; group members,
+    activity sums and rates are plain Python ints and floats, so the loop does
+    no numpy scalar arithmetic. Adopters, non-adopters and the infected are
+    lists that are only sampled by slot, so removing the sampled member moves
+    the last one into its slot. The eligible (susceptible, unprotected) group
+    also loses members it did not sample, so it keeps each member's slot
+    (``_IndexedSet``). Each grid time checks the counters against the lists.
+    The lists are written back into ``pop`` before every debug check and once
+    at the end, before the final counter check. The random-draw contract is
+    the one in the module docstring.
+    """
     p = cfg.params
     n = pop.n
-    x = pop.behaviours
-    y = pop.healths
-    a = pop.activities
-    uniform_act = float(np.ptp(a)) == 0.0
-    a_max = float(a.max())
-    a_total = float(a.sum())
+    xs, ys, acts = pop.behaviours, pop.healths, pop.activities
+    x, y, a = xs.tolist(), ys.tolist(), acts.tolist()
+    uniform_act = float(np.ptp(acts)) == 0.0
+    a_max = float(acts.max())
+    a_total = float(acts.sum())
     bidi = cfg.bidirectional
     contact_mode = cfg.infection_mode == "contact"
     record = cfg.record_events
+    debug = cfg.debug_check
+    horizon = cfg.horizon
     log = EventLog()
+    log_event = log.events.append
 
-    adopters = _IndexedSet(n, np.nonzero(x == PROTECTION)[0])
-    nonadopters = _IndexedSet(n, np.nonzero(x == NO_PROTECTION)[0])
-    infected = _IndexedSet(n, np.nonzero(y == INFECTED)[0])
-    eligible = _IndexedSet(
-        n, np.nonzero((y == SUSCEPTIBLE) & (x == NO_PROTECTION))[0]
-    )
-    a_inf = float(a[y == INFECTED].sum())
-    a_elig = float(a[(y == SUSCEPTIBLE) & (x == NO_PROTECTION)].sum())
+    free = (ys == SUSCEPTIBLE) & (xs == NO_PROTECTION)
+    adopters = np.flatnonzero(xs == PROTECTION).tolist()
+    nonadopters = np.flatnonzero(xs == NO_PROTECTION).tolist()
+    infected = np.flatnonzero(ys == INFECTED).tolist()
+    eligible = _IndexedSet(n, np.flatnonzero(free).tolist())
+    elig, elig_pos = eligible.items, eligible.pos
+    a_inf = float(acts[ys == INFECTED].sum())
+    a_elig = float(acts[free].sum())
+    n_rec = n_infect = n_adopt = n_drop = n_contact = 0
 
     grid = _grid(cfg)
-    out_x = np.empty(grid.size)
-    out_y = np.empty(grid.size)
-    si = 0
+    grid_t = grid.tolist() + [math.inf]  # sentinel: never reached
+    t_next = grid_t[0]
+    out_x = []
+    out_y = []
     t = 0.0
     lam, mu, c, zeta = p.lam, p.mu, p.c, p.zeta
-
-    def record_through(t_limit):
-        # record every grid point strictly before t_limit with the current state
-        nonlocal si
-        n1 = len(adopters)
-        n_inf = len(infected)
-        while si < grid.size and grid[si] < t_limit:
-            _check_counts(pop, n1, n_inf)
-            out_x[si] = n1 / n
-            out_y[si] = n_inf / n
-            si += 1
-
-    def infect(i, t, source=None):
-        nonlocal a_inf, a_elig
-        y[i] = INFECTED
-        infected.add(i)
-        a_inf += a[i]
-        if i in eligible:
-            eligible.remove(i)
-            a_elig -= a[i]
-        if record:
-            log.append(t, EVENT_INFECTION, i, source)
+    random = rng.random
+    exponential = rng.exponential
 
     while True:
         n1 = len(adopters)
         n0 = n - n1
         n_inf = len(infected)
-        n_elig = len(eligible)
+        n_elig = len(elig)
         xbar = n1 / n
         ybar = n_inf / n
         pi1 = xbar + zeta * ybar
@@ -431,95 +429,126 @@ def _run_complete(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
             # contacts cannot change state without infected present; skipping
             # them then is exact thinning, but only when no log is kept
             r_mid = a_total if (n_inf > 0 or record) else 0.0
+        elif bidi:
+            r_mid = lam / (n - 1) * (n_inf * a_elig + n_elig * a_inf)
         else:
-            if bidi:
-                r_mid = lam / (n - 1) * (n_inf * a_elig + n_elig * a_inf)
-            else:
-                r_mid = lam / (n - 1) * n_elig * a_inf
+            r_mid = lam / (n - 1) * n_elig * a_inf
         total = r_rec + r_mid + r_adopt + r_drop
         if total <= 0.0:
             break
-        dt = rng.exponential(1.0 / total)
-        t_new = t + dt
-        record_through(min(t_new, cfg.horizon))
-        if t_new >= cfg.horizon:
-            t = cfg.horizon
+        t_new = t + exponential(1.0 / total)
+        # sample every grid time strictly before min(t_new, horizon)
+        if t_next < t_new and t_next < horizon:
+            if sum(x) != n1 or sum(y) != n_inf:
+                raise NumericalError("incremental counters diverged from agent vectors")
+            while t_next < t_new and t_next < horizon:
+                out_x.append(xbar)
+                out_y.append(ybar)
+                t_next = grid_t[len(out_x)]
+        if t_new >= horizon:
             break
         t = t_new
-        u = rng.random() * total
+        u = random() * total
         if u < r_rec:
-            i = infected.sample(rng.random())
+            k = int(random() * n_inf)
+            i = infected[k]
+            infected[k] = infected[-1]
+            infected.pop()
             y[i] = SUSCEPTIBLE
-            infected.remove(i)
             a_inf -= a[i]
             if x[i] == NO_PROTECTION:
-                eligible.add(i)
+                elig_pos[i] = n_elig
+                elig.append(i)
                 a_elig += a[i]
+            n_rec += 1
             if record:
-                log.append(t, EVENT_RECOVERY, i)
+                log_event((t, EVENT_RECOVERY, i, None))
         elif u < r_rec + r_mid:
+            source = None
             if contact_mode:
                 if uniform_act:
-                    i = int(rng.random() * n)
+                    i = int(random() * n)
                 else:
                     while True:
-                        i = int(rng.random() * n)
-                        if rng.random() * a_max <= a[i]:
+                        i = int(random() * n)
+                        if random() * a_max <= a[i]:
                             break
-                j = int(rng.random() * (n - 1))
+                j = int(random() * (n - 1))
                 if j >= i:
                     j += 1
+                n_contact += 1
                 if record:
-                    log.append(t, EVENT_CONTACT, i, j)
-                target = None
+                    log_event((t, EVENT_CONTACT, i, j))
                 if y[i] == INFECTED and y[j] == SUSCEPTIBLE and x[j] == NO_PROTECTION:
                     target, source = j, i
-                elif (
-                    bidi
-                    and y[i] == SUSCEPTIBLE
-                    and x[i] == NO_PROTECTION
-                    and y[j] == INFECTED
-                ):
+                elif bidi and y[i] == SUSCEPTIBLE and x[i] == NO_PROTECTION and y[j] == INFECTED:
                     target, source = i, j
-                if target is not None and rng.random() < lam:
-                    infect(target, t, source)
+                if source is None or random() >= lam:
+                    target = None
+            elif bidi and not uniform_act:
+                # per-agent weight a_i*nI + A_I; rejection against the max
+                w_max = a_max * n_inf + a_inf
+                while True:
+                    target = elig[int(random() * n_elig)]
+                    if random() * w_max <= a[target] * n_inf + a_inf:
+                        break
             else:
-                if bidi and not uniform_act:
-                    # per-agent weight a_i*nI + A_I; rejection against the max
-                    w_max = a_max * n_inf + a_inf
-                    while True:
-                        i = eligible.sample(rng.random())
-                        if rng.random() * w_max <= a[i] * n_inf + a_inf:
-                            break
-                else:
-                    i = eligible.sample(rng.random())
-                infect(i, t)
+                target = elig[int(random() * n_elig)]
+            if target is not None:
+                # the target is susceptible and unprotected, so eligible
+                y[target] = INFECTED
+                infected.append(target)
+                last = elig[-1]
+                elig[elig_pos[target]] = last
+                elig_pos[last] = elig_pos[target]
+                elig.pop()
+                a_inf += a[target]
+                a_elig -= a[target]
+                n_infect += 1
+                if record:
+                    log_event((t, EVENT_INFECTION, target, source))
         elif u < r_rec + r_mid + r_adopt:
-            i = nonadopters.sample(rng.random())
+            k = int(random() * n0)
+            i = nonadopters[k]
+            nonadopters[k] = nonadopters[-1]
+            nonadopters.pop()
+            adopters.append(i)
             x[i] = PROTECTION
-            nonadopters.remove(i)
-            adopters.add(i)
-            if i in eligible:
-                eligible.remove(i)
-                a_elig -= a[i]
-            if record:
-                log.append(t, EVENT_ADOPT, i)
-        else:
-            i = adopters.sample(rng.random())
-            x[i] = NO_PROTECTION
-            adopters.remove(i)
-            nonadopters.add(i)
             if y[i] == SUSCEPTIBLE:
-                eligible.add(i)
-                a_elig += a[i]
+                last = elig[-1]
+                elig[elig_pos[i]] = last
+                elig_pos[last] = elig_pos[i]
+                elig.pop()
+                a_elig -= a[i]
+            n_adopt += 1
             if record:
-                log.append(t, EVENT_DROP, i)
-        if cfg.debug_check:
-            _debug_check_complete(cfg, pop, n, a, adopters, infected, eligible, a_inf, a_elig)
+                log_event((t, EVENT_ADOPT, i, None))
+        else:
+            k = int(random() * n1)
+            i = adopters[k]
+            adopters[k] = adopters[-1]
+            adopters.pop()
+            nonadopters.append(i)
+            x[i] = NO_PROTECTION
+            if y[i] == SUSCEPTIBLE:
+                elig_pos[i] = n_elig
+                elig.append(i)
+                a_elig += a[i]
+            n_drop += 1
+            if record:
+                log_event((t, EVENT_DROP, i, None))
+        if debug:
+            xs[:], ys[:] = x, y
+            _debug_check_complete(cfg, pop, n, acts, adopters, infected, eligible, a_inf, a_elig)
 
-    record_through(cfg.horizon + cfg.sample_dt)  # flush remaining grid points
-    _check_counts(pop, len(adopters), len(infected))
-    return grid, out_x, out_y, log
+    xs[:], ys[:] = x, y
+    n1, n_inf = len(adopters), len(infected)
+    _check_counts(pop, n1, n_inf)
+    while len(out_x) < grid.size:  # the state holds through the horizon
+        out_x.append(n1 / n)
+        out_y.append(n_inf / n)
+    counts = (n_rec, n_infect, n_adopt, n_drop, n_contact)
+    return grid, np.array(out_x), np.array(out_y), log, dict(zip(EVENT_KINDS, counts))
 
 
 def _require_close(name: str, got, ref, rtol: float = 1e-5, atol: float = 1e-8) -> None:
@@ -537,8 +566,10 @@ def _debug_check_complete(cfg, pop, n, a, adopters, infected, eligible, a_inf, a
     _require_close("complete-graph drop rate", (1.0 - xbar) * pi0, q10)
     _check_counts(pop, len(adopters), len(infected))
     mask = (pop.healths == SUSCEPTIBLE) & (pop.behaviours == NO_PROTECTION)
-    if len(eligible) != int(mask.sum()):
+    if sorted(eligible.items) != np.flatnonzero(mask).tolist():
         raise NumericalError("eligible set diverged from agent vectors")
+    if any(eligible.pos[i] != k for k, i in enumerate(eligible.items)):
+        raise NumericalError("eligible slot table diverged from the eligible set")
     a_inf_ref = float(a[pop.healths == INFECTED].sum())
     _require_close("infected activity sum", a_inf, a_inf_ref, 0.0, 1e-9)
     _require_close("eligible activity sum", a_elig, float(a[mask].sum()), 0.0, 1e-9)
@@ -589,6 +620,7 @@ def _run_general(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
     lam, mu, c, zeta = p.lam, p.mu, p.c, p.zeta
     n1 = int(x.sum())
     n_inf = int((y == INFECTED).sum())
+    n_rec = n_infect = n_adopt = n_drop = n_contact = 0
 
     def imitation_cache():
         xf = x.astype(float)
@@ -653,6 +685,7 @@ def _run_general(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
             i = pick(mu * y)
             y[i] = SUSCEPTIBLE
             n_inf -= 1
+            n_rec += 1
             if record:
                 log.append(t, EVENT_RECOVERY, i)
         elif u < r_rec + r_mid:
@@ -661,6 +694,7 @@ def _run_general(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
                 j = int(rng.random() * (n - 1))
                 if j >= i:
                     j += 1
+                n_contact += 1
                 if record:
                     log.append(t, EVENT_CONTACT, i, j)
                 target = source = None
@@ -673,18 +707,21 @@ def _run_general(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
                 if target is not None and rng.random() < lam:
                     y[target] = INFECTED
                     n_inf += 1
+                    n_infect += 1
                     if record:
                         log.append(t, EVENT_INFECTION, target, source)
             else:
                 i = pick(mid_rates)
                 y[i] = INFECTED
                 n_inf += 1
+                n_infect += 1
                 if record:
                     log.append(t, EVENT_INFECTION, i)
         elif u < r_rec + r_mid + r_adopt:
             i = pick((1 - x) * (A + zeta * ybar * B))
             x[i] = PROTECTION
             n1 += 1
+            n_adopt += 1
             B, A, Q, sum_a, sum_b, sum_q = imitation_cache()
             if record:
                 log.append(t, EVENT_ADOPT, i)
@@ -692,13 +729,15 @@ def _run_general(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
             i = pick(x * Q)
             x[i] = NO_PROTECTION
             n1 -= 1
+            n_drop += 1
             B, A, Q, sum_a, sum_b, sum_q = imitation_cache()
             if record:
                 log.append(t, EVENT_DROP, i)
 
     record_through(cfg.horizon + cfg.sample_dt)
     _check_counts(pop, n1, n_inf)
-    return grid, out_x, out_y, log
+    counts = (n_rec, n_infect, n_adopt, n_drop, n_contact)
+    return grid, out_x, out_y, log, dict(zip(EVENT_KINDS, counts))
 
 
 @dataclass

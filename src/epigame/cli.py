@@ -156,6 +156,8 @@ def _integration_block(cfg: dict, args):
     x0 = _scalar(cfg, args, "x0", initial.get("x", 0.5))
     y0 = _scalar(cfg, args, "y0", initial.get("y", 0.5))
     horizon = _scalar(cfg, args, "horizon", cfg.get("horizon", 200.0))
+    if horizon is None or horizon <= 0:
+        raise ConfigError("horizon must be > 0")
     rtol = _scalar(cfg, args, "rtol", cfg.get("rtol", DEFAULT_RTOL))
     atol = _scalar(cfg, args, "atol", cfg.get("atol", DEFAULT_ATOL))
     sample_dt = _scalar(cfg, args, "sample_dt", cfg.get("sample_dt"))

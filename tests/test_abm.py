@@ -348,11 +348,173 @@ class TestSimulate:
         with pytest.raises(NumericalError, match="infected activity"):
             abm_mod._debug_check_complete(cfg4, pop, 4, pop.activities, *sets, 2 * p.alpha, a_elig)
 
+    @pytest.mark.parametrize("mode", ["aggregated", "contact"])
+    @pytest.mark.parametrize("graph", ["complete", "general"])
+    def test_event_counters_match_log(self, graph, mode):
+        make = small_config if graph == "complete" else general_config
+        cfg = make(infection_mode=mode, record_events=True)
+        traj, log = simulate(cfg)
+        counts = traj.meta["events"]
+        assert set(counts) == {"recovery", "infection", "adopt", "drop", "contact"}
+        tally = {kind: sum(1 for _, k, _, _ in log if k == kind) for kind in counts}
+        assert counts == tally
+        assert sum(counts.values()) == len(log) > 0
+        # the counters stay on without the log; aggregated-mode draws do not
+        # depend on the log, so the counts are the same
+        quiet, _ = simulate(dataclasses.replace(cfg, record_events=False))
+        if mode == "aggregated":
+            assert quiet.meta["events"] == counts
+        else:
+            assert quiet.meta["events"]["contact"] > 0
+
     def test_warns_outside_payoff_ordering(self):
         p = ModelParams(alpha=3.0, lam=0.5, mu=1.0, c=0.5, zeta=8.0)
         cfg = small_config(params=p, horizon=1.0)
         with pytest.warns(UserWarning, match="payoff ordering"):
             simulate(cfg)
+
+
+def replay_complete(cfg):
+    """Independent replay of the complete-graph draw contract.
+
+    Groups are plain lists with swap-with-last removal; channel totals and
+    member weights come from the public per-node rate functions before every
+    draw. Returns the event history, the number of rejected draws and the
+    (x_bar, y_bar) state at each grid time."""
+    p = cfg.params
+    n = cfg.graph.n
+    act = cfg.activities
+    bidi = cfg.bidirectional
+    contact = cfg.infection_mode == "contact"
+    heterogeneous = np.ptp(act) > 0
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.behaviours0 is not None:
+        x = cfg.behaviours0.astype(int)
+        y = cfg.healths0.astype(int)
+    else:
+        x = (rng.random(n) < cfg.x0).astype(int)
+        y = (rng.random(n) < cfg.y0).astype(int)
+
+    groups = {
+        name: np.nonzero(mask)[0].tolist()
+        for name, mask in (
+            ("adopters", x == 1),
+            ("nonadopters", x == 0),
+            ("infected", y == 1),
+            ("eligible", (x == 0) & (y == 0)),
+        )
+    }
+
+    def remove(name, i):
+        lst = groups[name]
+        k = lst.index(i)
+        last = lst.pop()
+        if last != i:
+            lst[k] = last
+
+    def draw(name):
+        lst = groups[name]
+        return lst[int(rng.random() * len(lst))]
+
+    def infect(i):
+        y[i] = 1
+        groups["infected"].append(i)
+        remove("eligible", i)
+
+    grid = abm_mod._grid(cfg)
+    grid_state = []
+
+    def sample_before(t_limit):
+        while len(grid_state) < grid.size and grid[len(grid_state)] < t_limit:
+            grid_state.append((x.sum() / n, y.sum() / n))
+
+    events = []
+    rejected = 0
+    t = 0.0
+    while True:
+        pop = Population(x, y, act)
+        q01, q10 = switch_rates(cfg.graph, pop, p)
+        r_rec = p.mu * len(groups["infected"])
+        if contact:
+            r_mid = float(act.sum())  # the event log is on, so contacts always fire
+        else:
+            r_mid = sum(infection_rate(pop, i, p, bidi) for i in groups["eligible"])
+        r_adopt = float(q01[x == 0].sum())
+        r_drop = float(q10[x == 1].sum())
+        total = r_rec + r_mid + r_adopt + r_drop
+        if total <= 0:
+            break
+        t += rng.exponential(1.0 / total)
+        sample_before(min(t, cfg.horizon))
+        if t >= cfg.horizon:
+            break
+        u = rng.random() * total
+        if u < r_rec:
+            i = draw("infected")
+            y[i] = 0
+            remove("infected", i)
+            if x[i] == 0:
+                groups["eligible"].append(i)
+            events.append((t, "recovery", i, None))
+        elif u < r_rec + r_mid and contact:
+            # initiator with probability proportional to its activity
+            while True:
+                i = int(rng.random() * n)
+                if not heterogeneous or rng.random() * act.max() <= act[i]:
+                    break
+                rejected += 1
+            j = int(rng.random() * (n - 1))
+            if j >= i:
+                j += 1
+            events.append((t, "contact", i, j))
+            pair = None
+            if y[i] == 1 and y[j] == 0 and x[j] == 0:
+                pair = (j, i)
+            elif bidi and y[i] == 0 and x[i] == 0 and y[j] == 1:
+                pair = (i, j)
+            if pair is not None and rng.random() < p.lam:
+                infect(pair[0])
+                events.append((t, "infection", *pair))
+        elif u < r_rec + r_mid:
+            # eligible member with probability proportional to its infection
+            # rate, by rejection against the rate of the most active agent
+            n_inf = len(groups["infected"])
+            a_inf = float(act[y == 1].sum())
+            r_max = p.lam / (n - 1) * (act.max() * n_inf + a_inf)
+            while True:
+                i = draw("eligible")
+                if not (heterogeneous and bidi):
+                    break
+                if rng.random() * r_max <= infection_rate(pop, i, p, bidi):
+                    break
+                rejected += 1
+            infect(i)
+            events.append((t, "infection", i, None))
+        elif u < r_rec + r_mid + r_adopt:
+            i = draw("nonadopters")
+            x[i] = 1
+            remove("nonadopters", i)
+            groups["adopters"].append(i)
+            if y[i] == 0:
+                remove("eligible", i)
+            events.append((t, "adopt", i, None))
+        else:
+            i = draw("adopters")
+            x[i] = 0
+            remove("adopters", i)
+            groups["nonadopters"].append(i)
+            if y[i] == 0:
+                groups["eligible"].append(i)
+            events.append((t, "drop", i, None))
+    sample_before(math.inf)
+    return events, rejected, np.array(grid_state)
+
+
+def assert_same_history(ref, log, abs_t):
+    assert len(ref) == len(log.events)
+    for (t_ref, k_ref, a_ref, c_ref), (t_got, k_got, a_got, c_got) in zip(ref, log.events):
+        assert k_ref == k_got and a_ref == a_got and c_ref == c_got
+        assert t_got == pytest.approx(t_ref, rel=0, abs=abs_t)
 
 
 class TestDrawByDrawReplay:
@@ -362,8 +524,6 @@ class TestDrawByDrawReplay:
     def test_complete_uniform_aggregated(self):
         p = example_params(zeta=8.0)
         n = 12
-        behaviours0 = np.array([1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0])
-        healths0 = np.array([0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1])
         cfg = AbmConfig(
             params=p,
             graph=InfluenceGraph.complete(n),
@@ -371,92 +531,45 @@ class TestDrawByDrawReplay:
             horizon=3.0,
             sample_dt=1.0,
             seed=2024,
-            behaviours0=behaviours0,
-            healths0=healths0,
+            behaviours0=np.array([1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0]),
+            healths0=np.array([0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1]),
         )
         _, log = simulate(cfg)
         assert len(log) > 10
+        events, _, _ = replay_complete(cfg)
+        assert_same_history(events, log, abs_t=1e-9)
 
-        # reference: groups as plain lists with swap-with-last removal, rates
-        # from the public per-node rate functions
-        rng = np.random.default_rng(cfg.seed)
-        x = behaviours0.copy()
-        y = healths0.copy()
-
-        groups = {
-            name: list(np.nonzero(mask)[0])
-            for name, mask in (
-                ("adopters", x == 1),
-                ("nonadopters", x == 0),
-                ("infected", y == 1),
-                ("eligible", (x == 0) & (y == 0)),
-            )
-        }
-
-        def group_remove(name, i):
-            lst = groups[name]
-            k = lst.index(i)
-            last = lst.pop()
-            if last != i:
-                lst[k] = last
-
-        events = []
-        t = 0.0
-        while True:
-            pop = Population(x, y, cfg.activities)
-            q01, q10 = switch_rates(cfg.graph, pop, p)
-            r_rec = p.mu * len(groups["infected"])
-            r_inf = sum(infection_rate(pop, i, p) for i in groups["eligible"])
-            r_adopt = float(q01[x == 0].sum())
-            r_drop = float(q10[x == 1].sum())
-            total = r_rec + r_inf + r_adopt + r_drop
-            if total <= 0:
-                break
-            t += rng.exponential(1.0 / total)
-            if t >= cfg.horizon:
-                break
-            u = rng.random() * total
-            if u < r_rec:
-                lst = groups["infected"]
-                i = lst[int(rng.random() * len(lst))]
-                y[i] = 0
-                group_remove("infected", i)
-                if x[i] == 0:
-                    groups["eligible"].append(i)
-                events.append((t, "recovery", i, None))
-            elif u < r_rec + r_inf:
-                lst = groups["eligible"]
-                i = lst[int(rng.random() * len(lst))]
-                y[i] = 1
-                groups["infected"].append(i)
-                group_remove("eligible", i)
-                events.append((t, "infection", i, None))
-            elif u < r_rec + r_inf + r_adopt:
-                lst = groups["nonadopters"]
-                i = lst[int(rng.random() * len(lst))]
-                x[i] = 1
-                group_remove("nonadopters", i)
-                groups["adopters"].append(i)
-                if y[i] == 0:
-                    group_remove("eligible", i)
-                events.append((t, "adopt", i, None))
-            else:
-                lst = groups["adopters"]
-                i = lst[int(rng.random() * len(lst))]
-                x[i] = 0
-                group_remove("adopters", i)
-                groups["nonadopters"].append(i)
-                if y[i] == 0:
-                    groups["eligible"].append(i)
-                events.append((t, "drop", i, None))
-
-        assert len(events) == len(log.events)
-        for (t_ref, k_ref, a_ref, c_ref), (t_got, k_got, a_got, c_got) in zip(
-            events, log.events
-        ):
-            assert k_ref == k_got and a_ref == a_got and c_ref == c_got
-            assert t_got == pytest.approx(t_ref, abs=1e-9)
-
+    @pytest.mark.parametrize("activities", ["uniform", "heterogeneous"])
+    @pytest.mark.parametrize("mode", ["aggregated", "contact"])
+    @pytest.mark.parametrize("directionality", ["bidirectional", "activator-infects"])
+    def test_complete_graph(self, mode, directionality, activities):
+        p = example_params(zeta=5.0)
+        n = 16
+        acts = np.full(n, p.alpha)
+        if activities == "heterogeneous":
+            acts = np.random.default_rng(5).uniform(0.5, 6.0, n)
+        cfg = AbmConfig(
+            params=p,
+            graph=InfluenceGraph.complete(n),
+            activities=acts,
+            horizon=3.0,
+            sample_dt=0.5,
+            seed=1,
+            x0=0.3,
+            y0=0.5,
+            infection_mode=mode,
+            directionality=directionality,
+        )
+        traj, log = simulate(cfg)
+        kinds = {k for _, k, _, _ in log}
+        assert {"recovery", "infection", "adopt", "drop"} <= kinds
+        events, rejected, grid_state = replay_complete(cfg)
+        assert_same_history(events, log, abs_t=1e-9)
+        # the rejection-sampling paths really ran
+        if activities == "heterogeneous" and (mode == "contact" or directionality == "bidirectional"):
+            assert rejected > 0
+        np.testing.assert_array_equal(traj.xs, grid_state[:, 0])
+        np.testing.assert_array_equal(traj.ys, grid_state[:, 1])
 
     @pytest.mark.parametrize("mode", ["aggregated", "contact"])
     @pytest.mark.parametrize("directionality", ["bidirectional", "activator-infects"])
@@ -597,6 +710,7 @@ class TestConfig:
             dict(x0=1.5),
             dict(behaviours0=[1, 0], healths0=[0, 0]),  # wrong length, plus x0/y0 set
             dict(x0=None, y0=None),  # no initial condition at all
+            dict(horizon=None),
         ],
     )
     def test_rejects_malformed(self, overrides):

@@ -182,6 +182,7 @@ def test_05_threshold_boundary_values():
            ", ".join(f"{k} {got[k]:.6f}" for k in want))
 
 
+@pytest.mark.slow
 def test_06_abm_meanfield_agreement():
     """20 runs of 10^4 agents vs the planar ODE: sup-norm gap at most 0.05."""
     p = example_params(5.0)
@@ -202,6 +203,7 @@ def test_06_abm_meanfield_agreement():
     report(6, "abm vs mean-field", gap <= 0.05, f"sup-norm gap {gap:.4f}")
 
 
+@pytest.mark.slow
 def test_07_mode_equivalence():
     """Contact-resolved and aggregated-rate engines agree to sampling error."""
     p = example_params(5.0)
@@ -237,6 +239,7 @@ def test_07_mode_equivalence():
            f"max |diff|/SE {worst:.2f} over {agg.times.size} grid points")
 
 
+@pytest.mark.slow
 def test_08_invariance_and_trapping():
     """The unit square is numerically invariant; the oscillatory regime is trapped."""
     rng = np.random.default_rng(808)

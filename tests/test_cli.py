@@ -190,6 +190,20 @@ class TestAbmSim:
         assert "sample_dt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["abm-sim", "compare", "mf-sim", "cycle", "mf-hetero"])
+def test_rejects_null_horizon(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "horizon": None,
+        "seed": 1,
+        "abm": {"n": 20},
+        "hetero": {"graph": {"type": "complete", "n": 4}},
+    }))
+    args = [command, *REF, "--zeta", "8", "--config", str(cfg)]
+    assert run(args, tmp_path) == 2
+    assert "horizon" in capsys.readouterr().err
+
+
 class TestCycle:
     def test_limit_cycle_verdict(self, tmp_path, capsys):
         args = ["cycle", *REF, "--zeta", "9.5", "--x0", "0.5", "--y0", "0.1",
