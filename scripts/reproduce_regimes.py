@@ -18,6 +18,7 @@ from epigame import (
     integrate_planar,
     render_phase_portrait,
 )
+from epigame.artifacts import write_json
 
 ZETAS = (5.0, 8.0, 9.5)
 
@@ -41,7 +42,7 @@ def main() -> None:
             rtol=1e-10, atol=1e-12,
         )
         report = detect_cycle(traj, p)
-        (outdir / "cycle.json").write_text(report.to_json() + "\n")
+        write_json(outdir / "cycle.json", report.to_dict())
         report.crossings_to_csv(outdir / "crossings.csv")
 
         if report.period is not None:

@@ -60,8 +60,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import columns, write_csv
 from .core import ConfigError, ModelParams, NumericalError
-from .meanfield import Trajectory
+from .meanfield import Trajectory, sample_grid
 from .network import InfluenceGraph
 
 NO_PROTECTION, PROTECTION = 0, 1
@@ -169,11 +170,9 @@ class EventLog:
         return iter(self.events)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write(f"# rng={self.rng_name} seed={self.seed}\n")
-            f.write("t,kind,actor,counterpart\n")
-            for t, kind, actor, cp in self.events:
-                f.write(f"{t:.17g},{kind},{actor},{'' if cp is None else cp}\n")
+        rows = ((t, kind, actor, "" if cp is None else cp) for t, kind, actor, cp in self.events)
+        write_csv(path, "t,kind,actor,counterpart", "%.17g,%s,%s,%s\n", rows,
+                  comment=f"rng={self.rng_name} seed={self.seed}")
 
 
 @dataclass
@@ -351,14 +350,6 @@ def simulate(cfg: AbmConfig) -> tuple[Trajectory, EventLog]:
     return traj, log
 
 
-def _grid(cfg: AbmConfig) -> np.ndarray:
-    m = int(math.floor(cfg.horizon / cfg.sample_dt + 1e-9))
-    grid = np.arange(m + 1) * cfg.sample_dt
-    if grid[-1] < cfg.horizon - 1e-12 * max(1.0, cfg.horizon):
-        grid = np.append(grid, cfg.horizon)
-    return grid
-
-
 def _check_counts(pop: Population, n1: int, n_inf: int):
     if int(pop.behaviours.sum()) != n1 or int((pop.healths == INFECTED).sum()) != n_inf:
         raise NumericalError("incremental counters diverged from agent vectors")
@@ -403,7 +394,7 @@ def _run_complete(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
     a_elig = float(acts[free].sum())
     n_rec = n_infect = n_adopt = n_drop = n_contact = 0
 
-    grid = _grid(cfg)
+    grid = sample_grid(cfg.horizon, cfg.sample_dt)
     grid_t = grid.tolist() + [math.inf]  # sentinel: never reached
     t_next = grid_t[0]
     out_x = []
@@ -635,7 +626,7 @@ def _run_general(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
 
     B, A, Q, sum_a, sum_b, sum_q = imitation_cache()
 
-    grid = _grid(cfg)
+    grid = sample_grid(cfg.horizon, cfg.sample_dt)
     out_x = np.empty(grid.size)
     out_y = np.empty(grid.size)
     si = 0
@@ -767,10 +758,8 @@ class EnsembleResult:
         )
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write("t,x_mean,y_mean,x_std,y_std\n")
-            for row in zip(self.times, self.x_mean, self.y_mean, self.x_std, self.y_std):
-                f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(path, "t,x_mean,y_mean,x_std,y_std", "%.17g,%.17g,%.17g,%.17g,%.17g\n",
+                  columns(self.times, self.x_mean, self.y_mean, self.x_std, self.y_std))
 
 
 def _one_run(cfg: AbmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

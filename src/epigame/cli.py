@@ -14,11 +14,13 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import abm as abm_mod
+from .artifacts import columns, write_csv, write_json
 from .core import (
     ConfigError,
     InvalidParameterError,
@@ -93,11 +95,10 @@ def _outdir(cfg: dict, args) -> Path:
     return path
 
 
-def _write_sidecar(outdir: Path, command: str, effective: dict) -> None:
-    effective = {"command": command, **effective}
-    with open(outdir / f"{command}.config.json", "w") as f:
-        json.dump(effective, f, indent=2)
-        f.write("\n")
+def _write_sidecar(outdir: Path, command: str, **effective) -> None:
+    """The effective configuration, which reruns the command through --config."""
+    write_json(outdir / f"{command}.config.json",
+               {"command": command, **effective, "outdir": str(outdir)})
 
 
 def _scalar(cfg: dict, args, name: str, default, cast=float):
@@ -117,10 +118,8 @@ def _cmd_regime(args) -> int:
     outdir = _outdir(cfg, args)
     report = classify_regime(p)
     out = outdir / "regime.json"
-    with open(out, "w") as f:
-        f.write(report.to_json())
-        f.write("\n")
-    _write_sidecar(outdir, "regime", {"params": p.to_dict(), "outdir": str(outdir)})
+    write_json(out, report.to_dict())
+    _write_sidecar(outdir, "regime", params=p.to_dict())
     print(f"regime: {report.label.value}")
     for c in report.conditions:
         mark = "ok " if c.satisfied else "NOT"
@@ -135,11 +134,8 @@ def _cmd_equilibria(args) -> int:
     outdir = _outdir(cfg, args)
     reports = find_equilibria(p)
     out = outdir / "equilibria.json"
-    payload = {"params": p.to_dict(), "equilibria": [r.to_dict() for r in reports]}
-    with open(out, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-    _write_sidecar(outdir, "equilibria", {"params": p.to_dict(), "outdir": str(outdir)})
+    write_json(out, {"params": p.to_dict(), "equilibria": [r.to_dict() for r in reports]})
+    _write_sidecar(outdir, "equilibria", params=p.to_dict())
     for r in reports:
         if r.exists:
             print(
@@ -172,19 +168,8 @@ def _cmd_mf_sim(args) -> int:
     traj = integrate_planar(MacroState(x0, y0), p, horizon, rtol, atol, sample_dt)
     out = outdir / "mf_sim.csv"
     traj.to_csv(out)
-    _write_sidecar(
-        outdir,
-        "mf-sim",
-        {
-            "params": p.to_dict(),
-            "initial": {"x": x0, "y": y0},
-            "horizon": horizon,
-            "rtol": rtol,
-            "atol": atol,
-            "sample_dt": sample_dt,
-            "outdir": str(outdir),
-        },
-    )
+    _write_sidecar(outdir, "mf-sim", params=p.to_dict(), initial={"x": x0, "y": y0},
+                   horizon=horizon, rtol=rtol, atol=atol, sample_dt=sample_dt)
     xf, yf = traj.final_state().as_tuple()
     print(f"final state: ({xf:.6f}, {yf:.6f}); wrote {out}")
     return 0
@@ -218,19 +203,9 @@ def _cmd_mf_hetero(args) -> int:
     macro_out = outdir / "hetero_macro.csv"
     hetero.to_csv(nodes_out)
     macro.to_csv(macro_out)
-    _write_sidecar(
-        outdir,
-        "mf-hetero",
-        {
-            "params": p.to_dict(),
-            "hetero": {**block, "graph": graph.to_dict()},
-            "horizon": horizon,
-            "rtol": rtol,
-            "atol": atol,
-            "sample_dt": sample_dt,
-            "outdir": str(outdir),
-        },
-    )
+    _write_sidecar(outdir, "mf-hetero", params=p.to_dict(),
+                   hetero={**block, "graph": graph.to_dict()},
+                   horizon=horizon, rtol=rtol, atol=atol, sample_dt=sample_dt)
     print(f"wrote {nodes_out} and {macro_out}")
     return 0
 
@@ -279,6 +254,15 @@ def _abm_config(cfg: dict, args, p: ModelParams) -> abm_mod.AbmConfig:
     )
 
 
+def _abm_sidecar(acfg: abm_mod.AbmConfig) -> dict:
+    """The keys `_abm_config` reads from the top level, then the full run spec."""
+    top = {"params": acfg.params.to_dict(), "horizon": acfg.horizon,
+           "sample_dt": acfg.sample_dt, "seed": acfg.seed}
+    if acfg.x0 is not None:
+        top["initial"] = {"x": acfg.x0, "y": acfg.y0}
+    return {**top, "abm": acfg.to_dict()}
+
+
 def _cmd_abm_sim(args) -> int:
     cfg = _load_config(args.config)
     p = _merge_params(cfg, args)
@@ -292,7 +276,7 @@ def _cmd_abm_sim(args) -> int:
         ev_out = outdir / "abm_events.csv"
         log.to_csv(ev_out)
         written.append(ev_out)
-    _write_sidecar(outdir, "abm-sim", {"abm": acfg.to_dict(), "outdir": str(outdir)})
+    _write_sidecar(outdir, "abm-sim", **_abm_sidecar(acfg))
     xf, yf = traj.final_state().as_tuple()
     print(
         f"n={acfg.graph.n} seed={acfg.seed} events={len(log) if acfg.record_events else 'off'} "
@@ -317,25 +301,12 @@ def _cmd_cycle(args) -> int:
     report = detect_cycle(traj, p, tol_cycle=tol_cycle, transient_frac=transient,
                           min_crossings=min_cross)
     out = outdir / "cycle.json"
-    with open(out, "w") as f:
-        f.write(report.to_json())
-        f.write("\n")
+    write_json(out, report.to_dict())
     report.crossings_to_csv(outdir / "crossings.csv")
-    _write_sidecar(
-        outdir,
-        "cycle",
-        {
-            "params": p.to_dict(),
-            "initial": {"x": x0, "y": y0},
-            "horizon": horizon,
-            "rtol": rtol,
-            "atol": atol,
-            "sample_dt": sample_dt,
-            "cycle": {"tol_cycle": tol_cycle, "transient_frac": transient,
-                      "min_crossings": min_cross},
-            "outdir": str(outdir),
-        },
-    )
+    _write_sidecar(outdir, "cycle", params=p.to_dict(), initial={"x": x0, "y": y0},
+                   horizon=horizon, rtol=rtol, atol=atol, sample_dt=sample_dt,
+                   cycle={"tol_cycle": tol_cycle, "transient_frac": transient,
+                          "min_crossings": min_cross})
     if report.verdict.value == "limit-cycle":
         print(f"verdict: limit-cycle, period {report.period:.6f}")
     elif report.point is not None:
@@ -363,36 +334,34 @@ def _cmd_sweep(args) -> int:
     axes = []
     for name in names:
         spec = grid[name]
-        axes.append(np.linspace(float(spec["min"]), float(spec["max"]), int(spec["steps"])))
+        steps = int(spec["steps"])
+        if steps < 1:
+            raise ConfigError(f"sweep axis {name!r} needs steps >= 1")
+        axes.append(np.linspace(float(spec["min"]), float(spec["max"]), steps))
     points = (
         [(a,) for a in axes[0]]
         if len(axes) == 1
         else [(a, b) for a in axes[0] for b in axes[1]]
     )
 
-    out = outdir / "sweep.csv"
-    header = None
-    with open(out, "w", newline="") as f:
-        for values in points:
-            d = dict(base)
-            for name, v in zip(names, values):
-                d[name] = float(v)
-            report = classify_regime(_params_from(d))
-            if header is None:
-                cond_cols = []
-                for c in report.conditions:
-                    cond_cols += [f"{c.name}_lhs", f"{c.name}_rhs", f"{c.name}_sat"]
-                header = ",".join(names + ["label"] + cond_cols)
-                f.write(header + "\n")
-            row = [f"{v:.17g}" for v in values] + [report.label.value]
-            for c in report.conditions:
-                row += [f"{c.lhs:.17g}", f"{c.rhs:.17g}", str(int(c.satisfied))]
-            f.write(",".join(row) + "\n")
-    _write_sidecar(
-        outdir,
-        "sweep",
-        {"params": base, "sweep": block, "outdir": str(outdir)},
+    reports = (
+        (values, classify_regime(_params_from({**base, **dict(zip(names, map(float, values)))})))
+        for values in points
     )
+    # the condition ledger is the same at every point; the first report names it
+    first = next(reports)
+    conds = [c.name for c in first[1].conditions]
+    header = ",".join(
+        names + ["label"] + [f"{c}_{col}" for c in conds for col in ("lhs", "rhs", "sat")]
+    )
+    row = ",".join(["%.17g"] * len(names) + ["%s"] + ["%.17g,%.17g,%d"] * len(conds)) + "\n"
+    rows = (
+        (*values, r.label.value, *(v for c in r.conditions for v in (c.lhs, c.rhs, c.satisfied)))
+        for values, r in chain([first], reports)
+    )
+    out = outdir / "sweep.csv"
+    write_csv(out, header, row, rows)
+    _write_sidecar(outdir, "sweep", params=base, sweep=block)
     print(f"wrote {out} ({len(points)} rows)")
     return 0
 
@@ -419,16 +388,9 @@ def _cmd_compare(args) -> int:
     ens.to_csv(abm_out)
     gap_x = ens.x_mean - ode.xs
     gap_y = ens.y_mean - ode.ys
-    with open(gap_out, "w", newline="") as f:
-        f.write("t,gap_x,gap_y\n")
-        for t, gx, gy in zip(ens.times, gap_x, gap_y):
-            f.write(f"{t:.12g},{gx:.17g},{gy:.17g}\n")
-    _write_sidecar(
-        outdir,
-        "compare",
-        {"abm": acfg.to_dict(), "compare": {"n_runs": n_runs, "n_jobs": n_jobs},
-         "outdir": str(outdir)},
-    )
+    write_csv(gap_out, "t,gap_x,gap_y", "%.12g,%.17g,%.17g\n", columns(ens.times, gap_x, gap_y))
+    _write_sidecar(outdir, "compare", **_abm_sidecar(acfg),
+                   compare={"n_runs": n_runs, "n_jobs": n_jobs})
     sup = float(np.maximum(np.abs(gap_x), np.abs(gap_y)).max())
     print(f"sup-norm gap over horizon: {sup:.5f}")
     print(f"wrote {ode_out}, {abm_out}, {gap_out}")

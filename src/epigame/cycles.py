@@ -8,12 +8,12 @@ vertical section x = x_sec are robust and refine linearly between samples.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_csv
 from .core import AssumptionError, MacroState, ModelParams
 from .equilibria import beta_pm
 from .meanfield import Trajectory, planar_rhs_xy
@@ -63,15 +63,12 @@ class CycleReport:
             "direction": self.direction,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), indent=2, **kwargs)
-
     def crossings_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write("k,t_k,y_k,period_k\n")
-            for c in self.crossings:
-                period = f"{c.period:.17g}" if c.period is not None else ""
-                f.write(f"{c.k},{c.t:.17g},{c.y:.17g},{period}\n")
+        rows = (
+            (c.k, c.t, c.y, "" if c.period is None else format(c.period, ".17g"))
+            for c in self.crossings
+        )
+        write_csv(path, "k,t_k,y_k,period_k", "%s,%.17g,%.17g,%s\n", rows)
 
 
 def _upward_crossings(times, xs, ys, x_sec):

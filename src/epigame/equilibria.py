@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -144,9 +143,6 @@ class RegimeReport:
             "conditions": [c.to_dict() for c in self.conditions],
             "equilibria": [e.to_dict() for e in self.equilibria],
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), indent=2, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,12 @@ back onto [0,1], anything larger raises NumericalError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .artifacts import columns, write_csv
 from .core import MacroState, ModelParams, NumericalError
 from .network import GraphError, InfluenceGraph
 
@@ -58,10 +60,7 @@ class Trajectory:
         return MacroState(float(self.xs[-1]), float(self.ys[-1]))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write("t,x,y\n")
-            for t, x, y in zip(self.times, self.xs, self.ys):
-                f.write(f"{t:.12g},{x:.17g},{y:.17g}\n")
+        write_csv(path, "t,x,y", "%.12g,%.17g,%.17g\n", columns(self.times, self.xs, self.ys))
 
 
 def rate_factor(p: ModelParams, bidirectional: bool) -> float:
@@ -92,7 +91,9 @@ def _clamp_unit(values: np.ndarray, atol: float, what: str) -> tuple[np.ndarray,
     return np.clip(values, 0.0, 1.0), overshoot
 
 
-def _sample_grid(horizon: float, sample_dt: float | None, default_samples: int = 2000) -> np.ndarray:
+def sample_grid(horizon: float, sample_dt: float | None, default_samples: int = 2000) -> np.ndarray:
+    """Times 0, dt, 2*dt, ... ending exactly at the horizon: a last multiple
+    equal to it up to rounding (73 * 0.1 = 7.300000000000001) is replaced."""
     if sample_dt is None:
         return np.linspace(0.0, horizon, default_samples + 1)
     n = int(np.floor(horizon / sample_dt + 1e-9))
@@ -119,13 +120,7 @@ def _solve(fun, u0, horizon, rtol, atol, t_eval):
     if not sol.success:
         reached = float(sol.t[-1]) if sol.t.size else 0.0
         raise NumericalError(f"integration failed at t = {reached:.6g}: {sol.message}")
-    accepted = max(0, sol.t.size - 1)
-    meta = {
-        "nfev": int(sol.nfev),
-        "accepted_steps_estimate": accepted,
-        "rejected_steps_estimate": max(0, (sol.nfev - 1) // 6 - accepted),
-    }
-    return sol, meta
+    return sol, {"nfev": int(sol.nfev)}
 
 
 def integrate_planar(
@@ -147,14 +142,9 @@ def integrate_planar(
         dx, dy = planar_rhs_xy(u[0], u[1], p, bidirectional)
         return (dx, dy)
 
-    grid = _sample_grid(horizon, sample_dt)
+    grid = sample_grid(horizon, sample_dt)
     sol, meta = _solve(fun, [s0.x, s0.y], horizon, rtol, atol, grid)
     states, overshoot = _clamp_unit(sol.y, atol, "planar trajectory")
-    try:
-        # internal solver step bookkeeping (not exposed on all scipy versions)
-        meta["final_step"] = float(sol.t[-1] - sol.t[-2]) if sol.t.size > 1 else horizon
-    except Exception:  # pragma: no cover
-        pass
     meta["max_overshoot"] = overshoot
     meta["rtol"], meta["atol"] = rtol, atol
     meta["bidirectional"] = bidirectional
@@ -233,11 +223,13 @@ class HeteroTrajectory:
 
     def to_csv(self, path) -> None:
         """Long format: t,node,p_x,p_y."""
-        with open(path, "w", newline="") as f:
-            f.write("t,node,p_x,p_y\n")
-            for k, t in enumerate(self.times):
-                for i in range(self.p_x.shape[1]):
-                    f.write(f"{t:.12g},{i},{self.p_x[k, i]:.17g},{self.p_y[k, i]:.17g}\n")
+        nodes = range(self.p_x.shape[1])
+
+        def rows():
+            for t, px, py in zip(self.times.tolist(), self.p_x, self.p_y):
+                yield from zip(repeat(t), nodes, px.tolist(), py.tolist())
+
+        write_csv(path, "t,node,p_x,p_y", "%.12g,%s,%.17g,%.17g\n", rows())
 
 
 def integrate_hetero(
@@ -266,7 +258,7 @@ def integrate_hetero(
 
     # validate inputs once via the public rhs (raises on bad graph/lengths)
     hetero_rhs(ps0, g, a, p, bidirectional)
-    grid = _sample_grid(horizon, sample_dt, default_samples=500)
+    grid = sample_grid(horizon, sample_dt, default_samples=500)
     u0 = np.concatenate([ps0.p_x, ps0.p_y])
     sol, meta = _solve(fun, u0, horizon, rtol, atol, grid)
     states, overshoot = _clamp_unit(sol.y, atol, "per-node trajectory")

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import columns, write_csv
 from .core import MacroState, ModelParams
 from .equilibria import find_equilibria
 from .meanfield import DEFAULT_ATOL, DEFAULT_RTOL, integrate_planar, planar_rhs_xy
@@ -42,26 +43,21 @@ def render_phase_portrait(
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
 
-    gx = np.linspace(0.0, 1.0, grid_nx)
-    gy = np.linspace(0.0, 1.0, grid_ny)
+    # x-major order: y varies fastest
+    x, y = (a.ravel() for a in np.meshgrid(
+        np.linspace(0.0, 1.0, grid_nx), np.linspace(0.0, 1.0, grid_ny), indexing="ij"))
+    dx, dy = planar_rhs_xy(x, y, p)
     field_path = outdir / "field.csv"
-    with open(field_path, "w", newline="") as f:
-        f.write("x,y,dx,dy\n")
-        for x in gx:
-            for y in gy:
-                dx, dy = planar_rhs_xy(float(x), float(y), p)
-                f.write(f"{x:.17g},{y:.17g},{dx:.17g},{dy:.17g}\n")
+    write_csv(field_path, "x,y,dx,dy", "%.17g,%.17g,%.17g,%.17g\n", columns(x, y, dx, dy))
     written.append(field_path)
 
     eq_path = outdir / "equilibria.csv"
-    with open(eq_path, "w", newline="") as f:
-        f.write("kind,x,y,stability\n")
-        for rep in find_equilibria(p):
-            if rep.exists:
-                f.write(
-                    f"{rep.kind.value},{rep.point[0]:.17g},{rep.point[1]:.17g},"
-                    f"{rep.stability.value}\n"
-                )
+    rows = (
+        (rep.kind.value, rep.point[0], rep.point[1], rep.stability.value)
+        for rep in find_equilibria(p)
+        if rep.exists
+    )
+    write_csv(eq_path, "kind,x,y,stability", "%s,%.17g,%.17g,%s\n", rows)
     written.append(eq_path)
 
     if initial_states is None:

@@ -18,11 +18,13 @@ from epigame import (
     ensemble,
     global_payoffs,
     infection_rate,
+    integrate_planar,
     node_payoffs,
     simulate,
     switch_rates,
 )
 from epigame import abm as abm_mod
+from epigame.meanfield import sample_grid
 from .conftest import example_params
 
 
@@ -177,6 +179,17 @@ class TestSimulate:
         assert np.all((traj.ys >= 0) & (traj.ys <= 1))
         # fractions over 50 agents are multiples of 0.02
         np.testing.assert_allclose(np.round(traj.xs * 50), traj.xs * 50, atol=1e-12)
+
+    @pytest.mark.parametrize("graph", ["complete", "ring"])
+    def test_grid_ends_at_horizon_like_the_ode(self, graph):
+        # 73 * 0.1 rounds to 7.300000000000001; both samplers end at 7.3 itself
+        n = 30
+        g = (InfluenceGraph.complete(n) if graph == "complete"
+             else InfluenceGraph.from_adjacency([[(i + 1) % n] for i in range(n)]))
+        traj, _ = simulate(small_config(n=n, graph=g, horizon=7.3, sample_dt=0.1))
+        ode = integrate_planar(MacroState(0.4, 0.2), traj.params, horizon=7.3, sample_dt=0.1)
+        assert traj.times[-1] == 7.3
+        np.testing.assert_array_equal(traj.times, ode.times)
 
     def test_seed_determinism(self):
         cfg = small_config()
@@ -421,7 +434,7 @@ def replay_complete(cfg):
         groups["infected"].append(i)
         remove("eligible", i)
 
-    grid = abm_mod._grid(cfg)
+    grid = sample_grid(cfg.horizon, cfg.sample_dt)
     grid_state = []
 
     def sample_before(t_limit):

@@ -261,6 +261,16 @@ class TestSweep:
         assert run(["sweep", "--config", str(cfg)], tmp_path) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_rejects_axis_without_points(self, tmp_path, capsys, steps):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "params": {"alpha": 3, "lambda": 0.5, "mu": 1, "c": 3},
+            "sweep": {"grid": {"zeta": {"min": 5, "max": 10, "steps": steps}}},
+        }))
+        assert run(["sweep", "--config", str(cfg)], tmp_path) == 2
+        assert "steps" in capsys.readouterr().err
+
     def test_two_axis_grid(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -295,3 +305,49 @@ class TestEnvOutdir:
         assert main(["regime", *REF, "--zeta", "8"]) == 0
         capsys.readouterr()
         assert (tmp_path / "envout" / "regime.json").exists()
+
+
+HETERO_CFG = {"hetero": {"graph": {"type": "adjacency", "lists": [[1, 2], [0], [0, 1], [2]]},
+                         "p_x0": [0.3, 0.5, 0.7, 0.1], "p_y0": 0.2}}
+SWEEP_CFG = {"params": {"lambda": 0.5},
+             "sweep": {"grid": {"zeta": {"min": 5, "max": 10, "steps": 4},
+                                "c": {"min": 2, "max": 4, "steps": 3}}}}
+INTEGRATION = ["--x0", "0.4", "--y0", "0.2", "--horizon", "7.3", "--sample-dt", "0.1"]
+RERUN_CASES = {
+    "regime": ([*REF, "--zeta", "9.5"], None),
+    "equilibria": ([*REF, "--zeta", "8"], None),
+    "mf-sim": ([*REF, "--zeta", "9.5", *INTEGRATION], None),
+    "mf-hetero": ([*REF, "--zeta", "8", "--horizon", "5", "--sample-dt", "0.5"], HETERO_CFG),
+    "abm-sim": ([*REF, "--zeta", "8", "--n", "60", "--seed", "7", "--mode", "contact",
+                 *INTEGRATION], None),
+    "cycle": ([*REF, "--zeta", "9.5", "--x0", "0.5", "--y0", "0.1", "--horizon", "200"], None),
+    "sweep": (["--alpha", "3", "--mu", "1"], SWEEP_CFG),
+    "compare": ([*REF, "--zeta", "5", "--n", "60", "--seed", "3", "--n-runs", "2",
+                 *INTEGRATION], None),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RERUN_CASES))
+def test_raw_sidecar_rerun_is_byte_identical(tmp_path, capsys, command):
+    """Feeding `<command>.config.json` back unedited, with only a new
+    --outdir, reproduces every artifact and the sidecar itself."""
+    flags, cfg = RERUN_CASES[command]
+    a, b = tmp_path / "a", tmp_path / "b"
+    args = [command, *flags]
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        args += ["--config", str(path)]
+    assert run(args, a) == 0
+    sidecar = a / f"{command}.config.json"
+    assert main([command, "--config", str(sidecar), "--outdir", str(b)]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        if name == sidecar.name:
+            first, second = json.loads((a / name).read_text()), json.loads((b / name).read_text())
+            assert (first.pop("outdir"), second.pop("outdir")) == (str(a), str(b))
+            assert first == second
+        else:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name

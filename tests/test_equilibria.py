@@ -277,7 +277,7 @@ class TestClassifyRegime:
     def test_report_is_json_serializable(self):
         for zeta in (5.0, 6.0, 8.0, 9.5):
             rep = classify_regime(example_params(zeta))
-            parsed = json.loads(rep.to_json())
+            parsed = json.loads(json.dumps(rep.to_dict()))
             assert parsed["label"] == rep.label.value
             assert len(parsed["conditions"]) == 9
 
