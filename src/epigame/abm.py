@@ -8,7 +8,19 @@ influence graph.
 
 All clock rates are constant between events, so the direct stochastic
 simulation method is statistically exact: waiting times are exponential in
-the total rate and the event kind is chosen proportionally.
+the total rate and the event kind is chosen proportionally. Off the complete
+graph the adopt and drop channels fire at constant upper bounds of their
+totals instead, and each proposal is accepted with probability (true rate) /
+(bound); a rejected proposal is a null event that advances the time and
+changes nothing else. This thinning is exact too.
+
+Thinning bounds. With ybar the prevalence and B_j the share of j's
+out-neighbours that protect, non-adopter i adopts at q01_i = mean over its
+out-neighbours j of x_j*(B_j + zeta*ybar), and adopter i drops at q10_i =
+mean over j of (1 - x_j)*(1 - B_j + c). Since B_j lies in [0, 1] and c,
+zeta >= 0, q01_i <= 1 + zeta*ybar and q10_i <= 1 + c. The adopt channel
+therefore fires at n0*(1 + zeta*ybar), or 0 when nobody protects (every q01
+is then 0), and the drop channel at n1*(1 + c), or 0 when everybody protects.
 
 Random-draw contract (per event, in order; this is what seeded replay
 reproduces):
@@ -16,45 +28,54 @@ reproduces):
 1. ``rng.exponential(1/R)``     -- waiting time, R the total rate
 2. ``rng.random()``             -- channel choice, cumulative over
    [recovery, infection|contact, adopt, drop]
-3. member selection inside the channel:
-   complete graph  -- ``rng.random()`` uniform index into the group list
-                      (the lists start in ascending agent order; a member
-                      joins at the end, and a leaving member's slot takes
-                      the last member); with heterogeneous activities the
-                      contact initiator and the bidirectional aggregated
-                      infection target are drawn by rejection (one extra
-                      ``rng.random()`` against the largest weight per attempt)
-   general graph   -- ``rng.random()`` times the channel's total, positioned
-                      in the cumulative per-node rate vector of the channel:
-                      mu*y (recovery), the activities (contact initiator),
-                      the per-node infection rates (aggregated infection),
-                      (1-x)*q01 (adopt) or x*q10 (drop)
-4. contact events only: ``rng.random()`` for the partner (uniform over the
+3. member selection inside the channel: ``rng.random()`` as a uniform index
+   into the group list -- infected (recovery), eligible = susceptible and
+   unprotected (aggregated infection), non-adopters (adopt), adopters (drop).
+   The lists start in ascending agent order; a member joins at the end, and
+   a leaving member's slot takes the last member. With heterogeneous
+   activities the bidirectional aggregated infection target is drawn by
+   rejection (one extra ``rng.random()`` against the largest weight per
+   attempt). The contact initiator is a uniform index with uniform
+   activities; with heterogeneous ones it is drawn by the same rejection on
+   the complete graph, and on any other graph it is ``rng.random()`` times
+   the last cumulative activity, placed by ``bisect_right`` in the
+   cumulative activities.
+4. adopt and drop off the complete graph: the walk that accepts or rejects
+   the proposal of member i. ``rng.random()`` picks a uniform out-neighbour j
+   of i. Adopt: if j protects, ``rng.random() * (1 + zeta*ybar) < zeta*ybar``
+   accepts, and otherwise ``rng.random()`` picks a uniform out-neighbour m of
+   j and the proposal is accepted iff m protects; if j does not protect, it
+   is rejected. So P(accept) = (A_i + zeta*ybar*B_i) / (1 + zeta*ybar) =
+   q01_i / (1 + zeta*ybar), with A_i the mean of x_j*B_j. Drop: the same
+   with "does not protect" for "protects" and c for zeta*ybar, so P(accept)
+   = q10_i / (1 + c).
+5. contact events only: ``rng.random()`` for the partner (uniform over the
    other n-1 agents) and, only when a transmissible pair realises,
    ``rng.random()`` against the per-contact infection probability.
 
 Initial conditions sampled from fractions consume ``rng.random(n)`` twice
 (behaviours first, then healths) before any event draw.
 
-Cost per event: O(1) on the complete graph (group lists with swap-with-last
-removal). That engine holds the agent state in Python lists for the whole
-run, so no event touches a numpy scalar; it writes the lists back into the
-``Population`` for the debug checks and for the final counter check, and
-draws exactly as above. On a general graph with out-degree d, a behaviour
-flip costs O(n*d) to recompute the cached imitation rates; any other event
-costs O(1) plus one O(n) cumulative sum to pick the channel's member
-(aggregated infection mode also rebuilds its O(n) per-node infection rates
-every event).
+Cost per event: O(1) on every graph (group lists with swap-with-last
+removal, and walks of at most two out-neighbour steps), plus the rejection
+attempts with heterogeneous activities and one O(log n) bisection for a
+heterogeneous contact initiator off the complete graph. The loop holds the
+agent state and the out-neighbour lists in Python lists for the whole run,
+so no event touches a numpy scalar; it writes the state back into the
+``Population`` for the debug checks and for the final counter check.
 
-Both engines count their events per kind in ``Trajectory.meta["events"]``,
-also when no log is kept. Without a log, contact mode skips the contacts
-made while nobody is infected: they cannot change the state, so skipping
-them is exact thinning, and they are not counted.
+The loop counts its events per kind in ``Trajectory.meta["events"]``, also
+when no log is kept, and the rejected adopt and drop proposals in
+``Trajectory.meta["null_proposals"]`` (always 0 on the complete graph).
+Without a log, contact mode skips the contacts made while nobody is
+infected: they cannot change the state, so skipping them is exact thinning,
+and they are not counted.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -62,7 +83,7 @@ import numpy as np
 
 from .artifacts import columns, write_csv
 from .core import ConfigError, ModelParams, NumericalError
-from .meanfield import Trajectory, sample_grid
+from .meanfield import Trajectory, imitation_rates, sample_grid
 from .network import InfluenceGraph
 
 NO_PROTECTION, PROTECTION = 0, 1
@@ -116,21 +137,13 @@ class Population:
 def node_payoffs(g: InfluenceGraph, pop: Population, p: ModelParams):
     """Per-node payoffs (pi1, pi0): neighbourhood adoption share plus risk
     perception, and the complementary share plus the protection cost."""
-    x = pop.behaviours.astype(float)
-    nbr = g.neighbor_mean(x)
-    pi1 = nbr + p.zeta * pop.y_bar
-    pi0 = 1.0 - nbr + p.c
-    return pi1, pi0
+    return imitation_rates(g, pop.behaviours.astype(float), pop.y_bar, p)[:2]
 
 
 def switch_rates(g: InfluenceGraph, pop: Population, p: ModelParams):
     """Imitation rates (q01, q10); q01 drives adoption of non-adopters only,
     q10 drives dropping by adopters only."""
-    x = pop.behaviours.astype(float)
-    pi1, pi0 = node_payoffs(g, pop, p)
-    q01 = g.neighbor_mean(x * pi1)
-    q10 = g.neighbor_mean((1.0 - x) * pi0)
-    return q01, q10
+    return imitation_rates(g, pop.behaviours.astype(float), pop.y_bar, p)[2:]
 
 
 def infection_rate(pop: Population, i: int, p: ModelParams, bidirectional: bool = True) -> float:
@@ -292,7 +305,7 @@ class AbmConfig:
 class _IndexedSet:
     """Agent ids in ``items``, with each member's slot in ``pos``.
 
-    The complete-graph loop adds by appending and removes a given id by
+    The event loop adds by appending and removes a given id by
     moving the last id into its slot, both in O(1). It does this inline,
     because method calls here cost a measurable share of each event. Slots
     of ids that are not members are stale and never read.
@@ -333,10 +346,7 @@ def simulate(cfg: AbmConfig) -> tuple[Trajectory, EventLog]:
             "simulation is well-defined but the analytical regime results do not apply",
             stacklevel=2,
         )
-    if cfg.graph.is_complete:
-        times, xs, ys, log, counts = _run_complete(cfg, pop, rng)
-    else:
-        times, xs, ys, log, counts = _run_general(cfg, pop, rng)
+    times, xs, ys, log, counts, nulls = _run(cfg, pop, rng)
     log.seed = cfg.seed
     traj = Trajectory(
         times=times,
@@ -345,7 +355,7 @@ def simulate(cfg: AbmConfig) -> tuple[Trajectory, EventLog]:
         params=cfg.params,
         meta={"seed": cfg.seed, "rng": RNG_NAME, "mode": cfg.infection_mode,
               "directionality": cfg.directionality, "n": cfg.graph.n,
-              "events": counts},
+              "events": counts, "null_proposals": nulls},
     )
     return traj, log
 
@@ -355,8 +365,8 @@ def _check_counts(pop: Population, n1: int, n_inf: int):
         raise NumericalError("incremental counters diverged from agent vectors")
 
 
-def _run_complete(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
-    """Fast path for the complete influence graph (payoffs uniform across agents).
+def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
+    """The event loop, for every influence graph.
 
     The agent vectors are copied once into Python lists; group members,
     activity sums and rates are plain Python ints and floats, so the loop does
@@ -364,12 +374,15 @@ def _run_complete(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
     lists that are only sampled by slot, so removing the sampled member moves
     the last one into its slot. The eligible (susceptible, unprotected) group
     also loses members it did not sample, so it keeps each member's slot
-    (``_IndexedSet``). Each grid time checks the counters against the lists.
-    The lists are written back into ``pop`` before every debug check and once
-    at the end, before the final counter check. The random-draw contract is
-    the one in the module docstring.
+    (``_IndexedSet``). On the complete graph the adopt and drop channels fire
+    at their exact totals; on any other graph they fire at the thinning bounds
+    and each proposal walks the out-neighbour lists (module docstring). Each
+    grid time checks the counters against the lists. The lists are written
+    back into ``pop`` before every debug check and once at the end, before the
+    final counter check.
     """
     p = cfg.params
+    g = cfg.graph
     n = pop.n
     xs, ys, acts = pop.behaviours, pop.healths, pop.activities
     x, y, a = xs.tolist(), ys.tolist(), acts.tolist()
@@ -383,6 +396,12 @@ def _run_complete(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
     horizon = cfg.horizon
     log = EventLog()
     log_event = log.events.append
+    # off the complete graph: out-neighbour lists for the thinning walks, and
+    # cumulative activities for a heterogeneous contact initiator
+    nbrs = None if g.is_complete else [g.neighbors(i).tolist() for i in range(n)]
+    cum_act = None
+    if nbrs is not None and contact_mode and not uniform_act:
+        cum_act = np.cumsum(acts).tolist()
 
     free = (ys == SUSCEPTIBLE) & (xs == NO_PROTECTION)
     adopters = np.flatnonzero(xs == PROTECTION).tolist()
@@ -393,6 +412,7 @@ def _run_complete(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
     a_inf = float(acts[ys == INFECTED].sum())
     a_elig = float(acts[free].sum())
     n_rec = n_infect = n_adopt = n_drop = n_contact = 0
+    null_adopt = null_drop = 0
 
     grid = sample_grid(cfg.horizon, cfg.sample_dt)
     grid_t = grid.tolist() + [math.inf]  # sentinel: never reached
@@ -411,10 +431,16 @@ def _run_complete(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
         n_elig = len(elig)
         xbar = n1 / n
         ybar = n_inf / n
-        pi1 = xbar + zeta * ybar
-        pi0 = 1.0 - xbar + c
-        r_adopt = n0 * xbar * pi1
-        r_drop = n1 * (1.0 - xbar) * pi0
+        if nbrs is None:
+            pi1 = xbar + zeta * ybar
+            pi0 = 1.0 - xbar + c
+            r_adopt = n0 * xbar * pi1
+            r_drop = n1 * (1.0 - xbar) * pi0
+        else:
+            # thinning bounds: q01 <= 1 + zeta*ybar, and 0 without adopters;
+            # q10 <= 1 + c, and 0 without non-adopters
+            r_adopt = n0 * (1.0 + zeta * ybar) if n1 else 0.0
+            r_drop = n1 * (1.0 + c) if n0 else 0.0
         r_rec = mu * n_inf
         if contact_mode:
             # contacts cannot change state without infected present; skipping
@@ -459,11 +485,13 @@ def _run_complete(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
             if contact_mode:
                 if uniform_act:
                     i = int(random() * n)
-                else:
+                elif cum_act is None:
                     while True:
                         i = int(random() * n)
                         if random() * a_max <= a[i]:
                             break
+                else:
+                    i = bisect_right(cum_act, random() * cum_act[-1])
                 j = int(random() * (n - 1))
                 if j >= i:
                     j += 1
@@ -501,6 +529,17 @@ def _run_complete(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
         elif u < r_rec + r_mid + r_adopt:
             k = int(random() * n0)
             i = nonadopters[k]
+            if nbrs is not None:
+                # accept with probability q01_i / (1 + zeta*ybar)
+                nb = nbrs[i]
+                j = nb[int(random() * len(nb))]
+                zy = zeta * ybar
+                if x[j] == PROTECTION and random() * (1.0 + zy) >= zy:
+                    nb = nbrs[j]
+                    j = nb[int(random() * len(nb))]
+                if x[j] == NO_PROTECTION:
+                    null_adopt += 1
+                    continue
             nonadopters[k] = nonadopters[-1]
             nonadopters.pop()
             adopters.append(i)
@@ -517,6 +556,16 @@ def _run_complete(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
         else:
             k = int(random() * n1)
             i = adopters[k]
+            if nbrs is not None:
+                # accept with probability q10_i / (1 + c)
+                nb = nbrs[i]
+                j = nb[int(random() * len(nb))]
+                if x[j] == NO_PROTECTION and random() * (1.0 + c) >= c:
+                    nb = nbrs[j]
+                    j = nb[int(random() * len(nb))]
+                if x[j] == PROTECTION:
+                    null_drop += 1
+                    continue
             adopters[k] = adopters[-1]
             adopters.pop()
             nonadopters.append(i)
@@ -530,7 +579,7 @@ def _run_complete(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
                 log_event((t, EVENT_DROP, i, None))
         if debug:
             xs[:], ys[:] = x, y
-            _debug_check_complete(cfg, pop, n, acts, adopters, infected, eligible, a_inf, a_elig)
+            _debug_check(cfg, pop, adopters, nonadopters, infected, eligible, a_inf, a_elig)
 
     xs[:], ys[:] = x, y
     n1, n_inf = len(adopters), len(infected)
@@ -539,7 +588,8 @@ def _run_complete(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
         out_x.append(n1 / n)
         out_y.append(n_inf / n)
     counts = (n_rec, n_infect, n_adopt, n_drop, n_contact)
-    return grid, np.array(out_x), np.array(out_y), log, dict(zip(EVENT_KINDS, counts))
+    nulls = {EVENT_ADOPT: null_adopt, EVENT_DROP: null_drop}
+    return grid, np.array(out_x), np.array(out_y), log, dict(zip(EVENT_KINDS, counts)), nulls
 
 
 def _require_close(name: str, got, ref, rtol: float = 1e-5, atol: float = 1e-8) -> None:
@@ -547,188 +597,29 @@ def _require_close(name: str, got, ref, rtol: float = 1e-5, atol: float = 1e-8) 
         raise NumericalError(f"{name} diverged from its from-scratch value")
 
 
-def _debug_check_complete(cfg, pop, n, a, adopters, infected, eligible, a_inf, a_elig):
-    q01, q10 = switch_rates(cfg.graph, pop, cfg.params)
-    xbar = pop.x_bar
-    ybar = pop.y_bar
-    pi1 = xbar + cfg.params.zeta * ybar
-    pi0 = 1.0 - xbar + cfg.params.c
-    _require_close("complete-graph adoption rate", xbar * pi1, q01)
-    _require_close("complete-graph drop rate", (1.0 - xbar) * pi0, q10)
-    _check_counts(pop, len(adopters), len(infected))
-    mask = (pop.healths == SUSCEPTIBLE) & (pop.behaviours == NO_PROTECTION)
-    if sorted(eligible.items) != np.flatnonzero(mask).tolist():
-        raise NumericalError("eligible set diverged from agent vectors")
+def _debug_check(cfg, pop, adopters, nonadopters, infected, eligible, a_inf, a_elig):
+    """Compare the loop's groups, eligible slots and activity sums with the
+    agent vectors; on the complete graph also its imitation rates with
+    ``switch_rates``."""
+    xs, ys, a = pop.behaviours, pop.healths, pop.activities
+    free = (ys == SUSCEPTIBLE) & (xs == NO_PROTECTION)
+    for name, members, mask in (("adopter", adopters, xs == PROTECTION),
+                                ("non-adopter", nonadopters, xs == NO_PROTECTION),
+                                ("infected", infected, ys == INFECTED),
+                                ("eligible", eligible.items, free)):
+        if sorted(members) != np.flatnonzero(mask).tolist():
+            raise NumericalError(f"{name} set diverged from agent vectors")
     if any(eligible.pos[i] != k for k, i in enumerate(eligible.items)):
         raise NumericalError("eligible slot table diverged from the eligible set")
-    a_inf_ref = float(a[pop.healths == INFECTED].sum())
-    _require_close("infected activity sum", a_inf, a_inf_ref, 0.0, 1e-9)
-    _require_close("eligible activity sum", a_elig, float(a[mask].sum()), 0.0, 1e-9)
-
-
-def _debug_check_general(cfg, pop, n1, n_inf, B, A, Q, r_rec, r_adopt, r_drop):
-    """Compare the general-graph engine's cached imitation state and channel
-    totals with a from-scratch ``switch_rates``."""
-    _check_counts(pop, n1, n_inf)
-    g, p = cfg.graph, cfg.params
-    x = pop.behaviours.astype(float)
-    q01, q10 = switch_rates(g, pop, p)
-    b_ref = g.neighbor_mean(x)
-    _require_close("cached B = Wx", B, b_ref)
-    _require_close("cached A = W(x*B)", A, g.neighbor_mean(x * b_ref))
-    _require_close("cached Q = q10", Q, q10)
-    _require_close("recovery total", r_rec, p.mu * float((pop.healths == INFECTED).sum()))
-    _require_close("adoption total", r_adopt, float(q01[x == 0.0].sum()))
-    _require_close("drop total", r_drop, float(q10[x == 1.0].sum()))
-
-
-def _run_general(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
-    """General influence graph, with the imitation rates cached between
-    behaviour flips.
-
-    With W the row-normalised influence matrix, B = Wx, A = W(x*B) and
-    Q = W((1-x)*(1-B+c)), the imitation rates are q01 = A + zeta*ybar*B and
-    q10 = Q. Only adopt and drop events change x; they recompute B, A, Q and
-    their masked sums from x in full, so nothing drifts (O(n*d)). Every other
-    event changes the channel totals only through the counters n1, n_inf and
-    the scalar ybar (O(1)). The member of the channel that fires is picked
-    from its per-node rate vector, built only then (O(n)). Aggregated
-    infection mode rebuilds its per-node vector every event, since every
-    event changes it.
-    """
-    p = cfg.params
-    g = cfg.graph
-    n = pop.n
-    x = pop.behaviours
-    y = pop.healths
-    a = pop.activities
-    bidi = cfg.bidirectional
-    contact_mode = cfg.infection_mode == "contact"
-    record = cfg.record_events
-    log = EventLog()
-    cum_act = np.cumsum(a)
-    a_total = float(cum_act[-1])
-    lam, mu, c, zeta = p.lam, p.mu, p.c, p.zeta
-    n1 = int(x.sum())
-    n_inf = int((y == INFECTED).sum())
-    n_rec = n_infect = n_adopt = n_drop = n_contact = 0
-
-    def imitation_cache():
-        xf = x.astype(float)
-        free = 1.0 - xf
-        B = g.neighbor_mean(xf)
-        A = g.neighbor_mean(xf * B)
-        Q = g.neighbor_mean(free * (1.0 - B + c))
-        # A and B are sums of non-negative terms; 1 - B + c can round below 0
-        if Q.min() < 0:
-            raise NumericalError("negative imitation rate")
-        return B, A, Q, float(free @ A), float(free @ B), float(xf @ Q)
-
-    B, A, Q, sum_a, sum_b, sum_q = imitation_cache()
-
-    grid = sample_grid(cfg.horizon, cfg.sample_dt)
-    out_x = np.empty(grid.size)
-    out_y = np.empty(grid.size)
-    si = 0
-    t = 0.0
-
-    def record_through(t_limit):
-        nonlocal si
-        while si < grid.size and grid[si] < t_limit:
-            out_x[si] = n1 / n
-            out_y[si] = n_inf / n
-            si += 1
-
-    def pick(rates):
-        cum = rates.cumsum()
-        return int(cum.searchsorted(rng.random() * cum[-1], side="right"))
-
-    while True:
-        ybar = n_inf / n
-        r_rec = mu * n_inf
-        r_adopt = sum_a + zeta * ybar * sum_b
-        r_drop = sum_q
-        if contact_mode:
-            r_mid = a_total if (n_inf > 0 or record) else 0.0
-        else:
-            a_inf = float(a[y == INFECTED].sum())
-            elig = (y == SUSCEPTIBLE) & (x == NO_PROTECTION)
-            if bidi:
-                mid_rates = np.where(elig, lam / (n - 1) * (n * a * ybar + a_inf), 0.0)
-            else:
-                mid_rates = np.where(elig, lam / (n - 1) * a_inf, 0.0)
-            r_mid = float(mid_rates.sum())
-        if cfg.debug_check:
-            _debug_check_general(cfg, pop, n1, n_inf, B, A, Q, r_rec, r_adopt, r_drop)
-        total = r_rec + r_mid + r_adopt + r_drop
-        if total <= 0.0:
-            break
-        dt = rng.exponential(1.0 / total)
-        t_new = t + dt
-        record_through(min(t_new, cfg.horizon))
-        if t_new >= cfg.horizon:
-            t = cfg.horizon
-            break
-        t = t_new
-        u = rng.random() * total
-
-        if u < r_rec:
-            i = pick(mu * y)
-            y[i] = SUSCEPTIBLE
-            n_inf -= 1
-            n_rec += 1
-            if record:
-                log.append(t, EVENT_RECOVERY, i)
-        elif u < r_rec + r_mid:
-            if contact_mode:
-                i = int(cum_act.searchsorted(rng.random() * a_total, side="right"))
-                j = int(rng.random() * (n - 1))
-                if j >= i:
-                    j += 1
-                n_contact += 1
-                if record:
-                    log.append(t, EVENT_CONTACT, i, j)
-                target = source = None
-                if y[i] == INFECTED and y[j] == SUSCEPTIBLE and x[j] == NO_PROTECTION:
-                    target, source = j, i
-                elif (
-                    bidi and y[i] == SUSCEPTIBLE and x[i] == NO_PROTECTION and y[j] == INFECTED
-                ):
-                    target, source = i, j
-                if target is not None and rng.random() < lam:
-                    y[target] = INFECTED
-                    n_inf += 1
-                    n_infect += 1
-                    if record:
-                        log.append(t, EVENT_INFECTION, target, source)
-            else:
-                i = pick(mid_rates)
-                y[i] = INFECTED
-                n_inf += 1
-                n_infect += 1
-                if record:
-                    log.append(t, EVENT_INFECTION, i)
-        elif u < r_rec + r_mid + r_adopt:
-            i = pick((1 - x) * (A + zeta * ybar * B))
-            x[i] = PROTECTION
-            n1 += 1
-            n_adopt += 1
-            B, A, Q, sum_a, sum_b, sum_q = imitation_cache()
-            if record:
-                log.append(t, EVENT_ADOPT, i)
-        else:
-            i = pick(x * Q)
-            x[i] = NO_PROTECTION
-            n1 -= 1
-            n_drop += 1
-            B, A, Q, sum_a, sum_b, sum_q = imitation_cache()
-            if record:
-                log.append(t, EVENT_DROP, i)
-
-    record_through(cfg.horizon + cfg.sample_dt)
-    _check_counts(pop, n1, n_inf)
-    counts = (n_rec, n_infect, n_adopt, n_drop, n_contact)
-    return grid, out_x, out_y, log, dict(zip(EVENT_KINDS, counts))
+    _require_close("infected activity sum", a_inf, float(a[ys == INFECTED].sum()), 0.0, 1e-9)
+    _require_close("eligible activity sum", a_elig, float(a[free].sum()), 0.0, 1e-9)
+    if cfg.graph.is_complete:
+        q01, q10 = switch_rates(cfg.graph, pop, cfg.params)
+        xbar, ybar = pop.x_bar, pop.y_bar
+        pi1 = xbar + cfg.params.zeta * ybar
+        pi0 = 1.0 - xbar + cfg.params.c
+        _require_close("complete-graph adoption rate", xbar * pi1, q01)
+        _require_close("complete-graph drop rate", (1.0 - xbar) * pi0, q10)
 
 
 @dataclass

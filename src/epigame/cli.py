@@ -179,6 +179,8 @@ def _hetero_block(cfg: dict, p: ModelParams):
     block = cfg.get("hetero")
     if not block:
         raise ConfigError("mf-hetero needs a 'hetero' config block (graph, initial vectors)")
+    if "graph" not in block:
+        raise ConfigError("the 'hetero' config block needs a 'graph'")
     graph = InfluenceGraph.from_dict(block["graph"])
     acts = block.get("activities", "uniform")
     if acts == "uniform":
@@ -334,6 +336,10 @@ def _cmd_sweep(args) -> int:
     axes = []
     for name in names:
         spec = grid[name]
+        keys = ("min", "max", "steps")
+        missing = [k for k in keys if not isinstance(spec, dict) or k not in spec]
+        if missing:
+            raise ConfigError(f"sweep axis {name!r} needs {', '.join(missing)}")
         steps = int(spec["steps"])
         if steps < 1:
             raise ConfigError(f"sweep axis {name!r} needs steps >= 1")

@@ -172,6 +172,23 @@ class ProbabilityState:
         return self.p_x.size
 
 
+def imitation_rates(g: InfluenceGraph, px: np.ndarray, ybar: float, p: ModelParams):
+    """Per-node payoffs (pi1, pi0) and imitation rates (q01, q10).
+
+    pi1 is the neighbourhood adoption share plus the risk perception
+    zeta*ybar, pi0 the complementary share plus the protection cost c;
+    q01 and q10 average the adopters' pi1 and the non-adopters' pi0 over
+    each node's out-neighbours. The agent model passes behaviour bits as
+    ``px``, the mean-field model adoption probabilities.
+    """
+    nbr_px = g.neighbor_mean(px)
+    pi1 = nbr_px + p.zeta * ybar
+    pi0 = 1.0 - nbr_px + p.c
+    q01 = g.neighbor_mean(px * pi1)
+    q10 = g.neighbor_mean((1.0 - px) * pi0)
+    return pi1, pi0, q01, q10
+
+
 def hetero_rhs(
     ps: ProbabilityState,
     g: InfluenceGraph,
@@ -195,11 +212,7 @@ def hetero_rhs(
     if n < 2:
         raise GraphError("need at least two nodes for the contact process")
     ybar = py.mean()
-    nbr_px = g.neighbor_mean(px)
-    pi1 = nbr_px + p.zeta * ybar
-    pi0 = 1.0 - nbr_px + p.c
-    q01 = g.neighbor_mean(px * pi1)
-    q10 = g.neighbor_mean((1.0 - px) * pi0)
+    _, _, q01, q10 = imitation_rates(g, px, ybar, p)
     infected_activity = float(a @ py)
     if bidirectional:
         pressure = n * a * ybar + infected_activity

@@ -91,11 +91,12 @@ class InfluenceGraph:
     @classmethod
     def from_dict(cls, d: dict) -> "InfluenceGraph":
         kind = d.get("type")
-        if kind == "complete":
-            return cls.complete(int(d["n"]))
-        if kind == "adjacency":
-            return cls.from_adjacency(d["lists"])
-        raise GraphError(f"unknown graph type {kind!r}")
+        key = {"complete": "n", "adjacency": "lists"}.get(kind)
+        if key is None:
+            raise GraphError(f"unknown graph type {kind!r}")
+        if key not in d:
+            raise GraphError(f"{kind} graph needs {key!r}")
+        return cls.complete(int(d["n"])) if kind == "complete" else cls.from_adjacency(d["lists"])
 
     def __eq__(self, other):
         if not isinstance(other, InfluenceGraph):

@@ -2,9 +2,11 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from epigame import (
     AbmConfig,
@@ -288,7 +290,7 @@ class TestSimulate:
             assert traj.ys[-1] == 0.0
 
     def test_general_graph_engine(self):
-        # ring of 30 agents: recomputed-rate engine, log must replay cleanly
+        # ring of 30 agents: thinning walks on a sparse graph, log must replay cleanly
         p = example_params(zeta=8.0)
         n = 30
         adj = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
@@ -329,37 +331,35 @@ class TestSimulate:
             debug_check=True,
         )
         simulate(cfg2)
-        # general graph: the cached imitation rates and channel totals are
-        # compared with a from-scratch recomputation before every draw
+        # general graph: the groups, eligible slots and activity sums are
+        # compared with the agent vectors after every event
         for mode in ("aggregated", "contact"):
             simulate(general_config(n=30, horizon=4.0, infection_mode=mode, debug_check=True))
 
-        # a stale cache (one behaviour flipped, rates not recomputed) must raise
+        def loop_state(pop):
+            x, y, a = pop.behaviours, pop.healths, pop.activities
+            free = (x == 0) & (y == 0)
+            groups = [np.flatnonzero(m).tolist() for m in (x == 1, x == 0, y == 1)]
+            eligible = abm_mod._IndexedSet(pop.n, np.flatnonzero(free).tolist())
+            return (*groups, eligible, float(a[y == 1].sum()), float(a[free].sum()))
+
+        # a drifted eligible set (one member lost, agent vectors unchanged)
+        # on a general graph must raise
         cfg3 = general_config(n=30)
-        g, p = cfg3.graph, cfg3.params
         pop = Population(cfg3.behaviours0.copy(), cfg3.healths0.copy(), cfg3.activities)
-        x = pop.behaviours.astype(float)
-        b = g.neighbor_mean(x)
-        a = g.neighbor_mean(x * b)
-        q01, q10 = switch_rates(g, pop, p)
-        n1, n_inf = int(x.sum()), int(pop.healths.sum())
-        totals = (p.mu * n_inf, float(q01[x == 0].sum()), float(q10[x == 1].sum()))
-        abm_mod._debug_check_general(cfg3, pop, n1, n_inf, b, a, q10, *totals)
-        k = int(g.neighbors(0)[0])  # node 0 imitates k, so flipping k changes B_0
-        pop.behaviours[k] = 1 - pop.behaviours[k]
-        n1 += 1 if pop.behaviours[k] else -1
-        with pytest.raises(NumericalError, match="cached B"):
-            abm_mod._debug_check_general(cfg3, pop, n1, n_inf, b, a, q10, *totals)
+        state = loop_state(pop)
+        abm_mod._debug_check(cfg3, pop, *state)
+        state[3].items.pop()
+        with pytest.raises(NumericalError, match="eligible set"):
+            abm_mod._debug_check(cfg3, pop, *state)
         # complete graph: a drifted infected-activity sum must raise
+        p = cfg3.params
         pop = Population([1, 0, 0, 1], [0, 1, 0, 0], np.full(4, p.alpha))
         cfg4 = small_config(n=4)
-        sets = [abm_mod._IndexedSet(4, np.nonzero(m)[0]) for m in
-                (pop.behaviours == 1, pop.healths == 1,
-                 (pop.behaviours == 0) & (pop.healths == 0))]
-        a_elig = p.alpha  # only agent 2 is unprotected and susceptible
-        abm_mod._debug_check_complete(cfg4, pop, 4, pop.activities, *sets, p.alpha, a_elig)
+        *groups, a_inf, a_elig = loop_state(pop)
+        abm_mod._debug_check(cfg4, pop, *groups, a_inf, a_elig)
         with pytest.raises(NumericalError, match="infected activity"):
-            abm_mod._debug_check_complete(cfg4, pop, 4, pop.activities, *sets, 2 * p.alpha, a_elig)
+            abm_mod._debug_check(cfg4, pop, *groups, 2 * a_inf, a_elig)
 
     @pytest.mark.parametrize("mode", ["aggregated", "contact"])
     @pytest.mark.parametrize("graph", ["complete", "general"])
@@ -372,11 +372,20 @@ class TestSimulate:
         tally = {kind: sum(1 for _, k, _, _ in log if k == kind) for kind in counts}
         assert counts == tally
         assert sum(counts.values()) == len(log) > 0
+        # rejected adopt and drop proposals: only the thinning walks make them
+        nulls = traj.meta["null_proposals"]
+        assert set(nulls) == {"adopt", "drop"}
+        assert all(type(v) is int for v in nulls.values())
+        if graph == "complete":
+            assert nulls == {"adopt": 0, "drop": 0}
+        else:
+            assert nulls["adopt"] > 0 and nulls["drop"] > 0
         # the counters stay on without the log; aggregated-mode draws do not
         # depend on the log, so the counts are the same
         quiet, _ = simulate(dataclasses.replace(cfg, record_events=False))
         if mode == "aggregated":
             assert quiet.meta["events"] == counts
+            assert quiet.meta["null_proposals"] == nulls
         else:
             assert quiet.meta["events"]["contact"] > 0
 
@@ -387,12 +396,16 @@ class TestSimulate:
             simulate(cfg)
 
 
-def replay_complete(cfg):
-    """Independent replay of the complete-graph draw contract.
+def replay_complete(cfg, nulls=None):
+    """Independent replay of the draw contract, on the complete graph and on
+    any other graph.
 
     Groups are plain lists with swap-with-last removal; channel totals and
     member weights come from the public per-node rate functions before every
-    draw. Returns the event history, the number of rejected draws and the
+    draw. Off the complete graph the adopt and drop channels fire at their
+    thinning bounds, and a neighbour walk accepts or rejects each proposal;
+    ``nulls``, a dict keyed by "adopt" and "drop", counts the rejected ones.
+    Returns the event history, the number of rejected draws and the
     (x_bar, y_bar) state at each grid time."""
     p = cfg.params
     n = cfg.graph.n
@@ -400,6 +413,9 @@ def replay_complete(cfg):
     bidi = cfg.bidirectional
     contact = cfg.infection_mode == "contact"
     heterogeneous = np.ptp(act) > 0
+    complete = cfg.graph.is_complete
+    if nulls is None:
+        nulls = {"adopt": 0, "drop": 0}
     rng = np.random.default_rng(cfg.seed)
     if cfg.behaviours0 is not None:
         x = cfg.behaviours0.astype(int)
@@ -429,6 +445,20 @@ def replay_complete(cfg):
         lst = groups[name]
         return lst[int(rng.random() * len(lst))]
 
+    def out_neighbour(i):
+        nbrs = cfg.graph.neighbors(i)
+        return int(nbrs[int(rng.random() * len(nbrs))])
+
+    def walk_accepts(i, side, slack):
+        # P(accept) = mean over out-neighbours j of [x_j == side] *
+        # (slack + share of j's out-neighbours with x == side) / (1 + slack)
+        j = out_neighbour(i)
+        if x[j] != side:
+            return False
+        if rng.random() * (1.0 + slack) < slack:
+            return True
+        return x[out_neighbour(j)] == side
+
     def infect(i):
         y[i] = 1
         groups["infected"].append(i)
@@ -446,14 +476,20 @@ def replay_complete(cfg):
     t = 0.0
     while True:
         pop = Population(x, y, act)
-        q01, q10 = switch_rates(cfg.graph, pop, p)
         r_rec = p.mu * len(groups["infected"])
         if contact:
             r_mid = float(act.sum())  # the event log is on, so contacts always fire
         else:
             r_mid = sum(infection_rate(pop, i, p, bidi) for i in groups["eligible"])
-        r_adopt = float(q01[x == 0].sum())
-        r_drop = float(q10[x == 1].sum())
+        n1 = len(groups["adopters"])
+        zy = p.zeta * (len(groups["infected"]) / n)
+        if complete:
+            q01, q10 = switch_rates(cfg.graph, pop, p)
+            r_adopt = float(q01[x == 0].sum())
+            r_drop = float(q10[x == 1].sum())
+        else:
+            r_adopt = (n - n1) * (1.0 + zy) if n1 > 0 else 0.0
+            r_drop = n1 * (1.0 + p.c) if n1 < n else 0.0
         total = r_rec + r_mid + r_adopt + r_drop
         if total <= 0:
             break
@@ -470,12 +506,17 @@ def replay_complete(cfg):
                 groups["eligible"].append(i)
             events.append((t, "recovery", i, None))
         elif u < r_rec + r_mid and contact:
-            # initiator with probability proportional to its activity
-            while True:
-                i = int(rng.random() * n)
-                if not heterogeneous or rng.random() * act.max() <= act[i]:
-                    break
-                rejected += 1
+            # initiator with probability proportional to its activity: by
+            # rejection on the complete graph, by inversion elsewhere
+            if heterogeneous and not complete:
+                cum = np.cumsum(act)
+                i = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+            else:
+                while True:
+                    i = int(rng.random() * n)
+                    if not heterogeneous or rng.random() * act.max() <= act[i]:
+                        break
+                    rejected += 1
             j = int(rng.random() * (n - 1))
             if j >= i:
                 j += 1
@@ -505,6 +546,10 @@ def replay_complete(cfg):
             events.append((t, "infection", i, None))
         elif u < r_rec + r_mid + r_adopt:
             i = draw("nonadopters")
+            if not complete and not walk_accepts(i, 1, zy):
+                nulls["adopt"] += 1
+                rejected += 1
+                continue
             x[i] = 1
             remove("nonadopters", i)
             groups["adopters"].append(i)
@@ -513,6 +558,10 @@ def replay_complete(cfg):
             events.append((t, "adopt", i, None))
         else:
             i = draw("adopters")
+            if not complete and not walk_accepts(i, 0, p.c):
+                nulls["drop"] += 1
+                rejected += 1
+                continue
             x[i] = 0
             remove("adopters", i)
             groups["nonadopters"].append(i)
@@ -528,6 +577,77 @@ def assert_same_history(ref, log, abs_t):
     for (t_ref, k_ref, a_ref, c_ref), (t_got, k_got, a_got, c_got) in zip(ref, log.events):
         assert k_ref == k_got and a_ref == a_got and c_ref == c_got
         assert t_got == pytest.approx(t_ref, rel=0, abs=abs_t)
+
+
+def first_event_rates(cfg):
+    """Exact rate of every (kind, actor) channel in the initial state of cfg,
+    from the public rate functions; zero-rate channels included."""
+    p = cfg.params
+    x, y, act = cfg.behaviours0, cfg.healths0, cfg.activities
+    pop = Population(x, y, act)
+    q01, q10 = switch_rates(cfg.graph, pop, p)
+    rates = {}
+    for i in range(cfg.graph.n):
+        if y[i] == 1:
+            rates["recovery", i] = p.mu
+        elif cfg.infection_mode == "aggregated":
+            rates["infection", i] = infection_rate(pop, i, p, cfg.bidirectional)
+        if cfg.infection_mode == "contact":
+            rates["contact", i] = float(act[i])  # the log is on: every contact is an event
+        if x[i] == 0:
+            rates["adopt", i] = float(q01[i])
+        else:
+            rates["drop", i] = float(q10[i])
+    return rates
+
+
+# 4 configurations x 2 tests at a family-wise false-alarm rate of 1e-3
+LAW_SEEDS = 10_000
+LAW_LEVEL = 1e-3 / 8
+
+
+class TestFirstEventLaw:
+    """From a fixed state on a random digraph, the first real event of many
+    seeded runs must follow the exact rates: its (kind, actor) by chi-square,
+    its time by Kolmogorov-Smirnov against the exponential in the true total
+    rate, truncated at the horizon. Null proposals of the thinning walks are
+    not events, so this tests the walks' acceptance law too."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("mode", ["aggregated", "contact"])
+    @pytest.mark.parametrize("directionality", ["bidirectional", "activator-infects"])
+    def test_first_event_follows_exact_rates(self, mode, directionality):
+        # seed 20: some non-adopters have no adopting out-neighbour, some
+        # adopters none that does not adopt, and some susceptibles protect,
+        # so zero-rate adopt, drop and infection channels exist
+        cfg = general_config(seed=20, n=12, infection_mode=mode,
+                             directionality=directionality, record_events=True)
+        rates = first_event_rates(cfg)
+        total = sum(rates.values())
+        zero = {cell for cell, r in rates.items() if r == 0.0}
+        assert {"adopt", "drop"} <= {kind for kind, _ in zero}
+        horizon = 2.0 / total  # about 86% of the runs see an event
+        cfg = dataclasses.replace(cfg, horizon=horizon, sample_dt=horizon)
+        firsts = []
+        for seed in range(LAW_SEEDS):
+            _, log = simulate(dataclasses.replace(cfg, seed=seed))
+            if len(log):
+                firsts.append(log.events[0])
+        seen = Counter((kind, actor) for _, kind, actor, _ in firsts)
+        assert not [cell for cell in seen if cell not in rates or cell in zero]
+
+        cells = [cell for cell, r in rates.items() if r > 0.0]
+        expected = np.array([len(firsts) * rates[cell] / total for cell in cells])
+        observed = np.array([seen[cell] for cell in cells], dtype=float)
+        small = expected < 5.0
+        if small.any():  # pool sparse cells into one
+            expected = np.append(expected[~small], expected[small].sum())
+            observed = np.append(observed[~small], observed[small].sum())
+        assert stats.chisquare(observed, expected).pvalue > LAW_LEVEL
+
+        times = np.array([t for t, _, _, _ in firsts])
+        cdf = lambda t: np.expm1(-total * t) / np.expm1(-total * horizon)  # noqa: E731
+        assert stats.kstest(times, cdf).pvalue > LAW_LEVEL
 
 
 class TestDrawByDrawReplay:
@@ -587,83 +707,19 @@ class TestDrawByDrawReplay:
     @pytest.mark.parametrize("mode", ["aggregated", "contact"])
     @pytest.mark.parametrize("directionality", ["bidirectional", "activator-infects"])
     def test_general_graph(self, mode, directionality):
+        # random digraph, heterogeneous activities: the thinning walks, the
+        # activity inversion for the contact initiator and the rejection for
+        # the aggregated infection target all run
         cfg = general_config(infection_mode=mode, directionality=directionality)
-        p = cfg.params
-        n = cfg.graph.n
-        _, log = simulate(cfg)
+        traj, log = simulate(cfg)
         assert {"recovery", "infection", "adopt", "drop"} <= {k for _, k, _, _ in log}
-
-        # reference: no cached state; every per-node rate vector is rebuilt
-        # from the public rate functions before every draw
-        rng = np.random.default_rng(cfg.seed)
-        x = cfg.behaviours0.copy()
-        y = cfg.healths0.copy()
-        act = cfg.activities
-        bidi = directionality == "bidirectional"
-
-        def pick(rates):
-            cum = np.cumsum(rates)
-            return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-
-        events = []
-        t = 0.0
-        while True:
-            pop = Population(x, y, act)
-            q01, q10 = switch_rates(cfg.graph, pop, p)
-            rec = np.where(y == 1, p.mu, 0.0)
-            if mode == "contact":
-                mid = act  # the event log is on, so contacts always fire
-            else:
-                mid = np.array(
-                    [infection_rate(pop, i, p, bidi) if y[i] == 0 else 0.0 for i in range(n)]
-                )
-            adopt = np.where(x == 0, q01, 0.0)
-            drop = np.where(x == 1, q10, 0.0)
-            r_rec, r_mid, r_adopt, r_drop = (float(r.sum()) for r in (rec, mid, adopt, drop))
-            total = r_rec + r_mid + r_adopt + r_drop
-            if total <= 0:
-                break
-            t += rng.exponential(1.0 / total)
-            if t >= cfg.horizon:
-                break
-            u = rng.random() * total
-            if u < r_rec:
-                i = pick(rec)
-                y[i] = 0
-                events.append((t, "recovery", i, None))
-            elif u < r_rec + r_mid and mode == "aggregated":
-                i = pick(mid)
-                y[i] = 1
-                events.append((t, "infection", i, None))
-            elif u < r_rec + r_mid:
-                i = pick(act)
-                j = int(rng.random() * (n - 1))
-                if j >= i:
-                    j += 1
-                events.append((t, "contact", i, j))
-                pair = None
-                if y[i] == 1 and y[j] == 0 and x[j] == 0:
-                    pair = (j, i)
-                elif bidi and y[i] == 0 and x[i] == 0 and y[j] == 1:
-                    pair = (i, j)
-                if pair is not None and rng.random() < p.lam:
-                    y[pair[0]] = 1
-                    events.append((t, "infection", *pair))
-            elif u < r_rec + r_mid + r_adopt:
-                i = pick(adopt)
-                x[i] = 1
-                events.append((t, "adopt", i, None))
-            else:
-                i = pick(drop)
-                x[i] = 0
-                events.append((t, "drop", i, None))
-
-        assert len(events) == len(log.events)
-        for (t_ref, k_ref, a_ref, c_ref), (t_got, k_got, a_got, c_got) in zip(
-            events, log.events
-        ):
-            assert k_ref == k_got and a_ref == a_got and c_ref == c_got
-            assert t_got == pytest.approx(t_ref, rel=0, abs=1e-12)
+        nulls = {"adopt": 0, "drop": 0}
+        events, _, grid_state = replay_complete(cfg, nulls)
+        assert_same_history(events, log, abs_t=1e-9)
+        assert nulls["adopt"] > 0 and nulls["drop"] > 0
+        assert traj.meta["null_proposals"] == nulls
+        np.testing.assert_array_equal(traj.xs, grid_state[:, 0])
+        np.testing.assert_array_equal(traj.ys, grid_state[:, 1])
 
 
 class TestEnsemble:

@@ -123,6 +123,12 @@ class TestMfHetero:
         assert run(["mf-hetero", *REF, "--zeta", "5"], tmp_path) == 2
         assert "hetero" in capsys.readouterr().err
 
+    def test_block_without_graph_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hetero": {"p_x0": 0.3}}))
+        assert run(["mf-hetero", *REF, "--zeta", "5", "--config", str(cfg)], tmp_path) == 2
+        assert "graph" in capsys.readouterr().err
+
 
 class TestAbmSim:
     ARGS = ["abm-sim", *REF, "--zeta", "8", "--n", "60", "--seed", "7",
@@ -267,6 +273,16 @@ class TestSweep:
         cfg.write_text(json.dumps({
             "params": {"alpha": 3, "lambda": 0.5, "mu": 1, "c": 3},
             "sweep": {"grid": {"zeta": {"min": 5, "max": 10, "steps": steps}}},
+        }))
+        assert run(["sweep", "--config", str(cfg)], tmp_path) == 2
+        assert "steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis", [{"min": 4, "max": 5}, 5])
+    def test_rejects_axis_without_steps(self, tmp_path, capsys, axis):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "params": {"alpha": 3, "lambda": 0.5, "mu": 1, "c": 3},
+            "sweep": {"grid": {"zeta": axis}},
         }))
         assert run(["sweep", "--config", str(cfg)], tmp_path) == 2
         assert "steps" in capsys.readouterr().err

@@ -77,6 +77,11 @@ class TestSerialization:
         with pytest.raises(GraphError):
             InfluenceGraph.from_dict({"type": "hypercube", "n": 8})
 
+    @pytest.mark.parametrize("d", [{"type": "complete"}, {"type": "adjacency"}])
+    def test_missing_size_or_lists(self, d):
+        with pytest.raises(GraphError, match="needs"):
+            InfluenceGraph.from_dict(d)
+
     def test_equality_distinguishes_structure(self):
         a = InfluenceGraph.from_adjacency([[1], [0]])
         b = InfluenceGraph.from_adjacency([[1], [1]])
