@@ -44,7 +44,6 @@ from .equilibria import (
     interior_point,
     interior_real_zeta,
     jacobian,
-    jacobian_xy,
     regime_conditions,
 )
 from .cycles import CycleReport, TrappingRegion, Verdict, detect_cycle, trapping_region
@@ -75,7 +74,7 @@ __all__ = [
     "find_equilibria", "global_payoffs", "hetero_rhs", "infection_rate",
     "integrate_hetero", "integrate_planar", "interior_band_zetas",
     "interior_focus_zeta", "interior_point", "interior_real_zeta", "jacobian",
-    "jacobian_xy", "node_payoffs", "planar_rhs", "planar_rhs_xy",
+    "node_payoffs", "planar_rhs", "planar_rhs_xy",
     "regime_conditions", "render_phase_portrait", "simulate", "switch_rates",
     "trapping_region", "validate_params",
 ]

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +21,7 @@ import numpy as np
 from . import abm as abm_mod
 from .artifacts import columns, write_csv, write_json
 from .core import (
+    AssumptionError,
     ConfigError,
     InvalidParameterError,
     MacroState,
@@ -34,7 +34,7 @@ from .cycles import (
     DEFAULT_TRANSIENT_FRAC,
     detect_cycle,
 )
-from .equilibria import classify_regime, find_equilibria
+from .equilibria import REGIME_CONDITIONS, classify_regime, find_equilibria, regime_ledger
 from .meanfield import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
@@ -344,31 +344,28 @@ def _cmd_sweep(args) -> int:
         if steps < 1:
             raise ConfigError(f"sweep axis {name!r} needs steps >= 1")
         axes.append(np.linspace(float(spec["min"]), float(spec["max"]), steps))
-    points = (
-        [(a,) for a in axes[0]]
-        if len(axes) == 1
-        else [(a, b) for a in axes[0] for b in axes[1]]
-    )
+    # a point is valid when each of its values is, so one check per axis
+    # value suffices; taking the last axis first, with every other axis at
+    # its first value, raises for the first invalid point in row order
+    first = {name: float(axis[0]) for name, axis in zip(names, axes)}
+    for name, axis in reversed(list(zip(names, axes))):
+        for value in axis.tolist():
+            _params_from({**base, **first, name: value})
+    fixed = _params_from({**base, **first}).to_dict()
+    mesh = [a.ravel() for a in np.meshgrid(*axes, indexing="ij")]
+    values = {**fixed, **dict(zip(names, mesh))}
+    ledger = regime_ledger(*(values[k] for k in PARAM_KEYS))
 
-    reports = (
-        (values, classify_regime(_params_from({**base, **dict(zip(names, map(float, values)))})))
-        for values in points
-    )
-    # the condition ledger is the same at every point; the first report names it
-    first = next(reports)
-    conds = [c.name for c in first[1].conditions]
+    conds = [name for name, _, _ in REGIME_CONDITIONS]
     header = ",".join(
         names + ["label"] + [f"{c}_{col}" for c in conds for col in ("lhs", "rhs", "sat")]
     )
     row = ",".join(["%.17g"] * len(names) + ["%s"] + ["%.17g,%.17g,%d"] * len(conds)) + "\n"
-    rows = (
-        (*values, r.label.value, *(v for c in r.conditions for v in (c.lhs, c.rhs, c.satisfied)))
-        for values, r in chain([first], reports)
-    )
+    ledger_columns = [v for cond in zip(ledger.lhs, ledger.rhs, ledger.satisfied) for v in cond]
     out = outdir / "sweep.csv"
-    write_csv(out, header, row, rows)
+    write_csv(out, header, row, columns(*mesh, ledger.labels, *ledger_columns))
     _write_sidecar(outdir, "sweep", params=base, sweep=block)
-    print(f"wrote {out} ({len(points)} rows)")
+    print(f"wrote {out} ({mesh[0].size} rows)")
     return 0
 
 
@@ -488,7 +485,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidParameterError, GraphError) as exc:
+    except (AssumptionError, ConfigError, InvalidParameterError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -12,17 +12,29 @@ with y = 1 - mu / (2 alpha lam (1 - beta)).
 
 All eigenvalues are computed in closed form from the 2x2 trace/determinant;
 no general eigensolver is involved.
+
+The regime classifier is array-valued. `regime_ledger` evaluates the nine
+conditions of REGIME_CONDITIONS elementwise over numpy arrays of parameter
+points, giving (9, n) arrays of left-hand sides, right-hand sides and
+verdicts, and runs the decision ladder as boolean masks, marginal tests
+included. `sweep` makes one ledger call for its whole grid;
+`regime_conditions` and `classify_regime` are its one-point case, and
+`classify_regime` adds `find_equilibria` for the report. The ledger uses
+the scalar formulas' operations in the same order, so its values are
+bit-identical to evaluating each point on its own.
 """
 from __future__ import annotations
 
 import cmath
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import AssumptionError, MacroState, ModelParams
+from .core import AssumptionError, MacroState, ModelParams, NumericalError
 from .meanfield import planar_rhs_xy
 
 # comparisons closer to equality than this (relative) are treated as marginal
@@ -31,10 +43,15 @@ _MARGIN_RTOL = 1e-12
 _EIG_ZERO_TOL = 1e-12
 
 
-def _near(lhs: float, rhs: float) -> bool:
-    if math.isinf(lhs) or math.isinf(rhs):
-        return False
-    return abs(lhs - rhs) <= _MARGIN_RTOL * max(1.0, abs(lhs), abs(rhs))
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+def _near(lhs, rhs):
+    """Elementwise: equal within relative _MARGIN_RTOL, and neither side infinite."""
+    with np.errstate(invalid="ignore"):
+        scale = np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
+        close = np.abs(lhs - rhs) <= _MARGIN_RTOL * scale
+    return close & ~(np.isinf(lhs) | np.isinf(rhs))
 
 
 @dataclass(frozen=True)
@@ -49,19 +66,13 @@ class Condition:
 
     @property
     def satisfied(self) -> bool:
-        if self.op == ">":
-            return self.lhs > self.rhs
-        if self.op == ">=":
-            return self.lhs >= self.rhs
-        if self.op == "<":
-            return self.lhs < self.rhs
-        if self.op == "<=":
-            return self.lhs <= self.rhs
-        raise ValueError(f"unknown operator {self.op!r}")
+        if self.op not in _OPS:
+            raise ValueError(f"unknown operator {self.op!r}")
+        return _OPS[self.op](self.lhs, self.rhs)
 
     @property
     def marginal(self) -> bool:
-        return _near(self.lhs, self.rhs)
+        return bool(_near(self.lhs, self.rhs))
 
     def to_dict(self) -> dict:
         def _f(v):
@@ -149,15 +160,55 @@ class RegimeReport:
 # closed-form threshold quantities
 
 
+class _Thresholds(NamedTuple):
+    endemic: np.ndarray
+    real: np.ndarray
+    focus: np.ndarray
+    band_lo: np.ndarray
+    band_hi: np.ndarray
+    window_lo: np.ndarray
+    window_hi: np.ndarray
+
+
+def _thresholds(al, mu, c) -> _Thresholds:
+    """The closed-form thresholds, elementwise over alpha*lam, mu and c.
+
+    Branches that do not apply (below the epidemic threshold, a negative
+    square-root argument) are computed and then masked out, so their
+    floating-point warnings are silenced.
+    """
+    al, mu, c = (np.asarray(v, dtype=float) for v in (al, mu, c))
+    k = 2.0 * al
+    above = k > mu
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        endemic = np.where(above, k * (1.0 + c) / (k - mu), np.inf)
+        arg = 4.0 * mu / al * (c - 1.0 + mu / al)
+        real = np.where(arg < 0.0, -np.inf, c - 1.0 + 2.0 * mu / al + np.sqrt(arg))
+        # arg < 0 only for c < 1, where the bound is vacuous
+        arg = mu / al * (c - 1.0 + 25.0 * mu / (16.0 * al))
+        focus = np.where(arg < 0.0, -np.inf, c - 1.0 + 25.0 * mu / (8.0 * al) + 2.5 * np.sqrt(arg))
+        # libm pow, as Python's (al - 1.0) ** 2 computes it: the correctly
+        # rounded product x * x differs from it in about 1 case in 1 000
+        s = np.sqrt(np.float_power(al - 1.0, 2.0) + 2.0 * mu)
+        pref = al / (k - mu)
+        band_lo = np.where(above, pref * ((c + 1.0) * (1.0 - s) + al * (c - 3.0) + 2.0 * mu),
+                           -np.inf)
+        band_hi = np.where(above, pref * ((c + 1.0) * (1.0 + s) + al * (c - 3.0) + 2.0 * mu),
+                           np.inf)
+    return _Thresholds(endemic, real, focus, band_lo, band_hi,
+                       4.0 * al / mu - 3.0, 32.0 * al / (5.0 * mu) - 3.0)
+
+
+def _point_thresholds(p: ModelParams) -> _Thresholds:
+    return _thresholds(p.alpha * p.lam, p.mu, p.c)
+
+
 def endemic_zeta_threshold(p: ModelParams) -> float:
     """Risk-perception level above which the protection-free endemic state destabilises.
 
     2*alpha*lam*(1+c) / (2*alpha*lam - mu); infinite below the epidemic threshold.
     """
-    k = 2.0 * p.alpha * p.lam
-    if k <= p.mu:
-        return math.inf
-    return k * (1.0 + p.c) / (k - p.mu)
+    return float(_point_thresholds(p).endemic)
 
 
 def interior_real_zeta(p: ModelParams) -> float:
@@ -166,43 +217,30 @@ def interior_real_zeta(p: ModelParams) -> float:
     When the defining quadratic has no real roots in zeta (possible only for
     c < 1) the discriminant is positive everywhere and the bound is vacuous.
     """
-    al = p.alpha * p.lam
-    arg = 4.0 * p.mu / al * (p.c - 1.0 + p.mu / al)
-    if arg < 0.0:
-        return -math.inf
-    return p.c - 1.0 + 2.0 * p.mu / al + math.sqrt(arg)
+    return float(_point_thresholds(p).real)
+
 
 def interior_focus_zeta(p: ModelParams) -> float:
     """Lower zeta bound for local stability of the upper interior state."""
-    al = p.alpha * p.lam
-    arg = p.mu / al * (p.c - 1.0 + 25.0 * p.mu / (16.0 * al))
-    if arg < 0.0:  # only reachable for c < 1, where the bound is vacuous
-        return -math.inf
-    return p.c - 1.0 + 25.0 * p.mu / (8.0 * al) + 2.5 * math.sqrt(arg)
+    return float(_point_thresholds(p).focus)
 
 
 def interior_band_zetas(p: ModelParams) -> tuple[float, float]:
     """(lower, upper) zeta roots of the trace condition at the upper interior state.
 
     Above the upper root the interior state is fully repelling and a periodic
-    orbit attracts all interior trajectories.
+    orbit attracts all interior trajectories. Below the epidemic threshold
+    the band is (-inf, inf).
     """
-    al = p.alpha * p.lam
-    k = 2.0 * al
-    if k <= p.mu:
-        return (-math.inf, math.inf)
-    s = math.sqrt((al - 1.0) ** 2 + 2.0 * p.mu)
-    pref = al / (k - p.mu)
-    lo = pref * ((p.c + 1.0) * (1.0 - s) + al * (p.c - 3.0) + 2.0 * p.mu)
-    hi = pref * ((p.c + 1.0) * (1.0 + s) + al * (p.c - 3.0) + 2.0 * p.mu)
-    return (lo, hi)
+    t = _point_thresholds(p)
+    return (float(t.band_lo), float(t.band_hi))
 
 
 def cost_window(p: ModelParams) -> tuple[float, float]:
     """Cost window [4*alpha*lam/mu - 3, 32*alpha*lam/(5*mu) - 3) where a unique
     interior endemic state exists only above a zeta threshold."""
-    al = p.alpha * p.lam
-    return (4.0 * al / p.mu - 3.0, 32.0 * al / (5.0 * p.mu) - 3.0)
+    t = _point_thresholds(p)
+    return (float(t.window_lo), float(t.window_hi))
 
 
 @dataclass(frozen=True)
@@ -240,10 +278,10 @@ def interior_point(beta: float, p: ModelParams) -> tuple[float, float]:
 
 def jacobian(s: MacroState, p: ModelParams) -> np.ndarray:
     """Analytic Jacobian of the planar vector field at a state."""
-    return jacobian_xy(s.x, s.y, p)
+    return _jacobian_xy(s.x, s.y, p)
 
 
-def jacobian_xy(x: float, y: float, p: ModelParams) -> np.ndarray:
+def _jacobian_xy(x: float, y: float, p: ModelParams) -> np.ndarray:
     k = 2.0 * p.alpha * p.lam
     j11 = (1.0 - 2.0 * x) * (2.0 * x + p.zeta * y - 1.0 - p.c) + 2.0 * x * (1.0 - x)
     j12 = p.zeta * x * (1.0 - x)
@@ -283,7 +321,7 @@ def classify_stability(e: EquilibriumReport, p: ModelParams) -> Stability:
     """
     if not e.exists:
         raise AssumptionError(f"{e.kind.value} does not exist for these parameters")
-    eigs = eigenvalues_2x2(jacobian_xy(e.point[0], e.point[1], p))
+    eigs = eigenvalues_2x2(_jacobian_xy(e.point[0], e.point[1], p))
     resolved = e.kind in (EquilibriumKind.DFE_ORIGIN, EquilibriumKind.PROTECTION_FREE_EE)
     return _classify_from_eigs(eigs, marginal_resolved=resolved)
 
@@ -293,10 +331,7 @@ def classify_stability(e: EquilibriumReport, p: ModelParams) -> Stability:
 
 
 def _interior_report(kind: EquilibriumKind, beta: float | None, roots: BetaRoots,
-                     p: ModelParams) -> EquilibriumReport:
-    k = 2.0 * p.alpha * p.lam
-    thr = endemic_zeta_threshold(p)
-    z_real = interior_real_zeta(p)
+                     p: ModelParams, thr: float, z_real: float) -> EquilibriumReport:
     conds = [
         Condition("roots-real", roots.discriminant, 0.0, ">=", "interior-existence"),
     ]
@@ -345,7 +380,7 @@ def _interior_report(kind: EquilibriumKind, beta: float | None, roots: BetaRoots
     upper = 2.0 * (1.0 - beta) * (p.alpha * p.lam - beta)
     conds.append(Condition("recovery-above-spiral-bound", p.mu, lower, ">", "interior-stability"))
     conds.append(Condition("recovery-below-trace-bound", p.mu, upper, "<", "interior-stability"))
-    eigs = eigenvalues_2x2(jacobian_xy(point[0], point[1], p))
+    eigs = eigenvalues_2x2(_jacobian_xy(point[0], point[1], p))
     stab = _classify_from_eigs(eigs, marginal_resolved=False)
     return EquilibriumReport(
         kind=kind, point=point, exists=True, conditions=conds,
@@ -363,7 +398,7 @@ def find_equilibria(p: ModelParams) -> list[EquilibriumReport]:
     k = 2.0 * p.alpha * p.lam
     reports: list[EquilibriumReport] = []
 
-    origin_eigs = eigenvalues_2x2(jacobian_xy(0.0, 0.0, p))
+    origin_eigs = eigenvalues_2x2(_jacobian_xy(0.0, 0.0, p))
     reports.append(
         EquilibriumReport(
             kind=EquilibriumKind.DFE_ORIGIN,
@@ -374,7 +409,7 @@ def find_equilibria(p: ModelParams) -> list[EquilibriumReport]:
             stability=_classify_from_eigs(origin_eigs, marginal_resolved=True),
         )
     )
-    one_eigs = eigenvalues_2x2(jacobian_xy(1.0, 0.0, p))
+    one_eigs = eigenvalues_2x2(_jacobian_xy(1.0, 0.0, p))
     reports.append(
         EquilibriumReport(
             kind=EquilibriumKind.DFE_ONE,
@@ -390,7 +425,7 @@ def find_equilibria(p: ModelParams) -> list[EquilibriumReport]:
                         "epidemic-threshold")
     if pf_cond.satisfied:
         pf_point = (0.0, 1.0 - p.mu / k)
-        pf_eigs = eigenvalues_2x2(jacobian_xy(*pf_point, p))
+        pf_eigs = eigenvalues_2x2(_jacobian_xy(*pf_point, p))
         reports.append(
             EquilibriumReport(
                 kind=EquilibriumKind.PROTECTION_FREE_EE,
@@ -412,14 +447,16 @@ def find_equilibria(p: ModelParams) -> list[EquilibriumReport]:
         )
 
     roots = beta_pm(p)
-    reports.append(_interior_report(EquilibriumKind.INTERIOR_PLUS, roots.beta_plus, roots, p))
-    reports.append(_interior_report(EquilibriumKind.INTERIOR_MINUS, roots.beta_minus, roots, p))
+    t = _point_thresholds(p)
+    for kind, beta in ((EquilibriumKind.INTERIOR_PLUS, roots.beta_plus),
+                       (EquilibriumKind.INTERIOR_MINUS, roots.beta_minus)):
+        reports.append(_interior_report(kind, beta, roots, p, float(t.endemic), float(t.real)))
 
     for r in reports:
         if r.exists:
             dx, dy = planar_rhs_xy(r.point[0], r.point[1], p)
             if math.hypot(dx, dy) >= 1e-9:
-                raise AssertionError(
+                raise NumericalError(
                     f"{r.kind.value} flagged as existing but the vector field "
                     f"does not vanish there (|f| = {math.hypot(dx, dy):.3e})"
                 )
@@ -429,72 +466,98 @@ def find_equilibria(p: ModelParams) -> list[EquilibriumReport]:
 # ---------------------------------------------------------------------------
 # regime classifier
 
-
-def regime_conditions(p: ModelParams) -> list[Condition]:
-    """The fixed inequality ledger evaluated for every parameter point."""
-    thr = endemic_zeta_threshold(p)
-    c_lo, c_hi = cost_window(p)
-    band_lo, band_hi = interior_band_zetas(p)
-    return [
-        Condition("cost-exceeds-one", p.c, 1.0, ">", "payoff-ordering"),
-        Condition("risk-gain-exceeds-cost-plus-one", p.zeta, p.c + 1.0, ">", "payoff-ordering"),
-        Condition("above-epidemic-threshold", p.lam, p.mu / (2.0 * p.alpha), ">",
-                  "epidemic-threshold"),
-        Condition("cost-window-lower", p.c, c_lo, ">=", "regime-window"),
-        Condition("cost-window-upper", p.c, c_hi, "<", "regime-window"),
-        Condition("zeta-above-endemic-threshold", p.zeta, thr, ">", "endemic-switch"),
-        Condition("zeta-above-spiral-bound", p.zeta, interior_focus_zeta(p), ">",
-                  "interior-stability"),
-        Condition("zeta-above-band-lower", p.zeta, band_lo, ">", "interior-stability"),
-        Condition("zeta-below-band-upper", p.zeta, band_hi, "<", "interior-stability"),
-    ]
+# (name, operator, source) of each regime condition, in ledger row order
+REGIME_CONDITIONS = (
+    ("cost-exceeds-one", ">", "payoff-ordering"),
+    ("risk-gain-exceeds-cost-plus-one", ">", "payoff-ordering"),
+    ("above-epidemic-threshold", ">", "epidemic-threshold"),
+    ("cost-window-lower", ">=", "regime-window"),
+    ("cost-window-upper", "<", "regime-window"),
+    ("zeta-above-endemic-threshold", ">", "endemic-switch"),
+    ("zeta-above-spiral-bound", ">", "interior-stability"),
+    ("zeta-above-band-lower", ">", "interior-stability"),
+    ("zeta-below-band-upper", "<", "interior-stability"),
+)
 
 
-def classify_regime(p: ModelParams) -> RegimeReport:
-    """Label the parameter point with its qualitative long-run behaviour.
+@dataclass(frozen=True)
+class RegimeLedger:
+    """Regime conditions and labels of n parameter points.
+
+    Row i of ``lhs``, ``rhs`` and ``satisfied`` is condition i of
+    REGIME_CONDITIONS; column j is point j, whose label value is ``labels[j]``.
+    """
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    satisfied: np.ndarray
+    labels: np.ndarray
+
+    def conditions(self, j: int) -> list[Condition]:
+        return [
+            Condition(name, float(self.lhs[i, j]), float(self.rhs[i, j]), op, source)
+            for i, (name, op, source) in enumerate(REGIME_CONDITIONS)
+        ]
+
+
+def regime_ledger(alpha, lam, mu, c, zeta) -> RegimeLedger:
+    """Evaluate the regime conditions and the decision ladder elementwise.
+
+    The five arguments are scalars or arrays of admissible parameter values
+    that broadcast to one shape; the points are taken in its row order.
 
     Decision ladder: payoff-ordering assumption, epidemic threshold, cost
     window, then the zeta thresholds separating the protection-free endemic,
     interior endemic, and limit-cycle regimes. Strict-inequality boundaries
     hit within relative 1e-12 are routed to the marginal label instead of
     silently picking a side; weak inequalities keep the side the theory
-    covers.
+    covers. Each rung is a mask, and a point takes the label of the first
+    mask that holds for it, else local-only.
     """
-    conds = regime_conditions(p)
-    by_name = {c.name: c for c in conds}
-
-    def report(label: RegimeLabel) -> RegimeReport:
-        eqs = find_equilibria(p) if p.payoff_assumption_holds else []
-        return RegimeReport(label=label, conditions=conds, equilibria=eqs, params=p)
-
-    if not p.payoff_assumption_holds:
-        return report(RegimeLabel.INVALID_ASSUMPTIONS)
-
-    thr_cond = by_name["above-epidemic-threshold"]
-    if thr_cond.marginal or not thr_cond.satisfied:
+    points = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, lam, mu, c, zeta)))
+    alpha, lam, mu, c, zeta = (v.reshape(-1) for v in points)
+    t = _thresholds(alpha * lam, mu, c)
+    lhs = np.array([c, zeta, lam, c, c, zeta, zeta, zeta, zeta])
+    rhs = np.array([np.ones_like(c), c + 1.0, mu / (2.0 * alpha), t.window_lo, t.window_hi,
+                    t.endemic, t.focus, t.band_lo, t.band_hi])
+    satisfied = np.array([_OPS[op](l, r)
+                          for l, r, (_, op, _) in zip(lhs, rhs, REGIME_CONDITIONS)])
+    ordered, gain, epidemic, win_lo, win_hi, switch, spiral, band_lo, band_hi = satisfied
+    _, _, epidemic_m, win_lo_m, win_hi_m, switch_m, spiral_m, band_lo_m, band_hi_m = _near(lhs, rhs)
+    ladder = (
+        (~(ordered & gain), RegimeLabel.INVALID_ASSUMPTIONS),
         # the global-extinction result covers equality
-        return report(RegimeLabel.GLOBAL_DFE)
+        (epidemic_m | ~epidemic, RegimeLabel.GLOBAL_DFE),
+        (win_hi_m, RegimeLabel.MARGINAL),
+        (~(win_lo | win_lo_m) | ~win_hi, RegimeLabel.LOCAL_ONLY),
+        (switch_m, RegimeLabel.MARGINAL),
+        (~switch, RegimeLabel.PROTECTION_FREE_ENDEMIC),
+        (spiral_m | band_lo_m | band_hi_m, RegimeLabel.MARGINAL),
+        (spiral & band_lo & band_hi, RegimeLabel.INTERIOR_ENDEMIC),
+        (spiral & ~band_hi, RegimeLabel.LIMIT_CYCLE),
+    )
+    labels = np.full(lhs.shape[1], RegimeLabel.LOCAL_ONLY.value, dtype=object)
+    for mask, label in reversed(ladder):
+        labels[mask] = label.value
+    return RegimeLedger(lhs=lhs, rhs=rhs, satisfied=satisfied, labels=labels)
 
-    lo_cond = by_name["cost-window-lower"]
-    hi_cond = by_name["cost-window-upper"]
-    if hi_cond.marginal:
-        return report(RegimeLabel.MARGINAL)
-    if not (lo_cond.satisfied or lo_cond.marginal) or not hi_cond.satisfied:
-        return report(RegimeLabel.LOCAL_ONLY)
 
-    switch = by_name["zeta-above-endemic-threshold"]
-    if switch.marginal:
-        return report(RegimeLabel.MARGINAL)
-    if not switch.satisfied:
-        return report(RegimeLabel.PROTECTION_FREE_ENDEMIC)
+def _point_ledger(p: ModelParams) -> RegimeLedger:
+    return regime_ledger(p.alpha, p.lam, p.mu, p.c, p.zeta)
 
-    spiral = by_name["zeta-above-spiral-bound"]
-    band_lo = by_name["zeta-above-band-lower"]
-    band_hi = by_name["zeta-below-band-upper"]
-    if spiral.marginal or band_hi.marginal or band_lo.marginal:
-        return report(RegimeLabel.MARGINAL)
-    if spiral.satisfied and band_lo.satisfied and band_hi.satisfied:
-        return report(RegimeLabel.INTERIOR_ENDEMIC)
-    if spiral.satisfied and not band_hi.satisfied:
-        return report(RegimeLabel.LIMIT_CYCLE)
-    return report(RegimeLabel.LOCAL_ONLY)
+
+def regime_conditions(p: ModelParams) -> list[Condition]:
+    """The fixed inequality ledger evaluated for every parameter point."""
+    return _point_ledger(p).conditions(0)
+
+
+def classify_regime(p: ModelParams) -> RegimeReport:
+    """Label the parameter point with its qualitative long-run behaviour.
+
+    The one-point case of `regime_ledger`, which holds the decision ladder,
+    with the equilibria attached where the payoff-ordering assumption holds.
+    """
+    ledger = _point_ledger(p)
+    eqs = find_equilibria(p) if p.payoff_assumption_holds else []
+    return RegimeReport(label=RegimeLabel(str(ledger.labels[0])), conditions=ledger.conditions(0),
+                        equilibria=eqs, params=p)

@@ -207,10 +207,15 @@ def hetero_rhs(
     a = np.asarray(activities, dtype=float)
     if a.shape != (g.n,):
         raise ValueError("activities length must equal graph order")
-    px, py = ps.p_x, ps.p_y
-    n = g.n
-    if n < 2:
+    if g.n < 2:
         raise GraphError("need at least two nodes for the contact process")
+    return _hetero_velocity(ps.p_x, ps.p_y, g, a, p, bidirectional)
+
+
+def _hetero_velocity(px: np.ndarray, py: np.ndarray, g: InfluenceGraph, a: np.ndarray,
+                     p: ModelParams, bidirectional: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The velocity of `hetero_rhs` on plain vectors; the caller has checked their sizes."""
+    n = g.n
     ybar = py.mean()
     _, _, q01, q10 = imitation_rates(g, px, ybar, p)
     infected_activity = float(a @ py)
@@ -263,10 +268,8 @@ def integrate_hetero(
     a = np.asarray(activities, dtype=float)
 
     def fun(_t, u):
-        ps = object.__new__(ProbabilityState)
-        ps.p_x = np.clip(u[:n], 0.0, 1.0)
-        ps.p_y = np.clip(u[n:], 0.0, 1.0)
-        dpx, dpy = hetero_rhs(ps, g, a, p, bidirectional)
+        dpx, dpy = _hetero_velocity(np.clip(u[:n], 0.0, 1.0), np.clip(u[n:], 0.0, 1.0),
+                                    g, a, p, bidirectional)
         return np.concatenate([dpx, dpy])
 
     # validate inputs once via the public rhs (raises on bad graph/lengths)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from epigame import equilibria
 from epigame.cli import main
 
 REF = ["--alpha", "3", "--lambda", "0.5", "--mu", "1", "--c", "3"]
@@ -71,6 +72,18 @@ class TestEquilibria:
         assert len(existing) == 3
         kinds = {e["kind"] for e in existing}
         assert kinds == {"dfe-origin", "dfe-one", "protection-free-ee"}
+
+    def test_outside_payoff_assumption_exits_2(self, tmp_path, capsys):
+        args = ["equilibria", "--alpha", "3", "--lambda", "0.5", "--mu", "1", "--c", "0.5",
+                "--zeta", "8"]
+        assert run(args, tmp_path) == 2
+        assert "requires c > 1" in capsys.readouterr().err
+        assert not (tmp_path / "equilibria.json").exists()
+
+    def test_nonvanishing_field_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(equilibria, "planar_rhs_xy", lambda x, y, p: (1e-6, 0.0))
+        assert run(["equilibria", *REF, "--zeta", "8"], tmp_path) == 3
+        assert "does not vanish" in capsys.readouterr().err
 
 
 class TestMfSim:
@@ -286,6 +299,20 @@ class TestSweep:
         }))
         assert run(["sweep", "--config", str(cfg)], tmp_path) == 2
         assert "steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid,message", [
+        ({"lambda": {"min": 0.5, "max": 1.5, "steps": 300}}, "lambda out of (0,1]"),
+        # the first invalid point in row order is (c=1, lambda=1.5), not c=-1
+        ({"c": {"min": 1, "max": -1, "steps": 3}, "lambda": {"min": 0.5, "max": 1.5, "steps": 3}},
+         "lambda out of (0,1]"),
+    ])
+    def test_invalid_grid_point_writes_nothing(self, tmp_path, capsys, grid, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {"alpha": 3, "mu": 1, "c": 3, "zeta": 8},
+                                   "sweep": {"grid": grid}}))
+        assert run(["sweep", "--config", str(cfg)], tmp_path) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_two_axis_grid(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -220,6 +220,9 @@ class TestConditions:
     def test_marginal_flag_uses_relative_closeness(self):
         assert Condition("x", 6.0 + 1e-13, 6.0, ">", "s").marginal
         assert not Condition("x", 6.0 + 1e-9, 6.0, ">", "s").marginal
+        # an infinite threshold is never within reach
+        assert not Condition("x", 6.0, math.inf, "<", "s").marginal
+        assert not Condition("x", 6.0, -math.inf, ">", "s").marginal
 
     def test_regime_conditions_schema(self):
         conds = regime_conditions(example_params(9.5))
