@@ -9,9 +9,6 @@ from .core import (
     MacroState,
     ModelParams,
     NumericalError,
-    PayoffPair,
-    global_payoffs,
-    validate_params,
 )
 from .network import GraphError, InfluenceGraph
 from .meanfield import (
@@ -21,7 +18,6 @@ from .meanfield import (
     hetero_rhs,
     integrate_hetero,
     integrate_planar,
-    planar_rhs,
     planar_rhs_xy,
 )
 from .equilibria import (
@@ -67,14 +63,14 @@ __all__ = [
     "CycleReport", "EnsembleResult", "EquilibriumKind", "EquilibriumReport",
     "EventLog", "GraphError", "HeteroTrajectory", "InfluenceGraph",
     "InvalidParameterError", "MacroState", "ModelParams", "NumericalError",
-    "PayoffPair", "Population", "ProbabilityState", "RegimeLabel",
+    "Population", "ProbabilityState", "RegimeLabel",
     "RegimeReport", "Stability", "Trajectory", "TrappingRegion", "Verdict",
     "beta_pm", "classify_regime", "classify_stability", "cost_window",
     "detect_cycle", "eigenvalues_2x2", "endemic_zeta_threshold", "ensemble",
-    "find_equilibria", "global_payoffs", "hetero_rhs", "infection_rate",
+    "find_equilibria", "hetero_rhs", "infection_rate",
     "integrate_hetero", "integrate_planar", "interior_band_zetas",
     "interior_focus_zeta", "interior_point", "interior_real_zeta", "jacobian",
-    "node_payoffs", "planar_rhs", "planar_rhs_xy",
+    "node_payoffs", "planar_rhs_xy",
     "regime_conditions", "render_phase_portrait", "simulate", "switch_rates",
-    "trapping_region", "validate_params",
+    "trapping_region",
 ]

@@ -48,6 +48,10 @@ OUTDIR_ENV = "EPIGAME_OUTDIR"
 
 PARAM_KEYS = ("alpha", "lambda", "mu", "c", "zeta")
 
+# the initial state (x0, y0) of mf-sim, cycle, abm-sim and compare when
+# neither a flag nor the config's "initial" block gives one
+DEFAULT_INITIAL = {"x": 0.5, "y": 0.1}
+
 
 def _load_config(path: str | None) -> dict:
     if path is None:
@@ -147,10 +151,13 @@ def _cmd_equilibria(args) -> int:
     return 0
 
 
+def _initial_state(cfg: dict, args) -> tuple[float, float]:
+    initial = {**DEFAULT_INITIAL, **cfg.get("initial", {})}
+    return _scalar(cfg, args, "x0", initial["x"]), _scalar(cfg, args, "y0", initial["y"])
+
+
 def _integration_block(cfg: dict, args):
-    initial = cfg.get("initial", {})
-    x0 = _scalar(cfg, args, "x0", initial.get("x", 0.5))
-    y0 = _scalar(cfg, args, "y0", initial.get("y", 0.5))
+    x0, y0 = _initial_state(cfg, args)
     horizon = _scalar(cfg, args, "horizon", cfg.get("horizon", 200.0))
     if horizon is None or horizon <= 0:
         raise ConfigError("horizon must be > 0")
@@ -233,8 +240,7 @@ def _abm_config(cfg: dict, args, p: ModelParams) -> abm_mod.AbmConfig:
         raise ConfigError("--seed is mandatory in strict mode")
     if seed is None:
         seed = 0
-    x0 = _scalar(cfg, args, "x0", cfg.get("initial", {}).get("x", 0.5))
-    y0 = _scalar(cfg, args, "y0", cfg.get("initial", {}).get("y", 0.1))
+    x0, y0 = _initial_state(cfg, args)
     kwargs = {}
     if "behaviours0" in block:
         kwargs["behaviours0"] = np.asarray(block["behaviours0"])
@@ -414,9 +420,14 @@ def _add_param_flags(sp):
     sp.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV} or .)")
 
 
+def _add_initial_flags(sp):
+    sp.add_argument("--x0", type=float,
+                    help=f"initial adoption share (default {DEFAULT_INITIAL['x']})")
+    sp.add_argument("--y0", type=float,
+                    help=f"initial prevalence (default {DEFAULT_INITIAL['y']})")
+
+
 def _add_integration_flags(sp):
-    sp.add_argument("--x0", type=float)
-    sp.add_argument("--y0", type=float)
     sp.add_argument("--horizon", type=float)
     sp.add_argument("--rtol", type=float)
     sp.add_argument("--atol", type=float)
@@ -440,6 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mf-sim", help="integrate the planar mean-field system")
     _add_param_flags(sp)
+    _add_initial_flags(sp)
     _add_integration_flags(sp)
     sp.set_defaults(func=_cmd_mf_sim)
 
@@ -450,6 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("abm-sim", help="run one stochastic agent-based realization")
     _add_param_flags(sp)
+    _add_initial_flags(sp)
     _add_integration_flags(sp)
     sp.add_argument("--n", type=int, help="population size (complete influence graph)")
     sp.add_argument("--seed", type=int)
@@ -459,6 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cycle", help="integrate then detect a limit cycle")
     _add_param_flags(sp)
+    _add_initial_flags(sp)
     _add_integration_flags(sp)
     sp.add_argument("--tol-cycle", dest="tol_cycle", type=float)
     sp.add_argument("--transient-frac", dest="transient_frac", type=float)
@@ -470,6 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="ABM ensemble vs planar mean-field")
     _add_param_flags(sp)
+    _add_initial_flags(sp)
     _add_integration_flags(sp)
     sp.add_argument("--n", type=int)
     sp.add_argument("--seed", type=int)

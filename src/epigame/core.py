@@ -1,9 +1,8 @@
 """Core parameter and state types for the coupled protection/SIS model.
 
 Every other module (mean-field ODEs, equilibrium analysis, cycle detection,
-agent-based simulation, CLI) shares the five scalar model parameters and the
-planar macroscopic state defined here, together with the global complete-graph
-payoff functions.
+agent-based simulation, CLI) shares the five scalar model parameters, the
+planar macroscopic state and the error types defined here.
 """
 from __future__ import annotations
 
@@ -103,11 +102,6 @@ class ModelParams:
             raise InvalidParameterError(str(exc.args[0]), "missing from params object") from exc
 
 
-def validate_params(alpha: float, lam: float, mu: float, c: float, zeta: float) -> ModelParams:
-    """Range-check the five scalars and return an immutable ModelParams."""
-    return ModelParams(alpha=alpha, lam=lam, mu=mu, c=c, zeta=zeta)
-
-
 @dataclass(frozen=True)
 class MacroState:
     """Planar macroscopic state: protection adoption x and prevalence y, both in [0,1]."""
@@ -124,16 +118,3 @@ class MacroState:
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
-
-
-@dataclass(frozen=True)
-class PayoffPair:
-    """Payoff for adopting protection (pi1) and for not adopting it (pi0)."""
-
-    pi1: float
-    pi0: float
-
-
-def global_payoffs(s: MacroState, p: ModelParams) -> PayoffPair:
-    """Complete-graph payoffs: pi1 = x + zeta*y, pi0 = 1 - x + c."""
-    return PayoffPair(pi1=s.x + p.zeta * s.y, pi0=1.0 - s.x + p.c)

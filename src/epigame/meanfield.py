@@ -17,12 +17,11 @@ back onto [0,1], anything larger raises NumericalError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .artifacts import columns, write_csv
+from .artifacts import columns, write_blocks, write_csv
 from .core import MacroState, ModelParams, NumericalError
 from .network import GraphError, InfluenceGraph
 
@@ -68,13 +67,8 @@ def rate_factor(p: ModelParams, bidirectional: bool) -> float:
     return (2.0 if bidirectional else 1.0) * p.alpha * p.lam
 
 
-def planar_rhs(s: MacroState, p: ModelParams, bidirectional: bool = True) -> tuple[float, float]:
-    """Velocity of the planar system at a macroscopic state."""
-    return planar_rhs_xy(s.x, s.y, p, bidirectional)
-
-
 def planar_rhs_xy(x, y, p: ModelParams, bidirectional: bool = True):
-    """Array-friendly planar vector field; accepts scalars or numpy arrays."""
+    """Velocity (dx, dy) of the planar system at (x, y); accepts scalars or numpy arrays."""
     k = rate_factor(p, bidirectional)
     dx = x * (1.0 - x) * (2.0 * x + p.zeta * y - 1.0 - p.c)
     dy = k * y * (1.0 - x) * (1.0 - y) - p.mu * y
@@ -240,14 +234,24 @@ class HeteroTrajectory:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        """Long format: t,node,p_x,p_y."""
-        nodes = range(self.p_x.shape[1])
+        """Long format: t,node,p_x,p_y, one write block per time.
 
-        def rows():
+        A time's block template is its ``%.12g`` time joined to the node ids,
+        which are formatted once per file; only p_x and p_y are formatted
+        per line.
+        """
+        n = self.p_x.shape[1]
+        # sep.join(["", a, b]) == sep + a + sep + b: the time starts every line
+        lines = [""] + [f",{i},%.17g,%.17g\n" for i in range(n)]
+        values = np.empty(2 * n)
+
+        def blocks():
             for t, px, py in zip(self.times.tolist(), self.p_x, self.p_y):
-                yield from zip(repeat(t), nodes, px.tolist(), py.tolist())
+                values[0::2] = px
+                values[1::2] = py
+                yield ("%.12g" % t).join(lines), tuple(values.tolist())
 
-        write_csv(path, "t,node,p_x,p_y", "%.12g,%s,%.17g,%.17g\n", rows())
+        write_blocks(path, "t,node,p_x,p_y", blocks())
 
 
 def integrate_hetero(

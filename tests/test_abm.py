@@ -18,7 +18,6 @@ from epigame import (
     NumericalError,
     Population,
     ensemble,
-    global_payoffs,
     infection_rate,
     integrate_planar,
     node_payoffs,
@@ -57,9 +56,9 @@ class TestRates:
             activities=np.full(n, p.alpha),
         )
         pi1, pi0 = node_payoffs(InfluenceGraph.complete(n), pop, p)
-        ref = global_payoffs(MacroState(0.4, 0.3), p)
-        np.testing.assert_allclose(pi1, ref.pi1, rtol=1e-14)
-        np.testing.assert_allclose(pi0, ref.pi0, rtol=1e-14)
+        # the complete-graph payoffs pi1 = x + zeta*y and pi0 = 1 - x + c
+        np.testing.assert_allclose(pi1, 0.4 + p.zeta * 0.3, rtol=1e-14)
+        np.testing.assert_allclose(pi0, 1.0 - 0.4 + p.c, rtol=1e-14)
 
     def test_zero_prevalence_payoffs(self):
         p = example_params(zeta=8.0)

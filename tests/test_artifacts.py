@@ -1,11 +1,13 @@
-"""CSV writer format: every artifact writer against the per-row f-string loop
-that defines its format, on inputs with edge values (signed zero, the
-smallest subnormal, inexact sums, 1e22, integer-valued floats, absent
-counterparts and periods, and the 7.3 / 0.1 sample grid)."""
+"""CSV writer format: the block writer against the per-row ``%`` loop, and
+every artifact writer against the per-row f-string loop that defines its
+format, on inputs with edge values (signed zero, the smallest subnormal,
+inexact sums, 1e22, integer-valued floats, absent counterparts and periods,
+and the 7.3 / 0.1 sample grid)."""
 
 import json
 
 import numpy as np
+import pytest
 
 from epigame import (
     EnsembleResult,
@@ -18,6 +20,7 @@ from epigame import (
     planar_rhs_xy,
     render_phase_portrait,
 )
+from epigame.artifacts import BLOCK_ROWS, write_csv
 from epigame.cli import main
 from epigame.cycles import CycleReport, Crossing, Verdict
 from .conftest import example_params
@@ -39,17 +42,60 @@ def test_trajectory(tmp_path):
     assert (tmp_path / "traj.csv").read_text() == ref
 
 
-def test_hetero_trajectory(tmp_path):
-    n = 7
-    p_x = np.stack([edge_column(n, k) for k in range(TIMES.size)])
-    p_y = np.stack([edge_column(n, k + 5) for k in range(TIMES.size)])
-    hetero = HeteroTrajectory(TIMES, p_x, p_y, example_params(8.0))
+ROW = "%.12g,%s,%.17g,%d,%s\n"
+TEXT = ["kind", "100%", "%s", "%%", "%(x)s", ""]
+
+
+def edge_rows(count):
+    return [(EDGE[k % len(EDGE)], TEXT[k % len(TEXT)], EDGE[(k + 3) % len(EDGE)] * k, k,
+             "" if k % 4 else k * 7) for k in range(count)]
+
+
+@pytest.mark.parametrize("count", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   2 * BLOCK_ROWS + 3])
+def test_write_csv_matches_per_row_format(tmp_path, count):
+    rows = edge_rows(count)
+    write_csv(tmp_path / "rows.csv", "t,kind,v,k,cp", ROW, iter(rows), comment="seed=1")
+    ref = "# seed=1\nt,kind,v,k,cp\n" + "".join(ROW % r for r in rows)
+    assert (tmp_path / "rows.csv").read_text() == ref
+
+
+def test_percent_in_a_field_is_written_literally(tmp_path):
+    rows = [(1.0, "100%"), (2.0, "%s"), (3.0, "%%"), (4.0, "%.17g")]
+    write_csv(tmp_path / "pct.csv", "t,kind", "%.12g,%s\n", rows)
+    assert (tmp_path / "pct.csv").read_text() == "t,kind\n1,100%\n2,%s\n3,%%\n4,%.17g\n"
+
+
+def check_hetero(path, times, n):
+    p_x = np.stack([edge_column(n, k) for k in range(times.size)])
+    p_y = np.stack([edge_column(n, k + 5) for k in range(times.size)])
+    hetero = HeteroTrajectory(times, p_x, p_y, example_params(8.0))
     ref = "t,node,p_x,p_y\n"
     for k, t in enumerate(hetero.times):
         for i in range(n):
             ref += f"{t:.12g},{i},{p_x[k, i]:.17g},{p_y[k, i]:.17g}\n"
-    hetero.to_csv(tmp_path / "nodes.csv")
-    assert (tmp_path / "nodes.csv").read_text() == ref
+    hetero.to_csv(path)
+    # compared line by line: a failure report on the whole text is slow
+    assert path.read_text().splitlines(True) == ref.splitlines(True)
+
+
+def test_hetero_trajectory(tmp_path):
+    check_hetero(tmp_path / "nodes.csv", TIMES, 7)
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS + 5])
+def test_hetero_trajectory_node_counts(tmp_path, n):
+    check_hetero(tmp_path / "nodes.csv", TIMES, n)
+
+
+def test_hetero_trajectory_time_formats(tmp_path):
+    # %.12g gives -0, exponents in both directions and a rounded 7.3
+    times = np.array([-0.0, 5e-324, 1e-13, 0.1 + 0.2, 7.300000000000001, 1.5e12, 1e22])
+    check_hetero(tmp_path / "nodes.csv", times, 3)
+    text = (tmp_path / "nodes.csv").read_text()
+    for prefix in ("-0,0,", "4.94065645841e-324,", "1e-13,", "0.3,", "7.3,", "1.5e+12,",
+                   "1e+22,"):
+        assert f"\n{prefix}" in text
 
 
 def test_ensemble(tmp_path):

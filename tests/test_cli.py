@@ -394,3 +394,21 @@ def test_raw_sidecar_rerun_is_byte_identical(tmp_path, capsys, command):
             assert first == second
         else:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+DEFAULT_INITIAL_CASES = {
+    "mf-sim": ["--zeta", "8", "--horizon", "1", "--sample-dt", "0.5"],
+    "cycle": ["--zeta", "9.5", "--horizon", "10", "--sample-dt", "0.1"],
+    "abm-sim": ["--zeta", "8", "--n", "20", "--seed", "1", "--horizon", "1"],
+    "compare": ["--zeta", "5", "--n", "20", "--seed", "1", "--n-runs", "1", "--horizon", "1"],
+}
+
+
+def test_commands_share_one_default_initial_state(tmp_path, capsys):
+    recorded = {}
+    for command, flags in DEFAULT_INITIAL_CASES.items():
+        assert run([command, *REF, *flags], tmp_path / command) == 0
+        sidecar = json.loads((tmp_path / command / f"{command}.config.json").read_text())
+        recorded[command] = sidecar["initial"]
+    capsys.readouterr()
+    assert recorded == dict.fromkeys(DEFAULT_INITIAL_CASES, {"x": 0.5, "y": 0.1})

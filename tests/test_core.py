@@ -1,4 +1,4 @@
-"""Parameter/state types and global payoff functions."""
+"""Parameter/state types, and the complete-graph payoffs against their formulas."""
 
 import json
 
@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from epigame import (
-    InvalidParameterError,
-    MacroState,
-    ModelParams,
-    global_payoffs,
-    validate_params,
-)
+from epigame import InfluenceGraph, InvalidParameterError, MacroState, ModelParams
+from epigame.meanfield import imitation_rates
 from .conftest import example_params
 
 
@@ -29,7 +24,7 @@ params_st = st.builds(
 class TestModelParams:
     def test_reference_set_is_valid(self):
         p = example_params(zeta=8.0)
-        assert validate_params(3.0, 0.5, 1.0, 3.0, 8.0) == p
+        assert ModelParams(3.0, 0.5, 1.0, 3.0, 8.0) == p
         assert p.payoff_assumption_holds
 
     @pytest.mark.parametrize(
@@ -82,35 +77,42 @@ class TestMacroState:
         assert MacroState(x=0.25, y=0.75).as_tuple() == (0.25, 0.75)
 
 
+def global_payoffs(x, y, p, n=8):
+    """(pi1, pi0) of a node of the complete graph on which every node adopts
+    with probability x, at prevalence y; the formulas are pi1 = x + zeta*y
+    and pi0 = 1 - x + c."""
+    pi1, pi0, _, _ = imitation_rates(InfluenceGraph.complete(n), np.full(n, x), y, p)
+    return float(pi1[0]), float(pi0[0])
+
+
 class TestGlobalPayoffs:
     def test_reference_values(self):
         p = example_params(zeta=8.0)
-        pi = global_payoffs(MacroState(x=0.5, y=0.5), p)
-        assert pi.pi1 == pytest.approx(0.5 + 8.0 * 0.5)
-        assert pi.pi0 == pytest.approx(0.5 + 3.0)
+        pi1, pi0 = global_payoffs(0.5, 0.5, p)
+        assert pi1 == pytest.approx(0.5 + 8.0 * 0.5)
+        assert pi0 == pytest.approx(0.5 + 3.0)
 
     def test_corners(self):
         p = example_params(zeta=5.0)
-        zero = global_payoffs(MacroState(0.0, 0.0), p)
-        assert (zero.pi1, zero.pi0) == (0.0, 1.0 + p.c)
-        full = global_payoffs(MacroState(1.0, 0.0), p)
-        assert (full.pi1, full.pi0) == (1.0, p.c)
+        assert global_payoffs(0.0, 0.0, p) == (0.0, 1.0 + p.c)
+        assert global_payoffs(1.0, 0.0, p) == (1.0, p.c)
 
     @given(params_st, st.floats(0, 1), st.floats(0, 1))
     def test_affine_in_each_argument(self, p, x, y):
         # pi1 = x + zeta*y and pi0 = 1 - x + c, checked against midpoint interpolation
-        a = global_payoffs(MacroState(x / 2, y / 2), p)
-        b = global_payoffs(MacroState(x, y), p)
-        o = global_payoffs(MacroState(0.0, 0.0), p)
-        assert a.pi1 == pytest.approx((o.pi1 + b.pi1) / 2, abs=1e-12)
-        assert a.pi0 == pytest.approx((o.pi0 + b.pi0) / 2, abs=1e-12)
+        a = global_payoffs(x / 2, y / 2, p)
+        b = global_payoffs(x, y, p)
+        o = global_payoffs(0.0, 0.0, p)
+        assert a[0] == pytest.approx((o[0] + b[0]) / 2, abs=1e-12)
+        assert a[1] == pytest.approx((o[1] + b[1]) / 2, abs=1e-12)
+        assert b == pytest.approx((x + p.zeta * y, 1.0 - x + p.c), abs=1e-12)
 
     @given(params_st.filter(lambda p: p.payoff_assumption_holds), st.floats(0, 1))
     def test_payoff_ordering_at_prevalence_extremes(self, p, x):
         # with no disease pressure non-adoption pays strictly more; at full
         # prevalence adoption pays strictly more (this is what the ordering
         # c > 1, zeta > c + 1 buys)
-        lo = global_payoffs(MacroState(x, 0.0), p)
-        hi = global_payoffs(MacroState(x, 1.0), p)
-        assert lo.pi0 > lo.pi1
-        assert hi.pi1 > hi.pi0
+        lo_pi1, lo_pi0 = global_payoffs(x, 0.0, p)
+        hi_pi1, hi_pi0 = global_payoffs(x, 1.0, p)
+        assert lo_pi0 > lo_pi1
+        assert hi_pi1 > hi_pi0

@@ -15,7 +15,6 @@ from epigame import (
     hetero_rhs,
     integrate_hetero,
     integrate_planar,
-    planar_rhs,
     planar_rhs_xy,
 )
 from .conftest import example_params, random_valid_params
@@ -24,13 +23,13 @@ from .conftest import example_params, random_valid_params
 class TestPlanarRhs:
     def test_corners_are_fixed_points(self):
         p = example_params(zeta=8.0)
-        assert planar_rhs(MacroState(0.0, 0.0), p) == (0.0, 0.0)
-        assert planar_rhs(MacroState(1.0, 0.0), p) == (0.0, 0.0)
+        assert planar_rhs_xy(0.0, 0.0, p) == (0.0, 0.0)
+        assert planar_rhs_xy(1.0, 0.0, p) == (0.0, 0.0)
 
     def test_full_adoption_edge(self):
         # at x = 1 there is no transmission, so y decays at rate mu
         p = example_params(zeta=8.0)
-        dx, dy = planar_rhs(MacroState(1.0, 0.5), p)
+        dx, dy = planar_rhs_xy(1.0, 0.5, p)
         assert dx == 0.0
         assert dy == pytest.approx(-0.5)
 
@@ -39,14 +38,14 @@ class TestPlanarRhs:
         #   dx = 0.25*0.75*(0.5 + 4 - 4) = 0.09375
         #   dy = 3*0.5*0.75*0.5 - 0.5 = 0.0625
         p = example_params(zeta=8.0)
-        dx, dy = planar_rhs(MacroState(0.25, 0.5), p)
+        dx, dy = planar_rhs_xy(0.25, 0.5, p)
         assert dx == pytest.approx(0.09375, abs=1e-15)
         assert dy == pytest.approx(0.0625, abs=1e-15)
 
     def test_one_directional_halves_transmission(self):
         p = example_params(zeta=8.0)
-        _, dy_bi = planar_rhs(MacroState(0.2, 0.3), p, bidirectional=True)
-        _, dy_one = planar_rhs(MacroState(0.2, 0.3), p, bidirectional=False)
+        _, dy_bi = planar_rhs_xy(0.2, 0.3, p, bidirectional=True)
+        _, dy_one = planar_rhs_xy(0.2, 0.3, p, bidirectional=False)
         # dy = k*y(1-x)(1-y) - mu*y with k halved: the transmission part halves
         transmission_bi = dy_bi + p.mu * 0.3
         transmission_one = dy_one + p.mu * 0.3
@@ -57,18 +56,20 @@ class TestPlanarRhs:
         xs = rng.uniform(0, 1, 50)
         ys = rng.uniform(0, 1, 50)
         dxs, dys = planar_rhs_xy(xs, ys, p)
-        for i in range(50):
-            dx, dy = planar_rhs(MacroState(xs[i], ys[i]), p)
-            assert dxs[i] == dx and dys[i] == dy
+        k = 2.0 * p.alpha * p.lam
+        for x, y, dx, dy in zip(xs.tolist(), ys.tolist(), dxs, dys):
+            assert planar_rhs_xy(x, y, p) == (dx, dy)
+            assert dx == x * (1.0 - x) * (2.0 * x + p.zeta * y - 1.0 - p.c)
+            assert dy == k * y * (1.0 - x) * (1.0 - y) - p.mu * y
 
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_field_points_inward_on_the_boundary(self, x, y):
         p = example_params(zeta=9.5)
         # y = 0 edge: dy = 0; x in {0,1}: dx = 0 -- the square is invariant
-        assert planar_rhs(MacroState(x, 0.0), p)[1] == 0.0
-        assert planar_rhs(MacroState(0.0, y), p)[0] == 0.0
-        assert planar_rhs(MacroState(1.0, y), p)[0] == 0.0
-        assert planar_rhs(MacroState(x, 1.0), p)[1] <= 0.0
+        assert planar_rhs_xy(x, 0.0, p)[1] == 0.0
+        assert planar_rhs_xy(0.0, y, p)[0] == 0.0
+        assert planar_rhs_xy(1.0, y, p)[0] == 0.0
+        assert planar_rhs_xy(x, 1.0, p)[1] <= 0.0
 
 
 class TestIntegratePlanar:
@@ -150,7 +151,7 @@ class TestHeteroRhs:
         x, y = 0.31, 0.44
         ps = ProbabilityState(np.full(n, x), np.full(n, y))
         dpx, dpy = hetero_rhs(ps, g, a, p)
-        dx, dy = planar_rhs(MacroState(x, y), p)
+        dx, dy = planar_rhs_xy(x, y, p)
         np.testing.assert_allclose(dpx, dx, rtol=1e-13, atol=1e-14)
         expected_dy = dy + (2 * p.alpha * p.lam * y * (1 - x) * (1 - y)) / (n - 1)
         np.testing.assert_allclose(dpy, expected_dy, rtol=1e-13, atol=1e-14)
