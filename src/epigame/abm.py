@@ -82,7 +82,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import columns, write_csv
-from .core import ConfigError, ModelParams, NumericalError
+from .core import ConfigError, ModelParams, NumericalError, config_value
 from .meanfield import Trajectory, imitation_rates, sample_grid
 from .network import InfluenceGraph
 
@@ -273,33 +273,40 @@ class AbmConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AbmConfig":
+        """The run spec of `to_dict`; absent optional keys take the field defaults."""
         params = ModelParams.from_dict(d["params"])
         graph = InfluenceGraph.from_dict(d["graph"])
-        acts = d.get("activities", "uniform")
-        if acts == "uniform":
-            activities = np.full(graph.n, params.alpha)
+        if "behaviours0" in d or "healths0" in d:
+            initial = {"behaviours0": d.get("behaviours0"), "healths0": d.get("healths0")}
         else:
-            activities = np.asarray(acts, dtype=float)
-        kwargs = {}
-        if "behaviours0" in d:
-            kwargs["behaviours0"] = np.asarray(d["behaviours0"])
-            kwargs["healths0"] = np.asarray(d["healths0"])
-        else:
-            kwargs["x0"] = d["x0"]
-            kwargs["y0"] = d["y0"]
+            initial = {k: config_value(k, d.get(k), float) for k in ("x0", "y0")}
         return cls(
             params=params,
             graph=graph,
-            activities=activities,
-            horizon=float(d["horizon"]),
-            sample_dt=float(d["sample_dt"]),
-            seed=int(d["seed"]),
+            activities=activities_from(d.get("activities", "uniform"), graph.n, params.alpha),
+            horizon=config_value("horizon", d.get("horizon"), float),
+            sample_dt=config_value("sample_dt", d.get("sample_dt"), float),
+            seed=config_value("seed", d.get("seed"), int),
             infection_mode=d.get("infection_mode", "aggregated"),
             directionality=d.get("directionality", "bidirectional"),
             record_events=d.get("record_events"),
             debug_check=bool(d.get("debug_check", False)),
-            **kwargs,
+            **initial,
         )
+
+
+def activities_from(spec, n: int, alpha: float) -> np.ndarray:
+    """Per-agent activities from a config: "uniform" (alpha for all n
+    agents) or a list of n numbers."""
+    if spec == "uniform":
+        return np.full(n, alpha)
+    try:
+        activities = np.asarray(spec, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError('activities must be "uniform" or a list of numbers') from exc
+    if activities.shape != (n,):
+        raise ConfigError("activities length must equal graph order")
+    return activities
 
 
 class _IndexedSet:

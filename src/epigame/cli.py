@@ -1,10 +1,16 @@
 """Command-line front end.
 
 Subcommands: regime, equilibria, mf-sim, mf-hetero, abm-sim, cycle, sweep,
-compare. Every command accepts an optional JSON config (``--config``); flags
-override config values, and the effective merged configuration is written
-next to each artifact as ``<command>.config.json`` so any run can be
-reproduced from its sidecar alone.
+compare. Every command accepts an optional JSON config (``--config``).
+
+Each setting is resolved by one rule: its flag if given, else its entry in
+the config, else the command's default. ``SETTINGS`` says where each setting
+lives in a config (the top level or one block) and how it is read; the model
+parameters live in the ``params`` block. A value that cannot be read is a
+configuration error, and so is a null, except where the command's default is
+null too. The settings a run used are written next to its artifacts as
+``<command>.config.json``, so any run can be reproduced from that sidecar
+alone.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -21,12 +27,14 @@ import numpy as np
 from . import abm as abm_mod
 from .artifacts import columns, write_csv, write_json
 from .core import (
+    PARAM_KEYS,
     AssumptionError,
     ConfigError,
     InvalidParameterError,
     MacroState,
     ModelParams,
     NumericalError,
+    config_value,
 )
 from .cycles import (
     DEFAULT_MIN_CROSSINGS,
@@ -46,11 +54,32 @@ from .network import GraphError, InfluenceGraph
 
 OUTDIR_ENV = "EPIGAME_OUTDIR"
 
-PARAM_KEYS = ("alpha", "lambda", "mu", "c", "zeta")
-
-# the initial state (x0, y0) of mf-sim, cycle, abm-sim and compare when
-# neither a flag nor the config's "initial" block gives one
+# the initial state (x0, y0) of every integrating command when neither a
+# flag nor the config's "initial" block gives one
 DEFAULT_INITIAL = {"x": 0.5, "y": 0.1}
+
+# each setting by the name of its flag, or of its key for the config-only
+# ones: (config block, None for the top level; key in it; how it is read)
+SETTINGS = {
+    "outdir": (None, "outdir", str),
+    "horizon": (None, "horizon", float),
+    "rtol": (None, "rtol", float),
+    "atol": (None, "atol", float),
+    "sample_dt": (None, "sample_dt", float),
+    "seed": (None, "seed", int),
+    "x0": ("initial", "x", float),
+    "y0": ("initial", "y", float),
+    "n": ("abm", "n", int),
+    "mode": ("abm", "infection_mode", str),
+    "tol_cycle": ("cycle", "tol_cycle", float),
+    "transient_frac": ("cycle", "transient_frac", float),
+    "min_crossings": ("cycle", "min_crossings", int),
+    "n_runs": ("compare", "n_runs", int),
+    "n_jobs": ("compare", "n_jobs", int),
+}
+
+# the abm block's keys that go into the run spec as they are
+ABM_SPEC_KEYS = ("activities", "directionality", "record_events", "behaviours0", "healths0")
 
 
 def _load_config(path: str | None) -> dict:
@@ -58,37 +87,58 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path) as f:
-            return json.load(f)
+            cfg = json.load(f)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config JSON in {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return cfg
 
 
-def _param_dict(cfg: dict, args) -> dict:
-    """The config's params block with the parameter flags applied on top."""
-    d = dict(cfg.get("params", {}))
+def _block(cfg: dict, name: str) -> dict:
+    block = cfg.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"config block {name!r} must be a JSON object")
+    return block
+
+
+def _resolve(cfg: dict, args, **defaults) -> dict:
+    """Each named setting: its flag if given, else its config entry (see
+    SETTINGS), else the default given here. A null stays null only where
+    that default is null too; any other value is read by the setting's cast."""
+    resolved = {}
+    for name, default in defaults.items():
+        block, key, cast = SETTINGS[name]
+        value = getattr(args, name, None)
+        if value is None:
+            value = (_block(cfg, block) if block else cfg).get(key, default)
+        if value is None and default is None:
+            resolved[name] = None
+        else:
+            resolved[name] = config_value(f"{block}.{key}" if block else key, value, cast)
+    return resolved
+
+
+def _params(cfg: dict, args) -> dict:
+    """The config's params block with each given parameter flag in place of its value."""
+    d = dict(_block(cfg, "params"))
     for key in PARAM_KEYS:
-        v = getattr(args, "lambda_" if key == "lambda" else key, None)
+        v = getattr(args, "lambda_" if key == "lambda" else key)
         if v is not None:
             d[key] = v
     return d
 
 
-def _params_from(d: dict) -> ModelParams:
-    missing = [k for k in PARAM_KEYS if k not in d]
-    if missing:
-        raise ConfigError(f"missing model parameters: {', '.join(missing)}")
-    return ModelParams.from_dict(d)
-
-
-def _merge_params(cfg: dict, args) -> ModelParams:
-    return _params_from(_param_dict(cfg, args))
+def _initial(cfg: dict, args) -> dict:
+    s = _resolve(cfg, args, x0=DEFAULT_INITIAL["x"], y0=DEFAULT_INITIAL["y"])
+    state = MacroState(s["x0"], s["y0"])  # rejects values outside [0, 1]
+    return {"x": state.x, "y": state.y}
 
 
 def _outdir(cfg: dict, args) -> Path:
-    out = getattr(args, "outdir", None) or cfg.get("outdir") or os.environ.get(OUTDIR_ENV, ".")
-    path = Path(out)
+    path = Path(_resolve(cfg, args, outdir=os.environ.get(OUTDIR_ENV, "."))["outdir"])
     try:
         path.mkdir(parents=True, exist_ok=True)
         probe = path / ".write-probe"
@@ -99,31 +149,56 @@ def _outdir(cfg: dict, args) -> Path:
     return path
 
 
-def _write_sidecar(outdir: Path, command: str, **effective) -> None:
-    """The effective configuration, which reruns the command through --config."""
+def _write_sidecar(outdir: Path, command: str, settings: dict) -> None:
+    """The settings a run used, which rerun the command through --config."""
     write_json(outdir / f"{command}.config.json",
-               {"command": command, **effective, "outdir": str(outdir)})
+               {"command": command, **settings, "outdir": str(outdir)})
 
 
-def _scalar(cfg: dict, args, name: str, default, cast=float):
-    v = getattr(args, name.replace("-", "_"), None)
-    if v is None:
-        v = cfg.get(name, default)
-    return cast(v) if v is not None else None
+def _ode_settings(cfg: dict, args) -> tuple[ModelParams, dict]:
+    """The model and the settings of mf-sim, mf-hetero and cycle."""
+    p = ModelParams.from_dict(_params(cfg, args))
+    s = _resolve(cfg, args, horizon=200.0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, sample_dt=None)
+    if s["horizon"] <= 0:
+        raise ConfigError("horizon must be > 0")
+    return p, {"params": p.to_dict(), "initial": _initial(cfg, args), **s}
+
+
+def _abm_settings(cfg: dict, args) -> tuple[abm_mod.AbmConfig, dict]:
+    """The run spec of abm-sim and compare, and the settings that rebuild it."""
+    p = ModelParams.from_dict(_params(cfg, args))
+    s = _resolve(cfg, args, horizon=30.0, sample_dt=0.1, seed=None, n=None, mode="aggregated")
+    if s["seed"] is None:
+        if getattr(args, "strict", False):
+            raise ConfigError("--seed is mandatory in strict mode")
+        s["seed"] = 0
+    block = _block(cfg, "abm")
+    graph = block.get("graph")
+    if (graph is None) == (s["n"] is None):
+        raise ConfigError("abm needs either --n (complete graph) or an abm.graph block")
+    settings = {"params": p.to_dict(), "horizon": s["horizon"], "sample_dt": s["sample_dt"],
+                "seed": s["seed"]}
+    spec = {**settings, **{k: block[k] for k in ABM_SPEC_KEYS if k in block},
+            "graph": {"type": "complete", "n": s["n"]} if graph is None else graph,
+            "infection_mode": s["mode"]}
+    if "behaviours0" not in block and "healths0" not in block:
+        settings["initial"] = _initial(cfg, args)
+        spec["x0"], spec["y0"] = settings["initial"]["x"], settings["initial"]["y"]
+    acfg = abm_mod.AbmConfig.from_dict(spec)
+    return acfg, {**settings, "abm": acfg.to_dict()}
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _cmd_regime(args) -> int:
-    cfg = _load_config(args.config)
-    p = _merge_params(cfg, args)
+def _cmd_regime(cfg: dict, args) -> int:
+    p = ModelParams.from_dict(_params(cfg, args))
     outdir = _outdir(cfg, args)
     report = classify_regime(p)
     out = outdir / "regime.json"
     write_json(out, report.to_dict())
-    _write_sidecar(outdir, "regime", params=p.to_dict())
+    _write_sidecar(outdir, "regime", {"params": p.to_dict()})
     print(f"regime: {report.label.value}")
     for c in report.conditions:
         mark = "ok " if c.satisfied else "NOT"
@@ -132,14 +207,13 @@ def _cmd_regime(args) -> int:
     return 0
 
 
-def _cmd_equilibria(args) -> int:
-    cfg = _load_config(args.config)
-    p = _merge_params(cfg, args)
+def _cmd_equilibria(cfg: dict, args) -> int:
+    p = ModelParams.from_dict(_params(cfg, args))
     outdir = _outdir(cfg, args)
     reports = find_equilibria(p)
     out = outdir / "equilibria.json"
     write_json(out, {"params": p.to_dict(), "equilibria": [r.to_dict() for r in reports]})
-    _write_sidecar(outdir, "equilibria", params=p.to_dict())
+    _write_sidecar(outdir, "equilibria", {"params": p.to_dict()})
     for r in reports:
         if r.exists:
             print(
@@ -151,131 +225,51 @@ def _cmd_equilibria(args) -> int:
     return 0
 
 
-def _initial_state(cfg: dict, args) -> tuple[float, float]:
-    initial = {**DEFAULT_INITIAL, **cfg.get("initial", {})}
-    return _scalar(cfg, args, "x0", initial["x"]), _scalar(cfg, args, "y0", initial["y"])
-
-
-def _integration_block(cfg: dict, args):
-    x0, y0 = _initial_state(cfg, args)
-    horizon = _scalar(cfg, args, "horizon", cfg.get("horizon", 200.0))
-    if horizon is None or horizon <= 0:
-        raise ConfigError("horizon must be > 0")
-    rtol = _scalar(cfg, args, "rtol", cfg.get("rtol", DEFAULT_RTOL))
-    atol = _scalar(cfg, args, "atol", cfg.get("atol", DEFAULT_ATOL))
-    sample_dt = _scalar(cfg, args, "sample_dt", cfg.get("sample_dt"))
-    return x0, y0, horizon, rtol, atol, sample_dt
-
-
-def _cmd_mf_sim(args) -> int:
-    cfg = _load_config(args.config)
-    p = _merge_params(cfg, args)
+def _cmd_mf_sim(cfg: dict, args) -> int:
+    p, s = _ode_settings(cfg, args)
     outdir = _outdir(cfg, args)
-    x0, y0, horizon, rtol, atol, sample_dt = _integration_block(cfg, args)
-    traj = integrate_planar(MacroState(x0, y0), p, horizon, rtol, atol, sample_dt)
+    traj = integrate_planar(MacroState(**s["initial"]), p, s["horizon"], s["rtol"], s["atol"],
+                            s["sample_dt"])
     out = outdir / "mf_sim.csv"
     traj.to_csv(out)
-    _write_sidecar(outdir, "mf-sim", params=p.to_dict(), initial={"x": x0, "y": y0},
-                   horizon=horizon, rtol=rtol, atol=atol, sample_dt=sample_dt)
+    _write_sidecar(outdir, "mf-sim", s)
     xf, yf = traj.final_state().as_tuple()
     print(f"final state: ({xf:.6f}, {yf:.6f}); wrote {out}")
     return 0
 
 
-def _hetero_block(cfg: dict, p: ModelParams):
-    block = cfg.get("hetero")
-    if not block:
-        raise ConfigError("mf-hetero needs a 'hetero' config block (graph, initial vectors)")
+def _cmd_mf_hetero(cfg: dict, args) -> int:
+    p, s = _ode_settings(cfg, args)
+    block = _block(cfg, "hetero")
     if "graph" not in block:
-        raise ConfigError("the 'hetero' config block needs a 'graph'")
+        raise ConfigError("mf-hetero needs a 'hetero' config block with a 'graph'")
     graph = InfluenceGraph.from_dict(block["graph"])
-    acts = block.get("activities", "uniform")
-    if acts == "uniform":
-        activities = np.full(graph.n, p.alpha)
-    else:
-        activities = np.asarray(acts, dtype=float)
-    px0 = block.get("p_x0", 0.5)
-    py0 = block.get("p_y0", 0.5)
-    p_x = np.full(graph.n, float(px0)) if np.isscalar(px0) else np.asarray(px0, dtype=float)
-    p_y = np.full(graph.n, float(py0)) if np.isscalar(py0) else np.asarray(py0, dtype=float)
-    return graph, activities, ProbabilityState(p_x=p_x, p_y=p_y), block
+    activities = abm_mod.activities_from(block.get("activities", "uniform"), graph.n, p.alpha)
 
+    def start(v):  # hetero.p_x0 or p_y0: one probability for every node, or one per node
+        value = block.get(f"p_{v}0", s["initial"][v])
+        return np.full(graph.n, value, float) if np.isscalar(value) else np.asarray(value, float)
 
-def _cmd_mf_hetero(args) -> int:
-    cfg = _load_config(args.config)
-    p = _merge_params(cfg, args)
+    try:
+        ps0 = ProbabilityState(start("x"), start("y"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"hetero.p_x0, p_y0: {exc}") from exc
+    s["hetero"] = {**block, "graph": graph.to_dict()}
     outdir = _outdir(cfg, args)
-    _, _, horizon, rtol, atol, sample_dt = _integration_block(cfg, args)
-    graph, activities, ps0, block = _hetero_block(cfg, p)
-    hetero, macro = integrate_hetero(ps0, graph, activities, p, horizon, rtol, atol, sample_dt)
+    hetero, macro = integrate_hetero(ps0, graph, activities, p, s["horizon"], s["rtol"],
+                                     s["atol"], s["sample_dt"])
     nodes_out = outdir / "hetero_nodes.csv"
     macro_out = outdir / "hetero_macro.csv"
     hetero.to_csv(nodes_out)
     macro.to_csv(macro_out)
-    _write_sidecar(outdir, "mf-hetero", params=p.to_dict(),
-                   hetero={**block, "graph": graph.to_dict()},
-                   horizon=horizon, rtol=rtol, atol=atol, sample_dt=sample_dt)
+    _write_sidecar(outdir, "mf-hetero", s)
     print(f"wrote {nodes_out} and {macro_out}")
     return 0
 
 
-def _abm_config(cfg: dict, args, p: ModelParams) -> abm_mod.AbmConfig:
-    block = dict(cfg.get("abm", {}))
-    n = int(getattr(args, "n", None) or block.get("n", 0) or 0)
-    graph_spec = block.get("graph")
-    if graph_spec:
-        graph = InfluenceGraph.from_dict(graph_spec)
-    elif n >= 2:
-        graph = InfluenceGraph.complete(n)
-    else:
-        raise ConfigError("abm needs either --n (complete graph) or an abm.graph block")
-    acts = block.get("activities", "uniform")
-    activities = (
-        np.full(graph.n, p.alpha) if acts == "uniform" else np.asarray(acts, dtype=float)
-    )
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = cfg.get("seed", block.get("seed"))
-    if getattr(args, "strict", False) and seed is None:
-        raise ConfigError("--seed is mandatory in strict mode")
-    if seed is None:
-        seed = 0
-    x0, y0 = _initial_state(cfg, args)
-    kwargs = {}
-    if "behaviours0" in block:
-        kwargs["behaviours0"] = np.asarray(block["behaviours0"])
-        kwargs["healths0"] = np.asarray(block["healths0"])
-    else:
-        kwargs["x0"], kwargs["y0"] = x0, y0
-    mode = getattr(args, "mode", None) or block.get("infection_mode", "aggregated")
-    return abm_mod.AbmConfig(
-        params=p,
-        graph=graph,
-        activities=activities,
-        horizon=_scalar(cfg, args, "horizon", cfg.get("horizon", 30.0)),
-        sample_dt=_scalar(cfg, args, "sample_dt", cfg.get("sample_dt", 0.1)),
-        seed=int(seed),
-        infection_mode=mode,
-        directionality=block.get("directionality", "bidirectional"),
-        record_events=block.get("record_events"),
-        **kwargs,
-    )
-
-
-def _abm_sidecar(acfg: abm_mod.AbmConfig) -> dict:
-    """The keys `_abm_config` reads from the top level, then the full run spec."""
-    top = {"params": acfg.params.to_dict(), "horizon": acfg.horizon,
-           "sample_dt": acfg.sample_dt, "seed": acfg.seed}
-    if acfg.x0 is not None:
-        top["initial"] = {"x": acfg.x0, "y": acfg.y0}
-    return {**top, "abm": acfg.to_dict()}
-
-
-def _cmd_abm_sim(args) -> int:
-    cfg = _load_config(args.config)
-    p = _merge_params(cfg, args)
+def _cmd_abm_sim(cfg: dict, args) -> int:
+    acfg, settings = _abm_settings(cfg, args)
     outdir = _outdir(cfg, args)
-    acfg = _abm_config(cfg, args, p)
     traj, log = abm_mod.simulate(acfg)
     traj_out = outdir / "abm_traj.csv"
     traj.to_csv(traj_out)
@@ -284,7 +278,7 @@ def _cmd_abm_sim(args) -> int:
         ev_out = outdir / "abm_events.csv"
         log.to_csv(ev_out)
         written.append(ev_out)
-    _write_sidecar(outdir, "abm-sim", **_abm_sidecar(acfg))
+    _write_sidecar(outdir, "abm-sim", settings)
     xf, yf = traj.final_state().as_tuple()
     print(
         f"n={acfg.graph.n} seed={acfg.seed} events={len(log) if acfg.record_events else 'off'} "
@@ -293,28 +287,21 @@ def _cmd_abm_sim(args) -> int:
     return 0
 
 
-def _cmd_cycle(args) -> int:
-    cfg = _load_config(args.config)
-    p = _merge_params(cfg, args)
+def _cmd_cycle(cfg: dict, args) -> int:
+    p, s = _ode_settings(cfg, args)
+    if s["sample_dt"] is None:
+        s["sample_dt"] = s["horizon"] / 50000  # dense enough for stable period estimates
+    s["cycle"] = _resolve(cfg, args, tol_cycle=DEFAULT_TOL_CYCLE,
+                          transient_frac=DEFAULT_TRANSIENT_FRAC,
+                          min_crossings=DEFAULT_MIN_CROSSINGS)
     outdir = _outdir(cfg, args)
-    x0, y0, horizon, rtol, atol, sample_dt = _integration_block(cfg, args)
-    if sample_dt is None:
-        sample_dt = horizon / 50000  # dense enough for stable period estimates
-    block = cfg.get("cycle", {})
-    tol_cycle = _scalar(cfg, args, "tol_cycle", block.get("tol_cycle", DEFAULT_TOL_CYCLE))
-    transient = _scalar(cfg, args, "transient_frac",
-                        block.get("transient_frac", DEFAULT_TRANSIENT_FRAC))
-    min_cross = int(block.get("min_crossings", DEFAULT_MIN_CROSSINGS))
-    traj = integrate_planar(MacroState(x0, y0), p, horizon, rtol, atol, sample_dt)
-    report = detect_cycle(traj, p, tol_cycle=tol_cycle, transient_frac=transient,
-                          min_crossings=min_cross)
+    traj = integrate_planar(MacroState(**s["initial"]), p, s["horizon"], s["rtol"], s["atol"],
+                            s["sample_dt"])
+    report = detect_cycle(traj, p, **s["cycle"])
     out = outdir / "cycle.json"
     write_json(out, report.to_dict())
     report.crossings_to_csv(outdir / "crossings.csv")
-    _write_sidecar(outdir, "cycle", params=p.to_dict(), initial={"x": x0, "y": y0},
-                   horizon=horizon, rtol=rtol, atol=atol, sample_dt=sample_dt,
-                   cycle={"tol_cycle": tol_cycle, "transient_frac": transient,
-                          "min_crossings": min_cross})
+    _write_sidecar(outdir, "cycle", s)
     if report.verdict.value == "limit-cycle":
         print(f"verdict: limit-cycle, period {report.period:.6f}")
     elif report.point is not None:
@@ -325,19 +312,17 @@ def _cmd_cycle(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    outdir = _outdir(cfg, args)
-    block = cfg.get("sweep")
-    if not block or "grid" not in block:
+def _cmd_sweep(cfg: dict, args) -> int:
+    block = _block(cfg, "sweep")
+    if "grid" not in block:
         raise ConfigError("sweep needs a 'sweep' config block with a 'grid'")
-    grid = block["grid"]
+    grid = _block(block, "grid")
     if not 1 <= len(grid) <= 2:
         raise ConfigError("sweep grid must vary one or two parameters")
     for name in grid:
         if name not in PARAM_KEYS:
             raise ConfigError(f"cannot sweep {name!r}; choose from {PARAM_KEYS}")
-    base = _param_dict(cfg, args)
+    base = _params(cfg, args)
     names = list(grid.keys())
     axes = []
     for name in names:
@@ -346,18 +331,20 @@ def _cmd_sweep(args) -> int:
         missing = [k for k in keys if not isinstance(spec, dict) or k not in spec]
         if missing:
             raise ConfigError(f"sweep axis {name!r} needs {', '.join(missing)}")
-        steps = int(spec["steps"])
+        lo, hi, steps = (config_value(f"sweep axis {name!r} {k}", spec[k], cast)
+                         for k, cast in zip(keys, (float, float, int)))
         if steps < 1:
             raise ConfigError(f"sweep axis {name!r} needs steps >= 1")
-        axes.append(np.linspace(float(spec["min"]), float(spec["max"]), steps))
+        axes.append(np.linspace(lo, hi, steps))
+    outdir = _outdir(cfg, args)
     # a point is valid when each of its values is, so one check per axis
     # value suffices; taking the last axis first, with every other axis at
     # its first value, raises for the first invalid point in row order
     first = {name: float(axis[0]) for name, axis in zip(names, axes)}
     for name, axis in reversed(list(zip(names, axes))):
         for value in axis.tolist():
-            _params_from({**base, **first, name: value})
-    fixed = _params_from({**base, **first}).to_dict()
+            ModelParams.from_dict({**base, **first, name: value})
+    fixed = ModelParams.from_dict({**base, **first}).to_dict()
     mesh = [a.ravel() for a in np.meshgrid(*axes, indexing="ij")]
     values = {**fixed, **dict(zip(names, mesh))}
     ledger = regime_ledger(*(values[k] for k in PARAM_KEYS))
@@ -370,24 +357,20 @@ def _cmd_sweep(args) -> int:
     ledger_columns = [v for cond in zip(ledger.lhs, ledger.rhs, ledger.satisfied) for v in cond]
     out = outdir / "sweep.csv"
     write_csv(out, header, row, columns(*mesh, ledger.labels, *ledger_columns))
-    _write_sidecar(outdir, "sweep", params=base, sweep=block)
+    _write_sidecar(outdir, "sweep", {"params": base, "sweep": block})
     print(f"wrote {out} ({mesh[0].size} rows)")
     return 0
 
 
-def _cmd_compare(args) -> int:
-    cfg = _load_config(args.config)
-    p = _merge_params(cfg, args)
+def _cmd_compare(cfg: dict, args) -> int:
+    acfg, settings = _abm_settings(cfg, args)
+    settings["compare"] = _resolve(cfg, args, n_runs=20, n_jobs=1)
     outdir = _outdir(cfg, args)
-    acfg = _abm_config(cfg, args, p)
-    block = cfg.get("compare", {})
-    n_runs = int(getattr(args, "n_runs", None) or block.get("n_runs", 20))
-    n_jobs = int(block.get("n_jobs", 1))
-    ens = abm_mod.ensemble(acfg, n_runs, n_jobs=n_jobs)
+    ens = abm_mod.ensemble(acfg, **settings["compare"])
     x0 = acfg.x0 if acfg.x0 is not None else float(acfg.behaviours0.mean())
     y0 = acfg.y0 if acfg.y0 is not None else float((acfg.healths0 == 1).mean())
     ode = integrate_planar(
-        MacroState(x0, y0), p, acfg.horizon, sample_dt=acfg.sample_dt,
+        MacroState(x0, y0), acfg.params, acfg.horizon, sample_dt=acfg.sample_dt,
         bidirectional=acfg.bidirectional,
     )
     ode_out = outdir / "compare_ode.csv"
@@ -398,8 +381,7 @@ def _cmd_compare(args) -> int:
     gap_x = ens.x_mean - ode.xs
     gap_y = ens.y_mean - ode.ys
     write_csv(gap_out, "t,gap_x,gap_y", "%.12g,%.17g,%.17g\n", columns(ens.times, gap_x, gap_y))
-    _write_sidecar(outdir, "compare", **_abm_sidecar(acfg),
-                   compare={"n_runs": n_runs, "n_jobs": n_jobs})
+    _write_sidecar(outdir, "compare", settings)
     sup = float(np.maximum(np.abs(gap_x), np.abs(gap_y)).max())
     print(f"sup-norm gap over horizon: {sup:.5f}")
     print(f"wrote {ode_out}, {abm_out}, {gap_out}")
@@ -499,7 +481,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_load_config(args.config), args)
     except (AssumptionError, ConfigError, InvalidParameterError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

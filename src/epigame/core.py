@@ -30,6 +30,19 @@ class ConfigError(ValueError):
     """An experiment configuration is malformed or incomplete."""
 
 
+# the keys of a params object, in the order of ModelParams.to_dict
+PARAM_KEYS = ("alpha", "lambda", "mu", "c", "zeta")
+
+
+def config_value(name: str, value, cast):
+    """`value` read by `cast` (float, int); a value it cannot read, null
+    included, is a ConfigError naming the setting."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be {cast.__name__}, not {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The five scalar parameters of the coupled model.
@@ -90,16 +103,10 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":
-        try:
-            return cls(
-                alpha=d["alpha"],
-                lam=d["lambda"],
-                mu=d["mu"],
-                c=d["c"],
-                zeta=d["zeta"],
-            )
-        except KeyError as exc:
-            raise InvalidParameterError(str(exc.args[0]), "missing from params object") from exc
+        missing = [k for k in PARAM_KEYS if k not in d]
+        if missing:
+            raise ConfigError(f"missing model parameters: {', '.join(missing)}")
+        return cls(alpha=d["alpha"], lam=d["lambda"], mu=d["mu"], c=d["c"], zeta=d["zeta"])
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,8 @@ class InfluenceGraph:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InfluenceGraph":
+        if not isinstance(d, dict):
+            raise GraphError("a graph is a JSON object with a 'type'")
         kind = d.get("type")
         key = {"complete": "n", "adjacency": "lists"}.get(kind)
         if key is None:

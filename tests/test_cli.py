@@ -142,6 +142,21 @@ class TestMfHetero:
         assert run(["mf-hetero", *REF, "--zeta", "5", "--config", str(cfg)], tmp_path) == 2
         assert "graph" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("initial", [{"x": 0.9, "y": 0.9}, None], ids=["block", "default"])
+    def test_nodes_start_at_the_initial_state(self, tmp_path, capsys, initial):
+        cfg = tmp_path / "cfg.json"
+        given = {} if initial is None else {"initial": initial}
+        cfg.write_text(json.dumps({**given, "hetero": {"graph": {"type": "complete", "n": 3}}}))
+        args = ["mf-hetero", *REF, "--zeta", "5", "--horizon", "1", "--config", str(cfg)]
+        assert run(args, tmp_path) == 0
+        capsys.readouterr()
+        expected = initial or {"x": 0.5, "y": 0.1}
+        nodes = np.loadtxt(tmp_path / "hetero_nodes.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(nodes[:3], [[0, k, expected["x"], expected["y"]]
+                                                  for k in range(3)])
+        sidecar = json.loads((tmp_path / "mf-hetero.config.json").read_text())
+        assert sidecar["initial"] == expected
+
 
 class TestAbmSim:
     ARGS = ["abm-sim", *REF, "--zeta", "8", "--n", "60", "--seed", "7",
@@ -207,6 +222,54 @@ class TestAbmSim:
             args += ["--config", str(cfg)]
         assert run(args, tmp_path) == 2
         assert "sample_dt" in capsys.readouterr().err
+
+
+ABM = ["--n", "20", "--seed", "1", "--horizon", "1"]
+
+
+@pytest.mark.parametrize("command,flags,cfg,message", [
+    pytest.param("regime", [], [], "config", id="config-list"),
+    pytest.param("regime", [], {"params": [1]}, "params", id="params-list"),
+    pytest.param("mf-sim", [], {"horizon": "abc"}, "horizon", id="horizon-text"),
+    pytest.param("mf-sim", [], {"initial": {"x": "a"}}, "initial.x", id="initial-text"),
+    pytest.param("abm-sim", ["--n", "20", "--seed", "1"], {"sample_dt": [1]}, "sample_dt",
+                 id="sample_dt-list"),
+    pytest.param("abm-sim", ["--seed", "1"], {"abm": {"n": "abc"}}, "abm.n", id="n-text"),
+    pytest.param("abm-sim", ["--n", "0", "--seed", "1"], {"abm": {"n": 60}}, "at least one node",
+                 id="n-flag-zero"),
+    pytest.param("abm-sim", ABM, {"abm": {"graph": {"type": "complete", "n": 20}}}, "either",
+                 id="n-and-graph"),
+    pytest.param("compare", ABM, {"compare": {"n_jobs": "x"}}, "compare.n_jobs",
+                 id="n_jobs-text"),
+    pytest.param("compare", [*ABM, "--n-runs", "0"], None, "n_runs", id="n_runs-flag-zero"),
+    pytest.param("abm-sim", ABM, {"abm": {"activities": "pareto"}}, "activities",
+                 id="activities-text"),
+    pytest.param("abm-sim", ["--seed", "1"], {"abm": {"graph": [[1], [0]]}}, "graph",
+                 id="graph-list"),
+    pytest.param("mf-hetero", [], {"hetero": {"graph": {"type": "complete", "n": 3}, "p_x0": 2}},
+                 "p_x0", id="p_x0-above-one"),
+])
+def test_rejects_malformed_settings(tmp_path, capsys, command, flags, cfg, message):
+    args = [command, *REF, "--zeta", "8", *flags]
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        args += ["--config", str(path)]
+    assert run(args, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_cycle_settings_live_in_the_cycle_block(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol_cycle": 0.5, "min_crossings": 2,
+                               "cycle": {"tol_cycle": 1e-3}}))
+    args = ["cycle", *REF, "--zeta", "9.5", "--horizon", "10", "--config", str(cfg)]
+    assert run(args, tmp_path) == 0
+    capsys.readouterr()
+    sidecar = json.loads((tmp_path / "cycle.config.json").read_text())
+    assert sidecar["cycle"] == {"tol_cycle": 1e-3, "transient_frac": 0.3, "min_crossings": 5}
 
 
 @pytest.mark.parametrize("command", ["abm-sim", "compare", "mf-sim", "cycle", "mf-hetero"])
@@ -356,6 +419,12 @@ SWEEP_CFG = {"params": {"lambda": 0.5},
              "sweep": {"grid": {"zeta": {"min": 5, "max": 10, "steps": 4},
                                 "c": {"min": 2, "max": 4, "steps": 3}}}}
 INTEGRATION = ["--x0", "0.4", "--y0", "0.2", "--horizon", "7.3", "--sample-dt", "0.1"]
+# a ring with chords, per-agent activities and an explicit initial population
+ABM_GRAPH_CFG = {"abm": {"graph": {"type": "adjacency",
+                                   "lists": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 0], [0, 1]]},
+                         "activities": [2.0, 3.0, 4.0, 2.5, 3.5, 3.0],
+                         "behaviours0": [1, 0, 1, 0, 0, 1],
+                         "healths0": [0, 1, 0, 0, 1, 0]}}
 RERUN_CASES = {
     "regime": ([*REF, "--zeta", "9.5"], None),
     "equilibria": ([*REF, "--zeta", "8"], None),
@@ -367,14 +436,19 @@ RERUN_CASES = {
     "sweep": (["--alpha", "3", "--mu", "1"], SWEEP_CFG),
     "compare": ([*REF, "--zeta", "5", "--n", "60", "--seed", "3", "--n-runs", "2",
                  *INTEGRATION], None),
+    "abm-sim/graph": ([*REF, "--zeta", "8", "--seed", "5", "--horizon", "3", "--sample-dt", "0.5"],
+                      ABM_GRAPH_CFG),
+    "compare/graph": ([*REF, "--zeta", "8", "--seed", "5", "--n-runs", "2", "--mode", "contact",
+                       "--horizon", "3", "--sample-dt", "0.5"], ABM_GRAPH_CFG),
 }
 
 
-@pytest.mark.parametrize("command", sorted(RERUN_CASES))
-def test_raw_sidecar_rerun_is_byte_identical(tmp_path, capsys, command):
+@pytest.mark.parametrize("case", sorted(RERUN_CASES))
+def test_raw_sidecar_rerun_is_byte_identical(tmp_path, capsys, case):
     """Feeding `<command>.config.json` back unedited, with only a new
     --outdir, reproduces every artifact and the sidecar itself."""
-    flags, cfg = RERUN_CASES[command]
+    flags, cfg = RERUN_CASES[case]
+    command = case.split("/")[0]
     a, b = tmp_path / "a", tmp_path / "b"
     args = [command, *flags]
     if cfg is not None:
