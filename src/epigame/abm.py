@@ -22,47 +22,60 @@ zeta >= 0, q01_i <= 1 + zeta*ybar and q10_i <= 1 + c. The adopt channel
 therefore fires at n0*(1 + zeta*ybar), or 0 when nobody protects (every q01
 is then 0), and the drop channel at n1*(1 + c), or 0 when everybody protects.
 
-Random-draw contract (per event, in order; this is what seeded replay
-reproduces):
+Random-draw contract (what seeded replay reproduces). A "uniform" below is
+one draw of U[0,1), taken by path:
 
-1. ``rng.exponential(1/R)``     -- waiting time, R the total rate
-2. ``rng.random()``             -- channel choice, cumulative over
+- the frozen path, the complete graph with uniform activities: scalar
+  ``rng.random()`` calls, with the waiting time from ``rng.exponential``.
+  Its seeded logs are pinned by the acceptance tests and never change;
+- every other path (any other graph, or heterogeneous activities): the next
+  double of the ``rng.random(4096)`` blocks, which are the doubles that
+  successive scalar calls would give.
+
+Per event, in order:
+
+1. waiting time, R the total rate: ``rng.exponential(1/R)`` on the frozen
+   path, -log(1 - u)/R for a uniform u on every other path
+2. a uniform for the channel choice, cumulative over
    [recovery, infection|contact, adopt, drop]
-3. member selection inside the channel: ``rng.random()`` as a uniform index
-   into the group list -- infected (recovery), eligible = susceptible and
-   unprotected (aggregated infection), non-adopters (adopt), adopters (drop).
-   The lists start in ascending agent order; a member joins at the end, and
-   a leaving member's slot takes the last member. With heterogeneous
-   activities the bidirectional aggregated infection target is drawn by
-   rejection (one extra ``rng.random()`` against the largest weight per
-   attempt). The contact initiator is a uniform index with uniform
-   activities; with heterogeneous ones it is drawn by the same rejection on
-   the complete graph, and on any other graph it is ``rng.random()`` times
-   the last cumulative activity, placed by ``bisect_right`` in the
-   cumulative activities.
+3. member selection inside the channel: a uniform as an index into the
+   group list -- infected (recovery), eligible = susceptible and unprotected
+   (aggregated infection), non-adopters (adopt), adopters (drop). The lists
+   start in ascending agent order; a member joins at the end, and a leaving
+   member's slot takes the last member. With heterogeneous activities the
+   bidirectional aggregated infection target is drawn by rejection (one
+   extra uniform against the largest weight per attempt). The contact
+   initiator is a uniform index with uniform activities. With heterogeneous
+   ones a single uniform u picks it from Vose's alias table of the
+   activities, built once per run: k = int(u*n), and the initiator is k if
+   u*n - k < prob[k], else alias[k].
 4. adopt and drop off the complete graph: the walk that accepts or rejects
-   the proposal of member i. ``rng.random()`` picks a uniform out-neighbour j
-   of i. Adopt: if j protects, ``rng.random() * (1 + zeta*ybar) < zeta*ybar``
-   accepts, and otherwise ``rng.random()`` picks a uniform out-neighbour m of
-   j and the proposal is accepted iff m protects; if j does not protect, it
-   is rejected. So P(accept) = (A_i + zeta*ybar*B_i) / (1 + zeta*ybar) =
+   the proposal of member i. A uniform picks a uniform out-neighbour j of
+   i. Adopt: if j protects, ``u * (1 + zeta*ybar) < zeta*ybar`` for a
+   uniform u accepts, and otherwise a uniform picks a uniform out-neighbour m
+   of j and the proposal is accepted iff m protects; if j does not protect,
+   it is rejected. So P(accept) = (A_i + zeta*ybar*B_i) / (1 + zeta*ybar) =
    q01_i / (1 + zeta*ybar), with A_i the mean of x_j*B_j. Drop: the same
    with "does not protect" for "protects" and c for zeta*ybar, so P(accept)
    = q10_i / (1 + c).
-5. contact events only: ``rng.random()`` for the partner (uniform over the
-   other n-1 agents) and, only when a transmissible pair realises,
-   ``rng.random()`` against the per-contact infection probability.
+5. contact events only: a uniform for the partner (uniform over the other
+   n-1 agents) and, only when a transmissible pair realises, a uniform
+   against the per-contact infection probability.
 
 Initial conditions sampled from fractions consume ``rng.random(n)`` twice
 (behaviours first, then healths) before any event draw.
 
-Cost per event: O(1) on every graph (group lists with swap-with-last
-removal, and walks of at most two out-neighbour steps), plus the rejection
-attempts with heterogeneous activities and one O(log n) bisection for a
-heterogeneous contact initiator off the complete graph. The loop holds the
-agent state and the out-neighbour lists in Python lists for the whole run,
-so no event touches a numpy scalar; it writes the state back into the
-``Population`` for the debug checks and for the final counter check.
+Cost per event: O(1) on every graph and every draw path (group lists with
+swap-with-last removal, walks of at most two out-neighbour steps, one alias
+lookup), after an O(n) alias table per heterogeneous contact run. The one
+exception is the rejection for the aggregated bidirectional target with
+heterogeneous activities: with n_I infected, A_I their activity sum and
+A_E the activity sum of the n_E eligible, it takes on average
+(a_max*n_I + A_I) / (A_E*n_I/n_E + A_I) attempts, at most a_max/a_min. The
+loop holds the agent state and the out-neighbour lists in Python lists for
+the whole run, so no event touches a numpy scalar; it writes the state back
+into the ``Population`` for the debug checks and for the final counter
+check.
 
 The loop counts its events per kind in ``Trajectory.meta["events"]``, also
 when no log is kept, and the rejected adopt and drop proposals in
@@ -75,9 +88,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -90,6 +103,9 @@ NO_PROTECTION, PROTECTION = 0, 1
 SUSCEPTIBLE, INFECTED = 0, 1
 
 RNG_NAME = "numpy-pcg64"
+
+# uniforms drawn per ``rng.random`` call on the buffered paths
+UNIFORM_BLOCK = 4096
 
 EVENT_CONTACT = "contact"
 EVENT_INFECTION = "infection"
@@ -280,6 +296,12 @@ class AbmConfig:
             initial = {"behaviours0": d.get("behaviours0"), "healths0": d.get("healths0")}
         else:
             initial = {k: config_value(k, d.get(k), float) for k in ("x0", "y0")}
+        record_events = d.get("record_events")
+        if record_events is not None and not isinstance(record_events, bool):
+            raise ConfigError("record_events must be true, false or null")
+        debug_check = d.get("debug_check", False)
+        if not isinstance(debug_check, bool):
+            raise ConfigError("debug_check must be true or false")
         return cls(
             params=params,
             graph=graph,
@@ -289,8 +311,8 @@ class AbmConfig:
             seed=config_value("seed", d.get("seed"), int),
             infection_mode=d.get("infection_mode", "aggregated"),
             directionality=d.get("directionality", "bidirectional"),
-            record_events=d.get("record_events"),
-            debug_check=bool(d.get("debug_check", False)),
+            record_events=record_events,
+            debug_check=debug_check,
             **initial,
         )
 
@@ -328,6 +350,38 @@ class _IndexedSet:
 
     def __len__(self):
         return len(self.items)
+
+
+def _uniform_stream(rng: np.random.Generator):
+    """A zero-argument draw of one uniform: the doubles of successive
+    ``rng.random(UNIFORM_BLOCK)`` blocks, in order. They equal successive
+    scalar ``rng.random()`` calls, at the cost of one list step each."""
+    blocks = iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)
+    return chain.from_iterable(blocks).__next__
+
+
+def _alias_table(weights) -> tuple[list, list]:
+    """Vose's alias table for a pick proportional to ``weights``, in O(n).
+
+    With k = int(u*n) for a uniform u, the pick is k if u*n - k < prob[k],
+    else alias[k]; so agent i is picked with probability
+    (prob[i] + sum of 1 - prob[k] over k with alias[k] = i) / n.
+    """
+    n = len(weights)
+    total = math.fsum(weights)
+    scaled = [w * n / total for w in weights]
+    prob = [1.0] * n
+    alias = list(range(n))
+    small = [i for i, s in enumerate(scaled) if s < 1.0]
+    large = [i for i, s in enumerate(scaled) if s >= 1.0]
+    while small and large:
+        lo, hi = small.pop(), large.pop()
+        prob[lo], alias[lo] = scaled[lo], hi
+        # Vose's order of operations: hi keeps the excess over 1 that lo did not take
+        scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
+        (small if scaled[hi] < 1.0 else large).append(hi)
+    # what is left on either list has weight 1 up to rounding, and keeps prob 1
+    return prob, alias
 
 
 def _initial_population(cfg: AbmConfig, rng: np.random.Generator) -> Population:
@@ -403,12 +457,11 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
     horizon = cfg.horizon
     log = EventLog()
     log_event = log.events.append
-    # off the complete graph: out-neighbour lists for the thinning walks, and
-    # cumulative activities for a heterogeneous contact initiator
+    # off the complete graph: out-neighbour lists for the thinning walks
     nbrs = None if g.is_complete else [g.neighbors(i).tolist() for i in range(n)]
-    cum_act = None
-    if nbrs is not None and contact_mode and not uniform_act:
-        cum_act = np.cumsum(acts).tolist()
+    # with heterogeneous activities: the contact initiator's alias table
+    if contact_mode and not uniform_act:
+        alias_prob, alias = _alias_table(a)
 
     free = (ys == SUSCEPTIBLE) & (xs == NO_PROTECTION)
     adopters = np.flatnonzero(xs == PROTECTION).tolist()
@@ -428,8 +481,14 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
     out_y = []
     t = 0.0
     lam, mu, c, zeta = p.lam, p.mu, p.c, p.zeta
-    random = rng.random
-    exponential = rng.exponential
+    # the draw contract by path (module docstring)
+    frozen = nbrs is None and uniform_act
+    if frozen:
+        random = rng.random
+        exponential = rng.exponential
+    else:
+        random = _uniform_stream(rng)
+    ln = math.log
 
     while True:
         n1 = len(adopters)
@@ -460,7 +519,10 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
         total = r_rec + r_mid + r_adopt + r_drop
         if total <= 0.0:
             break
-        t_new = t + exponential(1.0 / total)
+        if frozen:
+            t_new = t + exponential(1.0 / total)
+        else:
+            t_new = t - ln(1.0 - random()) / total
         # sample every grid time strictly before min(t_new, horizon)
         if t_next < t_new and t_next < horizon:
             if sum(x) != n1 or sum(y) != n_inf:
@@ -492,13 +554,11 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
             if contact_mode:
                 if uniform_act:
                     i = int(random() * n)
-                elif cum_act is None:
-                    while True:
-                        i = int(random() * n)
-                        if random() * a_max <= a[i]:
-                            break
                 else:
-                    i = bisect_right(cum_act, random() * cum_act[-1])
+                    u = random() * n
+                    i = int(u)
+                    if u - i >= alias_prob[i]:
+                        i = alias[i]
                 j = int(random() * (n - 1))
                 if j >= i:
                     j += 1

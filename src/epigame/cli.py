@@ -181,7 +181,11 @@ def _abm_settings(cfg: dict, args) -> tuple[abm_mod.AbmConfig, dict]:
     spec = {**settings, **{k: block[k] for k in ABM_SPEC_KEYS if k in block},
             "graph": {"type": "complete", "n": s["n"]} if graph is None else graph,
             "infection_mode": s["mode"]}
-    if "behaviours0" not in block and "healths0" not in block:
+    if "behaviours0" in block or "healths0" in block:
+        if args.x0 is not None or args.y0 is not None or "initial" in cfg:
+            raise ConfigError("give either abm.behaviours0 and abm.healths0 or an initial "
+                              "state (--x0/--y0 or the initial block), not both")
+    else:
         settings["initial"] = _initial(cfg, args)
         spec["x0"], spec["y0"] = settings["initial"]["x"], settings["initial"]["y"]
     acfg = abm_mod.AbmConfig.from_dict(spec)
@@ -409,11 +413,14 @@ def _add_initial_flags(sp):
                     help=f"initial prevalence (default {DEFAULT_INITIAL['y']})")
 
 
-def _add_integration_flags(sp):
+def _add_horizon_flags(sp):
     sp.add_argument("--horizon", type=float)
+    sp.add_argument("--sample-dt", dest="sample_dt", type=float)
+
+
+def _add_tolerance_flags(sp):
     sp.add_argument("--rtol", type=float)
     sp.add_argument("--atol", type=float)
-    sp.add_argument("--sample-dt", dest="sample_dt", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,18 +441,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mf-sim", help="integrate the planar mean-field system")
     _add_param_flags(sp)
     _add_initial_flags(sp)
-    _add_integration_flags(sp)
+    _add_horizon_flags(sp)
+    _add_tolerance_flags(sp)
     sp.set_defaults(func=_cmd_mf_sim)
 
     sp = sub.add_parser("mf-hetero", help="integrate the per-node mean-field system")
     _add_param_flags(sp)
-    _add_integration_flags(sp)
+    _add_horizon_flags(sp)
+    _add_tolerance_flags(sp)
     sp.set_defaults(func=_cmd_mf_hetero)
 
     sp = sub.add_parser("abm-sim", help="run one stochastic agent-based realization")
     _add_param_flags(sp)
     _add_initial_flags(sp)
-    _add_integration_flags(sp)
+    _add_horizon_flags(sp)
     sp.add_argument("--n", type=int, help="population size (complete influence graph)")
     sp.add_argument("--seed", type=int)
     sp.add_argument("--mode", choices=("aggregated", "contact"))
@@ -455,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cycle", help="integrate then detect a limit cycle")
     _add_param_flags(sp)
     _add_initial_flags(sp)
-    _add_integration_flags(sp)
+    _add_horizon_flags(sp)
+    _add_tolerance_flags(sp)
     sp.add_argument("--tol-cycle", dest="tol_cycle", type=float)
     sp.add_argument("--transient-frac", dest="transient_frac", type=float)
     sp.set_defaults(func=_cmd_cycle)
@@ -467,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("compare", help="ABM ensemble vs planar mean-field")
     _add_param_flags(sp)
     _add_initial_flags(sp)
-    _add_integration_flags(sp)
+    _add_horizon_flags(sp)
     sp.add_argument("--n", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--mode", choices=("aggregated", "contact"))

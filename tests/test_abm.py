@@ -399,11 +399,16 @@ def replay_complete(cfg, nulls=None):
     """Independent replay of the draw contract, on the complete graph and on
     any other graph.
 
-    Groups are plain lists with swap-with-last removal; channel totals and
-    member weights come from the public per-node rate functions before every
-    draw. Off the complete graph the adopt and drop channels fire at their
-    thinning bounds, and a neighbour walk accepts or rejects each proposal;
-    ``nulls``, a dict keyed by "adopt" and "drop", counts the rejected ones.
+    The frozen path (complete graph, uniform activities) draws scalar
+    uniforms and exponential waiting times; every other path draws its
+    uniforms from ``rng.random(4096)`` blocks, waits -log(1 - u)/R and picks
+    a heterogeneous contact initiator from the engine's alias table (whose
+    law ``test_alias_table_is_exact`` checks). Groups are plain lists with
+    swap-with-last removal; channel totals and member weights come from the
+    public per-node rate functions before every draw. Off the complete graph
+    the adopt and drop channels fire at their thinning bounds, and a
+    neighbour walk accepts or rejects each proposal; ``nulls``, a dict keyed
+    by "adopt" and "drop", counts the rejected ones.
     Returns the event history, the number of rejected draws and the
     (x_bar, y_bar) state at each grid time."""
     p = cfg.params
@@ -422,6 +427,20 @@ def replay_complete(cfg, nulls=None):
     else:
         x = (rng.random(n) < cfg.x0).astype(int)
         y = (rng.random(n) < cfg.y0).astype(int)
+
+    frozen = complete and not heterogeneous
+    if frozen:
+        uniform = rng.random
+    else:
+        block = []
+
+        def uniform():
+            if not block:
+                block.extend(reversed(rng.random(4096).tolist()))
+            return block.pop()
+
+    if contact and heterogeneous:
+        prob, alias = abm_mod._alias_table(act.tolist())
 
     groups = {
         name: np.nonzero(mask)[0].tolist()
@@ -442,11 +461,11 @@ def replay_complete(cfg, nulls=None):
 
     def draw(name):
         lst = groups[name]
-        return lst[int(rng.random() * len(lst))]
+        return lst[int(uniform() * len(lst))]
 
     def out_neighbour(i):
         nbrs = cfg.graph.neighbors(i)
-        return int(nbrs[int(rng.random() * len(nbrs))])
+        return int(nbrs[int(uniform() * len(nbrs))])
 
     def walk_accepts(i, side, slack):
         # P(accept) = mean over out-neighbours j of [x_j == side] *
@@ -454,7 +473,7 @@ def replay_complete(cfg, nulls=None):
         j = out_neighbour(i)
         if x[j] != side:
             return False
-        if rng.random() * (1.0 + slack) < slack:
+        if uniform() * (1.0 + slack) < slack:
             return True
         return x[out_neighbour(j)] == side
 
@@ -492,11 +511,14 @@ def replay_complete(cfg, nulls=None):
         total = r_rec + r_mid + r_adopt + r_drop
         if total <= 0:
             break
-        t += rng.exponential(1.0 / total)
+        if frozen:
+            t += rng.exponential(1.0 / total)
+        else:
+            t += -math.log(1.0 - uniform()) / total
         sample_before(min(t, cfg.horizon))
         if t >= cfg.horizon:
             break
-        u = rng.random() * total
+        u = uniform() * total
         if u < r_rec:
             i = draw("infected")
             y[i] = 0
@@ -505,18 +527,14 @@ def replay_complete(cfg, nulls=None):
                 groups["eligible"].append(i)
             events.append((t, "recovery", i, None))
         elif u < r_rec + r_mid and contact:
-            # initiator with probability proportional to its activity: by
-            # rejection on the complete graph, by inversion elsewhere
-            if heterogeneous and not complete:
-                cum = np.cumsum(act)
-                i = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+            # initiator with probability proportional to its activity
+            if heterogeneous:
+                scaled = uniform() * n
+                k = int(scaled)
+                i = k if scaled - k < prob[k] else alias[k]
             else:
-                while True:
-                    i = int(rng.random() * n)
-                    if not heterogeneous or rng.random() * act.max() <= act[i]:
-                        break
-                    rejected += 1
-            j = int(rng.random() * (n - 1))
+                i = int(uniform() * n)
+            j = int(uniform() * (n - 1))
             if j >= i:
                 j += 1
             events.append((t, "contact", i, j))
@@ -525,7 +543,7 @@ def replay_complete(cfg, nulls=None):
                 pair = (j, i)
             elif bidi and y[i] == 0 and x[i] == 0 and y[j] == 1:
                 pair = (i, j)
-            if pair is not None and rng.random() < p.lam:
+            if pair is not None and uniform() < p.lam:
                 infect(pair[0])
                 events.append((t, "infection", *pair))
         elif u < r_rec + r_mid:
@@ -538,7 +556,7 @@ def replay_complete(cfg, nulls=None):
                 i = draw("eligible")
                 if not (heterogeneous and bidi):
                     break
-                if rng.random() * r_max <= infection_rate(pop, i, p, bidi):
+                if uniform() * r_max <= infection_rate(pop, i, p, bidi):
                     break
                 rejected += 1
             infect(i)
@@ -603,14 +621,50 @@ def first_event_rates(cfg):
 # 4 configurations x 2 tests at a family-wise false-alarm rate of 1e-3
 LAW_SEEDS = 10_000
 LAW_LEVEL = 1e-3 / 8
+# the complete graph with heterogeneous activities, a family of its own:
+# 2 configurations x 2 tests at a family-wise false-alarm rate of 1e-3
+COMPLETE_LAW_LEVEL = 1e-3 / 4
+
+
+def assert_first_event_law(cfg, level):
+    """The first event of LAW_SEEDS seeded runs from cfg's initial state:
+    its (kind, actor) by chi-square against the exact channel rates, and its
+    time by Kolmogorov-Smirnov against the exponential in their total,
+    truncated at a horizon before which about 86% of the runs see an event."""
+    rates = first_event_rates(cfg)
+    total = sum(rates.values())
+    zero = {cell for cell, r in rates.items() if r == 0.0}
+    horizon = 2.0 / total
+    cfg = dataclasses.replace(cfg, horizon=horizon, sample_dt=horizon)
+    firsts = []
+    for seed in range(LAW_SEEDS):
+        _, log = simulate(dataclasses.replace(cfg, seed=seed))
+        if len(log):
+            firsts.append(log.events[0])
+    seen = Counter((kind, actor) for _, kind, actor, _ in firsts)
+    assert not [cell for cell in seen if cell not in rates or cell in zero]
+
+    cells = [cell for cell, r in rates.items() if r > 0.0]
+    expected = np.array([len(firsts) * rates[cell] / total for cell in cells])
+    observed = np.array([seen[cell] for cell in cells], dtype=float)
+    small = expected < 5.0
+    if small.any():  # pool sparse cells into one
+        expected = np.append(expected[~small], expected[small].sum())
+        observed = np.append(observed[~small], observed[small].sum())
+    assert stats.chisquare(observed, expected).pvalue > level
+
+    times = np.array([t for t, _, _, _ in firsts])
+    cdf = lambda t: np.expm1(-total * t) / np.expm1(-total * horizon)  # noqa: E731
+    assert stats.kstest(times, cdf).pvalue > level
 
 
 class TestFirstEventLaw:
-    """From a fixed state on a random digraph, the first real event of many
-    seeded runs must follow the exact rates: its (kind, actor) by chi-square,
-    its time by Kolmogorov-Smirnov against the exponential in the true total
-    rate, truncated at the horizon. Null proposals of the thinning walks are
-    not events, so this tests the walks' acceptance law too."""
+    """From a fixed state, the first real event of many seeded runs must
+    follow the exact rates (``assert_first_event_law``). On a random digraph
+    null proposals of the thinning walks are not events, so this tests the
+    walks' acceptance law too; on the complete graph with heterogeneous
+    activities it tests the alias-table contact initiator and the rejection
+    for the aggregated target."""
 
     @pytest.mark.slow
     @pytest.mark.parametrize("mode", ["aggregated", "contact"])
@@ -621,32 +675,17 @@ class TestFirstEventLaw:
         # so zero-rate adopt, drop and infection channels exist
         cfg = general_config(seed=20, n=12, infection_mode=mode,
                              directionality=directionality, record_events=True)
-        rates = first_event_rates(cfg)
-        total = sum(rates.values())
-        zero = {cell for cell, r in rates.items() if r == 0.0}
+        zero = {cell for cell, r in first_event_rates(cfg).items() if r == 0.0}
         assert {"adopt", "drop"} <= {kind for kind, _ in zero}
-        horizon = 2.0 / total  # about 86% of the runs see an event
-        cfg = dataclasses.replace(cfg, horizon=horizon, sample_dt=horizon)
-        firsts = []
-        for seed in range(LAW_SEEDS):
-            _, log = simulate(dataclasses.replace(cfg, seed=seed))
-            if len(log):
-                firsts.append(log.events[0])
-        seen = Counter((kind, actor) for _, kind, actor, _ in firsts)
-        assert not [cell for cell in seen if cell not in rates or cell in zero]
+        assert_first_event_law(cfg, LAW_LEVEL)
 
-        cells = [cell for cell, r in rates.items() if r > 0.0]
-        expected = np.array([len(firsts) * rates[cell] / total for cell in cells])
-        observed = np.array([seen[cell] for cell in cells], dtype=float)
-        small = expected < 5.0
-        if small.any():  # pool sparse cells into one
-            expected = np.append(expected[~small], expected[small].sum())
-            observed = np.append(observed[~small], observed[small].sum())
-        assert stats.chisquare(observed, expected).pvalue > LAW_LEVEL
-
-        times = np.array([t for t, _, _, _ in firsts])
-        cdf = lambda t: np.expm1(-total * t) / np.expm1(-total * horizon)  # noqa: E731
-        assert stats.kstest(times, cdf).pvalue > LAW_LEVEL
+    @pytest.mark.slow
+    @pytest.mark.parametrize("mode", ["aggregated", "contact"])
+    def test_complete_graph_heterogeneous_activities(self, mode):
+        cfg = general_config(seed=20, n=12, graph=InfluenceGraph.complete(12),
+                             infection_mode=mode, record_events=True)
+        assert cfg.bidirectional and np.ptp(cfg.activities) > 0
+        assert_first_event_law(cfg, COMPLETE_LAW_LEVEL)
 
 
 class TestDrawByDrawReplay:
@@ -697,8 +736,8 @@ class TestDrawByDrawReplay:
         assert {"recovery", "infection", "adopt", "drop"} <= kinds
         events, rejected, grid_state = replay_complete(cfg)
         assert_same_history(events, log, abs_t=1e-9)
-        # the rejection-sampling paths really ran
-        if activities == "heterogeneous" and (mode == "contact" or directionality == "bidirectional"):
+        # the rejection for the aggregated bidirectional target really ran
+        if activities == "heterogeneous" and mode == "aggregated" and directionality == "bidirectional":
             assert rejected > 0
         np.testing.assert_array_equal(traj.xs, grid_state[:, 0])
         np.testing.assert_array_equal(traj.ys, grid_state[:, 1])
@@ -707,8 +746,8 @@ class TestDrawByDrawReplay:
     @pytest.mark.parametrize("directionality", ["bidirectional", "activator-infects"])
     def test_general_graph(self, mode, directionality):
         # random digraph, heterogeneous activities: the thinning walks, the
-        # activity inversion for the contact initiator and the rejection for
-        # the aggregated infection target all run
+        # alias table for the contact initiator and the rejection for the
+        # aggregated infection target all run
         cfg = general_config(infection_mode=mode, directionality=directionality)
         traj, log = simulate(cfg)
         assert {"recovery", "infection", "adopt", "drop"} <= {k for _, k, _, _ in log}
@@ -719,6 +758,28 @@ class TestDrawByDrawReplay:
         assert traj.meta["null_proposals"] == nulls
         np.testing.assert_array_equal(traj.xs, grid_state[:, 0])
         np.testing.assert_array_equal(traj.ys, grid_state[:, 1])
+
+
+class TestSamplers:
+    def test_uniform_stream_equals_scalar_draws(self):
+        # across a block boundary
+        stream = abm_mod._uniform_stream(np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        draws = abm_mod.UNIFORM_BLOCK + 100
+        assert [stream() for _ in range(draws)] == [rng.random() for _ in range(draws)]
+
+    @pytest.mark.parametrize("activities", [
+        np.random.default_rng(4).pareto(2.5, 1000) + 1.0,
+        np.where(np.random.default_rng(5).random(500) < 0.1, 40.0, 1.0),  # two-point
+        np.full(7, 3.0),
+    ], ids=["pareto", "two-point", "uniform"])
+    def test_alias_table_is_exact(self, activities):
+        n = activities.size
+        prob, alias = abm_mod._alias_table(activities.tolist())
+        assert all(0.0 <= q <= 1.0 for q in prob) and all(0 <= k < n for k in alias)
+        implied = np.array(prob)
+        np.add.at(implied, alias, 1.0 - np.array(prob))
+        np.testing.assert_allclose(implied / n, activities / activities.sum(), rtol=0, atol=1e-12)
 
 
 class TestEnsemble:
@@ -784,6 +845,14 @@ class TestConfig:
     def test_rejects_malformed(self, overrides):
         with pytest.raises(ConfigError):
             small_config(**overrides)
+
+    @pytest.mark.parametrize("key,value", [
+        ("record_events", "no"), ("record_events", 1), ("debug_check", "yes"),
+        ("debug_check", None),
+    ])
+    def test_from_dict_rejects_non_boolean_switches(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            AbmConfig.from_dict({**small_config().to_dict(), key: value})
 
     def test_record_events_defaults_by_size(self):
         assert small_config(n=50).record_events is True

@@ -225,6 +225,8 @@ class TestAbmSim:
 
 
 ABM = ["--n", "20", "--seed", "1", "--horizon", "1"]
+EXPLICIT_ABM = {"abm": {"graph": {"type": "complete", "n": 4},
+                        "behaviours0": [1, 0, 0, 0], "healths0": [0, 1, 0, 0]}}
 
 
 @pytest.mark.parametrize("command,flags,cfg,message", [
@@ -248,6 +250,14 @@ ABM = ["--n", "20", "--seed", "1", "--horizon", "1"]
                  id="graph-list"),
     pytest.param("mf-hetero", [], {"hetero": {"graph": {"type": "complete", "n": 3}, "p_x0": 2}},
                  "p_x0", id="p_x0-above-one"),
+    pytest.param("abm-sim", ABM, {"abm": {"record_events": "no"}}, "record_events",
+                 id="record_events-text"),
+    pytest.param("compare", ABM, {"abm": {"record_events": 0}}, "record_events",
+                 id="record_events-number"),
+    pytest.param("abm-sim", ["--seed", "1", "--x0", "0.9", "--y0", "0.9"], EXPLICIT_ABM,
+                 "not both", id="vectors-and-x0-flags"),
+    pytest.param("compare", ["--seed", "1"], {**EXPLICIT_ABM, "initial": {"x": 0.9, "y": 0.9}},
+                 "not both", id="vectors-and-initial-block"),
 ])
 def test_rejects_malformed_settings(tmp_path, capsys, command, flags, cfg, message):
     args = [command, *REF, "--zeta", "8", *flags]
@@ -259,6 +269,15 @@ def test_rejects_malformed_settings(tmp_path, capsys, command, flags, cfg, messa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("command", ["abm-sim", "compare"])
+def test_agent_commands_take_no_tolerances(tmp_path, capsys, command):
+    # they integrate no ODE with their own tolerances
+    with pytest.raises(SystemExit) as exc:
+        run([command, *REF, "--zeta", "5", *ABM, "--rtol", "1e-2"], tmp_path)
+    assert exc.value.code == 2
+    assert "--rtol" in capsys.readouterr().err
 
 
 def test_cycle_settings_live_in_the_cycle_block(tmp_path, capsys):
