@@ -38,8 +38,7 @@ def main() -> None:
         # tight tolerances so that, in converging regimes, the terminal
         # velocity reflects the dynamics and not the integrator error floor
         traj = integrate_planar(
-            MacroState(0.5, 0.1), p, horizon=args.horizon, sample_dt=0.01,
-            rtol=1e-10, atol=1e-12,
+            MacroState(0.5, 0.1), p, horizon=args.horizon, rtol=1e-10, atol=1e-12,
         )
         report = detect_cycle(traj, p)
         write_json(outdir / "cycle.json", report.to_dict())

@@ -21,12 +21,9 @@ from .meanfield import (
     planar_rhs_xy,
 )
 from .equilibria import (
-    BetaRoots,
     Condition,
     EquilibriumKind,
-    EquilibriumReport,
     RegimeLabel,
-    RegimeReport,
     Stability,
     beta_pm,
     classify_regime,
@@ -49,28 +46,23 @@ from .abm import (
     EventLog,
     Population,
     ensemble,
-    infection_rate,
-    node_payoffs,
     simulate,
-    switch_rates,
 )
 from .phase import render_phase_portrait
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbmConfig", "AssumptionError", "BetaRoots", "Condition", "ConfigError",
-    "CycleReport", "EnsembleResult", "EquilibriumKind", "EquilibriumReport",
-    "EventLog", "GraphError", "HeteroTrajectory", "InfluenceGraph",
-    "InvalidParameterError", "MacroState", "ModelParams", "NumericalError",
-    "Population", "ProbabilityState", "RegimeLabel",
-    "RegimeReport", "Stability", "Trajectory", "TrappingRegion", "Verdict",
+    "AbmConfig", "AssumptionError", "Condition", "ConfigError", "CycleReport",
+    "EnsembleResult", "EquilibriumKind", "EventLog", "GraphError",
+    "HeteroTrajectory", "InfluenceGraph", "InvalidParameterError",
+    "MacroState", "ModelParams", "NumericalError", "Population",
+    "ProbabilityState", "RegimeLabel", "Stability", "Trajectory",
+    "TrappingRegion", "Verdict",
     "beta_pm", "classify_regime", "classify_stability", "cost_window",
     "detect_cycle", "eigenvalues_2x2", "endemic_zeta_threshold", "ensemble",
-    "find_equilibria", "hetero_rhs", "infection_rate",
-    "integrate_hetero", "integrate_planar", "interior_band_zetas",
-    "interior_focus_zeta", "interior_point", "interior_real_zeta", "jacobian",
-    "node_payoffs", "planar_rhs_xy",
-    "regime_conditions", "render_phase_portrait", "simulate", "switch_rates",
-    "trapping_region",
+    "find_equilibria", "hetero_rhs", "integrate_hetero", "integrate_planar",
+    "interior_band_zetas", "interior_focus_zeta", "interior_point",
+    "interior_real_zeta", "jacobian", "planar_rhs_xy", "regime_conditions",
+    "render_phase_portrait", "simulate", "trapping_region",
 ]

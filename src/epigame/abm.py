@@ -150,37 +150,6 @@ class Population:
         return float((self.healths == INFECTED).sum()) / self.n
 
 
-def node_payoffs(g: InfluenceGraph, pop: Population, p: ModelParams):
-    """Per-node payoffs (pi1, pi0): neighbourhood adoption share plus risk
-    perception, and the complementary share plus the protection cost."""
-    return imitation_rates(g, pop.behaviours.astype(float), pop.y_bar, p)[:2]
-
-
-def switch_rates(g: InfluenceGraph, pop: Population, p: ModelParams):
-    """Imitation rates (q01, q10); q01 drives adoption of non-adopters only,
-    q10 drives dropping by adopters only."""
-    return imitation_rates(g, pop.behaviours.astype(float), pop.y_bar, p)[2:]
-
-
-def infection_rate(pop: Population, i: int, p: ModelParams, bidirectional: bool = True) -> float:
-    """Poisson rate at which susceptible agent i becomes infected.
-
-    lam * (1 - x_i) / (n - 1) * (n * a_i * y_bar + sum of infected activities);
-    with one-directional transmission only contacts initiated by the infected
-    count (the second term).
-    """
-    if pop.healths[i] != SUSCEPTIBLE:
-        raise ValueError(f"agent {i} is not susceptible")
-    if pop.behaviours[i] == PROTECTION:
-        return 0.0
-    n = pop.n
-    infected_activity = float(pop.activities[pop.healths == INFECTED].sum())
-    pressure = infected_activity
-    if bidirectional:
-        pressure += n * float(pop.activities[i]) * pop.y_bar
-    return p.lam / (n - 1) * pressure
-
-
 @dataclass
 class EventLog:
     """Chronological event record. Times are non-decreasing."""
@@ -261,6 +230,11 @@ class AbmConfig:
     @property
     def bidirectional(self) -> bool:
         return self.directionality == "bidirectional"
+
+    # every key of `to_dict`, and so of an abm-sim or compare sidecar's abm block
+    SPEC_KEYS = ("params", "graph", "activities", "horizon", "sample_dt", "seed",
+                 "infection_mode", "directionality", "record_events", "rng",
+                 "behaviours0", "healths0", "x0", "y0")
 
     def to_dict(self) -> dict:
         d = {
@@ -667,7 +641,7 @@ def _require_close(name: str, got, ref, rtol: float = 1e-5, atol: float = 1e-8) 
 def _debug_check(cfg, pop, adopters, nonadopters, infected, eligible, a_inf, a_elig):
     """Compare the loop's groups, eligible slots and activity sums with the
     agent vectors; on the complete graph also its imitation rates with
-    ``switch_rates``."""
+    ``imitation_rates``."""
     xs, ys, a = pop.behaviours, pop.healths, pop.activities
     free = (ys == SUSCEPTIBLE) & (xs == NO_PROTECTION)
     for name, members, mask in (("adopter", adopters, xs == PROTECTION),
@@ -681,8 +655,8 @@ def _debug_check(cfg, pop, adopters, nonadopters, infected, eligible, a_inf, a_e
     _require_close("infected activity sum", a_inf, float(a[ys == INFECTED].sum()), 0.0, 1e-9)
     _require_close("eligible activity sum", a_elig, float(a[free].sum()), 0.0, 1e-9)
     if cfg.graph.is_complete:
-        q01, q10 = switch_rates(cfg.graph, pop, cfg.params)
         xbar, ybar = pop.x_bar, pop.y_bar
+        _, _, q01, q10 = imitation_rates(cfg.graph, xs.astype(float), ybar, cfg.params)
         pi1 = xbar + cfg.params.zeta * ybar
         pi0 = 1.0 - xbar + cfg.params.c
         _require_close("complete-graph adoption rate", xbar * pi1, q01)

@@ -81,6 +81,22 @@ SETTINGS = {
 # the abm block's keys that go into the run spec as they are
 ABM_SPEC_KEYS = ("activities", "directionality", "record_events", "behaviours0", "healths0")
 
+# the keys each config block may hold: those the commands read and those
+# their sidecars write. Any other key in a block is a configuration error;
+# top-level keys are left alone, since one config may serve several commands.
+BLOCK_KEYS = {
+    "params": PARAM_KEYS,
+    "initial": ("x", "y"),
+    "abm": ("n", *abm_mod.AbmConfig.SPEC_KEYS),
+    "hetero": ("graph", "activities", "p_x0", "p_y0"),
+    "cycle": ("tol_cycle", "transient_frac", "min_crossings"),
+    "compare": ("n_runs", "n_jobs"),
+    "sweep": ("grid",),
+}
+
+# the keys of one sweep axis, and how each is read
+AXIS_KEYS = {"min": float, "max": float, "steps": int}
+
 
 def _load_config(path: str | None) -> dict:
     if path is None:
@@ -94,7 +110,15 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"malformed config JSON in {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
+    for name, keys in BLOCK_KEYS.items():
+        _check_keys(f"config block {name!r}", _block(cfg, name), keys)
     return cfg
+
+
+def _check_keys(what: str, block: dict, keys) -> None:
+    unknown = [k for k in block if k not in keys]
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {what}: {', '.join(map(repr, unknown))}")
 
 
 def _block(cfg: dict, name: str) -> dict:
@@ -155,10 +179,12 @@ def _write_sidecar(outdir: Path, command: str, settings: dict) -> None:
                {"command": command, **settings, "outdir": str(outdir)})
 
 
-def _ode_settings(cfg: dict, args) -> tuple[ModelParams, dict]:
-    """The model and the settings of mf-sim, mf-hetero and cycle."""
+def _ode_settings(cfg: dict, args, sampled: bool = True) -> tuple[ModelParams, dict]:
+    """The model and the settings of mf-sim and mf-hetero, or of cycle, which
+    reads the solve itself and so has no sample spacing (`sampled` false)."""
     p = ModelParams.from_dict(_params(cfg, args))
-    s = _resolve(cfg, args, horizon=200.0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, sample_dt=None)
+    spacing = {"sample_dt": None} if sampled else {}
+    s = _resolve(cfg, args, horizon=200.0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, **spacing)
     if s["horizon"] <= 0:
         raise ConfigError("horizon must be > 0")
     return p, {"params": p.to_dict(), "initial": _initial(cfg, args), **s}
@@ -292,15 +318,12 @@ def _cmd_abm_sim(cfg: dict, args) -> int:
 
 
 def _cmd_cycle(cfg: dict, args) -> int:
-    p, s = _ode_settings(cfg, args)
-    if s["sample_dt"] is None:
-        s["sample_dt"] = s["horizon"] / 50000  # dense enough for stable period estimates
+    p, s = _ode_settings(cfg, args, sampled=False)
     s["cycle"] = _resolve(cfg, args, tol_cycle=DEFAULT_TOL_CYCLE,
                           transient_frac=DEFAULT_TRANSIENT_FRAC,
                           min_crossings=DEFAULT_MIN_CROSSINGS)
     outdir = _outdir(cfg, args)
-    traj = integrate_planar(MacroState(**s["initial"]), p, s["horizon"], s["rtol"], s["atol"],
-                            s["sample_dt"])
+    traj = integrate_planar(MacroState(**s["initial"]), p, s["horizon"], s["rtol"], s["atol"])
     report = detect_cycle(traj, p, **s["cycle"])
     out = outdir / "cycle.json"
     write_json(out, report.to_dict())
@@ -331,12 +354,12 @@ def _cmd_sweep(cfg: dict, args) -> int:
     axes = []
     for name in names:
         spec = grid[name]
-        keys = ("min", "max", "steps")
-        missing = [k for k in keys if not isinstance(spec, dict) or k not in spec]
+        missing = [k for k in AXIS_KEYS if not isinstance(spec, dict) or k not in spec]
         if missing:
             raise ConfigError(f"sweep axis {name!r} needs {', '.join(missing)}")
+        _check_keys(f"sweep axis {name!r}", spec, AXIS_KEYS)
         lo, hi, steps = (config_value(f"sweep axis {name!r} {k}", spec[k], cast)
-                         for k, cast in zip(keys, (float, float, int)))
+                         for k, cast in AXIS_KEYS.items())
         if steps < 1:
             raise ConfigError(f"sweep axis {name!r} needs steps >= 1")
         axes.append(np.linspace(lo, hi, steps))
@@ -413,9 +436,10 @@ def _add_initial_flags(sp):
                     help=f"initial prevalence (default {DEFAULT_INITIAL['y']})")
 
 
-def _add_horizon_flags(sp):
+def _add_horizon_flags(sp, sampled: bool = True):
     sp.add_argument("--horizon", type=float)
-    sp.add_argument("--sample-dt", dest="sample_dt", type=float)
+    if sampled:
+        sp.add_argument("--sample-dt", dest="sample_dt", type=float)
 
 
 def _add_tolerance_flags(sp):
@@ -464,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cycle", help="integrate then detect a limit cycle")
     _add_param_flags(sp)
     _add_initial_flags(sp)
-    _add_horizon_flags(sp)
+    _add_horizon_flags(sp, sampled=False)
     _add_tolerance_flags(sp)
     sp.add_argument("--tol-cycle", dest="tol_cycle", type=float)
     sp.add_argument("--transient-frac", dest="transient_frac", type=float)

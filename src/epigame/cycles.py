@@ -3,7 +3,10 @@ plus the attracting rectangle that confines the oscillatory regime.
 
 Section-based detection is preferred over spectral peak-finding because the
 orbit is strongly non-sinusoidal near the saddle points; crossing times of a
-vertical section x = x_sec are robust and refine linearly between samples.
+vertical section x = x_sec are robust. Detection reads the planar solve, not
+its samples: a crossing, like an extremum of x or y, is a sign change of a
+function of the state between two accepted steps, refined by a root find on
+that step's dense interpolant, so no sample spacing enters any result.
 """
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .artifacts import write_csv
 from .core import AssumptionError, MacroState, ModelParams
@@ -71,19 +75,33 @@ class CycleReport:
         write_csv(path, "k,t_k,y_k,period_k", "%s,%.17g,%.17g,%s\n", rows)
 
 
-def _upward_crossings(times, xs, ys, x_sec):
-    """Linearly interpolated upward crossings of the section x = x_sec."""
-    crossings = []
-    below = xs[:-1] < x_sec
-    above = xs[1:] >= x_sec
-    idx = np.nonzero(below & above)[0]
-    for i in idx:
-        dx = xs[i + 1] - xs[i]
-        theta = (x_sec - xs[i]) / dx if dx > 0 else 0.0
-        t_k = times[i] + theta * (times[i + 1] - times[i])
-        y_k = ys[i] + theta * (ys[i + 1] - ys[i])
-        crossings.append((t_k, y_k))
-    return crossings
+# solve_ivp's tolerance for locating its events
+_ROOT_TOL = 4 * np.finfo(float).eps
+
+
+def _roots(sol, g, t0: float, t1: float, upward: bool = False) -> list[tuple[float, np.ndarray]]:
+    """Times in [t0, t1], with the states there, where g(x, y) changes sign
+    between two accepted steps of the solve `sol` (from negative to
+    non-negative only, if `upward`), each refined by `brentq` on the step's
+    own interpolant."""
+    below = g(*sol.y) < 0
+    changes = below[:-1] & ~below[1:] if upward else below[:-1] != below[1:]
+    idx = np.flatnonzero(changes)
+    idx = idx[(sol.t[idx + 1] >= t0) & (sol.t[idx] <= t1)]
+    roots = []
+    for i in idx.tolist():
+        step = sol.sol.interpolants[i]
+        a, b = sol.t[i], sol.t[i + 1]
+
+        def f(t):
+            return g(*step(t))
+
+        # the interpolant ends within rounding of the next step's state: when
+        # that rounding flips the sign, the root is the step's end
+        t = b if (f(b) < 0) == below[i] else brentq(f, a, b, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+        if t0 <= t <= t1:
+            roots.append((t, step(t)))
+    return roots
 
 
 def detect_cycle(
@@ -93,27 +111,33 @@ def detect_cycle(
     transient_frac: float = DEFAULT_TRANSIENT_FRAC,
     min_crossings: int = DEFAULT_MIN_CROSSINGS,
 ) -> CycleReport:
-    """Decide whether a trajectory settled onto a point or a periodic orbit.
+    """Decide whether a planar solve settled onto a point or a periodic orbit.
 
-    The first `transient_frac` of the horizon is discarded. Convergence to a
-    point requires a terminal vector-field norm below 1e-8 and a state
-    displacement below 1e-6 over the last 10% of the horizon. A limit cycle
-    requires at least `min_crossings` successive upward section crossings
-    whose y-values differ by less than tol_cycle and whose inter-crossing
-    times change by less than 1e-3 relative.
+    Every figure comes from the solve behind `traj` (its accepted steps and
+    dense interpolant), none from its samples; a trajectory without that
+    solve raises ValueError. The first `transient_frac` of the horizon is
+    discarded. Convergence to a point requires a terminal vector-field norm
+    below 1e-8 and a state displacement below 1e-6 over the steps of the last
+    10% of the horizon. A limit cycle requires at least `min_crossings`
+    successive upward section crossings whose y-values differ by less than
+    tol_cycle and whose inter-crossing times change by less than 1e-3
+    relative; its amplitudes are the ranges of x and y over the last period,
+    from their exact extrema.
     """
+    sol = traj.solution
+    if sol is None:
+        raise ValueError("detect_cycle needs the planar solve behind the trajectory "
+                         "(integrate_planar keeps it)")
+    bidirectional = traj.meta["bidirectional"]
     horizon = traj.horizon
     t_cut = transient_frac * horizon
-    mask = traj.times >= t_cut
-    times, xs, ys = traj.times[mask], traj.xs[mask], traj.ys[mask]
+    xs, ys = np.clip(sol.y, 0.0, 1.0)
 
     # fixed-point verdict first: vanished velocity and no residual drift
-    xf, yf = float(traj.xs[-1]), float(traj.ys[-1])
-    dx, dy = planar_rhs_xy(xf, yf, p)
-    tail = traj.times >= 0.9 * horizon
-    tail_disp = float(
-        np.hypot(traj.xs[tail] - xf, traj.ys[tail] - yf).max(initial=0.0)
-    )
+    xf, yf = float(xs[-1]), float(ys[-1])
+    dx, dy = planar_rhs_xy(xf, yf, p, bidirectional)
+    tail = sol.t >= 0.9 * horizon
+    tail_disp = float(np.hypot(xs[tail] - xf, ys[tail] - yf).max(initial=0.0))
     if math.hypot(dx, dy) < 1e-8 and tail_disp < 1e-6:
         return CycleReport(
             verdict=Verdict.CONVERGED_TO_POINT,
@@ -125,14 +149,12 @@ def detect_cycle(
     if roots.beta_plus is not None and 0.0 < roots.beta_plus < 1.0:
         x_sec = float(roots.beta_plus)
     else:
-        x_sec = float((xs.min() + xs.max()) / 2.0)
+        settled = xs[sol.t >= t_cut]
+        x_sec = float((settled.min() + settled.max()) / 2.0)
 
-    raw = _upward_crossings(times, xs, ys, x_sec)
-    crossings = []
-    prev_t = None
-    for k, (t_k, y_k) in enumerate(raw):
-        crossings.append(Crossing(k=k, t=t_k, y=y_k, period=None if prev_t is None else t_k - prev_t))
-        prev_t = t_k
+    found = _roots(sol, lambda x, y: x - x_sec, t_cut, horizon, upward=True)
+    crossings = [Crossing(k=k, t=t, y=float(state[1]), period=t - found[k - 1][0] if k else None)
+                 for k, (t, state) in enumerate(found)]
 
     report = CycleReport(
         verdict=Verdict.UNDECIDED,
@@ -154,13 +176,20 @@ def detect_cycle(
         return report
 
     period = float(np.mean(periods))
-    # amplitudes over the last full cycle
-    t_last = last[-1].t
-    window = (times >= t_last - period) & (times <= t_last)
+    # amplitudes over the last full cycle: the range of a coordinate over
+    # [t0, t1] is spanned by its values at the ends and at its extrema
+    t1 = last[-1].t
+    t0 = t1 - period
+    ends = sol.sol([t0, t1])
+
+    def amplitude(axis):
+        extrema = _roots(sol, lambda x, y: planar_rhs_xy(x, y, p, bidirectional)[axis], t0, t1)
+        values = [*ends[axis], *(state[axis] for _, state in extrema)]
+        return float(max(values) - min(values))
+
     report.verdict = Verdict.LIMIT_CYCLE
     report.period = period
-    report.amplitude_x = float(xs[window].max() - xs[window].min())
-    report.amplitude_y = float(ys[window].max() - ys[window].min())
+    report.amplitude_x, report.amplitude_y = amplitude(0), amplitude(1)
     return report
 
 

@@ -39,6 +39,9 @@ class Trajectory:
     ys: np.ndarray
     params: ModelParams
     meta: dict = field(default_factory=dict)
+    # the planar solve behind the samples (scipy's result with its dense
+    # interpolant `sol`); None for ABM and per-node trajectories
+    solution: object | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -99,7 +102,10 @@ def sample_grid(horizon: float, sample_dt: float | None, default_samples: int = 
     return grid
 
 
-def _solve(fun, u0, horizon, rtol, atol, t_eval):
+def _solve(fun, u0, horizon, rtol, atol, t_eval=None):
+    """RK45 from t = 0 to the horizon, kept at the times `t_eval` if given,
+    else at its accepted steps with the dense interpolant. Each step attempt
+    costs six evaluations after the first, so nfev = 1 + 6*(accepted + rejected)."""
     sol = solve_ivp(
         fun,
         (0.0, horizon),
@@ -109,12 +115,16 @@ def _solve(fun, u0, horizon, rtol, atol, t_eval):
         rtol=rtol,
         atol=atol,
         first_step=min(_FIRST_STEP, horizon / 2),
-        dense_output=False,
+        dense_output=t_eval is None,
     )
     if not sol.success:
         reached = float(sol.t[-1]) if sol.t.size else 0.0
         raise NumericalError(f"integration failed at t = {reached:.6g}: {sol.message}")
-    return sol, {"nfev": int(sol.nfev)}
+    meta = {"nfev": int(sol.nfev)}
+    if t_eval is None:
+        accepted = sol.t.size - 1
+        meta["steps"] = {"accepted": accepted, "rejected": (sol.nfev - 1) // 6 - accepted}
+    return sol, meta
 
 
 def integrate_planar(
@@ -136,13 +146,14 @@ def integrate_planar(
         dx, dy = planar_rhs_xy(u[0], u[1], p, bidirectional)
         return (dx, dy)
 
+    sol, meta = _solve(fun, [s0.x, s0.y], horizon, rtol, atol)
     grid = sample_grid(horizon, sample_dt)
-    sol, meta = _solve(fun, [s0.x, s0.y], horizon, rtol, atol, grid)
-    states, overshoot = _clamp_unit(sol.y, atol, "planar trajectory")
+    states, overshoot = _clamp_unit(sol.sol(grid), atol, "planar trajectory")
     meta["max_overshoot"] = overshoot
     meta["rtol"], meta["atol"] = rtol, atol
     meta["bidirectional"] = bidirectional
-    return Trajectory(times=sol.t, xs=states[0], ys=states[1], params=p, meta=meta)
+    return Trajectory(times=grid, xs=states[0], ys=states[1], params=p, meta=meta,
+                      solution=sol)
 
 
 @dataclass

@@ -18,15 +18,13 @@ from epigame import (
     NumericalError,
     Population,
     ensemble,
-    infection_rate,
     integrate_planar,
-    node_payoffs,
     simulate,
-    switch_rates,
 )
 from epigame import abm as abm_mod
 from epigame.meanfield import sample_grid
 from .conftest import example_params
+from .oracles import infection_rate, node_payoffs, switch_rates
 
 
 def small_config(**overrides):
@@ -598,7 +596,7 @@ def assert_same_history(ref, log, abs_t):
 
 def first_event_rates(cfg):
     """Exact rate of every (kind, actor) channel in the initial state of cfg,
-    from the public rate functions; zero-rate channels included."""
+    from the reference rate formulas; zero-rate channels included."""
     p = cfg.params
     x, y, act = cfg.behaviours0, cfg.healths0, cfg.activities
     pop = Population(x, y, act)
@@ -828,6 +826,13 @@ class TestConfig:
         again = AbmConfig.from_dict(cfg.to_dict())
         np.testing.assert_array_equal(again.behaviours0, cfg.behaviours0)
         np.testing.assert_array_equal(again.healths0, cfg.healths0)
+
+    def test_spec_keys_name_every_key_of_the_spec(self):
+        sampled = small_config()
+        explicit = small_config(n=4, x0=None, y0=None, behaviours0=[1, 0, 0, 1],
+                                healths0=[0, 1, 0, 0])
+        keys = set(sampled.to_dict()) | set(explicit.to_dict())
+        assert keys == set(AbmConfig.SPEC_KEYS)
 
     @pytest.mark.parametrize(
         "overrides",

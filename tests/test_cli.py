@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from epigame import equilibria
-from epigame.cli import main
+from epigame.cli import ABM_SPEC_KEYS, BLOCK_KEYS, SETTINGS, main
 
 REF = ["--alpha", "3", "--lambda", "0.5", "--mu", "1", "--c", "3"]
 
@@ -258,6 +258,25 @@ EXPLICIT_ABM = {"abm": {"graph": {"type": "complete", "n": 4},
                  "not both", id="vectors-and-x0-flags"),
     pytest.param("compare", ["--seed", "1"], {**EXPLICIT_ABM, "initial": {"x": 0.9, "y": 0.9}},
                  "not both", id="vectors-and-initial-block"),
+    # a key no command reads and no sidecar writes, in any block
+    pytest.param("abm-sim", ["--seed", "1", "--horizon", "1"],
+                 {"abm": {"n": 20, "infection_mod": "contact"}}, "'infection_mod'",
+                 id="unknown-abm-key"),
+    pytest.param("abm-sim", ["--seed", "1", "--horizon", "1"],
+                 {"abm": {"n": 20, "debug_check": "yes"}}, "'debug_check'",
+                 id="abm-debug_check"),
+    pytest.param("cycle", ["--horizon", "10"], {"cycle": {"tol_cylce": 0.5}}, "'tol_cylce'",
+                 id="unknown-cycle-key"),
+    pytest.param("compare", ABM, {"compare": {"n_run": 2}}, "'n_run'", id="unknown-compare-key"),
+    pytest.param("mf-sim", [], {"params": {"lam": 0.5}}, "'lam'", id="unknown-params-key"),
+    pytest.param("mf-sim", [], {"initial": {"x0": 0.2}}, "'x0'", id="unknown-initial-key"),
+    pytest.param("mf-hetero", [], {"hetero": {"graph": {"type": "complete", "n": 3}, "p_x": 0.2}},
+                 "'p_x'", id="unknown-hetero-key"),
+    pytest.param("sweep", [], {"sweep": {"grid": {"c": {"min": 2, "max": 4, "steps": 3}},
+                                         "step": 3}}, "'step'", id="unknown-sweep-key"),
+    pytest.param("sweep", [], {"sweep": {"grid": {"c": {"min": 2, "max": 4, "steps": 3,
+                                                        "num": 5}}}}, "'num'",
+                 id="unknown-axis-key"),
 ])
 def test_rejects_malformed_settings(tmp_path, capsys, command, flags, cfg, message):
     args = [command, *REF, "--zeta", "8", *flags]
@@ -278,6 +297,20 @@ def test_agent_commands_take_no_tolerances(tmp_path, capsys, command):
         run([command, *REF, "--zeta", "5", *ABM, "--rtol", "1e-2"], tmp_path)
     assert exc.value.code == 2
     assert "--rtol" in capsys.readouterr().err
+
+
+def test_block_keys_hold_every_block_setting():
+    for block, key, _ in SETTINGS.values():
+        assert block is None or key in BLOCK_KEYS[block]
+    assert set(ABM_SPEC_KEYS) <= set(BLOCK_KEYS["abm"])
+
+
+def test_cycle_takes_no_sample_spacing(tmp_path, capsys):
+    # detection reads the solve itself, so no spacing could change its output
+    with pytest.raises(SystemExit) as exc:
+        run(["cycle", *REF, "--zeta", "9.5", "--horizon", "10", "--sample-dt", "0.1"], tmp_path)
+    assert exc.value.code == 2
+    assert "--sample-dt" in capsys.readouterr().err
 
 
 def test_cycle_settings_live_in_the_cycle_block(tmp_path, capsys):
@@ -491,7 +524,7 @@ def test_raw_sidecar_rerun_is_byte_identical(tmp_path, capsys, case):
 
 DEFAULT_INITIAL_CASES = {
     "mf-sim": ["--zeta", "8", "--horizon", "1", "--sample-dt", "0.5"],
-    "cycle": ["--zeta", "9.5", "--horizon", "10", "--sample-dt", "0.1"],
+    "cycle": ["--zeta", "9.5", "--horizon", "10"],
     "abm-sim": ["--zeta", "8", "--n", "20", "--seed", "1", "--horizon", "1"],
     "compare": ["--zeta", "5", "--n", "20", "--seed", "1", "--n-runs", "1", "--horizon", "1"],
 }

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from epigame import (
     AssumptionError,
     MacroState,
     ModelParams,
+    Trajectory,
     Verdict,
     beta_pm,
     detect_cycle,
     integrate_planar,
+    planar_rhs_xy,
     trapping_region,
 )
 from .conftest import example_params
@@ -89,6 +92,59 @@ class TestDetectCycle:
         assert lines[0] == "k,t_k,y_k,period_k"
         assert len(lines) == 1 + len(rep.crossings)
         assert lines[1].endswith(",")  # first crossing has no period yet
+
+
+class TestReadsTheSolve:
+    """Every figure of the report comes from the solve, none from its samples."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        p = example_params(9.5)
+        out = {}
+        for sample_dt in (0.5, 0.1, 0.05, 0.01, None):
+            traj = integrate_planar(MacroState(0.5, 0.1), p, horizon=500.0, sample_dt=sample_dt)
+            out[sample_dt] = traj, detect_cycle(traj, p)
+        return p, out
+
+    def test_verdict_and_crossings_ignore_the_sample_spacing(self, reports):
+        _, out = reports
+        _, ref = out[None]
+        for _, rep in out.values():
+            assert rep.verdict == Verdict.LIMIT_CYCLE
+            assert rep.to_dict() == ref.to_dict()
+            assert rep.crossings == ref.crossings
+
+    def test_crossings_are_the_solver_events(self, reports):
+        # solve_ivp locates its events on the same step interpolants
+        p, out = reports
+        _, rep = out[None]
+
+        def section(_t, u):
+            return u[0] - rep.section_x
+
+        section.direction = 1
+        sol = solve_ivp(lambda _t, u: planar_rhs_xy(u[0], u[1], p), (0.0, 500.0), [0.5, 0.1],
+                        rtol=1e-8, atol=1e-10, first_step=1e-3, events=section)
+        t_ev, y_ev = sol.t_events[0], sol.y_events[0][:, 1]
+        after = t_ev >= rep.transient_discarded
+        np.testing.assert_allclose([c.t for c in rep.crossings], t_ev[after], rtol=0, atol=1e-10)
+        np.testing.assert_allclose([c.y for c in rep.crossings], y_ev[after], rtol=0, atol=1e-10)
+
+    def test_amplitudes_are_the_ranges_over_the_last_period(self, reports):
+        _, out = reports
+        traj, rep = out[None]
+        t1 = rep.crossings[-1].t
+        xs, ys = traj.solution.sol(np.linspace(t1 - rep.period, t1, 200_001))
+        assert rep.amplitude_x == pytest.approx(np.ptp(xs), rel=0, abs=1e-8)
+        assert rep.amplitude_y == pytest.approx(np.ptp(ys), rel=0, abs=1e-8)
+        assert rep.amplitude_x >= np.ptp(xs) - 1e-15 and rep.amplitude_y >= np.ptp(ys) - 1e-15
+
+    def test_needs_the_solve(self, reports):
+        p, out = reports
+        traj, _ = out[0.5]
+        sampled = Trajectory(traj.times, traj.xs, traj.ys, p, dict(traj.meta))
+        with pytest.raises(ValueError, match="solve"):
+            detect_cycle(sampled, p)
 
 
 class TestTrappingRegion:

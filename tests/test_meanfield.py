@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import RK45, solve_ivp
 
 from epigame import (
     GraphError,
@@ -17,6 +18,7 @@ from epigame import (
     integrate_planar,
     planar_rhs_xy,
 )
+from epigame.meanfield import sample_grid
 from .conftest import example_params, random_valid_params
 
 
@@ -138,6 +140,48 @@ class TestIntegratePlanar:
         assert data.shape == (6, 3)
         np.testing.assert_allclose(data[:, 1], traj.xs, rtol=0, atol=0)
         np.testing.assert_allclose(data[:, 2], traj.ys, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("zeta,horizon,sample_dt", [
+        (5.0, 30.0, 0.1), (8.0, 73.3, None), (9.5, 200.0, 0.7), (9.5, 31.0, 7.0),
+    ])
+    def test_samples_equal_a_solve_stopped_at_the_sample_times(self, zeta, horizon, sample_dt):
+        # the grid read off the dense interpolant has the bits and the
+        # right-hand-side count of a solve that evaluates at the grid itself
+        p = example_params(zeta)
+        traj = integrate_planar(MacroState(0.5, 0.1), p, horizon, sample_dt=sample_dt)
+        ref = solve_ivp(lambda _t, u: planar_rhs_xy(u[0], u[1], p), (0.0, horizon), [0.5, 0.1],
+                        t_eval=sample_grid(horizon, sample_dt), rtol=1e-8, atol=1e-10,
+                        first_step=1e-3)
+        np.testing.assert_array_equal(traj.times, ref.t)
+        np.testing.assert_array_equal(traj.xs, np.clip(ref.y[0], 0.0, 1.0))
+        np.testing.assert_array_equal(traj.ys, np.clip(ref.y[1], 0.0, 1.0))
+        assert traj.meta["nfev"] == ref.nfev
+
+    def test_step_counts_are_exact(self):
+        # recount by stepping scipy's RK45 by hand with the same settings:
+        # every attempt of a step, the rejected ones included, evaluates the
+        # right-hand side six times
+        p = example_params(9.5)
+        traj = integrate_planar(MacroState(0.5, 0.1), p, horizon=500.0)
+        calls = 0
+
+        def fun(_t, u):
+            nonlocal calls
+            calls += 1
+            return planar_rhs_xy(u[0], u[1], p)
+
+        solver = RK45(fun, 0.0, [0.5, 0.1], 500.0, rtol=1e-8, atol=1e-10, first_step=1e-3)
+        accepted = rejected = 0
+        while solver.status == "running":
+            before = calls
+            solver.step()
+            accepted += 1
+            rejected += (calls - before) // 6 - 1
+        steps = traj.meta["steps"]
+        assert steps == {"accepted": accepted, "rejected": rejected}
+        assert steps["accepted"] == traj.solution.t.size - 1
+        assert traj.meta["nfev"] == 1 + 6 * (steps["accepted"] + steps["rejected"])
+        assert (steps["accepted"], steps["rejected"], traj.meta["nfev"]) == (4484, 212, 28177)
 
 
 class TestHeteroRhs:
