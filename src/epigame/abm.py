@@ -94,7 +94,7 @@ from itertools import chain
 
 import numpy as np
 
-from .artifacts import columns, write_csv
+from .artifacts import text, write_csv
 from .core import ConfigError, ModelParams, NumericalError, config_value
 from .meanfield import Trajectory, imitation_rates, sample_grid
 from .network import InfluenceGraph
@@ -168,8 +168,21 @@ class EventLog:
         return iter(self.events)
 
     def to_csv(self, path) -> None:
-        rows = ((t, kind, actor, "" if cp is None else cp) for t, kind, actor, cp in self.events)
-        write_csv(path, "t,kind,actor,counterpart", "%.17g,%s,%s,%s\n", rows,
+        events, n = self.events, len(self.events)
+
+        def ids(field):
+            """A bytes column of the events' node ids in `field`, each id
+            formatted once; an absent id (-1) is the last, emptied entry."""
+            index = np.fromiter((-1 if e[field] is None else e[field] for e in events), np.intp, n)
+            names = text("%d", range(index.max(initial=-1) + 2))
+            names[-1] = b""
+            return names[index]
+
+        kinds = {}  # each kind's index, in order of first appearance
+        kind = np.fromiter((kinds.setdefault(e[1], len(kinds)) for e in events), np.intp, n)
+        write_csv(path, "t,kind,actor,counterpart",
+                  [np.fromiter((e[0] for e in events), float, n), text("%s", kinds)[kind],
+                   ids(2), ids(3)],
                   comment=f"rng={self.rng_name} seed={self.seed}")
 
 
@@ -293,7 +306,7 @@ class AbmConfig:
 
 def activities_from(spec, n: int, alpha: float) -> np.ndarray:
     """Per-agent activities from a config: "uniform" (alpha for all n
-    agents) or a list of n numbers."""
+    agents) or a list of n positive finite numbers."""
     if spec == "uniform":
         return np.full(n, alpha)
     try:
@@ -302,6 +315,8 @@ def activities_from(spec, n: int, alpha: float) -> np.ndarray:
         raise ConfigError('activities must be "uniform" or a list of numbers') from exc
     if activities.shape != (n,):
         raise ConfigError("activities length must equal graph order")
+    if not (np.isfinite(activities) & (activities > 0)).all():
+        raise ConfigError("activities must be positive and finite")
     return activities
 
 
@@ -690,8 +705,8 @@ class EnsembleResult:
         )
 
     def to_csv(self, path) -> None:
-        write_csv(path, "t,x_mean,y_mean,x_std,y_std", "%.17g,%.17g,%.17g,%.17g,%.17g\n",
-                  columns(self.times, self.x_mean, self.y_mean, self.x_std, self.y_std))
+        write_csv(path, "t,x_mean,y_mean,x_std,y_std",
+                  [self.times, self.x_mean, self.y_mean, self.x_std, self.y_std])
 
 
 def _one_run(cfg: AbmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

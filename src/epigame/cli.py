@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import abm as abm_mod
-from .artifacts import columns, write_csv, write_json
+from .artifacts import text, write_csv, write_json
 from .core import (
     PARAM_KEYS,
     AssumptionError,
@@ -77,6 +77,9 @@ SETTINGS = {
     "n_runs": ("compare", "n_runs", int),
     "n_jobs": ("compare", "n_jobs", int),
 }
+
+# the settings that must be > 0 when given
+POSITIVE = ("horizon", "rtol", "atol", "sample_dt")
 
 # the abm block's keys that go into the run spec as they are
 ABM_SPEC_KEYS = ("activities", "directionality", "record_events", "behaviours0", "healths0")
@@ -131,7 +134,8 @@ def _block(cfg: dict, name: str) -> dict:
 def _resolve(cfg: dict, args, **defaults) -> dict:
     """Each named setting: its flag if given, else its config entry (see
     SETTINGS), else the default given here. A null stays null only where
-    that default is null too; any other value is read by the setting's cast."""
+    that default is null too; any other value is read by the setting's cast
+    (`config_value`), and a setting in POSITIVE must be > 0."""
     resolved = {}
     for name, default in defaults.items():
         block, key, cast = SETTINGS[name]
@@ -141,7 +145,10 @@ def _resolve(cfg: dict, args, **defaults) -> dict:
         if value is None and default is None:
             resolved[name] = None
         else:
-            resolved[name] = config_value(f"{block}.{key}" if block else key, value, cast)
+            what = f"{block}.{key}" if block else key
+            resolved[name] = config_value(what, value, cast)
+            if name in POSITIVE and resolved[name] <= 0:
+                raise ConfigError(f"{what} must be > 0, not {value!r}")
     return resolved
 
 
@@ -185,8 +192,6 @@ def _ode_settings(cfg: dict, args, sampled: bool = True) -> tuple[ModelParams, d
     p = ModelParams.from_dict(_params(cfg, args))
     spacing = {"sample_dt": None} if sampled else {}
     s = _resolve(cfg, args, horizon=200.0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, **spacing)
-    if s["horizon"] <= 0:
-        raise ConfigError("horizon must be > 0")
     return p, {"params": p.to_dict(), "initial": _initial(cfg, args), **s}
 
 
@@ -380,10 +385,13 @@ def _cmd_sweep(cfg: dict, args) -> int:
     header = ",".join(
         names + ["label"] + [f"{c}_{col}" for c in conds for col in ("lhs", "rhs", "sat")]
     )
-    row = ",".join(["%.17g"] * len(names) + ["%s"] + ["%.17g,%.17g,%d"] * len(conds)) + "\n"
-    ledger_columns = [v for cond in zip(ledger.lhs, ledger.rhs, ledger.satisfied) for v in cond]
+    # labels and flags formatted once per distinct value
+    labels, label = np.unique(ledger.labels, return_inverse=True)
+    flags = text("%d", (0, 1))
+    ledger_columns = [col for lhs, rhs, sat in zip(ledger.lhs, ledger.rhs, ledger.satisfied)
+                      for col in (lhs, rhs, flags[sat.astype(np.intp)])]
     out = outdir / "sweep.csv"
-    write_csv(out, header, row, columns(*mesh, ledger.labels, *ledger_columns))
+    write_csv(out, header, [*mesh, text("%s", labels)[label], *ledger_columns])
     _write_sidecar(outdir, "sweep", {"params": base, "sweep": block})
     print(f"wrote {out} ({mesh[0].size} rows)")
     return 0
@@ -407,7 +415,7 @@ def _cmd_compare(cfg: dict, args) -> int:
     ens.to_csv(abm_out)
     gap_x = ens.x_mean - ode.xs
     gap_y = ens.y_mean - ode.ys
-    write_csv(gap_out, "t,gap_x,gap_y", "%.12g,%.17g,%.17g\n", columns(ens.times, gap_x, gap_y))
+    write_csv(gap_out, "t,gap_x,gap_y", [text("%.12g", ens.times), gap_x, gap_y])
     _write_sidecar(outdir, "compare", settings)
     sup = float(np.maximum(np.abs(gap_x), np.abs(gap_y)).max())
     print(f"sup-norm gap over horizon: {sup:.5f}")

@@ -35,12 +35,23 @@ PARAM_KEYS = ("alpha", "lambda", "mu", "c", "zeta")
 
 
 def config_value(name: str, value, cast):
-    """`value` read by `cast` (float, int); a value it cannot read, null
-    included, is a ConfigError naming the setting."""
+    """`value` read by `cast` (float, int, str). A value it cannot read
+    exactly is a ConfigError naming the setting: null, a bool read as a
+    number, a float that is not finite, and an int that is not integral."""
     try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be {cast.__name__}, not {value!r}") from exc
+        if value is None:
+            raise TypeError("null")  # str() would read it as "None"
+        if cast in (int, float) and isinstance(value, bool):
+            raise TypeError("a bool is not a number")
+        if cast is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError("not integral")  # int() would truncate it
+        read = cast(value)
+        if cast is float and not math.isfinite(read):
+            raise ValueError("not finite")
+        return read
+    except (TypeError, ValueError, OverflowError) as exc:
+        what = {float: "a finite number", int: "an integer"}.get(cast, cast.__name__)
+        raise ConfigError(f"{name} must be {what}, not {value!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .artifacts import write_csv
+from .artifacts import text, write_csv
 from .core import AssumptionError, MacroState, ModelParams
 from .equilibria import beta_pm
 from .meanfield import Trajectory, planar_rhs_xy
@@ -68,11 +68,12 @@ class CycleReport:
         }
 
     def crossings_to_csv(self, path) -> None:
-        rows = (
-            (c.k, c.t, c.y, "" if c.period is None else format(c.period, ".17g"))
-            for c in self.crossings
-        )
-        write_csv(path, "k,t_k,y_k,period_k", "%s,%.17g,%.17g,%s\n", rows)
+        cs = self.crossings
+        periods = np.ma.masked_array([0.0 if c.period is None else c.period for c in cs],
+                                     mask=[c.period is None for c in cs], dtype=float)
+        write_csv(path, "k,t_k,y_k,period_k", [text("%d", [c.k for c in cs]),
+                                               np.array([c.t for c in cs], dtype=float),
+                                               np.array([c.y for c in cs], dtype=float), periods])
 
 
 # solve_ivp's tolerance for locating its events
@@ -117,8 +118,10 @@ def detect_cycle(
     dense interpolant), none from its samples; a trajectory without that
     solve raises ValueError. The first `transient_frac` of the horizon is
     discarded. Convergence to a point requires a terminal vector-field norm
-    below 1e-8 and a state displacement below 1e-6 over the steps of the last
-    10% of the horizon. A limit cycle requires at least `min_crossings`
+    below 100*tol and a state displacement below 1e4*tol over the steps of
+    the last 10% of the horizon, where tol = rtol + atol of the solve: the
+    error of a solve bounds how still its end can be (1e-8 and 1e-6 at rtol
+    1e-10, atol 1e-12). A limit cycle requires at least `min_crossings`
     successive upward section crossings whose y-values differ by less than
     tol_cycle and whose inter-crossing times change by less than 1e-3
     relative; its amplitudes are the ranges of x and y over the last period,
@@ -138,7 +141,8 @@ def detect_cycle(
     dx, dy = planar_rhs_xy(xf, yf, p, bidirectional)
     tail = sol.t >= 0.9 * horizon
     tail_disp = float(np.hypot(xs[tail] - xf, ys[tail] - yf).max(initial=0.0))
-    if math.hypot(dx, dy) < 1e-8 and tail_disp < 1e-6:
+    tol = traj.meta["rtol"] + traj.meta["atol"]
+    if math.hypot(dx, dy) < 100 * tol and tail_disp < 1e4 * tol:
         return CycleReport(
             verdict=Verdict.CONVERGED_TO_POINT,
             point=(xf, yf),

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .artifacts import columns, write_blocks, write_csv
+from .artifacts import text, write_csv
 from .core import MacroState, ModelParams, NumericalError
 from .network import GraphError, InfluenceGraph
 
@@ -62,7 +62,7 @@ class Trajectory:
         return MacroState(float(self.xs[-1]), float(self.ys[-1]))
 
     def to_csv(self, path) -> None:
-        write_csv(path, "t,x,y", "%.12g,%.17g,%.17g\n", columns(self.times, self.xs, self.ys))
+        write_csv(path, "t,x,y", [text("%.12g", self.times), self.xs, self.ys])
 
 
 def rate_factor(p: ModelParams, bidirectional: bool) -> float:
@@ -118,7 +118,8 @@ def _solve(fun, u0, horizon, rtol, atol, t_eval=None):
         dense_output=t_eval is None,
     )
     if not sol.success:
-        reached = float(sol.t[-1]) if sol.t.size else 0.0
+        # scipy may leave sol.t a list when the first step fails
+        reached = float(sol.t[-1]) if len(sol.t) else 0.0
         raise NumericalError(f"integration failed at t = {reached:.6g}: {sol.message}")
     meta = {"nfev": int(sol.nfev)}
     if t_eval is None:
@@ -245,24 +246,11 @@ class HeteroTrajectory:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        """Long format: t,node,p_x,p_y, one write block per time.
-
-        A time's block template is its ``%.12g`` time joined to the node ids,
-        which are formatted once per file; only p_x and p_y are formatted
-        per line.
-        """
-        n = self.p_x.shape[1]
-        # sep.join(["", a, b]) == sep + a + sep + b: the time starts every line
-        lines = [""] + [f",{i},%.17g,%.17g\n" for i in range(n)]
-        values = np.empty(2 * n)
-
-        def blocks():
-            for t, px, py in zip(self.times.tolist(), self.p_x, self.p_y):
-                values[0::2] = px
-                values[1::2] = py
-                yield ("%.12g" % t).join(lines), tuple(values.tolist())
-
-        write_blocks(path, "t,node,p_x,p_y", blocks())
+        """Long format: t,node,p_x,p_y, one line per time and node; the times
+        and node ids are formatted once each."""
+        nodes = text("%d", range(self.p_x.shape[1]))
+        write_csv(path, "t,node,p_x,p_y",
+                  [text("%.12g", self.times)[:, None], nodes, self.p_x, self.p_y])
 
 
 def integrate_hetero(

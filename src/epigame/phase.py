@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import columns, write_csv
+from .artifacts import text, write_csv
 from .core import MacroState, ModelParams
 from .equilibria import find_equilibria
 from .meanfield import DEFAULT_ATOL, DEFAULT_RTOL, integrate_planar, planar_rhs_xy
@@ -48,16 +48,15 @@ def render_phase_portrait(
         np.linspace(0.0, 1.0, grid_nx), np.linspace(0.0, 1.0, grid_ny), indexing="ij"))
     dx, dy = planar_rhs_xy(x, y, p)
     field_path = outdir / "field.csv"
-    write_csv(field_path, "x,y,dx,dy", "%.17g,%.17g,%.17g,%.17g\n", columns(x, y, dx, dy))
+    write_csv(field_path, "x,y,dx,dy", [x, y, dx, dy])
     written.append(field_path)
 
     eq_path = outdir / "equilibria.csv"
-    rows = (
-        (rep.kind.value, rep.point[0], rep.point[1], rep.stability.value)
-        for rep in find_equilibria(p)
-        if rep.exists
-    )
-    write_csv(eq_path, "kind,x,y,stability", "%s,%.17g,%.17g,%s\n", rows)
+    found = [rep for rep in find_equilibria(p) if rep.exists]
+    points = np.array([rep.point for rep in found], dtype=float).reshape(-1, 2)
+    write_csv(eq_path, "kind,x,y,stability",
+              [text("%s", [rep.kind.value for rep in found]), points[:, 0], points[:, 1],
+               text("%s", [rep.stability.value for rep in found])])
     written.append(eq_path)
 
     if initial_states is None:

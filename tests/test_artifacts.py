@@ -1,10 +1,13 @@
-"""CSV writer format: the block writer against the per-row ``%`` loop, and
-every artifact writer against the per-row f-string loop that defines its
-format, on inputs with edge values (signed zero, the smallest subnormal,
-inexact sums, 1e22, integer-valued floats, absent counterparts and periods,
-and the 7.3 / 0.1 sample grid)."""
+"""CSV writer format: the column writer and its numpy ``%.17g`` formatter
+against the per-value ``%`` that defines the format, and every artifact
+writer against the per-row f-string loop that defines its format, on inputs
+with edge values (signed zero, the smallest subnormal, inexact sums, 1e22,
+integer-valued floats, absent counterparts and periods, and the 7.3 / 0.1
+sample grid)."""
 
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from epigame import (
     planar_rhs_xy,
     render_phase_portrait,
 )
-from epigame.artifacts import BLOCK_ROWS, write_csv
+from epigame.artifacts import CHUNK_ROWS, _scaled, text, write_csv
 from epigame.cli import main
 from epigame.cycles import CycleReport, Crossing, Verdict
 from .conftest import example_params
@@ -51,19 +54,81 @@ def edge_rows(count):
              "" if k % 4 else k * 7) for k in range(count)]
 
 
-@pytest.mark.parametrize("count", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
-                                   2 * BLOCK_ROWS + 3])
+def edge_columns(rows):
+    t, kind, v, k, cp = (list(c) for c in zip(*rows)) if rows else ([],) * 5
+    return [text("%.12g", np.array(t, dtype=float)), text("%s", kind), np.array(v, dtype=float),
+            text("%d", k), text("%s", cp)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 127, 128, 129, 259, CHUNK_ROWS - 1, CHUNK_ROWS,
+                                   CHUNK_ROWS + 1])
 def test_write_csv_matches_per_row_format(tmp_path, count):
     rows = edge_rows(count)
-    write_csv(tmp_path / "rows.csv", "t,kind,v,k,cp", ROW, iter(rows), comment="seed=1")
+    write_csv(tmp_path / "rows.csv", "t,kind,v,k,cp", edge_columns(rows), comment="seed=1")
     ref = "# seed=1\nt,kind,v,k,cp\n" + "".join(ROW % r for r in rows)
     assert (tmp_path / "rows.csv").read_text() == ref
 
 
 def test_percent_in_a_field_is_written_literally(tmp_path):
     rows = [(1.0, "100%"), (2.0, "%s"), (3.0, "%%"), (4.0, "%.17g")]
-    write_csv(tmp_path / "pct.csv", "t,kind", "%.12g,%s\n", rows)
+    write_csv(tmp_path / "pct.csv", "t,kind",
+              [text("%.12g", [r[0] for r in rows]), text("%s", [r[1] for r in rows])])
     assert (tmp_path / "pct.csv").read_text() == "t,kind\n1,100%\n2,%s\n3,%%\n4,%.17g\n"
+
+
+def test_masked_floats_are_left_empty(tmp_path):
+    values = np.ma.masked_array([0.5, 2.0, -0.0, 1e300], mask=[False, True, False, True])
+    write_csv(tmp_path / "m.csv", "v,w", [values, np.array([1.0, 2.0, 3.0, 4.0])])
+    assert (tmp_path / "m.csv").read_text() == "v,w\n0.5,1\n,2\n-0,3\n,4\n"
+
+
+def g17_reference_values():
+    """More than 10**6 doubles, each with both signs: the cases the numpy
+    formatter must get right, beside random ones."""
+    rng = np.random.default_rng(20)
+    uniform = rng.random(250_000)
+    # log-uniform over the whole double range, then over the formatter's range
+    everywhere = np.ldexp(1.0 + rng.random(150_000), rng.integers(-1074, 1024, 150_000))
+    inside = 10.0 ** rng.uniform(-6.0, 16.0, 150_000)
+    # each power of ten and its neighbours, from below the range to above it
+    powers = np.array([float(f"1e{k}") for k in range(-8, 19)])
+    neighbours = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    # exact ties at the 18th digit: an odd multiple of 2**-j has j decimals, so
+    # 18 significant digits when j = 17 - E
+    ties = []
+    for e in range(-6, 16):
+        j = 17 - e
+        lo, hi = math.ceil(10.0 ** e * 2.0 ** j), min(10.0 ** (e + 1) * 2.0 ** j, 2.0 ** 53)
+        if lo < hi:
+            odd = rng.integers(lo // 2, hi // 2, 2_000) * 2 + 1
+            ties.append(np.ldexp(odd.astype(float), -j))
+    special = [0.0, 5e-324, np.inf, np.nan, 0.1 + 0.2, 7.300000000000001, 0.99999999999999999,
+               9.9999999999999991e-05, 1.0000076293945312, 2.0 ** 53, 1e16 - 2, 1e-6]
+    values = np.concatenate([uniform, everywhere, inside, neighbours, *ties, special])
+    return np.concatenate([values, -values])
+
+
+def test_scaled_product_is_error_free():
+    # hi + lo is v * 10**k exactly, at every scale the formatter uses
+    rng = np.random.default_rng(21)
+    v = 10.0 ** rng.uniform(-6.0, 16.0, 20_000)
+    k = np.clip(16 - np.floor(np.log10(v)).astype(np.intp), 1, 22)
+    hi, lo = _scaled(v, k)
+    wrong = [(x, e) for x, e, h, l in zip(v.tolist(), k.tolist(), hi.tolist(), lo.tolist())
+             if Fraction(h) + Fraction(l) != Fraction(x) * 10 ** e]
+    assert wrong == []
+
+
+def test_g17_equals_percent_format(tmp_path):
+    values = g17_reference_values()
+    assert values.size > 10 ** 6
+    write_csv(tmp_path / "v.csv", "v", [values])
+    ref = "v\n" + "".join("%.17g\n" % v for v in values.tolist())
+    got = (tmp_path / "v.csv").read_text()
+    if got != ref:  # report the first few values that differ, not the whole text
+        lines = list(zip(got.splitlines()[1:], ref.splitlines()[1:], values.tolist()))
+        assert [l for l in lines if l[0] != l[1]][:5] == []
+        assert got == ref
 
 
 def check_hetero(path, times, n):
@@ -83,9 +148,14 @@ def test_hetero_trajectory(tmp_path):
     check_hetero(tmp_path / "nodes.csv", TIMES, 7)
 
 
-@pytest.mark.parametrize("n", [1, BLOCK_ROWS + 5])
+@pytest.mark.parametrize("n", [1, 133, 300])
 def test_hetero_trajectory_node_counts(tmp_path, n):
+    # 133 and 300 nodes at 74 times span several write chunks
     check_hetero(tmp_path / "nodes.csv", TIMES, n)
+
+
+def test_hetero_trajectory_more_nodes_than_a_chunk(tmp_path):
+    check_hetero(tmp_path / "nodes.csv", TIMES[:3], CHUNK_ROWS + 7)
 
 
 def test_hetero_trajectory_time_formats(tmp_path):
@@ -125,7 +195,8 @@ def test_event_log(tmp_path):
 
 def test_crossings(tmp_path):
     crossings = [Crossing(k=0, t=0.1 + 0.2, y=-0.0, period=None)]
-    crossings += [Crossing(k=k, t=EDGE[k] + k, y=EDGE[-k], period=EDGE[k]) for k in range(1, 10)]
+    crossings += [Crossing(k=k, t=EDGE[k] + k, y=EDGE[-k], period=None if k == 5 else EDGE[k])
+                  for k in range(1, 10)]
     report = CycleReport(verdict=Verdict.UNDECIDED, crossings=crossings)
     ref = "k,t_k,y_k,period_k\n"
     for c in report.crossings:

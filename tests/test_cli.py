@@ -2,10 +2,15 @@
 reproducibility, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epigame
 from epigame import equilibria
 from epigame.cli import ABM_SPEC_KEYS, BLOCK_KEYS, SETTINGS, main
 
@@ -277,6 +282,31 @@ EXPLICIT_ABM = {"abm": {"graph": {"type": "complete", "n": 4},
     pytest.param("sweep", [], {"sweep": {"grid": {"c": {"min": 2, "max": 4, "steps": 3,
                                                         "num": 5}}}}, "'num'",
                  id="unknown-axis-key"),
+    # numbers: finite, integral where counted, positive where a time or tolerance
+    pytest.param("abm-sim", [*ABM, "--horizon", "nan"], None, "horizon", id="abm-horizon-nan"),
+    pytest.param("abm-sim", [*ABM, "--horizon", "inf"], None, "horizon", id="abm-horizon-inf"),
+    pytest.param("abm-sim", [*ABM, "--sample-dt", "nan"], None, "sample_dt",
+                 id="abm-sample_dt-nan"),
+    pytest.param("mf-sim", ["--sample-dt", "inf"], None, "sample_dt", id="mf-sample_dt-inf"),
+    pytest.param("mf-sim", ["--sample-dt", "0"], None, "sample_dt", id="mf-sample_dt-zero"),
+    pytest.param("mf-sim", ["--rtol", "-1"], None, "rtol", id="mf-rtol-negative"),
+    pytest.param("mf-sim", ["--atol", "nan"], None, "atol", id="mf-atol-nan"),
+    pytest.param("mf-sim", [], {"horizon": True}, "horizon", id="horizon-bool"),
+    pytest.param("cycle", ["--tol-cycle", "nan"], None, "tol_cycle", id="tol_cycle-nan"),
+    pytest.param("sweep", [], {"sweep": {"grid": {"c": {"min": 2, "max": 4, "steps": 2.5}}}},
+                 "steps", id="axis-steps-fraction"),
+    pytest.param("abm-sim", ["--seed", "1", "--horizon", "1"], {"abm": {"n": 20.5}}, "abm.n",
+                 id="n-fraction"),
+    pytest.param("abm-sim", ["--n", "20", "--horizon", "1"], {"seed": 2.5}, "seed",
+                 id="seed-fraction"),
+    pytest.param("compare", ABM, {"compare": {"n_runs": 2.5}}, "compare.n_runs",
+                 id="n_runs-fraction"),
+    pytest.param("mf-hetero", ["--horizon", "1"],
+                 {"hetero": {"graph": {"type": "complete", "n": 3}, "activities": [1, -1, 2]}},
+                 "activities", id="hetero-activities-negative"),
+    pytest.param("mf-hetero", ["--horizon", "1"],
+                 {"hetero": {"graph": {"type": "complete", "n": 3}, "activities": [1, "nan", 2]}},
+                 "activities", id="hetero-activities-nan"),
 ])
 def test_rejects_malformed_settings(tmp_path, capsys, command, flags, cfg, message):
     args = [command, *REF, "--zeta", "8", *flags]
@@ -288,6 +318,39 @@ def test_rejects_malformed_settings(tmp_path, capsys, command, flags, cfg, messa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("horizon", ["inf", "nan"])
+def test_non_finite_horizon_exits_2_at_once(tmp_path, horizon):
+    # such a horizon once sent the solver on without end, so the run gets a time limit
+    src = str(Path(epigame.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    args = ["mf-sim", *REF, "--zeta", "8", "--horizon", horizon, "--outdir", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-m", "epigame.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: horizon")
+
+
+def test_null_outdir_exits_2(tmp_path, capsys, monkeypatch):
+    # str() would read the null as a directory named "None"
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"outdir": None}))
+    assert main(["mf-sim", *REF, "--zeta", "8", "--horizon", "1", "--config", str(cfg)]) == 2
+    assert "outdir" in capsys.readouterr().err
+    assert not (tmp_path / "None").exists()
+
+
+def test_integral_float_counts_are_read(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3.0, "abm": {"n": 20.0}}))
+    assert run(["abm-sim", *REF, "--zeta", "8", "--horizon", "1", "--config", str(cfg)],
+               tmp_path) == 0
+    capsys.readouterr()
+    sidecar = json.loads((tmp_path / "abm-sim.config.json").read_text())
+    assert sidecar["seed"] == 3 and sidecar["abm"]["graph"]["n"] == 20
 
 
 @pytest.mark.parametrize("command", ["abm-sim", "compare"])
@@ -357,6 +420,14 @@ class TestCycle:
                 "--horizon", "300"]
         assert run(args, tmp_path) == 0
         assert "converged-to-point" in capsys.readouterr().out
+
+    def test_spiral_sink_converges_at_the_default_tolerances(self, tmp_path, capsys):
+        # the end of a solve at rtol 1e-8 is as still as that solve can make it
+        # (velocity 4e-8), which fixed floors of 1e-8 used to call undecided
+        assert run(["cycle", *REF, "--zeta", "8", "--horizon", "500"], tmp_path) == 0
+        assert "verdict: converged-to-point" in capsys.readouterr().out
+        report = json.loads((tmp_path / "cycle.json").read_text())
+        assert report["point"] == pytest.approx([0.457427, 0.385643], abs=1e-5)
 
 
 class TestSweep:

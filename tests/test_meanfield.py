@@ -18,7 +18,8 @@ from epigame import (
     integrate_planar,
     planar_rhs_xy,
 )
-from epigame.meanfield import sample_grid
+from epigame.core import NumericalError
+from epigame.meanfield import _solve, sample_grid
 from .conftest import example_params, random_valid_params
 
 
@@ -182,6 +183,14 @@ class TestIntegratePlanar:
         assert steps["accepted"] == traj.solution.t.size - 1
         assert traj.meta["nfev"] == 1 + 6 * (steps["accepted"] + steps["rejected"])
         assert (steps["accepted"], steps["rejected"], traj.meta["nfev"]) == (4484, 212, 28177)
+
+
+@pytest.mark.parametrize("t_eval", [None, np.linspace(0.0, 1.0, 5)], ids=["dense", "grid"])
+def test_failed_solve_is_a_numerical_error(t_eval):
+    # a velocity that is nan from the start fails the first step, where scipy
+    # leaves the solution's times a list
+    with pytest.raises(NumericalError, match="integration failed at t = 0"):
+        _solve(lambda t, u: np.full(2, np.nan), [0.5, 0.1], 1.0, 1e-8, 1e-10, t_eval)
 
 
 class TestHeteroRhs:
