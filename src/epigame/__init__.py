@@ -27,7 +27,6 @@ from .equilibria import (
     Stability,
     beta_pm,
     classify_regime,
-    classify_stability,
     cost_window,
     eigenvalues_2x2,
     endemic_zeta_threshold,
@@ -37,7 +36,6 @@ from .equilibria import (
     interior_point,
     interior_real_zeta,
     jacobian,
-    regime_conditions,
 )
 from .cycles import CycleReport, TrappingRegion, Verdict, detect_cycle, trapping_region
 from .abm import (
@@ -59,10 +57,9 @@ __all__ = [
     "MacroState", "ModelParams", "NumericalError", "Population",
     "ProbabilityState", "RegimeLabel", "Stability", "Trajectory",
     "TrappingRegion", "Verdict",
-    "beta_pm", "classify_regime", "classify_stability", "cost_window",
-    "detect_cycle", "eigenvalues_2x2", "endemic_zeta_threshold", "ensemble",
-    "find_equilibria", "hetero_rhs", "integrate_hetero", "integrate_planar",
-    "interior_band_zetas", "interior_focus_zeta", "interior_point",
-    "interior_real_zeta", "jacobian", "planar_rhs_xy", "regime_conditions",
+    "beta_pm", "classify_regime", "cost_window", "detect_cycle", "eigenvalues_2x2",
+    "endemic_zeta_threshold", "ensemble", "find_equilibria", "hetero_rhs",
+    "integrate_hetero", "integrate_planar", "interior_band_zetas", "interior_focus_zeta",
+    "interior_point", "interior_real_zeta", "jacobian", "planar_rhs_xy",
     "render_phase_portrait", "simulate", "trapping_region",
 ]

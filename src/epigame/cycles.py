@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .artifacts import text, write_csv
-from .core import AssumptionError, MacroState, ModelParams
+from .core import AssumptionError, ConfigError, ModelParams
 from .equilibria import beta_pm
 from .meanfield import Trajectory, planar_rhs_xy
 
@@ -125,8 +125,16 @@ def detect_cycle(
     successive upward section crossings whose y-values differ by less than
     tol_cycle and whose inter-crossing times change by less than 1e-3
     relative; its amplitudes are the ranges of x and y over the last period,
-    from their exact extrema.
+    from their exact extrema. A `transient_frac` outside [0, 1), a
+    `tol_cycle` that is not > 0 or a `min_crossings` below 2 (one crossing
+    has nothing to compare) raises ConfigError.
     """
+    if not 0.0 <= transient_frac < 1.0:
+        raise ConfigError(f"cycle.transient_frac must lie in [0, 1), not {transient_frac!r}")
+    if not tol_cycle > 0.0:
+        raise ConfigError(f"cycle.tol_cycle must be > 0, not {tol_cycle!r}")
+    if min_crossings < 2:
+        raise ConfigError(f"cycle.min_crossings must be >= 2, not {min_crossings!r}")
     sol = traj.solution
     if sol is None:
         raise ValueError("detect_cycle needs the planar solve behind the trajectory "
@@ -206,20 +214,14 @@ class TrappingRegion:
     y_min: float
     y_max: float
 
-    def contains(self, x, y, tol: float = 0.0) -> bool:
-        return (
-            self.x_min - tol <= x <= self.x_max + tol
-            and self.y_min - tol <= y <= self.y_max + tol
-        )
+    def contains(self, x, y, tol: float = 0.0):
+        """Whether (x, y) lies in the rectangle widened by tol; elementwise on arrays."""
+        return ((self.x_min - tol <= x) & (x <= self.x_max + tol)
+                & (self.y_min - tol <= y) & (y <= self.y_max + tol))
 
     def entered_and_stayed(self, traj: Trajectory, tol: float = 1e-9) -> tuple[bool, float | None]:
         """First entry time, and whether the trajectory never leaves afterwards."""
-        inside = (
-            (traj.xs >= self.x_min - tol)
-            & (traj.xs <= self.x_max + tol)
-            & (traj.ys >= self.y_min - tol)
-            & (traj.ys <= self.y_max + tol)
-        )
+        inside = self.contains(traj.xs, traj.ys, tol)
         idx = np.nonzero(inside)[0]
         if idx.size == 0:
             return (False, None)

@@ -18,8 +18,8 @@ conditions of REGIME_CONDITIONS elementwise over numpy arrays of parameter
 points, giving (9, n) arrays of left-hand sides, right-hand sides and
 verdicts, and runs the decision ladder as boolean masks, marginal tests
 included. `sweep` makes one ledger call for its whole grid;
-`regime_conditions` and `classify_regime` are its one-point case, and
-`classify_regime` adds `find_equilibria` for the report. The ledger uses
+`classify_regime` is its one-point case and adds `find_equilibria` for the
+report. The ledger uses
 the scalar formulas' operations in the same order, so its values are
 bit-identical to evaluating each point on its own.
 """
@@ -299,31 +299,26 @@ def eigenvalues_2x2(j: np.ndarray) -> tuple[complex, complex]:
     return ((tr + root) / 2.0, (tr - root) / 2.0)
 
 
-def _classify_from_eigs(eigs: tuple[complex, complex], marginal_resolved: bool) -> Stability:
+def _stability(kind: EquilibriumKind, point: tuple[float, float],
+               p: ModelParams) -> tuple[tuple[complex, complex], Stability]:
+    """Eigenvalues and local stability class of an existing equilibrium.
+
+    A zero real part is resolved to asymptotic (non-exponential) stability
+    only where a direct analysis settles it: the origin at 2*alpha*lam = mu,
+    and the protection-free endemic state at the zeta threshold. Anywhere
+    else it is indeterminate.
+    """
+    eigs = eigenvalues_2x2(_jacobian_xy(point[0], point[1], p))
     re1, re2 = eigs[0].real, eigs[1].real
     scale = max(1.0, abs(re1), abs(re2))
     if min(abs(re1), abs(re2)) <= _EIG_ZERO_TOL * scale:
-        return Stability.MARGINAL if marginal_resolved else Stability.INDETERMINATE
+        resolved = kind in (EquilibriumKind.DFE_ORIGIN, EquilibriumKind.PROTECTION_FREE_EE)
+        return eigs, Stability.MARGINAL if resolved else Stability.INDETERMINATE
     if re1 < 0.0 and re2 < 0.0:
-        return Stability.LES
+        return eigs, Stability.LES
     if re1 > 0.0 and re2 > 0.0:
-        return Stability.UNSTABLE
-    return Stability.SADDLE
-
-
-def classify_stability(e: EquilibriumReport, p: ModelParams) -> Stability:
-    """Local stability class of an existing equilibrium.
-
-    Boundary-of-inequality cases are resolved to asymptotic (non-exponential)
-    stability only where a direct analysis settles them: the origin at
-    2*alpha*lam = mu, and the protection-free endemic state at the zeta
-    threshold. Marginal interior cases are reported as indeterminate.
-    """
-    if not e.exists:
-        raise AssumptionError(f"{e.kind.value} does not exist for these parameters")
-    eigs = eigenvalues_2x2(_jacobian_xy(e.point[0], e.point[1], p))
-    resolved = e.kind in (EquilibriumKind.DFE_ORIGIN, EquilibriumKind.PROTECTION_FREE_EE)
-    return _classify_from_eigs(eigs, marginal_resolved=resolved)
+        return eigs, Stability.UNSTABLE
+    return eigs, Stability.SADDLE
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +375,7 @@ def _interior_report(kind: EquilibriumKind, beta: float | None, roots: BetaRoots
     upper = 2.0 * (1.0 - beta) * (p.alpha * p.lam - beta)
     conds.append(Condition("recovery-above-spiral-bound", p.mu, lower, ">", "interior-stability"))
     conds.append(Condition("recovery-below-trace-bound", p.mu, upper, "<", "interior-stability"))
-    eigs = eigenvalues_2x2(_jacobian_xy(point[0], point[1], p))
-    stab = _classify_from_eigs(eigs, marginal_resolved=False)
-    return EquilibriumReport(
-        kind=kind, point=point, exists=True, conditions=conds,
-        eigenvalues=eigs, stability=stab, meta=meta,
-    )
+    return EquilibriumReport(kind=kind, point=point, exists=True, conditions=conds, meta=meta)
 
 
 def find_equilibria(p: ModelParams) -> list[EquilibriumReport]:
@@ -395,63 +385,22 @@ def find_equilibria(p: ModelParams) -> list[EquilibriumReport]:
             "equilibrium analysis requires c > 1 and zeta > c + 1 "
             f"(got c={p.c}, zeta={p.zeta})"
         )
-    k = 2.0 * p.alpha * p.lam
-    reports: list[EquilibriumReport] = []
-
-    origin_eigs = eigenvalues_2x2(_jacobian_xy(0.0, 0.0, p))
-    reports.append(
-        EquilibriumReport(
-            kind=EquilibriumKind.DFE_ORIGIN,
-            point=(0.0, 0.0),
-            exists=True,
-            conditions=[],
-            eigenvalues=origin_eigs,
-            stability=_classify_from_eigs(origin_eigs, marginal_resolved=True),
-        )
-    )
-    one_eigs = eigenvalues_2x2(_jacobian_xy(1.0, 0.0, p))
-    reports.append(
-        EquilibriumReport(
-            kind=EquilibriumKind.DFE_ONE,
-            point=(1.0, 0.0),
-            exists=True,
-            conditions=[],
-            eigenvalues=one_eigs,
-            stability=_classify_from_eigs(one_eigs, marginal_resolved=False),
-        )
-    )
-
     pf_cond = Condition("above-epidemic-threshold", p.lam, p.mu / (2.0 * p.alpha), ">",
                         "epidemic-threshold")
-    if pf_cond.satisfied:
-        pf_point = (0.0, 1.0 - p.mu / k)
-        pf_eigs = eigenvalues_2x2(_jacobian_xy(*pf_point, p))
-        reports.append(
-            EquilibriumReport(
-                kind=EquilibriumKind.PROTECTION_FREE_EE,
-                point=pf_point,
-                exists=True,
-                conditions=[pf_cond],
-                eigenvalues=pf_eigs,
-                stability=_classify_from_eigs(pf_eigs, marginal_resolved=True),
-            )
-        )
-    else:
-        reports.append(
-            EquilibriumReport(
-                kind=EquilibriumKind.PROTECTION_FREE_EE,
-                point=None,
-                exists=False,
-                conditions=[pf_cond],
-            )
-        )
-
+    pf_point = (0.0, 1.0 - p.mu / (2.0 * p.alpha * p.lam)) if pf_cond.satisfied else None
     roots = beta_pm(p)
     t = _point_thresholds(p)
-    for kind, beta in ((EquilibriumKind.INTERIOR_PLUS, roots.beta_plus),
-                       (EquilibriumKind.INTERIOR_MINUS, roots.beta_minus)):
-        reports.append(_interior_report(kind, beta, roots, p, float(t.endemic), float(t.real)))
-
+    thr, z_real = float(t.endemic), float(t.real)
+    reports = [
+        EquilibriumReport(kind=EquilibriumKind.DFE_ORIGIN, point=(0.0, 0.0), exists=True,
+                          conditions=[]),
+        EquilibriumReport(kind=EquilibriumKind.DFE_ONE, point=(1.0, 0.0), exists=True,
+                          conditions=[]),
+        EquilibriumReport(kind=EquilibriumKind.PROTECTION_FREE_EE, point=pf_point,
+                          exists=pf_cond.satisfied, conditions=[pf_cond]),
+        _interior_report(EquilibriumKind.INTERIOR_PLUS, roots.beta_plus, roots, p, thr, z_real),
+        _interior_report(EquilibriumKind.INTERIOR_MINUS, roots.beta_minus, roots, p, thr, z_real),
+    ]
     for r in reports:
         if r.exists:
             dx, dy = planar_rhs_xy(r.point[0], r.point[1], p)
@@ -460,6 +409,7 @@ def find_equilibria(p: ModelParams) -> list[EquilibriumReport]:
                     f"{r.kind.value} flagged as existing but the vector field "
                     f"does not vanish there (|f| = {math.hypot(dx, dy):.3e})"
                 )
+            r.eigenvalues, r.stability = _stability(r.kind, r.point, p)
     return reports
 
 
@@ -542,22 +492,13 @@ def regime_ledger(alpha, lam, mu, c, zeta) -> RegimeLedger:
     return RegimeLedger(lhs=lhs, rhs=rhs, satisfied=satisfied, labels=labels)
 
 
-def _point_ledger(p: ModelParams) -> RegimeLedger:
-    return regime_ledger(p.alpha, p.lam, p.mu, p.c, p.zeta)
-
-
-def regime_conditions(p: ModelParams) -> list[Condition]:
-    """The fixed inequality ledger evaluated for every parameter point."""
-    return _point_ledger(p).conditions(0)
-
-
 def classify_regime(p: ModelParams) -> RegimeReport:
     """Label the parameter point with its qualitative long-run behaviour.
 
     The one-point case of `regime_ledger`, which holds the decision ladder,
     with the equilibria attached where the payoff-ordering assumption holds.
     """
-    ledger = _point_ledger(p)
+    ledger = regime_ledger(p.alpha, p.lam, p.mu, p.c, p.zeta)
     eqs = find_equilibria(p) if p.payoff_assumption_holds else []
     return RegimeReport(label=RegimeLabel(str(ledger.labels[0])), conditions=ledger.conditions(0),
                         equilibria=eqs, params=p)

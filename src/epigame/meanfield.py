@@ -9,6 +9,9 @@ Planar vector field:
 The factor 2*alpha*lambda reflects bidirectional transmission (both the
 contact initiated by the susceptible and the one initiated by the infected
 count); with one-directional transmission the factor halves to alpha*lambda.
+`planar_rhs_xy(x, y, p, bidirectional)` gives this velocity, and
+`hetero_rhs(px, py, g, a, p, bidirectional)` that of the per-node system,
+on the per-node probability vectors px, py and the activities a.
 
 The unit square is positively invariant for the planar system; the
 integrators enforce this numerically: overshoot below 10*atol is projected
@@ -65,14 +68,9 @@ class Trajectory:
         write_csv(path, "t,x,y", [text("%.12g", self.times), self.xs, self.ys])
 
 
-def rate_factor(p: ModelParams, bidirectional: bool) -> float:
-    """Effective transmission pressure per unit prevalence: 2*alpha*lambda or alpha*lambda."""
-    return (2.0 if bidirectional else 1.0) * p.alpha * p.lam
-
-
 def planar_rhs_xy(x, y, p: ModelParams, bidirectional: bool = True):
     """Velocity (dx, dy) of the planar system at (x, y); accepts scalars or numpy arrays."""
-    k = rate_factor(p, bidirectional)
+    k = (2.0 if bidirectional else 1.0) * p.alpha * p.lam
     dx = x * (1.0 - x) * (2.0 * x + p.zeta * y - 1.0 - p.c)
     dy = k * y * (1.0 - x) * (1.0 - y) - p.mu * y
     return dx, dy
@@ -195,32 +193,16 @@ def imitation_rates(g: InfluenceGraph, px: np.ndarray, ybar: float, p: ModelPara
     return pi1, pi0, q01, q10
 
 
-def hetero_rhs(
-    ps: ProbabilityState,
-    g: InfluenceGraph,
-    activities: np.ndarray,
-    p: ModelParams,
-    bidirectional: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity of the per-node probability system.
+def hetero_rhs(px: np.ndarray, py: np.ndarray, g: InfluenceGraph, a: np.ndarray,
+               p: ModelParams, bidirectional: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Velocity (dpx, dpy) of the per-node probability system at the per-node
+    adoption and infection probabilities px, py, with activities a; all three
+    are vectors of length g.n.
 
     The imitation and infection rates are closed by replacing each
     neighbour's random behaviour with its marginal probability and the
     realized prevalence with the mean of p_y (independence closure).
     """
-    if g.n != ps.n:
-        raise GraphError("graph order must equal probability vector length")
-    a = np.asarray(activities, dtype=float)
-    if a.shape != (g.n,):
-        raise ValueError("activities length must equal graph order")
-    if g.n < 2:
-        raise GraphError("need at least two nodes for the contact process")
-    return _hetero_velocity(ps.p_x, ps.p_y, g, a, p, bidirectional)
-
-
-def _hetero_velocity(px: np.ndarray, py: np.ndarray, g: InfluenceGraph, a: np.ndarray,
-                     p: ModelParams, bidirectional: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The velocity of `hetero_rhs` on plain vectors; the caller has checked their sizes."""
     n = g.n
     ybar = py.mean()
     _, _, q01, q10 = imitation_rates(g, px, ybar, p)
@@ -268,15 +250,19 @@ def integrate_hetero(
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
     n = ps0.n
+    if g.n != n:
+        raise GraphError("graph order must equal probability vector length")
     a = np.asarray(activities, dtype=float)
+    if a.shape != (n,):
+        raise ValueError("activities length must equal graph order")
+    if n < 2:
+        raise GraphError("need at least two nodes for the contact process")
 
     def fun(_t, u):
-        dpx, dpy = _hetero_velocity(np.clip(u[:n], 0.0, 1.0), np.clip(u[n:], 0.0, 1.0),
-                                    g, a, p, bidirectional)
+        dpx, dpy = hetero_rhs(np.clip(u[:n], 0.0, 1.0), np.clip(u[n:], 0.0, 1.0),
+                              g, a, p, bidirectional)
         return np.concatenate([dpx, dpy])
 
-    # validate inputs once via the public rhs (raises on bad graph/lengths)
-    hetero_rhs(ps0, g, a, p, bidirectional)
     grid = sample_grid(horizon, sample_dt, default_samples=500)
     u0 = np.concatenate([ps0.p_x, ps0.p_y])
     sol, meta = _solve(fun, u0, horizon, rtol, atol, grid)

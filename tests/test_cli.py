@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: artifacts, sidecar
 reproducibility, and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -293,6 +294,17 @@ EXPLICIT_ABM = {"abm": {"graph": {"type": "complete", "n": 4},
     pytest.param("mf-sim", ["--atol", "nan"], None, "atol", id="mf-atol-nan"),
     pytest.param("mf-sim", [], {"horizon": True}, "horizon", id="horizon-bool"),
     pytest.param("cycle", ["--tol-cycle", "nan"], None, "tol_cycle", id="tol_cycle-nan"),
+    # cycle detection: a fraction of the horizon, a positive tolerance, two crossings
+    pytest.param("cycle", ["--horizon", "20", "--transient-frac", "2"], None,
+                 "cycle.transient_frac", id="transient_frac-above-one"),
+    pytest.param("cycle", ["--horizon", "20", "--transient-frac", "-0.5"], None,
+                 "cycle.transient_frac", id="transient_frac-negative"),
+    pytest.param("cycle", ["--horizon", "20", "--tol-cycle", "-1"], None, "cycle.tol_cycle",
+                 id="tol_cycle-negative"),
+    pytest.param("cycle", ["--horizon", "20", "--tol-cycle", "0"], None, "cycle.tol_cycle",
+                 id="tol_cycle-zero"),
+    pytest.param("cycle", ["--horizon", "20"], {"cycle": {"min_crossings": 1}},
+                 "cycle.min_crossings", id="min_crossings-one"),
     pytest.param("sweep", [], {"sweep": {"grid": {"c": {"min": 2, "max": 4, "steps": 2.5}}}},
                  "steps", id="axis-steps-fraction"),
     pytest.param("abm-sim", ["--seed", "1", "--horizon", "1"], {"abm": {"n": 20.5}}, "abm.n",
@@ -609,3 +621,41 @@ def test_commands_share_one_default_initial_state(tmp_path, capsys):
         recorded[command] = sidecar["initial"]
     capsys.readouterr()
     assert recorded == dict.fromkeys(DEFAULT_INITIAL_CASES, {"x": 0.5, "y": 0.1})
+
+
+# SHA-256 of regime.json and equilibria.json, recorded before the analysis
+# layer was refactored: (lambda, c, zeta) with alpha 3 and mu 1
+PINNED_ANALYSIS = {
+    ("0.5", "3", "4.5"): ("57575cea5aba37cae63701af82fe85ce057454f511bef449c1a6ad6e68a7c3f0",
+                          "95d6644ce944de512b749ae5ca92ddd54698fa3fb772dbfe0255d7cca44cb381"),
+    ("0.5", "3", "5"): ("5d973554154eb2c8f93e8d2799dc73a2eaf4ee9a1d8250f8e7595628d905a4fc",
+                        "1fc6a2e8c26c47e284ac259d0d94d3f152d52305fc53b31646adfa8c0c138f5b"),
+    ("0.5", "3", "6"): ("e50b189ad4319377b4f53cda9d52bfa76b5cebf600ba40f67e1fcff83b42d8dc",
+                        "952aa7f8aa7721613c8bffcdffeb10db2406f74d29533bc4cb8a288f2ad1a4df"),
+    ("0.5", "3", "8"): ("ee8646812af3453c49f555799a1f1e7e630b6677027295416b092b9e261499d3",
+                        "09088dfa50e4696632b758c9a40e52bd925d2dfc69080db88b119da4422456b3"),
+    ("0.5", "3", "9"): ("3913a2a0755adbdac2aeb597563754f2a8db5a7174142d1293547f501eeb5163",
+                        "4add3ded567e95e8ed7602dcfe9d9d57d7f9a65ccb90fca5da6ceeda2922f02c"),
+    ("0.5", "3", "9.5"): ("827d4d69d8ba910b5ccb0dfee4776c6c7e3208a5dcc18fc18913a5090f455b59",
+                          "bf971fb34ba8e2b309768d81532c92c54ce425d2d31cd0a975635982acb7d1c7"),
+    ("0.5", "3", "11"): ("55fd1aa899cb60ac0ee8ea1c22b4689823073faa5afcf5bdad8973cce1caf1b3",
+                         "20f9c1322751e2e3ebdff9dbe80fcffbcf3ff4a52311e6a672e2b7f83f52cd92"),
+    ("0.5", "7", "9.5"): ("92221e6516285a0a1ac8981146cdefc521ad3914157f63184071c35caf908403",
+                          "7ae9db6c932f32d7db734018fef4c4f49ef665034d12aaa29986459e3df00759"),
+    # the epidemic threshold 2*alpha*lambda = mu, where the origin is marginal
+    ("0.16666666666666666", "3", "5"): (
+        "a14d87896350770fb474461e237fadcbdc141990bf91503645f65aea66e89d37",
+        "7b9b9b1697b96c3cbc23da6d75d446996569c066ec27b06697e0eef28c67f77b"),
+}
+
+
+@pytest.mark.parametrize("point", list(PINNED_ANALYSIS), ids="-".join)
+def test_analysis_artifacts_keep_their_bytes(tmp_path, capsys, point):
+    lam, c, zeta = point
+    args = ["--alpha", "3", "--lambda", lam, "--mu", "1", "--c", c, "--zeta", zeta]
+    digests = []
+    for command in ("regime", "equilibria"):
+        assert run([command, *args], tmp_path) == 0
+        digests.append(hashlib.sha256((tmp_path / f"{command}.json").read_bytes()).hexdigest())
+    capsys.readouterr()
+    assert tuple(digests) == PINNED_ANALYSIS[point]

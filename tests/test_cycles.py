@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 
 from epigame import (
     AssumptionError,
+    ConfigError,
     MacroState,
     ModelParams,
     Trajectory,
@@ -43,6 +44,18 @@ class TestDetectCycle:
         t1 = detect_cycle(traj, p).period
         t2 = detect_cycle(dense, p).period
         assert abs(t2 - t1) / t1 < 1e-3
+
+    @pytest.mark.parametrize("setting", [
+        {"transient_frac": 1.0}, {"transient_frac": 2.0}, {"transient_frac": -0.5},
+        {"tol_cycle": 0.0}, {"tol_cycle": -1.0}, {"tol_cycle": float("nan")},
+        # one crossing has nothing to compare it with
+        {"min_crossings": 1}, {"min_crossings": 0},
+    ], ids=lambda s: "{}={}".format(*next(iter(s.items()))))
+    def test_rejects_settings_out_of_range(self, cycle_traj, setting):
+        p, traj = cycle_traj
+        (name,) = setting
+        with pytest.raises(ConfigError, match=f"cycle.{name}"):
+            detect_cycle(traj, p, **setting)
 
     def test_crossing_heights_settle(self, cycle_traj):
         p, traj = cycle_traj
@@ -181,3 +194,10 @@ class TestTrappingRegion:
         assert r.contains(0.5, r.y_max)
         assert not r.contains(0.5, r.y_max + 1e-9)
         assert r.contains(0.5, r.y_max + 1e-9, tol=1e-8)
+
+    def test_contains_is_elementwise(self):
+        r = trapping_region(example_params(9.5))
+        xs = np.array([0.5, -1e-9, 0.5, 1.0])
+        ys = np.array([0.0, 0.3, r.y_max + 1e-9, r.y_max])
+        np.testing.assert_array_equal(r.contains(xs, ys), [True, False, False, True])
+        np.testing.assert_array_equal(r.contains(xs, ys, tol=1e-8), [True, True, True, True])

@@ -17,7 +17,6 @@ from epigame import (
     Stability,
     beta_pm,
     classify_regime,
-    classify_stability,
     cost_window,
     eigenvalues_2x2,
     endemic_zeta_threshold,
@@ -28,7 +27,6 @@ from epigame import (
     interior_real_zeta,
     jacobian,
     planar_rhs_xy,
-    regime_conditions,
 )
 from .conftest import example_params, random_valid_params
 
@@ -195,12 +193,11 @@ class TestFindEquilibria:
                 dx, dy = planar_rhs_xy(e.point[0], e.point[1], p)
                 assert math.hypot(dx, dy) < 1e-9
 
-    def test_classify_stability_rejects_nonexistent(self):
+    def test_nonexistent_report_carries_no_eigenvalues_or_stability(self):
         reports = find_equilibria(example_params(5.0))
         ghost = by_kind(reports, EquilibriumKind.INTERIOR_PLUS)
         assert not ghost.exists
-        with pytest.raises(AssumptionError):
-            classify_stability(ghost, example_params(5.0))
+        assert ghost.eigenvalues is None and ghost.stability is None
 
     def test_marginal_origin_at_epidemic_threshold(self):
         # 2*alpha*lambda = mu exactly: the disease-free origin has a zero
@@ -208,6 +205,17 @@ class TestFindEquilibria:
         p = ModelParams(alpha=3.0, lam=1.0 / 6.0, mu=1.0, c=3.0, zeta=5.0)
         origin = by_kind(find_equilibria(p), EquilibriumKind.DFE_ORIGIN)
         assert origin.stability == Stability.MARGINAL
+
+    @pytest.mark.parametrize("zeta, kind, stability", [
+        # the zeta threshold 6: a direct analysis settles the protection-free state
+        (6.0, EquilibriumKind.PROTECTION_FREE_EE, Stability.MARGINAL),
+        # the band's upper root 9: nothing settles the interior focus
+        (9.0, EquilibriumKind.INTERIOR_PLUS, Stability.INDETERMINATE),
+    ])
+    def test_zero_real_part_is_marginal_only_where_resolved(self, zeta, kind, stability):
+        e = by_kind(find_equilibria(example_params(zeta)), kind)
+        assert min(abs(v.real) for v in e.eigenvalues) < 1e-12
+        assert e.stability == stability
 
 
 class TestConditions:
@@ -225,7 +233,7 @@ class TestConditions:
         assert not Condition("x", 6.0, -math.inf, ">", "s").marginal
 
     def test_regime_conditions_schema(self):
-        conds = regime_conditions(example_params(9.5))
+        conds = classify_regime(example_params(9.5)).conditions
         assert len(conds) == 9
         names = [c.name for c in conds]
         assert len(set(names)) == 9

@@ -203,7 +203,7 @@ class TestHeteroRhs:
         a = np.full(n, p.alpha)
         x, y = 0.31, 0.44
         ps = ProbabilityState(np.full(n, x), np.full(n, y))
-        dpx, dpy = hetero_rhs(ps, g, a, p)
+        dpx, dpy = hetero_rhs(ps.p_x, ps.p_y, g, a, p)
         dx, dy = planar_rhs_xy(x, y, p)
         np.testing.assert_allclose(dpx, dx, rtol=1e-13, atol=1e-14)
         expected_dy = dy + (2 * p.alpha * p.lam * y * (1 - x) * (1 - y)) / (n - 1)
@@ -213,7 +213,7 @@ class TestHeteroRhs:
         p = example_params(zeta=8.0)
         g = InfluenceGraph.complete(5)
         ps = ProbabilityState(np.linspace(0.1, 0.9, 5), np.zeros(5))
-        _, dpy = hetero_rhs(ps, g, np.full(5, p.alpha), p)
+        _, dpy = hetero_rhs(ps.p_x, ps.p_y, g, np.full(5, p.alpha), p)
         np.testing.assert_array_equal(dpy, 0.0)
 
     def test_star_graph_hand_computation(self):
@@ -226,7 +226,7 @@ class TestHeteroRhs:
         p = example_params(zeta=5.0)
         g = InfluenceGraph.from_adjacency([[1, 2], [0], [0]])
         ps = ProbabilityState([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        dpx, dpy = hetero_rhs(ps, g, np.full(3, p.alpha), p)
+        dpx, dpy = hetero_rhs(ps.p_x, ps.p_y, g, np.full(3, p.alpha), p)
         np.testing.assert_allclose(dpx, [-3.0, 0.0, 0.0], atol=1e-14)
         np.testing.assert_array_equal(dpy, 0.0)
 
@@ -238,7 +238,7 @@ class TestHeteroRhs:
         g = InfluenceGraph.from_adjacency([[1], [0], [3], [2]])
         ps = ProbabilityState([0.0, 0.0, 0.0, 0.0], [0.8, 0.8, 0.0, 0.0])
         a = np.full(4, p.alpha)
-        _, dpy = hetero_rhs(ps, g, a, p)
+        _, dpy = hetero_rhs(ps.p_x, ps.p_y, g, a, p)
         assert dpy[2] > 0 and dpy[3] > 0
 
     def test_activity_heterogeneity_shifts_pressure(self):
@@ -246,7 +246,7 @@ class TestHeteroRhs:
         g = InfluenceGraph.complete(4)
         ps = ProbabilityState(np.zeros(4), np.full(4, 0.3))
         a = np.array([6.0, 2.0, 2.0, 2.0])
-        _, dpy = hetero_rhs(ps, g, a, p)
+        _, dpy = hetero_rhs(ps.p_x, ps.p_y, g, a, p)
         assert dpy[0] > dpy[1]  # the busier node gets infected faster
         np.testing.assert_allclose(dpy[1:], dpy[1], rtol=1e-14)
 
@@ -254,11 +254,15 @@ class TestHeteroRhs:
         p = example_params(zeta=8.0)
         g = InfluenceGraph.complete(4)
         ps = ProbabilityState(np.zeros(3), np.zeros(3))
-        with pytest.raises(GraphError):
-            hetero_rhs(ps, g, np.full(4, p.alpha), p)
+        with pytest.raises(GraphError, match="graph order"):
+            integrate_hetero(ps, g, np.full(4, p.alpha), p, horizon=1.0)
         ps4 = ProbabilityState(np.zeros(4), np.zeros(4))
-        with pytest.raises(ValueError):
-            hetero_rhs(ps4, g, np.full(3, p.alpha), p)
+        with pytest.raises(ValueError, match="activities length"):
+            integrate_hetero(ps4, g, np.full(3, p.alpha), p, horizon=1.0)
+        ps1 = ProbabilityState(np.zeros(1), np.zeros(1))
+        with pytest.raises(GraphError, match="two nodes"):
+            integrate_hetero(ps1, InfluenceGraph.from_adjacency([[0]]), np.full(1, p.alpha), p,
+                             horizon=1.0)
 
 
 class TestIntegrateHetero:
