@@ -25,17 +25,21 @@ is then 0), and the drop channel at n1*(1 + c), or 0 when everybody protects.
 Random-draw contract (what seeded replay reproduces). A "uniform" below is
 one draw of U[0,1), taken by path:
 
-- the frozen path, the complete graph with uniform activities: scalar
-  ``rng.random()`` calls, with the waiting time from ``rng.exponential``.
-  Its seeded logs are pinned by the acceptance tests and never change;
+- the frozen path, the complete graph with uniform activities: the doubles
+  of scalar ``rng.random()`` calls, taken through the bit generator's public
+  ctypes interface (``rng.bit_generator.ctypes.next_double``, the C function
+  that ``rng.random()`` calls), with the waiting time
+  ``(1/R) * rng.standard_exponential()``, which is what
+  ``rng.exponential(1/R)`` computes. Its seeded logs are pinned by the
+  acceptance tests and never change;
 - every other path (any other graph, or heterogeneous activities): the next
   double of the ``rng.random(4096)`` blocks, which are the doubles that
   successive scalar calls would give.
 
 Per event, in order:
 
-1. waiting time, R the total rate: ``rng.exponential(1/R)`` on the frozen
-   path, -log(1 - u)/R for a uniform u on every other path
+1. waiting time, R the total rate: ``(1/R) * rng.standard_exponential()``
+   on the frozen path, -log(1 - u)/R for a uniform u on every other path
 2. a uniform for the channel choice, cumulative over
    [recovery, infection|contact, adopt, drop]
 3. member selection inside the channel: a uniform as an index into the
@@ -90,6 +94,7 @@ import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -349,6 +354,15 @@ def _uniform_stream(rng: np.random.Generator):
     return chain.from_iterable(blocks).__next__
 
 
+def _frozen_draws(rng: np.random.Generator):
+    """The frozen path's draws: a zero-argument uniform, the double that a
+    scalar ``rng.random()`` call gives, through the bit generator's ctypes
+    ``next_double`` without the Generator method's wrapper; and
+    ``rng.standard_exponential``, which times 1/R is ``rng.exponential(1/R)``."""
+    bits = rng.bit_generator.ctypes
+    return partial(bits.next_double, bits.state), rng.standard_exponential
+
+
 def _alias_table(weights) -> tuple[list, list]:
     """Vose's alias table for a pick proportional to ``weights``, in O(n).
 
@@ -426,10 +440,12 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
     also loses members it did not sample, so it keeps each member's slot
     (``_IndexedSet``). On the complete graph the adopt and drop channels fire
     at their exact totals; on any other graph they fire at the thinning bounds
-    and each proposal walks the out-neighbour lists (module docstring). Each
-    grid time checks the counters against the lists. The lists are written
-    back into ``pop`` before every debug check and once at the end, before the
-    final counter check.
+    and each proposal walks the out-neighbour lists (module docstring). The
+    behaviour terms (adopter count, xbar, the adopt weight and the drop rate)
+    change only with adopt and drop events, so they are recomputed only after
+    one. Each grid time checks the counters against the lists. The lists are written back into ``pop``
+    before every debug check and once at the end, before the final counter
+    check.
     """
     p = cfg.params
     g = cfg.graph
@@ -470,46 +486,54 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
     out_y = []
     t = 0.0
     lam, mu, c, zeta = p.lam, p.mu, p.c, p.zeta
+    per_pair = lam / (n - 1)
     # the draw contract by path (module docstring)
     frozen = nbrs is None and uniform_act
     if frozen:
-        random = rng.random
-        exponential = rng.exponential
+        random, standard_exponential = _frozen_draws(rng)
     else:
         random = _uniform_stream(rng)
     ln = math.log
+    moved = True
 
     while True:
-        n1 = len(adopters)
-        n0 = n - n1
+        # the behaviour terms change only with adopt and drop events. Every
+        # rate keeps its operands and association order, so seeded runs give
+        # the same doubles: r_adopt is (n0*xbar) * (xbar + zeta*ybar) on the
+        # complete graph
+        if moved:
+            n1 = len(adopters)
+            n0 = n - n1
+            xbar = n1 / n
+            if nbrs is None:
+                w_adopt, adopt_base = n0 * xbar, xbar
+                r_drop = n1 * (1.0 - xbar) * (1.0 - xbar + c)
+            else:
+                # thinning bounds: q01 <= 1 + zeta*ybar, and 0 without adopters;
+                # q10 <= 1 + c, and 0 without non-adopters
+                w_adopt, adopt_base = (n0 if n1 else 0.0), 1.0
+                r_drop = n1 * (1.0 + c) if n0 else 0.0
+            moved = False
         n_inf = len(infected)
         n_elig = len(elig)
-        xbar = n1 / n
         ybar = n_inf / n
-        if nbrs is None:
-            pi1 = xbar + zeta * ybar
-            pi0 = 1.0 - xbar + c
-            r_adopt = n0 * xbar * pi1
-            r_drop = n1 * (1.0 - xbar) * pi0
-        else:
-            # thinning bounds: q01 <= 1 + zeta*ybar, and 0 without adopters;
-            # q10 <= 1 + c, and 0 without non-adopters
-            r_adopt = n0 * (1.0 + zeta * ybar) if n1 else 0.0
-            r_drop = n1 * (1.0 + c) if n0 else 0.0
+        r_adopt = w_adopt * (adopt_base + zeta * ybar)
         r_rec = mu * n_inf
         if contact_mode:
             # contacts cannot change state without infected present; skipping
             # them then is exact thinning, but only when no log is kept
             r_mid = a_total if (n_inf > 0 or record) else 0.0
         elif bidi:
-            r_mid = lam / (n - 1) * (n_inf * a_elig + n_elig * a_inf)
+            r_mid = per_pair * (n_inf * a_elig + n_elig * a_inf)
         else:
-            r_mid = lam / (n - 1) * n_elig * a_inf
-        total = r_rec + r_mid + r_adopt + r_drop
+            r_mid = per_pair * n_elig * a_inf
+        r_inf = r_rec + r_mid
+        r_imit = r_inf + r_adopt
+        total = r_imit + r_drop
         if total <= 0.0:
             break
         if frozen:
-            t_new = t + exponential(1.0 / total)
+            t_new = t + (1.0 / total) * standard_exponential()
         else:
             t_new = t - ln(1.0 - random()) / total
         # sample every grid time strictly before min(t_new, horizon)
@@ -538,7 +562,7 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
             n_rec += 1
             if record:
                 log_event((t, EVENT_RECOVERY, i, None))
-        elif u < r_rec + r_mid:
+        elif u < r_inf:
             source = None
             if contact_mode:
                 if uniform_act:
@@ -582,7 +606,7 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
                 n_infect += 1
                 if record:
                     log_event((t, EVENT_INFECTION, target, source))
-        elif u < r_rec + r_mid + r_adopt:
+        elif u < r_imit:
             k = int(random() * n0)
             i = nonadopters[k]
             if nbrs is not None:
@@ -607,6 +631,7 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
                 elig.pop()
                 a_elig -= a[i]
             n_adopt += 1
+            moved = True
             if record:
                 log_event((t, EVENT_ADOPT, i, None))
         else:
@@ -631,6 +656,7 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
                 elig.append(i)
                 a_elig += a[i]
             n_drop += 1
+            moved = True
             if record:
                 log_event((t, EVENT_DROP, i, None))
         if debug:
@@ -714,10 +740,17 @@ def _one_run(cfg: AbmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return traj.times, traj.xs, traj.ys
 
 
+def check_ensemble_size(n_runs: int, n_jobs: int) -> None:
+    """Raise ConfigError unless n_runs and n_jobs are both >= 1."""
+    if n_runs < 1:
+        raise ConfigError(f"n_runs must be >= 1, not {n_runs!r}")
+    if n_jobs < 1:
+        raise ConfigError(f"n_jobs must be >= 1, not {n_jobs!r}")
+
+
 def ensemble(cfg: AbmConfig, n_runs: int, n_jobs: int = 1) -> EnsembleResult:
     """Replicate runs with seeds cfg.seed + 0 ... cfg.seed + n_runs - 1."""
-    if n_runs < 1:
-        raise ConfigError("n_runs must be >= 1")
+    check_ensemble_size(n_runs, n_jobs)
     seeds = [cfg.seed + k for k in range(n_runs)]
     cfgs = [dataclasses.replace(cfg, seed=s) for s in seeds]
     if n_jobs > 1:

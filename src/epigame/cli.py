@@ -40,6 +40,7 @@ from .cycles import (
     DEFAULT_MIN_CROSSINGS,
     DEFAULT_TOL_CYCLE,
     DEFAULT_TRANSIENT_FRAC,
+    check_cycle_settings,
     detect_cycle,
 )
 from .equilibria import REGIME_CONDITIONS, classify_regime, find_equilibria, regime_ledger
@@ -327,6 +328,7 @@ def _cmd_cycle(cfg: dict, args) -> int:
     s["cycle"] = _resolve(cfg, args, tol_cycle=DEFAULT_TOL_CYCLE,
                           transient_frac=DEFAULT_TRANSIENT_FRAC,
                           min_crossings=DEFAULT_MIN_CROSSINGS)
+    check_cycle_settings(**s["cycle"])  # before the solve and the output directory
     outdir = _outdir(cfg, args)
     traj = integrate_planar(MacroState(**s["initial"]), p, s["horizon"], s["rtol"], s["atol"])
     report = detect_cycle(traj, p, **s["cycle"])
@@ -400,6 +402,7 @@ def _cmd_sweep(cfg: dict, args) -> int:
 def _cmd_compare(cfg: dict, args) -> int:
     acfg, settings = _abm_settings(cfg, args)
     settings["compare"] = _resolve(cfg, args, n_runs=20, n_jobs=1)
+    abm_mod.check_ensemble_size(**settings["compare"])  # before the output directory
     outdir = _outdir(cfg, args)
     ens = abm_mod.ensemble(acfg, **settings["compare"])
     x0 = acfg.x0 if acfg.x0 is not None else float(acfg.behaviours0.mean())

@@ -105,6 +105,18 @@ def _roots(sol, g, t0: float, t1: float, upward: bool = False) -> list[tuple[flo
     return roots
 
 
+def check_cycle_settings(tol_cycle: float, transient_frac: float, min_crossings: int) -> None:
+    """Raise ConfigError for a `transient_frac` outside [0, 1), a `tol_cycle`
+    that is not > 0 (nan included) or a `min_crossings` below 2 (one crossing
+    has nothing to compare)."""
+    if not 0.0 <= transient_frac < 1.0:
+        raise ConfigError(f"cycle.transient_frac must lie in [0, 1), not {transient_frac!r}")
+    if not tol_cycle > 0.0:
+        raise ConfigError(f"cycle.tol_cycle must be > 0, not {tol_cycle!r}")
+    if min_crossings < 2:
+        raise ConfigError(f"cycle.min_crossings must be >= 2, not {min_crossings!r}")
+
+
 def detect_cycle(
     traj: Trajectory,
     p: ModelParams,
@@ -125,16 +137,10 @@ def detect_cycle(
     successive upward section crossings whose y-values differ by less than
     tol_cycle and whose inter-crossing times change by less than 1e-3
     relative; its amplitudes are the ranges of x and y over the last period,
-    from their exact extrema. A `transient_frac` outside [0, 1), a
-    `tol_cycle` that is not > 0 or a `min_crossings` below 2 (one crossing
-    has nothing to compare) raises ConfigError.
+    from their exact extrema. Settings out of range raise ConfigError
+    (`check_cycle_settings`).
     """
-    if not 0.0 <= transient_frac < 1.0:
-        raise ConfigError(f"cycle.transient_frac must lie in [0, 1), not {transient_frac!r}")
-    if not tol_cycle > 0.0:
-        raise ConfigError(f"cycle.tol_cycle must be > 0, not {tol_cycle!r}")
-    if min_crossings < 2:
-        raise ConfigError(f"cycle.min_crossings must be >= 2, not {min_crossings!r}")
+    check_cycle_settings(tol_cycle, transient_frac, min_crossings)
     sol = traj.solution
     if sol is None:
         raise ValueError("detect_cycle needs the planar solve behind the trajectory "

@@ -766,6 +766,24 @@ class TestSamplers:
         draws = abm_mod.UNIFORM_BLOCK + 100
         assert [stream() for _ in range(draws)] == [rng.random() for _ in range(draws)]
 
+    def test_frozen_draws_equal_the_generator_methods(self):
+        # the event loop's order: a wait, then one to three uniforms. 7 417
+        # of the 333 334 waits here leave the ziggurat's fast path and draw
+        # more than one 64-bit word
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        uniform, standard_exponential = abm_mod._frozen_draws(rng)
+        rates = np.random.default_rng(10).uniform(1.0, 1e5, 1000).tolist()
+        frozen, methods = [], []
+        while len(frozen) < 1_000_000:
+            scale = 1.0 / rates[len(frozen) % 1000]
+            frozen.append(scale * standard_exponential())
+            methods.append(twin.exponential(scale))
+            for _ in range(1 + len(frozen) % 3):
+                frozen.append(uniform())
+                methods.append(twin.random())
+        assert frozen == methods
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     @pytest.mark.parametrize("activities", [
         np.random.default_rng(4).pareto(2.5, 1000) + 1.0,
         np.where(np.random.default_rng(5).random(500) < 0.1, 40.0, 1.0),  # two-point
@@ -807,6 +825,11 @@ class TestEnsemble:
     def test_rejects_zero_runs(self):
         with pytest.raises(ConfigError):
             ensemble(small_config(), n_runs=0)
+
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_rejects_fewer_than_one_job(self, n_jobs):
+        with pytest.raises(ConfigError, match="n_jobs must be >= 1"):
+            ensemble(small_config(), n_runs=2, n_jobs=n_jobs)
 
 
 class TestConfig:

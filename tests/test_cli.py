@@ -441,6 +441,25 @@ class TestCycle:
         report = json.loads((tmp_path / "cycle.json").read_text())
         assert report["point"] == pytest.approx([0.457427, 0.385643], abs=1e-5)
 
+    @pytest.mark.parametrize("flags,cfg,message", [
+        (["--transient-frac", "2"], None, "cycle.transient_frac"),
+        (["--tol-cycle", "0"], None, "cycle.tol_cycle"),
+        ([], {"cycle": {"min_crossings": 1}}, "cycle.min_crossings"),
+    ], ids=["transient_frac", "tol_cycle", "min_crossings"])
+    def test_setting_out_of_range_exits_before_the_solve(self, tmp_path, capsys, monkeypatch,
+                                                         flags, cfg, message):
+        solves = []
+        monkeypatch.setattr("epigame.cli.integrate_planar", lambda *a, **k: solves.append(a))
+        args = ["cycle", *REF, "--zeta", "9.5", "--horizon", "500", *flags]
+        if cfg is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            args += ["--config", str(path)]
+        assert run(args, tmp_path / "out") == 2
+        assert message in capsys.readouterr().err
+        assert solves == []
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweep:
     def test_zeta_line_scan(self, tmp_path, capsys):
@@ -538,6 +557,19 @@ class TestCompare:
         gap = np.loadtxt(tmp_path / "compare_gap.csv", delimiter=",", skiprows=1)
         assert ode.shape[0] == abm.shape[0] == gap.shape[0] == 21
         np.testing.assert_allclose(gap[:, 1], abm[:, 1] - ode[:, 1], atol=1e-12)
+
+    @pytest.mark.parametrize("setting,message", [
+        ({"n_runs": 0}, "n_runs must be >= 1"),
+        ({"n_runs": 2, "n_jobs": 0}, "n_jobs must be >= 1"),
+        ({"n_runs": 2, "n_jobs": -3}, "n_jobs must be >= 1"),
+    ], ids=["n_runs-zero", "n_jobs-zero", "n_jobs-negative"])
+    def test_ensemble_size_below_one_exits_2(self, tmp_path, capsys, setting, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"compare": setting}))
+        args = ["compare", *REF, "--zeta", "8", *ABM, "--config", str(path)]
+        assert run(args, tmp_path / "out") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEnvOutdir:
@@ -659,3 +691,67 @@ def test_analysis_artifacts_keep_their_bytes(tmp_path, capsys, point):
         digests.append(hashlib.sha256((tmp_path / f"{command}.json").read_bytes()).hexdigest())
     capsys.readouterr()
     assert tuple(digests) == PINNED_ANALYSIS[point]
+
+
+# SHA-256 of abm_traj.csv and abm_events.csv, recorded before the frozen
+# path's draws went through the bit generator's ctypes interface: the
+# complete graph with uniform activities, alpha 3, lambda 0.5, mu 1, c 3,
+# zeta 8, n 600, horizon 30, log on; (mode, directionality, seed)
+PINNED_FROZEN_ABM = {
+    ("aggregated", "bidirectional", "11"): (
+        "0dd788ec671b880ea7bc74eed501306befee3c874610cc577b1ffd1bef47a0bf",
+        "dca6d312df3347dafb5ed982fb33345e10cd1f7f0f8687ff5b5ff16d62a25f14"),
+    ("aggregated", "bidirectional", "12"): (
+        "8278b8bc741ace903576381f4fe0cc4b7ccaf2432fcc778adafab2aab2a547a8",
+        "224a214e9edb2af9a12825f71618e39c4ea67834c74fe3b519e73485eeadeee0"),
+    # activator-infects reaches x = 0 within the horizon, so these also pin
+    # the absorbed imitation channels
+    ("aggregated", "activator-infects", "11"): (
+        "d47c8be3344039fbcfe5fbe04120a745d21cee233098d0c97d32751772d83c8a",
+        "fda2dda5d1af8a2c8562dc36029fdfe838821ecb4ee9d28e58264eb6640f6e03"),
+    ("aggregated", "activator-infects", "12"): (
+        "b4c82d91f2201f0e4e0ee1761da45deea3e9d852e8b8051e56c0c59c0f51ff8f",
+        "d8da3d9cb5ed8ecf2c727cf7edfd63974f9c94e6c25c55e23e850d32d9bbdc32"),
+    ("contact", "bidirectional", "11"): (
+        "aac4cfc957f1a478b775e48a2a82cb902c66c24e3771a27fefadf386ad5d0485",
+        "9c19fa2f1ccb2e638b7591867a9c6ca89ac6795b04a970ada2204c5c707af19e"),
+    ("contact", "bidirectional", "12"): (
+        "6f29312d031404843c76b8da865b4c73083a75314288eca6a051b0b221690832",
+        "81376d3ca908664ccf2a6e71845496598c4ad565c672f6eae13b22124e62f7c2"),
+    ("contact", "activator-infects", "11"): (
+        "a5bab5af67ee8269b8c45e2354311ae93180e9dde7009b05aa3d678025780fd1",
+        "f6b48ccdde3018137389d4e02eea2683b2f8c93454a423d1fe83cd9092636f1a"),
+    ("contact", "activator-infects", "12"): (
+        "c149629005b117bd5c6275fb24fc0641dce2d8a6dc4c58286179b5542a914c4c",
+        "b0bad38a905390ec366c004289ddfad59d853f59998ac8a1ec1b5a9ed64b3a0e"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_FROZEN_ABM), ids="-".join)
+def test_frozen_path_artifacts_keep_their_bytes(tmp_path, capsys, case):
+    mode, directionality, seed = case
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"abm": {"directionality": directionality,
+                                          "record_events": True}}))
+    assert run(["abm-sim", *REF, "--zeta", "8", "--n", "600", "--seed", seed, "--mode", mode,
+                "--config", str(config)], tmp_path) == 0
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("abm_traj.csv", "abm_events.csv"))
+    assert digests == PINNED_FROZEN_ABM[case]
+
+
+# SHA-256 of compare_abm.csv and compare_gap.csv of one frozen-path compare,
+# recorded with the abm-sim digests above
+PINNED_FROZEN_COMPARE = (
+    "f4924ddc563da8ea4e74c3d977465a4d8cc8a31a377287b300f162f2ae749733",
+    "ea5ed2b1886b7f3ebb828acaa5e89a3bd88ee464462db9c3f5e8625ff68672b7")
+
+
+def test_frozen_path_compare_keeps_its_bytes(tmp_path, capsys):
+    assert run(["compare", *REF, "--zeta", "8", "--n", "2000", "--seed", "5", "--n-runs", "2",
+                "--horizon", "10"], tmp_path) == 0
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("compare_abm.csv", "compare_gap.csv"))
+    assert digests == PINNED_FROZEN_COMPARE
