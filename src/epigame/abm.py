@@ -443,9 +443,10 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
     and each proposal walks the out-neighbour lists (module docstring). The
     behaviour terms (adopter count, xbar, the adopt weight and the drop rate)
     change only with adopt and drop events, so they are recomputed only after
-    one. Each grid time checks the counters against the lists. The lists are written back into ``pop``
-    before every debug check and once at the end, before the final counter
-    check.
+    one; the other rates are recomputed only after an event that changed the
+    state. Each grid time checks the counters against the lists. The lists
+    are written back into ``pop`` before every debug check and once at the
+    end, before the final counter check.
     """
     p = cfg.params
     g = cfg.graph
@@ -494,12 +495,14 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
     else:
         random = _uniform_stream(rng)
     ln = math.log
-    moved = True
+    moved = sick = True
 
     while True:
-        # the behaviour terms change only with adopt and drop events. Every
-        # rate keeps its operands and association order, so seeded runs give
-        # the same doubles: r_adopt is (n0*xbar) * (xbar + zeta*ybar) on the
+        # the behaviour terms change only with adopt and drop events, and the
+        # rates only with those and with recoveries and infections, not with
+        # a contact that transmits nothing or a null proposal. Every rate
+        # keeps its operands and association order, so seeded runs give the
+        # same doubles: r_adopt is (n0*xbar) * (xbar + zeta*ybar) on the
         # complete graph
         if moved:
             n1 = len(adopters)
@@ -513,23 +516,24 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
                 # q10 <= 1 + c, and 0 without non-adopters
                 w_adopt, adopt_base = (n0 if n1 else 0.0), 1.0
                 r_drop = n1 * (1.0 + c) if n0 else 0.0
-            moved = False
-        n_inf = len(infected)
-        n_elig = len(elig)
-        ybar = n_inf / n
-        r_adopt = w_adopt * (adopt_base + zeta * ybar)
-        r_rec = mu * n_inf
-        if contact_mode:
-            # contacts cannot change state without infected present; skipping
-            # them then is exact thinning, but only when no log is kept
-            r_mid = a_total if (n_inf > 0 or record) else 0.0
-        elif bidi:
-            r_mid = per_pair * (n_inf * a_elig + n_elig * a_inf)
-        else:
-            r_mid = per_pair * n_elig * a_inf
-        r_inf = r_rec + r_mid
-        r_imit = r_inf + r_adopt
-        total = r_imit + r_drop
+        if moved or sick:
+            n_inf = len(infected)
+            n_elig = len(elig)
+            ybar = n_inf / n
+            r_adopt = w_adopt * (adopt_base + zeta * ybar)
+            r_rec = mu * n_inf
+            if contact_mode:
+                # contacts cannot change state without infected present; skipping
+                # them then is exact thinning, but only when no log is kept
+                r_mid = a_total if (n_inf > 0 or record) else 0.0
+            elif bidi:
+                r_mid = per_pair * (n_inf * a_elig + n_elig * a_inf)
+            else:
+                r_mid = per_pair * n_elig * a_inf
+            r_inf = r_rec + r_mid
+            r_imit = r_inf + r_adopt
+            total = r_imit + r_drop
+            moved = sick = False
         if total <= 0.0:
             break
         if frozen:
@@ -560,6 +564,7 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
                 elig.append(i)
                 a_elig += a[i]
             n_rec += 1
+            sick = True
             if record:
                 log_event((t, EVENT_RECOVERY, i, None))
         elif u < r_inf:
@@ -604,6 +609,7 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
                 a_inf += a[target]
                 a_elig -= a[target]
                 n_infect += 1
+                sick = True
                 if record:
                     log_event((t, EVENT_INFECTION, target, source))
         elif u < r_imit:

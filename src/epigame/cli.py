@@ -370,7 +370,6 @@ def _cmd_sweep(cfg: dict, args) -> int:
         if steps < 1:
             raise ConfigError(f"sweep axis {name!r} needs steps >= 1")
         axes.append(np.linspace(lo, hi, steps))
-    outdir = _outdir(cfg, args)
     # a point is valid when each of its values is, so one check per axis
     # value suffices; taking the last axis first, with every other axis at
     # its first value, raises for the first invalid point in row order
@@ -378,6 +377,7 @@ def _cmd_sweep(cfg: dict, args) -> int:
     for name, axis in reversed(list(zip(names, axes))):
         for value in axis.tolist():
             ModelParams.from_dict({**base, **first, name: value})
+    outdir = _outdir(cfg, args)  # only once every point is valid
     fixed = ModelParams.from_dict({**base, **first}).to_dict()
     mesh = [a.ravel() for a in np.meshgrid(*axes, indexing="ij")]
     values = {**fixed, **dict(zip(names, mesh))}

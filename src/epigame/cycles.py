@@ -76,7 +76,8 @@ class CycleReport:
                                                np.array([c.y for c in cs], dtype=float), periods])
 
 
-# solve_ivp's tolerance for locating its events
+# the tolerance with which solve_ivp locates its events, so that a crossing
+# is where an event of the same solve would be
 _ROOT_TOL = 4 * np.finfo(float).eps
 
 
@@ -84,15 +85,15 @@ def _roots(sol, g, t0: float, t1: float, upward: bool = False) -> list[tuple[flo
     """Times in [t0, t1], with the states there, where g(x, y) changes sign
     between two accepted steps of the solve `sol` (from negative to
     non-negative only, if `upward`), each refined by `brentq` on the step's
-    own interpolant."""
+    own float interpolant."""
     below = g(*sol.y) < 0
     changes = below[:-1] & ~below[1:] if upward else below[:-1] != below[1:]
     idx = np.flatnonzero(changes)
     idx = idx[(sol.t[idx + 1] >= t0) & (sol.t[idx] <= t1)]
     roots = []
     for i in idx.tolist():
-        step = sol.sol.interpolants[i]
-        a, b = sol.t[i], sol.t[i + 1]
+        step = sol.interpolant(i)
+        a, b = sol.t[i].item(), sol.t[i + 1].item()
 
         def f(t):
             return g(*step(t))

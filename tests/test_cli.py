@@ -531,6 +531,14 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_invalid_grid_point_leaves_no_directory(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {"alpha": 3, "lambda": 0.5, "mu": 1, "zeta": 8},
+                                   "sweep": {"grid": {"c": {"min": -1, "max": 4, "steps": 3}}}}))
+        assert run(["sweep", "--config", str(cfg)], tmp_path / "out") == 2
+        assert "c must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_two_axis_grid(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -741,11 +749,13 @@ def test_frozen_path_artifacts_keep_their_bytes(tmp_path, capsys, case):
     assert digests == PINNED_FROZEN_ABM[case]
 
 
-# SHA-256 of compare_abm.csv and compare_gap.csv of one frozen-path compare,
-# recorded with the abm-sim digests above
+# SHA-256 of compare_abm.csv and compare_gap.csv of one frozen-path compare:
+# compare_abm.csv recorded with the abm-sim digests above, compare_gap.csv
+# when the planar solve moved to its float solver, which changes the ODE's
+# last digits
 PINNED_FROZEN_COMPARE = (
     "f4924ddc563da8ea4e74c3d977465a4d8cc8a31a377287b300f162f2ae749733",
-    "ea5ed2b1886b7f3ebb828acaa5e89a3bd88ee464462db9c3f5e8625ff68672b7")
+    "e03b44f790e88707846fad5bcdf271ea15c1ad624fa8b0ae557c0b0a7abd1a47")
 
 
 def test_frozen_path_compare_keeps_its_bytes(tmp_path, capsys):
@@ -755,3 +765,55 @@ def test_frozen_path_compare_keeps_its_bytes(tmp_path, capsys):
     digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                     for name in ("compare_abm.csv", "compare_gap.csv"))
     assert digests == PINNED_FROZEN_COMPARE
+
+
+# SHA-256 of hetero_nodes.csv and hetero_macro.csv of one seeded mf-hetero
+# run, recorded before the per-node field was computed in one pass: a random
+# out-degree-5 graph on 200 nodes, Pareto activities, zeta 8, horizon 20
+PINNED_HETERO = (
+    "30a2f2258f8058ac9ceea5cefd3bda1ca6e96f5d7b99504a04d89ddc15fd2280",
+    "7250449ef4c3eb513656f8d43476dba5a9e300ff79e2836ecd291cde74f32b3e")
+
+
+def test_hetero_artifacts_keep_their_bytes(tmp_path, capsys):
+    rng = np.random.default_rng(17)
+    n, degree = 200, 5
+    lists = []
+    for i in range(n):
+        nbrs = rng.choice(n - 1, size=degree, replace=False)
+        nbrs[nbrs >= i] += 1
+        lists.append(sorted(nbrs.tolist()))
+    acts = rng.pareto(2.5, n) + 1.0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"hetero": {
+        "graph": {"type": "adjacency", "lists": lists},
+        "activities": (3.0 * acts / acts.mean()).tolist(),
+        "p_x0": rng.uniform(0.3, 0.7, n).tolist(),
+        "p_y0": rng.uniform(0.05, 0.15, n).tolist(),
+    }}))
+    assert run(["mf-hetero", *REF, "--zeta", "8", "--horizon", "20", "--config", str(config)],
+               tmp_path) == 0
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("hetero_nodes.csv", "hetero_macro.csv"))
+    assert digests == PINNED_HETERO
+
+
+# SHA-256 of mf_sim.csv, cycle.json and crossings.csv at zeta 9.5 from
+# (0.5, 0.1), horizon 500, recorded when the planar solve moved to its float
+# solver. That solver rounds each float operation on its own (Python floats
+# and elementwise numpy), so these bytes do not depend on the BLAS kernel.
+PINNED_PLANAR = (
+    "f6a13c2745889129a609f524042e0e30ccaf66b848835c585c0c8b30e083b1ae",
+    "a643fe2274f639d44ed01609ccd992a2f51cc0733713a7a9fafd63331a46d798",
+    "f933a07911e390562fb512dfd6fa6e38c6927910da27ba844fb0b5347076f7cc")
+
+
+def test_planar_artifacts_keep_their_bytes(tmp_path, capsys):
+    args = [*REF, "--zeta", "9.5", "--x0", "0.5", "--y0", "0.1", "--horizon", "500"]
+    for command in ("mf-sim", "cycle"):
+        assert run([command, *args], tmp_path) == 0
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("mf_sim.csv", "cycle.json", "crossings.csv"))
+    assert digests == PINNED_PLANAR

@@ -76,6 +76,22 @@ class TestDetectCycle:
         assert rep.point[0] == pytest.approx(0.457427, abs=1e-4)
         assert rep.point[1] == pytest.approx(0.385643, abs=1e-4)
 
+    @pytest.mark.parametrize("zeta,verdict", [
+        (8.0, Verdict.CONVERGED_TO_POINT),
+        (8.5, Verdict.CONVERGED_TO_POINT),
+        (9.0, Verdict.UNDECIDED),
+        (9.5, Verdict.LIMIT_CYCLE),
+    ])
+    def test_verdict_ladder_at_the_default_tolerances(self, zeta, verdict):
+        # a stable focus (8, 8.5), the band's upper edge, where the interior
+        # state is marginal and the spiral neither settles nor repeats within
+        # the horizon (9.0), and the limit cycle (9.5)
+        p = example_params(zeta)
+        rep = detect_cycle(integrate_planar(MacroState(0.5, 0.1), p, horizon=500.0), p)
+        assert rep.verdict == verdict
+        if verdict == Verdict.LIMIT_CYCLE:
+            assert rep.period == pytest.approx(5.7730067861, rel=0, abs=1e-9)
+
     def test_fixed_start_is_a_point(self):
         p = example_params(9.5)
         traj = integrate_planar(MacroState(0.0, 0.0), p, horizon=50.0)

@@ -19,7 +19,7 @@ from epigame import (
     planar_rhs_xy,
 )
 from epigame.core import NumericalError
-from epigame.meanfield import _solve, sample_grid
+from epigame.meanfield import _solve, _solve_planar, sample_grid
 from .conftest import example_params, random_valid_params
 
 
@@ -146,16 +146,17 @@ class TestIntegratePlanar:
         (5.0, 30.0, 0.1), (8.0, 73.3, None), (9.5, 200.0, 0.7), (9.5, 31.0, 7.0),
     ])
     def test_samples_equal_a_solve_stopped_at_the_sample_times(self, zeta, horizon, sample_dt):
-        # the grid read off the dense interpolant has the bits and the
-        # right-hand-side count of a solve that evaluates at the grid itself
+        # the grid read off the dense interpolant is, to rounding, a scipy
+        # solve that evaluates at the grid itself, with the same
+        # right-hand-side count
         p = example_params(zeta)
         traj = integrate_planar(MacroState(0.5, 0.1), p, horizon, sample_dt=sample_dt)
         ref = solve_ivp(lambda _t, u: planar_rhs_xy(u[0], u[1], p), (0.0, horizon), [0.5, 0.1],
                         t_eval=sample_grid(horizon, sample_dt), rtol=1e-8, atol=1e-10,
                         first_step=1e-3)
         np.testing.assert_array_equal(traj.times, ref.t)
-        np.testing.assert_array_equal(traj.xs, np.clip(ref.y[0], 0.0, 1.0))
-        np.testing.assert_array_equal(traj.ys, np.clip(ref.y[1], 0.0, 1.0))
+        np.testing.assert_allclose(traj.xs, np.clip(ref.y[0], 0.0, 1.0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.ys, np.clip(ref.y[1], 0.0, 1.0), rtol=0, atol=1e-12)
         assert traj.meta["nfev"] == ref.nfev
 
     def test_step_counts_are_exact(self):
@@ -185,12 +186,32 @@ class TestIntegratePlanar:
         assert (steps["accepted"], steps["rejected"], traj.meta["nfev"]) == (4484, 212, 28177)
 
 
-@pytest.mark.parametrize("t_eval", [None, np.linspace(0.0, 1.0, 5)], ids=["dense", "grid"])
-def test_failed_solve_is_a_numerical_error(t_eval):
-    # a velocity that is nan from the start fails the first step, where scipy
-    # leaves the solution's times a list
+def test_sampled_states_are_the_step_interpolants():
+    # the array and the float form of a step's interpolant agree to the bit,
+    # and at the ends of the steps they give the accepted states to rounding
+    p = example_params(9.5)
+    sol = integrate_planar(MacroState(0.5, 0.1), p, horizon=50.0).solution
+    times = np.linspace(0.0, 50.0, 1001)
+    steps = np.clip(np.searchsorted(sol.t, times) - 1, 0, sol.t.size - 2)
+    sampled = sol.sol(times)
+    for k, (t, i) in enumerate(zip(times.tolist(), steps.tolist())):
+        assert sol.interpolant(i)(t) == tuple(sampled[:, k].tolist())
+    ends = sol.sol(sol.t[1:])
+    np.testing.assert_allclose(ends, sol.y[:, 1:], rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(sol.sol(sol.t[:1]), sol.y[:, :1])
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: _solve_planar(lambda x, y: (math.nan, math.nan), 0.5, 0.1, 1.0, 1e-8, 1e-10),
+    lambda: _solve(lambda t, u: np.full(2, np.nan), [0.5, 0.1], 1.0, 1e-8, 1e-10,
+                   np.linspace(0.0, 1.0, 5)),
+], ids=["dense", "grid"])
+def test_failed_solve_is_a_numerical_error(solve):
+    # a velocity that is nan from the start fails the first step: every
+    # attempt is rejected until the step falls below the float spacing at
+    # t = 0 (where scipy leaves the solution's times a list)
     with pytest.raises(NumericalError, match="integration failed at t = 0"):
-        _solve(lambda t, u: np.full(2, np.nan), [0.5, 0.1], 1.0, 1e-8, 1e-10, t_eval)
+        solve()
 
 
 class TestHeteroRhs:
