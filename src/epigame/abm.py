@@ -100,7 +100,7 @@ from itertools import chain
 import numpy as np
 
 from .artifacts import text, write_csv
-from .core import ConfigError, ModelParams, NumericalError, config_value
+from .core import ConfigError, ModelParams, NumericalError, config_value, config_vector
 from .meanfield import Trajectory, imitation_rates, sample_grid
 from .network import InfluenceGraph
 
@@ -211,11 +211,7 @@ class AbmConfig:
     debug_check: bool = False
 
     def __post_init__(self):
-        self.activities = np.asarray(self.activities, dtype=float)
-        if self.activities.shape != (self.graph.n,):
-            raise ConfigError("activities length must equal graph order")
-        if np.any(self.activities <= 0.0):
-            raise ConfigError("activities must be positive")
+        self.activities = _checked_activities(self.activities, self.graph.n)
         if self.horizon is None or self.horizon <= 0:
             raise ConfigError("horizon must be > 0")
         if self.sample_dt is None or self.sample_dt <= 0:
@@ -231,10 +227,13 @@ class AbmConfig:
         if explicit:
             if self.behaviours0 is None or self.healths0 is None:
                 raise ConfigError("explicit initial condition needs both behaviours0 and healths0")
-            self.behaviours0 = np.asarray(self.behaviours0, dtype=np.int8)
-            self.healths0 = np.asarray(self.healths0, dtype=np.int8)
-            if self.behaviours0.shape != (self.graph.n,) or self.healths0.shape != (self.graph.n,):
-                raise ConfigError("initial vectors must have length n")
+            for name in ("behaviours0", "healths0"):
+                v = np.asarray(getattr(self, name))
+                if v.shape != (self.graph.n,):
+                    raise ConfigError("initial vectors must have length n")
+                if not np.isin(v, (0, 1)).all():
+                    raise ConfigError(f"{name} entries must be 0 or 1")
+                setattr(self, name, v.astype(np.int8))
         elif sampled:
             if self.x0 is None or self.y0 is None:
                 raise ConfigError("sampled initial condition needs both x0 and y0")
@@ -285,7 +284,8 @@ class AbmConfig:
         params = ModelParams.from_dict(d["params"])
         graph = InfluenceGraph.from_dict(d["graph"])
         if "behaviours0" in d or "healths0" in d:
-            initial = {"behaviours0": d.get("behaviours0"), "healths0": d.get("healths0")}
+            initial = {k: None if d.get(k) is None else config_vector(k, d[k], int)
+                       for k in ("behaviours0", "healths0")}
         else:
             initial = {k: config_value(k, d.get(k), float) for k in ("x0", "y0")}
         record_events = d.get("record_events")
@@ -314,10 +314,12 @@ def activities_from(spec, n: int, alpha: float) -> np.ndarray:
     agents) or a list of n positive finite numbers."""
     if spec == "uniform":
         return np.full(n, alpha)
-    try:
-        activities = np.asarray(spec, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError('activities must be "uniform" or a list of numbers') from exc
+    return _checked_activities(config_vector("activities", spec), n)
+
+
+def _checked_activities(activities, n: int) -> np.ndarray:
+    """`activities` as a float array, if it holds n positive finite numbers."""
+    activities = np.asarray(activities, dtype=float)
     if activities.shape != (n,):
         raise ConfigError("activities length must equal graph order")
     if not (np.isfinite(activities) & (activities > 0)).all():

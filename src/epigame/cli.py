@@ -3,10 +3,15 @@
 Subcommands: regime, equilibria, mf-sim, mf-hetero, abm-sim, cycle, sweep,
 compare. Every command accepts an optional JSON config (``--config``).
 
+One table, ``COMMANDS``, declares each command: its handler, its help line
+and the settings it reads, each with its default. ``SETTINGS`` says where
+each setting lives in a config (the top level or one block) and how it is
+read, and ``build_parser`` gives each setting one flag (``sample_dt`` is
+``--sample-dt``) of that type. Every command also takes the five model
+parameters (the ``params`` block), ``--config`` and ``--outdir``.
+
 Each setting is resolved by one rule: its flag if given, else its entry in
-the config, else the command's default. ``SETTINGS`` says where each setting
-lives in a config (the top level or one block) and how it is read; the model
-parameters live in the ``params`` block. A value that cannot be read is a
+the config, else the command's default. A value that cannot be read is a
 configuration error, and so is a null, except where the command's default is
 null too. The settings a run used are written next to its artifacts as
 ``<command>.config.json``, so any run can be reproduced from that sidecar
@@ -35,6 +40,7 @@ from .core import (
     ModelParams,
     NumericalError,
     config_value,
+    config_vector,
 )
 from .cycles import (
     DEFAULT_MIN_CROSSINGS,
@@ -59,8 +65,8 @@ OUTDIR_ENV = "EPIGAME_OUTDIR"
 # flag nor the config's "initial" block gives one
 DEFAULT_INITIAL = {"x": 0.5, "y": 0.1}
 
-# each setting by the name of its flag, or of its key for the config-only
-# ones: (config block, None for the top level; key in it; how it is read)
+# each setting by the name of its flag: (config block, None for the top
+# level; key in it; how it is read)
 SETTINGS = {
     "outdir": (None, "outdir", str),
     "horizon": (None, "horizon", float),
@@ -90,12 +96,11 @@ ABM_SPEC_KEYS = ("activities", "directionality", "record_events", "behaviours0",
 # top-level keys are left alone, since one config may serve several commands.
 BLOCK_KEYS = {
     "params": PARAM_KEYS,
-    "initial": ("x", "y"),
     "abm": ("n", *abm_mod.AbmConfig.SPEC_KEYS),
     "hetero": ("graph", "activities", "p_x0", "p_y0"),
-    "cycle": ("tol_cycle", "transient_frac", "min_crossings"),
-    "compare": ("n_runs", "n_jobs"),
     "sweep": ("grid",),
+    **{name: tuple(key for block, key, _ in SETTINGS.values() if block == name)
+       for name in ("initial", "cycle", "compare")},
 }
 
 # the keys of one sweep axis, and how each is read
@@ -132,45 +137,60 @@ def _block(cfg: dict, name: str) -> dict:
     return block
 
 
-def _resolve(cfg: dict, args, **defaults) -> dict:
-    """Each named setting: its flag if given, else its config entry (see
-    SETTINGS), else the default given here. A null stays null only where
-    that default is null too; any other value is read by the setting's cast
-    (`config_value`), and a setting in POSITIVE must be > 0."""
+def _where(name: str) -> str:
+    """Where a config holds the setting `name`: its key, after its block."""
+    block, key, _ = SETTINGS[name]
+    return f"{block}.{key}" if block else key
+
+
+def _resolve(cfg: dict, args, defaults: dict) -> dict:
+    """Each setting named in `defaults`: its flag if given, else its config
+    entry (see SETTINGS), else its default there, nested as a config holds
+    it, so the settings of one block come back as one dict. A null stays null
+    only where the default is null too; any other value is read by the
+    setting's cast (`config_value`), and a setting in POSITIVE must be > 0."""
     resolved = {}
     for name, default in defaults.items():
         block, key, cast = SETTINGS[name]
-        value = getattr(args, name, None)
+        value = getattr(args, name)
         if value is None:
             value = (_block(cfg, block) if block else cfg).get(key, default)
-        if value is None and default is None:
-            resolved[name] = None
-        else:
-            what = f"{block}.{key}" if block else key
-            resolved[name] = config_value(what, value, cast)
-            if name in POSITIVE and resolved[name] <= 0:
-                raise ConfigError(f"{what} must be > 0, not {value!r}")
+        if value is not None or default is not None:
+            read = config_value(_where(name), value, cast)
+            if name in POSITIVE and read <= 0:
+                raise ConfigError(f"{_where(name)} must be > 0, not {value!r}")
+            value = read
+        (resolved.setdefault(block, {}) if block else resolved)[key] = value
     return resolved
+
+
+def _param_dest(key: str) -> str:
+    """The attribute of the parsed arguments that holds a parameter's flag."""
+    return "lambda_" if key == "lambda" else key  # lambda is a Python keyword
 
 
 def _params(cfg: dict, args) -> dict:
     """The config's params block with each given parameter flag in place of its value."""
     d = dict(_block(cfg, "params"))
     for key in PARAM_KEYS:
-        v = getattr(args, "lambda_" if key == "lambda" else key)
+        v = getattr(args, _param_dest(key))
         if v is not None:
             d[key] = v
     return d
 
 
-def _initial(cfg: dict, args) -> dict:
-    s = _resolve(cfg, args, x0=DEFAULT_INITIAL["x"], y0=DEFAULT_INITIAL["y"])
-    state = MacroState(s["x0"], s["y0"])  # rejects values outside [0, 1]
-    return {"x": state.x, "y": state.y}
+def _model(cfg: dict, args, s: dict) -> tuple[ModelParams, dict]:
+    """The model, and the resolved settings `s` as a sidecar lists them,
+    after the model's parameters. An initial state among them must lie in
+    [0, 1]."""
+    p = ModelParams.from_dict(_params(cfg, args))
+    if "initial" in s:
+        MacroState(**s["initial"])  # raises for a value outside [0, 1]
+    return p, {"params": p.to_dict(), **s}
 
 
 def _outdir(cfg: dict, args) -> Path:
-    path = Path(_resolve(cfg, args, outdir=os.environ.get(OUTDIR_ENV, "."))["outdir"])
+    path = Path(_resolve(cfg, args, {"outdir": os.environ.get(OUTDIR_ENV, ".")})["outdir"])
     try:
         path.mkdir(parents=True, exist_ok=True)
         probe = path / ".write-probe"
@@ -187,54 +207,44 @@ def _write_sidecar(outdir: Path, command: str, settings: dict) -> None:
                {"command": command, **settings, "outdir": str(outdir)})
 
 
-def _ode_settings(cfg: dict, args, sampled: bool = True) -> tuple[ModelParams, dict]:
-    """The model and the settings of mf-sim and mf-hetero, or of cycle, which
-    reads the solve itself and so has no sample spacing (`sampled` false)."""
-    p = ModelParams.from_dict(_params(cfg, args))
-    spacing = {"sample_dt": None} if sampled else {}
-    s = _resolve(cfg, args, horizon=200.0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, **spacing)
-    return p, {"params": p.to_dict(), "initial": _initial(cfg, args), **s}
-
-
-def _abm_settings(cfg: dict, args) -> tuple[abm_mod.AbmConfig, dict]:
+def _abm_settings(cfg: dict, args, s: dict) -> tuple[abm_mod.AbmConfig, dict]:
     """The run spec of abm-sim and compare, and the settings that rebuild it."""
-    p = ModelParams.from_dict(_params(cfg, args))
-    s = _resolve(cfg, args, horizon=30.0, sample_dt=0.1, seed=None, n=None, mode="aggregated")
+    p, s = _model(cfg, args, s)
     if s["seed"] is None:
         if getattr(args, "strict", False):
             raise ConfigError("--seed is mandatory in strict mode")
         s["seed"] = 0
     block = _block(cfg, "abm")
-    graph = block.get("graph")
-    if (graph is None) == (s["n"] is None):
+    graph, n = block.get("graph"), s["abm"]["n"]
+    if (graph is None) == (n is None):
         raise ConfigError("abm needs either --n (complete graph) or an abm.graph block")
-    settings = {"params": p.to_dict(), "horizon": s["horizon"], "sample_dt": s["sample_dt"],
-                "seed": s["seed"]}
-    spec = {**settings, **{k: block[k] for k in ABM_SPEC_KEYS if k in block},
-            "graph": {"type": "complete", "n": s["n"]} if graph is None else graph,
-            "infection_mode": s["mode"]}
+    spec = {**{k: s[k] for k in ("params", "horizon", "sample_dt", "seed")},
+            **{k: block[k] for k in ABM_SPEC_KEYS if k in block},
+            "graph": {"type": "complete", "n": n} if graph is None else graph,
+            "infection_mode": s["abm"]["infection_mode"]}
     if "behaviours0" in block or "healths0" in block:
         if args.x0 is not None or args.y0 is not None or "initial" in cfg:
             raise ConfigError("give either abm.behaviours0 and abm.healths0 or an initial "
                               "state (--x0/--y0 or the initial block), not both")
+        del s["initial"]
     else:
-        settings["initial"] = _initial(cfg, args)
-        spec["x0"], spec["y0"] = settings["initial"]["x"], settings["initial"]["y"]
+        spec["x0"], spec["y0"] = s["initial"]["x"], s["initial"]["y"]
     acfg = abm_mod.AbmConfig.from_dict(spec)
-    return acfg, {**settings, "abm": acfg.to_dict()}
+    s["abm"] = acfg.to_dict()
+    return acfg, s
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _cmd_regime(cfg: dict, args) -> int:
-    p = ModelParams.from_dict(_params(cfg, args))
+def _cmd_regime(cfg: dict, args, s: dict) -> int:
+    p, s = _model(cfg, args, s)
     outdir = _outdir(cfg, args)
     report = classify_regime(p)
     out = outdir / "regime.json"
     write_json(out, report.to_dict())
-    _write_sidecar(outdir, "regime", {"params": p.to_dict()})
+    _write_sidecar(outdir, "regime", s)
     print(f"regime: {report.label.value}")
     for c in report.conditions:
         mark = "ok " if c.satisfied else "NOT"
@@ -243,13 +253,13 @@ def _cmd_regime(cfg: dict, args) -> int:
     return 0
 
 
-def _cmd_equilibria(cfg: dict, args) -> int:
-    p = ModelParams.from_dict(_params(cfg, args))
+def _cmd_equilibria(cfg: dict, args, s: dict) -> int:
+    p, s = _model(cfg, args, s)
     outdir = _outdir(cfg, args)
     reports = find_equilibria(p)
     out = outdir / "equilibria.json"
     write_json(out, {"params": p.to_dict(), "equilibria": [r.to_dict() for r in reports]})
-    _write_sidecar(outdir, "equilibria", {"params": p.to_dict()})
+    _write_sidecar(outdir, "equilibria", s)
     for r in reports:
         if r.exists:
             print(
@@ -261,8 +271,8 @@ def _cmd_equilibria(cfg: dict, args) -> int:
     return 0
 
 
-def _cmd_mf_sim(cfg: dict, args) -> int:
-    p, s = _ode_settings(cfg, args)
+def _cmd_mf_sim(cfg: dict, args, s: dict) -> int:
+    p, s = _model(cfg, args, s)
     outdir = _outdir(cfg, args)
     traj = integrate_planar(MacroState(**s["initial"]), p, s["horizon"], s["rtol"], s["atol"],
                             s["sample_dt"])
@@ -274,8 +284,8 @@ def _cmd_mf_sim(cfg: dict, args) -> int:
     return 0
 
 
-def _cmd_mf_hetero(cfg: dict, args) -> int:
-    p, s = _ode_settings(cfg, args)
+def _cmd_mf_hetero(cfg: dict, args, s: dict) -> int:
+    p, s = _model(cfg, args, s)
     block = _block(cfg, "hetero")
     if "graph" not in block:
         raise ConfigError("mf-hetero needs a 'hetero' config block with a 'graph'")
@@ -283,8 +293,10 @@ def _cmd_mf_hetero(cfg: dict, args) -> int:
     activities = abm_mod.activities_from(block.get("activities", "uniform"), graph.n, p.alpha)
 
     def start(v):  # hetero.p_x0 or p_y0: one probability for every node, or one per node
-        value = block.get(f"p_{v}0", s["initial"][v])
-        return np.full(graph.n, value, float) if np.isscalar(value) else np.asarray(value, float)
+        name, value = f"hetero.p_{v}0", block.get(f"p_{v}0", s["initial"][v])
+        if isinstance(value, list):
+            return config_vector(name, value)
+        return np.full(graph.n, config_value(name, value, float))
 
     try:
         ps0 = ProbabilityState(start("x"), start("y"))
@@ -303,8 +315,8 @@ def _cmd_mf_hetero(cfg: dict, args) -> int:
     return 0
 
 
-def _cmd_abm_sim(cfg: dict, args) -> int:
-    acfg, settings = _abm_settings(cfg, args)
+def _cmd_abm_sim(cfg: dict, args, s: dict) -> int:
+    acfg, s = _abm_settings(cfg, args, s)
     outdir = _outdir(cfg, args)
     traj, log = abm_mod.simulate(acfg)
     traj_out = outdir / "abm_traj.csv"
@@ -314,7 +326,7 @@ def _cmd_abm_sim(cfg: dict, args) -> int:
         ev_out = outdir / "abm_events.csv"
         log.to_csv(ev_out)
         written.append(ev_out)
-    _write_sidecar(outdir, "abm-sim", settings)
+    _write_sidecar(outdir, "abm-sim", s)
     xf, yf = traj.final_state().as_tuple()
     print(
         f"n={acfg.graph.n} seed={acfg.seed} events={len(log) if acfg.record_events else 'off'} "
@@ -323,11 +335,8 @@ def _cmd_abm_sim(cfg: dict, args) -> int:
     return 0
 
 
-def _cmd_cycle(cfg: dict, args) -> int:
-    p, s = _ode_settings(cfg, args, sampled=False)
-    s["cycle"] = _resolve(cfg, args, tol_cycle=DEFAULT_TOL_CYCLE,
-                          transient_frac=DEFAULT_TRANSIENT_FRAC,
-                          min_crossings=DEFAULT_MIN_CROSSINGS)
+def _cmd_cycle(cfg: dict, args, s: dict) -> int:
+    p, s = _model(cfg, args, s)
     check_cycle_settings(**s["cycle"])  # before the solve and the output directory
     outdir = _outdir(cfg, args)
     traj = integrate_planar(MacroState(**s["initial"]), p, s["horizon"], s["rtol"], s["atol"])
@@ -346,7 +355,7 @@ def _cmd_cycle(cfg: dict, args) -> int:
     return 0
 
 
-def _cmd_sweep(cfg: dict, args) -> int:
+def _cmd_sweep(cfg: dict, args, s: dict) -> int:
     block = _block(cfg, "sweep")
     if "grid" not in block:
         raise ConfigError("sweep needs a 'sweep' config block with a 'grid'")
@@ -399,12 +408,11 @@ def _cmd_sweep(cfg: dict, args) -> int:
     return 0
 
 
-def _cmd_compare(cfg: dict, args) -> int:
-    acfg, settings = _abm_settings(cfg, args)
-    settings["compare"] = _resolve(cfg, args, n_runs=20, n_jobs=1)
-    abm_mod.check_ensemble_size(**settings["compare"])  # before the output directory
+def _cmd_compare(cfg: dict, args, s: dict) -> int:
+    acfg, s = _abm_settings(cfg, args, s)
+    abm_mod.check_ensemble_size(**s["compare"])  # before the output directory
     outdir = _outdir(cfg, args)
-    ens = abm_mod.ensemble(acfg, **settings["compare"])
+    ens = abm_mod.ensemble(acfg, **s["compare"])
     x0 = acfg.x0 if acfg.x0 is not None else float(acfg.behaviours0.mean())
     y0 = acfg.y0 if acfg.y0 is not None else float((acfg.healths0 == 1).mean())
     ode = integrate_planar(
@@ -419,7 +427,7 @@ def _cmd_compare(cfg: dict, args) -> int:
     gap_x = ens.x_mean - ode.xs
     gap_y = ens.y_mean - ode.ys
     write_csv(gap_out, "t,gap_x,gap_y", [text("%.12g", ens.times), gap_x, gap_y])
-    _write_sidecar(outdir, "compare", settings)
+    _write_sidecar(outdir, "compare", s)
     sup = float(np.maximum(np.abs(gap_x), np.abs(gap_y)).max())
     print(f"sup-norm gap over horizon: {sup:.5f}")
     print(f"wrote {ode_out}, {abm_out}, {gap_out}")
@@ -427,35 +435,35 @@ def _cmd_compare(cfg: dict, args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table and the parser built from it
 
+# the settings of the commands that integrate the mean-field ODE, and of
+# those that run the agent-based model
+_ODE = {"x0": DEFAULT_INITIAL["x"], "y0": DEFAULT_INITIAL["y"], "horizon": 200.0,
+        "rtol": DEFAULT_RTOL, "atol": DEFAULT_ATOL}
+_AGENTS = {"horizon": 30.0, "sample_dt": 0.1, "seed": None, "x0": DEFAULT_INITIAL["x"],
+           "y0": DEFAULT_INITIAL["y"], "n": None, "mode": "aggregated"}
 
-def _add_param_flags(sp):
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--lambda", dest="lambda_", type=float)
-    sp.add_argument("--mu", type=float)
-    sp.add_argument("--c", type=float)
-    sp.add_argument("--zeta", type=float)
-    sp.add_argument("--config", help="JSON config file (flags override it)")
-    sp.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV} or .)")
-
-
-def _add_initial_flags(sp):
-    sp.add_argument("--x0", type=float,
-                    help=f"initial adoption share (default {DEFAULT_INITIAL['x']})")
-    sp.add_argument("--y0", type=float,
-                    help=f"initial prevalence (default {DEFAULT_INITIAL['y']})")
-
-
-def _add_horizon_flags(sp, sampled: bool = True):
-    sp.add_argument("--horizon", type=float)
-    if sampled:
-        sp.add_argument("--sample-dt", dest="sample_dt", type=float)
-
-
-def _add_tolerance_flags(sp):
-    sp.add_argument("--rtol", type=float)
-    sp.add_argument("--atol", type=float)
+# each command: its handler, its help line and the SETTINGS it reads, each
+# with the default it takes when neither its flag nor the config gives it.
+# The order of the settings is the order of the sidecar's keys. A null
+# sample_dt leaves the spacing to the solver; cycle has none, since it reads
+# the solve itself.
+COMMANDS = {
+    "regime": (_cmd_regime, "classify the parameter regime", {}),
+    "equilibria": (_cmd_equilibria, "enumerate equilibria with stability", {}),
+    "mf-sim": (_cmd_mf_sim, "integrate the planar mean-field system",
+               {**_ODE, "sample_dt": None}),
+    "mf-hetero": (_cmd_mf_hetero, "integrate the per-node mean-field system",
+                  {**_ODE, "sample_dt": None}),
+    "abm-sim": (_cmd_abm_sim, "run one stochastic agent-based realization", _AGENTS),
+    "cycle": (_cmd_cycle, "integrate then detect a limit cycle",
+              {**_ODE, "tol_cycle": DEFAULT_TOL_CYCLE, "transient_frac": DEFAULT_TRANSIENT_FRAC,
+               "min_crossings": DEFAULT_MIN_CROSSINGS}),
+    "sweep": (_cmd_sweep, "classify regimes over a parameter grid", {}),
+    "compare": (_cmd_compare, "ABM ensemble vs planar mean-field",
+                {**_AGENTS, "n_runs": 20, "n_jobs": 1}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,69 +472,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coupled behaviour-epidemic model: simulation and analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("regime", help="classify the parameter regime")
-    _add_param_flags(sp)
-    sp.set_defaults(func=_cmd_regime)
-
-    sp = sub.add_parser("equilibria", help="enumerate equilibria with stability")
-    _add_param_flags(sp)
-    sp.set_defaults(func=_cmd_equilibria)
-
-    sp = sub.add_parser("mf-sim", help="integrate the planar mean-field system")
-    _add_param_flags(sp)
-    _add_initial_flags(sp)
-    _add_horizon_flags(sp)
-    _add_tolerance_flags(sp)
-    sp.set_defaults(func=_cmd_mf_sim)
-
-    sp = sub.add_parser("mf-hetero", help="integrate the per-node mean-field system")
-    _add_param_flags(sp)
-    _add_horizon_flags(sp)
-    _add_tolerance_flags(sp)
-    sp.set_defaults(func=_cmd_mf_hetero)
-
-    sp = sub.add_parser("abm-sim", help="run one stochastic agent-based realization")
-    _add_param_flags(sp)
-    _add_initial_flags(sp)
-    _add_horizon_flags(sp)
-    sp.add_argument("--n", type=int, help="population size (complete influence graph)")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--mode", choices=("aggregated", "contact"))
-    sp.add_argument("--strict", action="store_true", help="require an explicit --seed")
-    sp.set_defaults(func=_cmd_abm_sim)
-
-    sp = sub.add_parser("cycle", help="integrate then detect a limit cycle")
-    _add_param_flags(sp)
-    _add_initial_flags(sp)
-    _add_horizon_flags(sp, sampled=False)
-    _add_tolerance_flags(sp)
-    sp.add_argument("--tol-cycle", dest="tol_cycle", type=float)
-    sp.add_argument("--transient-frac", dest="transient_frac", type=float)
-    sp.set_defaults(func=_cmd_cycle)
-
-    sp = sub.add_parser("sweep", help="classify regimes over a parameter grid")
-    _add_param_flags(sp)
-    sp.set_defaults(func=_cmd_sweep)
-
-    sp = sub.add_parser("compare", help="ABM ensemble vs planar mean-field")
-    _add_param_flags(sp)
-    _add_initial_flags(sp)
-    _add_horizon_flags(sp)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--mode", choices=("aggregated", "contact"))
-    sp.add_argument("--n-runs", dest="n_runs", type=int)
-    sp.set_defaults(func=_cmd_compare)
-
+    for command, (_, summary, defaults) in COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
+        for key in PARAM_KEYS:
+            sp.add_argument(f"--{key}", dest=_param_dest(key), type=float,
+                            help=f"config entry params.{key}")
+        sp.add_argument("--config", help="JSON config file (flags override it)")
+        for name, default in {"outdir": f"${OUTDIR_ENV}, else .", **defaults}.items():
+            shown = "" if default is None else f"; default {default}"
+            sp.add_argument(f"--{name.replace('_', '-')}", type=SETTINGS[name][2],
+                            help=f"config entry {_where(name)}{shown}")
+        if command == "abm-sim":
+            sp.add_argument("--strict", action="store_true", help="require an explicit --seed")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run, _, defaults = COMMANDS[args.command]
     try:
-        return args.func(_load_config(args.config), args)
+        cfg = _load_config(args.config)
+        return run(cfg, args, _resolve(cfg, args, defaults))
     except (AssumptionError, ConfigError, InvalidParameterError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class InvalidParameterError(ValueError):
     """A model parameter or state coordinate is outside its admissible range."""
@@ -36,13 +38,14 @@ PARAM_KEYS = ("alpha", "lambda", "mu", "c", "zeta")
 
 def config_value(name: str, value, cast):
     """`value` read by `cast` (float, int, str). A value it cannot read
-    exactly is a ConfigError naming the setting: null, a bool read as a
-    number, a float that is not finite, and an int that is not integral."""
+    exactly is a ConfigError naming the setting: null, a bool or a string
+    read as a number, a float that is not finite, and an int that is not
+    integral."""
     try:
         if value is None:
             raise TypeError("null")  # str() would read it as "None"
-        if cast in (int, float) and isinstance(value, bool):
-            raise TypeError("a bool is not a number")
+        if cast in (int, float) and isinstance(value, (bool, str)):
+            raise TypeError("not a number")
         if cast is int and isinstance(value, float) and not value.is_integer():
             raise ValueError("not integral")  # int() would truncate it
         read = cast(value)
@@ -52,6 +55,29 @@ def config_value(name: str, value, cast):
     except (TypeError, ValueError, OverflowError) as exc:
         what = {float: "a finite number", int: "an integer"}.get(cast, cast.__name__)
         raise ConfigError(f"{name} must be {what}, not {value!r}") from exc
+
+
+def config_vector(name: str, value, cast=float) -> np.ndarray:
+    """`value`, a list whose every entry `config_value` reads by `cast`
+    (float or int), as a float array. The entries are checked by their types
+    and then as one array, not one call each, since a graph may list 10^4 of
+    them; anything else is a ConfigError naming the setting."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of numbers, not {value!r}")
+    if not set(map(type, value)) <= {int, float}:  # so no bool, string, null or list
+        bad = next(v for v in value if type(v) not in (int, float))
+        raise ConfigError(f"{name} must hold numbers only, not {bad!r}")
+    what = "integers" if cast is int else "finite numbers"
+    try:
+        read = np.array(value, dtype=float)
+    except OverflowError as exc:  # an int beyond the float range
+        raise ConfigError(f"{name} must hold {what} only") from exc
+    ok = np.isfinite(read)
+    if cast is int:
+        ok &= read == np.trunc(read)
+    if not ok.all():
+        raise ConfigError(f"{name} must hold {what} only, not {value[int(np.argmin(ok))]!r}")
+    return read
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,12 @@ implicitly so that large populations never materialise an O(n^2) adjacency.
 """
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 import scipy.sparse as sp
+
+from .core import config_value, config_vector
 
 
 class GraphError(ValueError):
@@ -90,6 +94,10 @@ class InfluenceGraph:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InfluenceGraph":
+        """The graph of a config block: {"type": "complete", "n": n} or
+        {"type": "adjacency", "lists": one list of neighbour indices per
+        node}, where n and every index are read as `config_value` reads an
+        int."""
         if not isinstance(d, dict):
             raise GraphError("a graph is a JSON object with a 'type'")
         kind = d.get("type")
@@ -98,7 +106,13 @@ class InfluenceGraph:
             raise GraphError(f"unknown graph type {kind!r}")
         if key not in d:
             raise GraphError(f"{kind} graph needs {key!r}")
-        return cls.complete(int(d["n"])) if kind == "complete" else cls.from_adjacency(d["lists"])
+        if kind == "complete":
+            return cls.complete(config_value("graph.n", d["n"], int))
+        lists = d["lists"]
+        if not isinstance(lists, list) or not set(map(type, lists)) <= {list}:
+            raise GraphError("an adjacency graph's 'lists' must be a list of lists")
+        config_vector("graph.lists", list(chain.from_iterable(lists)), int)
+        return cls.from_adjacency(lists)
 
     def __eq__(self, other):
         if not isinstance(other, InfluenceGraph):

@@ -868,6 +868,10 @@ class TestConfig:
             dict(behaviours0=[1, 0], healths0=[0, 0]),  # wrong length, plus x0/y0 set
             dict(x0=None, y0=None),  # no initial condition at all
             dict(horizon=None),
+            dict(n=4, activities=[float("nan")] * 4),
+            dict(n=4, activities=[float("inf")] * 4),
+            dict(n=4, x0=None, y0=None, behaviours0=[0.6, 1, 0, 1], healths0=[0, 1, 0, 0]),
+            dict(n=4, x0=None, y0=None, behaviours0=[1, 0, 0, 1], healths0=[256, 1, 0, 1]),
         ],
     )
     def test_rejects_malformed(self, overrides):

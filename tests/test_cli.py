@@ -13,7 +13,7 @@ import pytest
 
 import epigame
 from epigame import equilibria
-from epigame.cli import ABM_SPEC_KEYS, BLOCK_KEYS, SETTINGS, main
+from epigame.cli import ABM_SPEC_KEYS, BLOCK_KEYS, SETTINGS, build_parser, main
 
 REF = ["--alpha", "3", "--lambda", "0.5", "--mu", "1", "--c", "3"]
 
@@ -148,20 +148,25 @@ class TestMfHetero:
         assert run(["mf-hetero", *REF, "--zeta", "5", "--config", str(cfg)], tmp_path) == 2
         assert "graph" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("initial", [{"x": 0.9, "y": 0.9}, None], ids=["block", "default"])
-    def test_nodes_start_at_the_initial_state(self, tmp_path, capsys, initial):
+    @pytest.mark.parametrize("flags,given,initial,start", [
+        ([], {"initial": {"x": 0.9, "y": 0.9}}, (0.9, 0.9), (0.9, 0.9)),
+        ([], {}, (0.5, 0.1), (0.5, 0.1)),
+        (["--x0", "0.2"], {"initial": {"x": 0.9, "y": 0.9}}, (0.2, 0.9), (0.2, 0.9)),
+        # a per-node start replaces the initial state, however that is given
+        (["--x0", "0.2"], {"hetero": {"p_x0": 0.7}}, (0.2, 0.1), (0.7, 0.1)),
+    ], ids=["block", "default", "flag", "p_x0-over-flag"])
+    def test_nodes_start_at_the_initial_state(self, tmp_path, capsys, flags, given, initial,
+                                              start):
         cfg = tmp_path / "cfg.json"
-        given = {} if initial is None else {"initial": initial}
-        cfg.write_text(json.dumps({**given, "hetero": {"graph": {"type": "complete", "n": 3}}}))
-        args = ["mf-hetero", *REF, "--zeta", "5", "--horizon", "1", "--config", str(cfg)]
+        hetero = {"graph": {"type": "complete", "n": 3}, **given.get("hetero", {})}
+        cfg.write_text(json.dumps({**given, "hetero": hetero}))
+        args = ["mf-hetero", *REF, "--zeta", "5", "--horizon", "1", *flags, "--config", str(cfg)]
         assert run(args, tmp_path) == 0
         capsys.readouterr()
-        expected = initial or {"x": 0.5, "y": 0.1}
         nodes = np.loadtxt(tmp_path / "hetero_nodes.csv", delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(nodes[:3], [[0, k, expected["x"], expected["y"]]
-                                                  for k in range(3)])
+        np.testing.assert_array_equal(nodes[:3], [[0, k, *start] for k in range(3)])
         sidecar = json.loads((tmp_path / "mf-hetero.config.json").read_text())
-        assert sidecar["initial"] == expected
+        assert sidecar["initial"] == dict(zip("xy", initial))
 
 
 class TestAbmSim:
@@ -233,6 +238,14 @@ class TestAbmSim:
 ABM = ["--n", "20", "--seed", "1", "--horizon", "1"]
 EXPLICIT_ABM = {"abm": {"graph": {"type": "complete", "n": 4},
                         "behaviours0": [1, 0, 0, 0], "healths0": [0, 1, 0, 0]}}
+# graph blocks that are not read strictly: (id, graph, message)
+MALFORMED_GRAPHS = [
+    ("n-fraction", {"type": "complete", "n": 2.5}, "graph.n"),
+    ("n-text", {"type": "complete", "n": "4"}, "graph.n"),
+    ("n-null", {"type": "complete", "n": None}, "graph.n"),
+    ("lists-number", {"type": "adjacency", "lists": 5}, "list of lists"),
+    ("lists-fraction", {"type": "adjacency", "lists": [[1.7], [0]]}, "graph.lists"),
+]
 
 
 @pytest.mark.parametrize("command,flags,cfg,message", [
@@ -319,6 +332,31 @@ EXPLICIT_ABM = {"abm": {"graph": {"type": "complete", "n": 4},
     pytest.param("mf-hetero", ["--horizon", "1"],
                  {"hetero": {"graph": {"type": "complete", "n": 3}, "activities": [1, "nan", 2]}},
                  "activities", id="hetero-activities-nan"),
+    # a string is not a number, in a setting or in a graph
+    pytest.param("mf-sim", [], {"horizon": "5"}, "horizon", id="horizon-numeric-text"),
+    pytest.param("abm-sim", ["--seed", "1", "--horizon", "1"], {"abm": {"n": "20"}}, "abm.n",
+                 id="n-numeric-text"),
+    *(pytest.param("abm-sim", ["--seed", "1", "--horizon", "1"], {"abm": {"graph": graph}},
+                   message, id=f"abm-graph-{name}") for name, graph, message in MALFORMED_GRAPHS),
+    *(pytest.param("mf-hetero", ["--horizon", "1"], {"hetero": {"graph": graph}}, message,
+                   id=f"hetero-graph-{name}") for name, graph, message in MALFORMED_GRAPHS),
+    # initial and per-node vectors: 0 or 1 where a state is read, and never a bool
+    pytest.param("abm-sim", ["--seed", "1", "--horizon", "1"],
+                 {"abm": {**EXPLICIT_ABM["abm"], "behaviours0": [0.6, 1, 0, 1]}}, "behaviours0",
+                 id="behaviours0-fraction"),
+    pytest.param("abm-sim", ["--seed", "1", "--horizon", "1"],
+                 {"abm": {**EXPLICIT_ABM["abm"], "healths0": [256, 1, 0, 1]}}, "healths0",
+                 id="healths0-256"),
+    pytest.param("abm-sim", ["--seed", "1", "--horizon", "1"],
+                 {"abm": {"graph": {"type": "complete", "n": 4}, "activities": [True, 1, 1, 1]}},
+                 "activities", id="activities-bool"),
+    pytest.param("mf-hetero", ["--horizon", "1"],
+                 {"hetero": {"graph": {"type": "complete", "n": 3}, "p_x0": [True, 0.5, 0.5]}},
+                 "hetero.p_x0", id="p_x0-bool"),
+    # flags that only the command table gives: checked by the same rules
+    pytest.param("abm-sim", [*ABM, "--mode", "foo"], None, "infection_mode", id="mode-flag-foo"),
+    pytest.param("compare", [*ABM, "--n-jobs", "0"], None, "n_jobs must be >= 1",
+                 id="n_jobs-flag-zero"),
 ])
 def test_rejects_malformed_settings(tmp_path, capsys, command, flags, cfg, message):
     args = [command, *REF, "--zeta", "8", *flags]
@@ -378,6 +416,53 @@ def test_block_keys_hold_every_block_setting():
     for block, key, _ in SETTINGS.values():
         assert block is None or key in BLOCK_KEYS[block]
     assert set(ABM_SPEC_KEYS) <= set(BLOCK_KEYS["abm"])
+
+
+# every flag of every command: (flag, value given, dest, value parsed); a
+# flag without a value is a switch
+PARAM_FLAGS = [
+    *((f"--{key}", "0.5", "lambda_" if key == "lambda" else key, 0.5)
+      for key in ("alpha", "lambda", "mu", "c", "zeta")),
+    ("--config", "cfg.json", "config", "cfg.json"),
+    ("--outdir", "out", "outdir", "out"),
+]
+INITIAL_FLAGS = [("--x0", "0.2", "x0", 0.2), ("--y0", "0.3", "y0", 0.3)]
+ODE_FLAGS = [*PARAM_FLAGS, *INITIAL_FLAGS, ("--horizon", "7", "horizon", 7.0),
+             ("--rtol", "1e-6", "rtol", 1e-6), ("--atol", "1e-9", "atol", 1e-9)]
+AGENT_FLAGS = [*PARAM_FLAGS, *INITIAL_FLAGS, ("--horizon", "7", "horizon", 7.0),
+               ("--sample-dt", "0.5", "sample_dt", 0.5), ("--n", "40", "n", 40),
+               ("--seed", "3", "seed", 3), ("--mode", "contact", "mode", "contact")]
+FLAGS = {
+    "regime": PARAM_FLAGS,
+    "equilibria": PARAM_FLAGS,
+    "sweep": PARAM_FLAGS,
+    "mf-sim": [*ODE_FLAGS, ("--sample-dt", "0.5", "sample_dt", 0.5)],
+    "mf-hetero": [*ODE_FLAGS, ("--sample-dt", "0.5", "sample_dt", 0.5)],
+    "cycle": [*ODE_FLAGS, ("--tol-cycle", "1e-3", "tol_cycle", 1e-3),
+              ("--transient-frac", "0.25", "transient_frac", 0.25),
+              ("--min-crossings", "3", "min_crossings", 3)],
+    "abm-sim": [*AGENT_FLAGS, ("--strict", None, "strict", True)],
+    "compare": [*AGENT_FLAGS, ("--n-runs", "4", "n_runs", 4), ("--n-jobs", "2", "n_jobs", 2)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_every_flag_parses_to_its_type(capsys, command):
+    """Each flag of the command parses to its dest with its type, and every
+    other command's flag is refused."""
+    parser = build_parser()
+    given = {flag: rest for flag, *rest in FLAGS[command]}
+    for flag in sorted({flag for flags in FLAGS.values() for flag, *_ in flags}):
+        if flag not in given:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command, flag, "1"])
+            assert exc.value.code == 2, flag
+            continue
+        value, dest, parsed = given[flag]
+        args = parser.parse_args([command, flag, *([] if value is None else [value])])
+        got = getattr(args, dest)
+        assert (got, type(got)) == (parsed, type(parsed)), flag
+    capsys.readouterr()
 
 
 def test_cycle_takes_no_sample_spacing(tmp_path, capsys):
@@ -445,7 +530,8 @@ class TestCycle:
         (["--transient-frac", "2"], None, "cycle.transient_frac"),
         (["--tol-cycle", "0"], None, "cycle.tol_cycle"),
         ([], {"cycle": {"min_crossings": 1}}, "cycle.min_crossings"),
-    ], ids=["transient_frac", "tol_cycle", "min_crossings"])
+        (["--min-crossings", "1"], None, "cycle.min_crossings"),
+    ], ids=["transient_frac", "tol_cycle", "min_crossings", "min_crossings-flag"])
     def test_setting_out_of_range_exits_before_the_solve(self, tmp_path, capsys, monkeypatch,
                                                          flags, cfg, message):
         solves = []
