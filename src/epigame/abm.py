@@ -157,37 +157,45 @@ class Population:
 
 @dataclass
 class EventLog:
-    """Chronological event record. Times are non-decreasing."""
+    """Chronological event record. Times are non-decreasing.
 
-    events: list = field(default_factory=list)
+    The record is one flat list, `flat`, holding each event's time, kind,
+    actor and counterpart (None when there is none) in turn: a long run then
+    makes no per-event object for the garbage collector to track."""
+
+    flat: list = field(default_factory=list)
     seed: int | None = None
     rng_name: str = RNG_NAME
 
     def append(self, t: float, kind: str, actor: int, counterpart: int | None = None):
-        self.events.append((t, kind, actor, counterpart))
+        self.flat.extend((t, kind, actor, counterpart))
+
+    @property
+    def events(self) -> list:
+        """The events as (t, kind, actor, counterpart) tuples."""
+        return list(zip(*(self.flat[k::4] for k in range(4))))
 
     def __len__(self):
-        return len(self.events)
+        return len(self.flat) // 4
 
     def __iter__(self):
         return iter(self.events)
 
     def to_csv(self, path) -> None:
-        events, n = self.events, len(self.events)
+        flat = self.flat
 
-        def ids(field):
-            """A bytes column of the events' node ids in `field`, each id
-            formatted once; an absent id (-1) is the last, emptied entry."""
-            index = np.fromiter((-1 if e[field] is None else e[field] for e in events), np.intp, n)
+        def ids(column):
+            """A bytes column of the node ids in `column`, each id formatted
+            once; an absent id (None, read as nan, then -1) is the last,
+            emptied entry."""
+            index = np.nan_to_num(np.array(column, dtype=float), nan=-1).astype(np.intp)
             names = text("%d", range(index.max(initial=-1) + 2))
             names[-1] = b""
             return names[index]
 
-        kinds = {}  # each kind's index, in order of first appearance
-        kind = np.fromiter((kinds.setdefault(e[1], len(kinds)) for e in events), np.intp, n)
         write_csv(path, "t,kind,actor,counterpart",
-                  [np.fromiter((e[0] for e in events), float, n), text("%s", kinds)[kind],
-                   ids(2), ids(3)],
+                  [np.array(flat[0::4], dtype=float), np.array(flat[1::4], dtype=bytes),
+                   ids(flat[2::4]), ids(flat[3::4])],
                   comment=f"rng={self.rng_name} seed={self.seed}")
 
 
@@ -464,7 +472,7 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
     debug = cfg.debug_check
     horizon = cfg.horizon
     log = EventLog()
-    log_event = log.events.append
+    log_event = log.flat.extend
     # off the complete graph: out-neighbour lists for the thinning walks
     nbrs = None if g.is_complete else [g.neighbors(i).tolist() for i in range(n)]
     # with heterogeneous activities: the contact initiator's alias table

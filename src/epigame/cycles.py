@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .artifacts import text, write_csv
 from .core import AssumptionError, ConfigError, ModelParams
@@ -78,13 +77,71 @@ class CycleReport:
 
 # the tolerance with which solve_ivp locates its events, so that a crossing
 # is where an event of the same solve would be
-_ROOT_TOL = 4 * np.finfo(float).eps
+_ROOT_TOL = 4 * math.ulp(1.0)  # scipy's 4 * machine epsilon
+_BRENTQ_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """A root of f in [xa, xb], where f changes sign: a line-for-line port of
+    scipy's brentq (scipy/optimize/Zeros/brentq.c, Brent 1973) on Python
+    floats, so it returns scipy's root to the bit. Like scipy, it raises
+    ValueError when f is nan or has the same sign at both ends, and
+    RuntimeError when 100 iterations do not converge."""
+
+    def fun(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fun(xpre), fun(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fun(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENTQ_MAXITER} iterations.")
 
 
 def _roots(sol, g, t0: float, t1: float, upward: bool = False) -> list[tuple[float, np.ndarray]]:
     """Times in [t0, t1], with the states there, where g(x, y) changes sign
     between two accepted steps of the solve `sol` (from negative to
-    non-negative only, if `upward`), each refined by `brentq` on the step's
+    non-negative only, if `upward`), each refined by `_brentq` on the step's
     own float interpolant."""
     below = g(*sol.y) < 0
     changes = below[:-1] & ~below[1:] if upward else below[:-1] != below[1:]
@@ -100,7 +157,7 @@ def _roots(sol, g, t0: float, t1: float, upward: bool = False) -> list[tuple[flo
 
         # the interpolant ends within rounding of the next step's state: when
         # that rounding flips the sign, the root is the step's end
-        t = b if (f(b) < 0) == below[i] else brentq(f, a, b, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+        t = b if (f(b) < 0) == below[i] else _brentq(f, a, b, _ROOT_TOL, _ROOT_TOL)
         if t0 <= t <= t1:
             roots.append((t, step(t)))
     return roots

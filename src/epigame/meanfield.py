@@ -13,11 +13,14 @@ count); with one-directional transmission the factor halves to alpha*lambda.
 `hetero_rhs(px, py, g, a, p, bidirectional)` that of the per-node system,
 on the per-node probability vectors px, py and the activities a.
 
-Both systems are solved with the Dormand-Prince 5(4) pair of scipy's RK45.
-The per-node system goes through scipy's `solve_ivp`. The planar system has
-its own solver on Python floats (`_solve_planar`): it reads the tableau from
-`scipy.integrate.RK45` and takes exactly RK45's step decisions, but skips the
-per-step numpy work on 2-element arrays that dominates a scipy solve of it.
+Both systems are solved with the Dormand-Prince 5(4) pair and the step-size
+control of scipy's RK45, written out here (`_StepControl` and the module
+tableau), so epigame needs neither scipy.integrate nor scipy.optimize. Each
+system has its own kernel. The planar system is stepped on Python floats
+(`_solve_planar`), skipping the per-step numpy work on 2-element arrays that
+dominates a scipy solve of it. The per-node system is stepped on arrays
+(`_solve`) with the same array operations as scipy's `solve_ivp`, so its
+samples equal a `solve_ivp(method="RK45", t_eval=...)` solve to the bit.
 
 The unit square is positively invariant for the planar system; the
 integrators enforce this numerically: overshoot below 10*atol is projected
@@ -26,10 +29,10 @@ back onto [0,1], anything larger raises NumericalError.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
 
 from .artifacts import text, write_csv
 from .core import MacroState, ModelParams, NumericalError
@@ -39,11 +42,38 @@ DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
 _FIRST_STEP = 1e-3
 
-# RK45's Dormand-Prince tableau and dense-output matrix, and its step-size
-# control: SAFETY, the step factor's bounds and the error exponent
-_DP_A, _DP_B, _DP_E, _DP_P = RK45.A.tolist(), RK45.B.tolist(), RK45.E.tolist(), RK45.P
+# RK45's Dormand-Prince tableau (C, A, B, E) and dense-output matrix P,
+# written with the same literal expressions as scipy.integrate.RK45
+_RK45_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_RK45_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+])
+_RK45_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_RK45_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                    1/40])
+_RK45_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+# the float solver's copies of A, B and E
+_DP_A, _DP_B, _DP_E = _RK45_A.tolist(), _RK45_B.tolist(), _RK45_E.tolist()
+# RK45's step-size control: SAFETY, the step factor's bounds and the error
+# exponent -1/(error estimator order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1 / (RK45.error_estimator_order + 1)
+_ERROR_EXPONENT = -1 / (4 + 1)
 _SQRT2 = 2 ** 0.5
 
 
@@ -157,16 +187,55 @@ class PlanarSolution:
         return state
 
 
+class _StepControl:
+    """RK45's step-size rule from t = 0 to the horizon, shared by the float
+    and the array solver: the first step min(1e-3, horizon/2) and the last
+    one clipped to the horizon; an attempt accepted when the RMS norm of its
+    error, relative to atol + rtol*max(|u|, |u_new|), is below 1; the next
+    attempt rescaled by SAFETY*error^(-1/5) within [0.2, 10], with no growth
+    after a rejection of the same step; and a failure once a rejected step
+    falls below ten float spacings of t."""
+
+    def __init__(self, horizon: float):
+        self.horizon = horizon
+        self.t = 0.0
+        self.accepted_steps = self.rejected_steps = 0
+        self._h_abs = min(_FIRST_STEP, horizon / 2)
+        self._rejected = False
+
+    def attempt(self):
+        """The size h of the next attempt from t, or None when the solve has
+        failed."""
+        min_step = 10 * math.ulp(self.t)  # scipy's 10 * (nextafter(t, inf) - t)
+        if not self._rejected:
+            self._h_abs = max(self._h_abs, min_step)
+        elif self._h_abs < min_step:
+            return None
+        self._t_new = min(self.t + self._h_abs, self.horizon)
+        return self._t_new - self.t
+
+    def accepts(self, h, error) -> bool:
+        """Judge the attempt of size h by its error norm, moving t to its end
+        if it is accepted, and size the next attempt."""
+        if error < 1.0:
+            factor = (_MAX_FACTOR if error == 0.0
+                      else min(_MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT))
+            self._h_abs = h * (min(1.0, factor) if self._rejected else factor)
+            self._rejected = False
+            self.t = self._t_new
+            self.accepted_steps += 1
+            return True
+        # a nan error is rejected too, and shrinks the step by the least factor
+        self._h_abs = h * max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
+        self._rejected = True
+        self.rejected_steps += 1
+        return False
+
+
 def _solve_planar(field, x, y, horizon, rtol, atol) -> tuple[PlanarSolution, dict]:
     """RK45 from (x, y) at t = 0 to the horizon for a planar field given as a
-    function of two floats, on Python floats.
-
-    It makes scipy's step decisions: the first step min(1e-3, horizon/2),
-    the RMS norm of the error relative to atol + rtol*max(|u|, |u_new|), a
-    step accepted below 1 and rescaled by SAFETY*error^(-1/5) within
-    [0.2, 10], no growth after a rejection of the same step, the last step
-    clipped to the horizon and a failure below ten float spacings of t.
-    Every step attempt costs six evaluations after the first, so
+    function of two floats, on Python floats, with `_StepControl`'s step
+    decisions. Every step attempt costs six evaluations after the first, so
     nfev = 1 + 6*(accepted + rejected).
     """
     (_, (a21, *_), (a31, a32, *_), (a41, a42, a43, *_), (a51, a52, a53, a54, _),
@@ -174,20 +243,15 @@ def _solve_planar(field, x, y, horizon, rtol, atol) -> tuple[PlanarSolution, dic
     b1, b2, b3, b4, b5, b6 = _DP_B
     e1, e2, e3, e4, e5, e6, e7 = _DP_E
     fx, fy = field(x, y)
-    t = 0.0
-    times, states, stages = [t], [x, y], []
-    h_abs = min(_FIRST_STEP, horizon / 2)
-    rejected_steps = 0
-    while t < horizon:
-        min_step = 10 * math.ulp(t)  # scipy's 10 * (nextafter(t, inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
+    control = _StepControl(horizon)
+    attempt, accepts = control.attempt, control.accepts
+    times, states, stages = [control.t], [x, y], []
+    while control.t < horizon:
         while True:
-            if h_abs < min_step:
-                raise NumericalError(f"integration failed at t = {t:.6g}: required step "
-                                     "size is less than spacing between numbers")
-            t_new = min(t + h_abs, horizon)
-            h = t_new - t
+            h = attempt()
+            if h is None:
+                raise NumericalError(f"integration failed at t = {control.t:.6g}: required "
+                                     "step size is less than spacing between numbers")
             k2x, k2y = field(x + (a21 * fx) * h, y + (a21 * fy) * h)
             k3x, k3y = field(x + (a31 * fx + a32 * k2x) * h, y + (a31 * fy + a32 * k2y) * h)
             k4x, k4y = field(x + (a41 * fx + a42 * k2x + a43 * k3x) * h,
@@ -203,49 +267,82 @@ def _solve_planar(field, x, y, horizon, rtol, atol) -> tuple[PlanarSolution, dic
                   * h / (atol + max(abs(x), abs(xn)) * rtol))
             ey = ((e1 * fy + e2 * k2y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y)
                   * h / (atol + max(abs(y), abs(yn)) * rtol))
-            error = math.sqrt(ex * ex + ey * ey) / _SQRT2
-            if error < 1.0:
-                factor = (_MAX_FACTOR if error == 0.0
-                          else min(_MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT))
-                h_abs = h * (min(1.0, factor) if rejected else factor)
+            if accepts(h, math.sqrt(ex * ex + ey * ey) / _SQRT2):
                 break
-            # a nan error is rejected too, and shrinks the step by the least factor
-            h_abs = h * max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
-            rejected = True
-            rejected_steps += 1
-        t = t_new
-        times.append(t)
+        times.append(control.t)
         states += (xn, yn)
         stages += (fx, k2x, k3x, k4x, k5x, k6x, k7x, fy, k2y, k3y, k4y, k5y, k6y, k7y)
         x, y, fx, fy = xn, yn, k7x, k7y
-    accepted = len(times) - 1
+    accepted, rejected = control.accepted_steps, control.rejected_steps
     # the dense-output coefficients K^T P of every step, summed stage by stage
     # rather than by a BLAS product, whose rounding varies with the kernel
     k = np.array(stages).reshape(accepted, 2, 7).T
-    q = np.array([sum(p * kj for p, kj in zip(column, k)) for column in _DP_P.T.tolist()])
+    q = np.array([sum(p * kj for p, kj in zip(column, k)) for column in _RK45_P.T.tolist()])
     solution = PlanarSolution(np.array(times), np.array(states).reshape(-1, 2).T, q)
-    meta = {"nfev": 1 + 6 * (accepted + rejected_steps),
-            "steps": {"accepted": accepted, "rejected": rejected_steps}}
+    meta = {"nfev": 1 + 6 * (accepted + rejected),
+            "steps": {"accepted": accepted, "rejected": rejected}}
     return solution, meta
 
 
 def _solve(fun, u0, horizon, rtol, atol, t_eval):
-    """scipy's RK45 from t = 0 to the horizon, kept at the times `t_eval`."""
-    sol = solve_ivp(
-        fun,
-        (0.0, horizon),
-        u0,
-        method="RK45",
-        t_eval=t_eval,
-        rtol=rtol,
-        atol=atol,
-        first_step=min(_FIRST_STEP, horizon / 2),
-    )
-    if not sol.success:
-        # scipy may leave sol.t a list when the first step fails
-        reached = float(sol.t[-1]) if len(sol.t) else 0.0
-        raise NumericalError(f"integration failed at t = {reached:.6g}: {sol.message}")
-    return sol, {"nfev": int(sol.nfev)}
+    """RK45 from u0 at t = 0 to the horizon for a field fun(t, u) on arrays,
+    kept at the ascending times `t_eval` in [0, horizon]: the times, the
+    states there (one column each) and the meta.
+
+    With `_StepControl`'s step decisions and the array operations of scipy's
+    RK45, the result equals solve_ivp(method="RK45", t_eval=t_eval) to the
+    bit: the same BLAS calls give the same rounding. So, with K the stages
+    of a step, one per row, the stage increments are
+    np.dot(K[:s].T, A[s, :s]) * h, the error norm is the RMS of
+    np.dot(K.T, E) * h / scale, and a step's samples come from its dense
+    output K.T.dot(P) at the cumulative products of the tiled offsets.
+    """
+    u = np.asarray(u0, dtype=float)
+    n = u.size
+    t_eval = np.asarray(t_eval, dtype=float)
+    floor = 100 * np.finfo(float).eps
+    if rtol < floor:
+        # scipy's floor on rtol
+        warnings.warn(f"rtol {rtol!r} is below 100 * machine epsilon; "
+                      f"the per-node solve uses {floor!r}", stacklevel=3)
+        rtol = floor
+    stages = np.empty((_RK45_P.shape[0], n))
+    f = fun(0.0, u)
+    control = _StepControl(horizon)
+    times, states = [], []
+    sampled = 0  # the samples taken so far
+    while control.t < horizon:
+        t = control.t
+        while True:
+            h = control.attempt()
+            if h is None:
+                # the time of the last sample, as solve_ivp's result reported it
+                reached = times[-1][-1] if times else 0.0
+                raise NumericalError(f"integration failed at t = {reached:.6g}: Required "
+                                     "step size is less than spacing between numbers.")
+            stages[0] = f
+            for s in range(1, 6):
+                stages[s] = fun(t + _RK45_C[s] * h,
+                                u + np.dot(stages[:s].T, _RK45_A[s, :s]) * h)
+            u_new = u + h * np.dot(stages[:-1].T, _RK45_B)
+            f_new = fun(t + h, u_new)
+            stages[-1] = f_new
+            scale = atol + np.maximum(np.abs(u), np.abs(u_new)) * rtol
+            error = np.linalg.norm(np.dot(stages.T, _RK45_E) * h / scale) / n ** 0.5
+            if control.accepts(h, error):
+                break
+        end = np.searchsorted(t_eval, control.t, side="right")
+        if end > sampled:
+            offsets = (t_eval[sampled:end] - t) / h
+            powers = np.cumprod(np.tile(offsets, (_RK45_P.shape[1], 1)), axis=0)
+            y = h * np.dot(stages.T.dot(_RK45_P), powers)
+            y += u[:, None]
+            times.append(t_eval[sampled:end])
+            states.append(y)
+            sampled = end
+        u, f = u_new, f_new
+    nfev = 1 + 6 * (control.accepted_steps + control.rejected_steps)
+    return np.hstack(times), np.hstack(states), {"nfev": nfev}
 
 
 def integrate_planar(
@@ -290,8 +387,9 @@ class ProbabilityState:
         if self.p_x.shape != self.p_y.shape or self.p_x.ndim != 1:
             raise ValueError("p_x and p_y must be 1-d vectors of equal length")
         for name, v in (("p_x", self.p_x), ("p_y", self.p_y)):
-            if np.any(v < 0.0) or np.any(v > 1.0):
-                raise ValueError(f"{name} entries must lie in [0,1]")
+            # false for nan and +-inf too
+            if not ((v >= 0.0) & (v <= 1.0)).all():
+                raise ValueError(f"{name} entries must be finite and lie in [0,1]")
 
     @property
     def n(self) -> int:
@@ -395,15 +493,15 @@ def integrate_hetero(
 
     grid = sample_grid(horizon, sample_dt, default_samples=500)
     u0 = np.concatenate([ps0.p_x, ps0.p_y])
-    sol, meta = _solve(fun, u0, horizon, rtol, atol, grid)
-    states, overshoot = _clamp_unit(sol.y, atol, "per-node trajectory")
+    times, states, meta = _solve(fun, u0, horizon, rtol, atol, grid)
+    states, overshoot = _clamp_unit(states, atol, "per-node trajectory")
     meta["max_overshoot"] = overshoot
     meta["rtol"], meta["atol"] = rtol, atol
     px = states[:n].T
     py = states[n:].T
-    hetero = HeteroTrajectory(times=sol.t, p_x=px, p_y=py, params=p, meta=dict(meta))
+    hetero = HeteroTrajectory(times=times, p_x=px, p_y=py, params=p, meta=dict(meta))
     macro = Trajectory(
-        times=sol.t,
+        times=times,
         xs=px.mean(axis=1),
         ys=py.mean(axis=1),
         params=p,

@@ -41,22 +41,27 @@ class InfluenceGraph:
             raise GraphError("adjacency lists required for a non-complete graph")
         if len(adjacency) != n:
             raise GraphError("adjacency list count must equal n")
-        adj = []
-        degrees = np.empty(n, dtype=np.int64)
-        for i, nbrs in enumerate(adjacency):
-            a = np.asarray(sorted(nbrs), dtype=np.int64)
-            if a.size == 0:
-                raise GraphError(f"node {i} has out-degree 0")
-            if a.min() < 0 or a.max() >= n:
-                raise GraphError(f"node {i} has a neighbour index outside [0, {n})")
-            if np.unique(a).size != a.size:
-                raise GraphError(f"node {i} lists a neighbour twice")
-            adj.append(a)
-            degrees[i] = a.size
-        self._adj = adj
-        self.degrees = degrees
+        # every index is checked as one array, then sorted within its node
+        degrees = np.fromiter(map(len, adjacency), np.int64, n)
         rows = np.repeat(np.arange(n), degrees)
-        cols = np.concatenate(adj)
+        try:
+            entries = np.array(list(chain.from_iterable(adjacency)), dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GraphError("neighbour indices must be integers") from exc
+        checks = (
+            (degrees == 0, "has out-degree 0", np.arange(n)),
+            (entries != np.trunc(entries), "has a neighbour index that is not an integer", rows),
+            ((entries < 0) | (entries >= n), f"has a neighbour index outside [0, {n})", rows),
+        )
+        for bad, what, node in checks:
+            if bad.any():
+                raise GraphError(f"node {node[np.argmax(bad)]} {what}")
+        cols = entries.astype(np.int64)[np.lexsort((entries, rows))]
+        repeated = (cols[1:] == cols[:-1]) & (rows[1:] == rows[:-1])
+        if repeated.any():
+            raise GraphError(f"node {rows[np.argmax(repeated)]} lists a neighbour twice")
+        self._adj = np.split(cols, np.cumsum(degrees)[:-1])
+        self.degrees = degrees
         vals = np.repeat(1.0 / degrees, degrees)
         self._w = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 

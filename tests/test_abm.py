@@ -1,6 +1,7 @@
 """Event-driven stochastic simulator: rates, event logs, determinism, ensembles."""
 
 import dataclasses
+import gc
 import math
 from collections import Counter
 
@@ -197,6 +198,12 @@ class TestSimulate:
         assert l1.events == l2.events
         np.testing.assert_array_equal(t1.xs, t2.xs)
         np.testing.assert_array_equal(t1.ys, t2.ys)
+
+    def test_event_log_holds_no_per_event_objects(self):
+        # floats, strings, ints and None: nothing for the garbage collector to track
+        _, log = simulate(small_config())
+        assert len(log) > 0 and len(log.flat) == 4 * len(log)
+        assert not any(map(gc.is_tracked, log.flat))
 
     def test_different_seeds_differ(self):
         l1 = simulate(small_config(seed=1))[1]

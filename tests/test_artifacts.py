@@ -193,6 +193,18 @@ def test_event_log(tmp_path):
     assert (tmp_path / "events.csv").read_text() == ref
 
 
+def test_event_log_is_one_flat_list_read_as_tuples(tmp_path):
+    log = EventLog(seed=3)
+    log.to_csv(tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_text() == (
+        f"# rng={log.rng_name} seed=3\nt,kind,actor,counterpart\n")
+    log.append(0.5, "adopt", 3)
+    log.append(0.75, "contact", 1, 2)
+    assert log.flat == [0.5, "adopt", 3, None, 0.75, "contact", 1, 2]
+    assert log.events == list(log) == [(0.5, "adopt", 3, None), (0.75, "contact", 1, 2)]
+    assert len(log) == 2
+
+
 def test_crossings(tmp_path):
     crossings = [Crossing(k=0, t=0.1 + 0.2, y=-0.0, period=None)]
     crossings += [Crossing(k=k, t=EDGE[k] + k, y=EDGE[-k], period=None if k == 5 else EDGE[k])

@@ -731,6 +731,37 @@ def test_raw_sidecar_rerun_is_byte_identical(tmp_path, capsys, case):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_no_command_loads_scipy_integrate_or_optimize(tmp_path):
+    # the ODE solvers and the root finder are epigame's own, so a CLI process
+    # never pays for importing these packages; one process runs every command
+    runs = []
+    for case, (flags, cfg) in sorted(RERUN_CASES.items()):
+        args = [case.split("/")[0], *flags, "--outdir", str(tmp_path / case)]
+        if cfg is not None:
+            path = tmp_path / f"{case.replace('/', '-')}.json"
+            path.write_text(json.dumps(cfg))
+            args += ["--config", str(path)]
+        runs.append(args)
+    script = ("import json, sys\n"
+              "from epigame.cli import main\n"
+              "codes = [main(args) for args in json.loads(sys.argv[1])]\n"
+              "loaded = sorted(m for m in sys.modules\n"
+              "                if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize']))\n"
+              "print(json.dumps([codes, loaded, 'scipy.sparse' in sys.modules]))\n")
+    src = str(Path(epigame.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded, sparse = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs)
+    assert {args[0] for args in runs} == {"regime", "equilibria", "sweep", "mf-sim", "cycle",
+                                          "mf-hetero", "abm-sim", "compare"}
+    assert loaded == []
+    assert sparse
+
+
 DEFAULT_INITIAL_CASES = {
     "mf-sim": ["--zeta", "8", "--horizon", "1", "--sample-dt", "0.5"],
     "cycle": ["--zeta", "9.5", "--horizon", "10"],

@@ -1,8 +1,11 @@
 """Limit-cycle detection on a Poincare section and the trapping rectangle."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from epigame import (
     AssumptionError,
@@ -17,6 +20,7 @@ from epigame import (
     planar_rhs_xy,
     trapping_region,
 )
+from epigame.cycles import _ROOT_TOL, _brentq
 from .conftest import example_params
 
 
@@ -217,3 +221,64 @@ class TestTrappingRegion:
         ys = np.array([0.0, 0.3, r.y_max + 1e-9, r.y_max])
         np.testing.assert_array_equal(r.contains(xs, ys), [True, False, False, True])
         np.testing.assert_array_equal(r.contains(xs, ys, tol=1e-8), [True, True, True, True])
+
+
+def _bracketed_functions(rng, count):
+    """`count` seeded (f, a, b) with a sign change of f on [a, b]: cubics,
+    sines, exponentials and a steep tanh, in turn."""
+    found = []
+    while len(found) < count:
+        kind = len(found) % 4
+        if kind == 0:
+            r0, r1, r2 = rng.uniform(-3.0, 3.0, 3).tolist()
+
+            def f(x, r0=r0, r1=r1, r2=r2):
+                return (x - r0) * (x - r1) * (x - r2)
+        elif kind == 1:
+            w, phase = rng.uniform(0.5, 20.0), rng.uniform(0.0, 6.0)
+
+            def f(x, w=w, phase=phase):
+                return math.sin(w * x + phase)
+        elif kind == 2:
+            rate, level = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 10.0)
+
+            def f(x, rate=rate, level=level):
+                return math.exp(rate * x) - level
+        else:
+            x0, steep = rng.uniform(-1.0, 1.0), 10 ** rng.uniform(0.0, 4.0)
+
+            def f(x, x0=x0, steep=steep):
+                return math.tanh(steep * (x - x0)) + 1e-3
+        a, b = sorted(rng.uniform(-3.0, 3.0, 2).tolist())
+        if (f(a) < 0) != (f(b) < 0):
+            found.append((f, a, b))
+    return found
+
+
+class TestBrentq:
+    def test_equals_scipy_to_the_bit(self):
+        # every other bracket at the root tolerance of cycle detection, the
+        # rest at a random xtol
+        rng = np.random.default_rng(2024)
+        for k, (f, a, b) in enumerate(_bracketed_functions(rng, 5200)):
+            xtol = _ROOT_TOL if k % 2 else float(10 ** rng.uniform(-15.0, -2.0))
+            root = _brentq(f, a, b, xtol, _ROOT_TOL)
+            ref = brentq(f, a, b, xtol=xtol, rtol=_ROOT_TOL)
+            assert type(root) is float and root.hex() == ref.hex(), (k, a, b)
+
+    def test_an_end_root_is_returned_as_given(self):
+        assert _brentq(lambda x: x - 1.0, 1.0, 2.0, _ROOT_TOL, _ROOT_TOL) == 1.0
+        assert _brentq(lambda x: x - 2.0, 1.0, 2.0, _ROOT_TOL, _ROOT_TOL) == 2.0
+
+    @pytest.mark.parametrize("f,a,b,error,message", [
+        (lambda x: x - 5.0, 0.0, 1.0, ValueError, "different signs"),
+        (lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, ValueError, "is NaN"),
+        # a step at 1e-200 on [-1e300, 1e300]: some 2 000 halvings to an xtol of 1e-300
+        (lambda x: -1.0 if x < 1e-200 else 1.0, -1e300, 1e300, RuntimeError,
+         "Failed to converge after 100 iterations"),
+    ], ids=["same-sign", "nan", "no-convergence"])
+    def test_raises_what_scipy_raises(self, f, a, b, error, message):
+        for solve in (lambda: brentq(f, a, b, xtol=1e-300, rtol=_ROOT_TOL),
+                      lambda: _brentq(f, a, b, 1e-300, _ROOT_TOL)):
+            with pytest.raises(error, match=message):
+                solve()

@@ -19,7 +19,17 @@ from epigame import (
     planar_rhs_xy,
 )
 from epigame.core import NumericalError
-from epigame.meanfield import _solve, _solve_planar, sample_grid
+from epigame.meanfield import (
+    _ERROR_EXPONENT,
+    _RK45_A,
+    _RK45_B,
+    _RK45_C,
+    _RK45_E,
+    _RK45_P,
+    _solve,
+    _solve_planar,
+    sample_grid,
+)
 from .conftest import example_params, random_valid_params
 
 
@@ -212,6 +222,68 @@ def test_failed_solve_is_a_numerical_error(solve):
     # t = 0 (where scipy leaves the solution's times a list)
     with pytest.raises(NumericalError, match="integration failed at t = 0"):
         solve()
+
+
+def test_tableau_is_scipys():
+    # bit for bit, signed zeros included
+    for ours, scipys in ((_RK45_C, RK45.C), (_RK45_A, RK45.A), (_RK45_B, RK45.B),
+                         (_RK45_E, RK45.E), (_RK45_P, RK45.P)):
+        assert ours.dtype == scipys.dtype and ours.shape == scipys.shape
+        assert ours.tobytes() == scipys.tobytes()
+    assert _ERROR_EXPONENT == -1 / (RK45.error_estimator_order + 1) == -1 / 5
+
+
+def _hetero_field(n, seed):
+    """The per-node field of integrate_hetero on a seeded out-degree-3 graph
+    (a 2-cycle for n = 2), with its start state."""
+    rng = np.random.default_rng(seed)
+    if n == 2:
+        g = InfluenceGraph.from_adjacency([[1], [0]])
+    else:
+        g = InfluenceGraph.from_adjacency(
+            [rng.choice(np.delete(np.arange(n), i), 3, replace=False).tolist() for i in range(n)])
+    p, a = example_params(8.0), rng.uniform(1.0, 5.0, n)
+
+    def fun(_t, u):
+        v = np.clip(u, 0.0, 1.0)
+        out = np.empty_like(v)
+        hetero_rhs(v[:n], v[n:], g, a, p, True, out)
+        return out
+
+    return fun, np.concatenate([rng.uniform(0.3, 0.7, n), rng.uniform(0.05, 0.15, n)])
+
+
+@pytest.mark.parametrize("n,horizon,sample_dt", [(2, 60.0, 0.3), (200, 20.0, 0.2)])
+def test_per_node_solve_is_solve_ivps(n, horizon, sample_dt):
+    # the same step decisions and array operations give the same bits
+    fun, u0 = _hetero_field(n, seed=n)
+    grid = sample_grid(horizon, sample_dt)
+    times, states, meta = _solve(fun, u0, horizon, 1e-8, 1e-10, grid)
+    ref = solve_ivp(fun, (0.0, horizon), u0, method="RK45", t_eval=grid, rtol=1e-8,
+                    atol=1e-10, first_step=1e-3)
+    assert times.tobytes() == ref.t.tobytes()
+    assert states.tobytes() == ref.y.tobytes()
+    assert meta["nfev"] == ref.nfev
+
+
+def test_per_node_solve_floors_rtol_as_scipy_does():
+    fun, u0 = _hetero_field(2, seed=5)
+    grid = sample_grid(1.0, 0.5)
+    with pytest.warns(UserWarning, match="rtol"):
+        times, states, meta = _solve(fun, u0, 1.0, 1e-16, 1e-10, grid)
+    with pytest.warns(UserWarning, match="rtol"):
+        ref = solve_ivp(fun, (0.0, 1.0), u0, t_eval=grid, rtol=1e-16, atol=1e-10,
+                        first_step=1e-3)
+    assert states.tobytes() == ref.y.tobytes() and meta["nfev"] == ref.nfev
+
+
+@pytest.mark.parametrize("which", ["p_x", "p_y"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5, -0.5])
+def test_probability_state_needs_finite_entries_in_the_unit_interval(which, bad):
+    entries = {"p_x": np.array([0.2, 0.4]), "p_y": np.array([0.1, 0.3])}
+    entries[which][1] = bad
+    with pytest.raises(ValueError, match=f"{which} entries must be finite"):
+        ProbabilityState(**entries)
 
 
 class TestHeteroRhs:

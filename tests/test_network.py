@@ -58,6 +58,18 @@ class TestAdjacency:
         with pytest.raises(GraphError):
             InfluenceGraph.from_adjacency(lists)
 
+    @pytest.mark.parametrize("index", [1.7, 0.5, float("nan"), float("inf")])
+    def test_non_integral_index_is_rejected(self, index):
+        # an index is never truncated to the node it is not
+        with pytest.raises(GraphError, match="node 0"):
+            InfluenceGraph.from_adjacency([[index], [0]])
+
+    def test_integral_float_index_reads_as_that_node(self):
+        g = InfluenceGraph.from_adjacency([[2.0, 1], [0.0], [1]])
+        np.testing.assert_array_equal(g.neighbors(0), [1, 2])
+        assert g.neighbors(0).dtype == np.int64
+        assert g == InfluenceGraph.from_adjacency([[1, 2], [0], [1]])
+
     def test_vector_length_checked(self):
         g = InfluenceGraph.from_adjacency([[1], [0]])
         with pytest.raises(GraphError):
