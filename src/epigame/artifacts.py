@@ -3,6 +3,8 @@
 A CSV artifact is an optional ``# comment`` line, a header line and one line
 per row. `write_csv` takes the columns as numpy arrays and writes them
 ``CHUNK_ROWS`` rows at a time, so no artifact is ever held in memory as text.
+`csv_file` writes one whose rows arrive in several calls, as a solver hands
+out its samples; a CSV that fails part-way is deleted, never left partial.
 A float column is written as ``'%.17g' % v`` would write each value; a bytes
 column (dtype ``S``, made by `text`) is written as it stands. Fields that
 repeat, such as a time shared by many lines or a node id shared by many
@@ -19,8 +21,9 @@ exact ties going to even as ``%`` rounds them; a rounding that carries to
 10**17 moves to the next decade. The digits of D are laid out in a fixed
 32-byte slot per value (fixed notation for -4 <= E < 17, else exponent
 notation; trailing zeros and a bare point dropped; a sign for negative
-values) with NUL bytes where the text has no character, and the NULs of a
-whole block of lines are deleted at once. Zero, -0, subnormals, inf, nan and
+values) with NUL bytes where the text has no character. The NULs are deleted
+from about 256 KB of lines at a time, so compacting a block costs two copies
+of a slice, not of the block. Zero, -0, subnormals, inf, nan and
 every value outside that range are formatted by ``%`` itself.
 
 The exactness rests on IEEE binary64 arithmetic rounding to nearest, and on
@@ -33,12 +36,19 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
-# rows formatted and written at a time; larger blocks are no faster and
-# raise peak memory
+# rows formatted at a time; larger blocks are no faster and raise peak
+# memory. A formatted block is compacted and written _SLICE_BYTES at a time.
 CHUNK_ROWS = 4096
+_SLICE_BYTES = 1 << 18
+# rows worth handing a csv_file writer at once: each call sets up a block
+# buffer of its own, which costs as much as formatting hundreds of rows
+_WRITE_ROWS = 1 << 16
 
 _WORD = np.dtype("<u8")
 _SLOT_WORDS = 4  # one float's 32-byte slot
@@ -53,9 +63,46 @@ def write_csv(path, header: str, columns, comment: str | None = None) -> None:
     (``numpy.ma``) left empty; a bytes column, which must hold no NUL byte,
     is written as it stands.
     """
+    with csv_file(path, header, comment) as write_rows:
+        write_rows(columns)
+
+
+@contextmanager
+def csv_file(path, header: str, comment: str | None = None):
+    """Open ``path`` with the ``# comment`` line if given and ``header``, and
+    give a function that writes further rows, from columns as `write_csv`
+    takes them, each time it is called. If the block raises, the file is
+    closed and deleted."""
+    f = open(path, "wb")
+    try:
+        with f:
+            if comment is not None:
+                f.write(f"# {comment}\n".encode())
+            f.write(f"{header}\n".encode())
+            yield partial(_write_rows, f)
+    except BaseException:
+        os.remove(path)
+        raise
+
+
+def rows_per_write(lines: int) -> int:
+    """How many indices of a column's first axis, each holding ``lines``
+    rows, to hand a `csv_file` writer at once: whole blocks, about
+    ``_WRITE_ROWS`` rows in all."""
+    step = _block_rows(lines)
+    return step * max(1, _WRITE_ROWS // (step * lines))
+
+
+def _block_rows(lines: int) -> int:
+    """The indices of a column's first axis formatted in one block, when each
+    holds ``lines`` rows."""
+    return max(1, CHUNK_ROWS // max(lines, 1))
+
+
+def _write_rows(f, columns) -> None:
     shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
     lines = math.prod(shape[1:])  # per index of the first axis
-    step = max(1, CHUNK_ROWS // max(lines, 1))
+    step = _block_rows(lines)
     fields, words = [], 0
     for k, col in enumerate(columns):
         data = np.broadcast_to(np.ma.getdata(col), shape)
@@ -74,25 +121,23 @@ def write_csv(path, header: str, columns, comment: str | None = None) -> None:
     buf = np.zeros((step * lines, words), _WORD)
     for _, _, where, sep in fields:
         buf[:, where.stop - 1] = sep
-    with open(path, "wb") as f:
-        if comment is not None:
-            f.write(f"# {comment}\n".encode())
-        f.write(f"{header}\n".encode())
-        for first in range(0, shape[0], step):
-            block = buf[:(min(first + step, shape[0]) - first) * lines]
-            for data, mask, where, sep in fields:
-                part = np.ascontiguousarray(data[first:first + step]).reshape(-1)
-                if data.dtype.kind == "S":
-                    width = part.dtype.itemsize
-                    block.view(np.uint8)[:, 8 * where.start:8 * where.start + width] = (
-                        part.view(np.uint8).reshape(-1, width))
-                    continue
-                slot = block[:, where]
-                _g17(part.astype(np.float64, copy=False), slot)
-                if mask is not None:
-                    slot[mask[first:first + step].reshape(-1)] = 0
-                slot[:, -1] |= sep
-            f.write(block.tobytes().translate(None, b"\0"))
+    per_slice = max(1, _SLICE_BYTES // (8 * words))  # lines compacted at a time
+    for first in range(0, shape[0], step):
+        block = buf[:(min(first + step, shape[0]) - first) * lines]
+        for data, mask, where, sep in fields:
+            part = np.ascontiguousarray(data[first:first + step]).reshape(-1)
+            if data.dtype.kind == "S":
+                width = part.dtype.itemsize
+                block.view(np.uint8)[:, 8 * where.start:8 * where.start + width] = (
+                    part.view(np.uint8).reshape(-1, width))
+                continue
+            slot = block[:, where]
+            _g17(part.astype(np.float64, copy=False), slot)
+            if mask is not None:
+                slot[mask[first:first + step].reshape(-1)] = 0
+            slot[:, -1] |= sep
+        for line in range(0, len(block), per_slice):
+            f.write(block[line:line + per_slice].tobytes().translate(None, b"\0"))
 
 
 def text(fmt: str, values) -> np.ndarray:

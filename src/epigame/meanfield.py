@@ -21,6 +21,11 @@ system has its own kernel. The planar system is stepped on Python floats
 dominates a scipy solve of it. The per-node system is stepped on arrays
 (`_solve`) with the same array operations as scipy's `solve_ivp`, so its
 samples equal a `solve_ivp(method="RK45", t_eval=...)` solve to the bit.
+`_solve` keeps no samples: it hands each step's samples to its caller as
+soon as the step is accepted. `HeteroSolve` clamps each such block and takes
+its node means; `integrate_hetero` gathers the blocks into one array, while
+`HeteroSolve.to_csv`, which the CLI's mf-hetero runs, writes them to disk as
+they arrive, so its memory does not grow with the number of samples.
 
 The unit square is positively invariant for the planar system; the
 integrators enforce this numerically: overshoot below 10*atol is projected
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import text, write_csv
+from .artifacts import csv_file, rows_per_write, text, write_csv
 from .core import MacroState, ModelParams, NumericalError
 from .network import GraphError, InfluenceGraph
 
@@ -120,14 +125,16 @@ def planar_rhs_xy(x, y, p: ModelParams, bidirectional: bool = True):
     return dx, dy
 
 
-def _clamp_unit(values: np.ndarray, atol: float, what: str) -> tuple[np.ndarray, float]:
-    """Project onto [0,1]; reject overshoot larger than 10*atol."""
+def _clamp_unit(values: np.ndarray, atol: float, what: str) -> float:
+    """Project `values` onto [0,1] in place and return the overshoot; reject
+    overshoot larger than 10*atol."""
     overshoot = float(max(0.0, -values.min(initial=0.0), values.max(initial=1.0) - 1.0))
     if overshoot > 10.0 * atol:
         raise NumericalError(
             f"{what} left [0,1] by {overshoot:.3e} (> 10*atol = {10 * atol:.3e})"
         )
-    return np.clip(values, 0.0, 1.0), overshoot
+    np.clip(values, 0.0, 1.0, out=values)
+    return overshoot
 
 
 def sample_grid(horizon: float, sample_dt: float | None, default_samples: int = 2000) -> np.ndarray:
@@ -284,13 +291,17 @@ def _solve_planar(field, x, y, horizon, rtol, atol) -> tuple[PlanarSolution, dic
     return solution, meta
 
 
-def _solve(fun, u0, horizon, rtol, atol, t_eval):
+def _solve(fun, u0, horizon, rtol, atol, t_eval, keep=None) -> dict:
     """RK45 from u0 at t = 0 to the horizon for a field fun(t, u) on arrays,
-    kept at the ascending times `t_eval` in [0, horizon]: the times, the
-    states there (one column each) and the meta.
+    sampled at the ascending times `t_eval` in [0, horizon]; returns the meta.
+
+    After each accepted step that passes sample times, keep(first, states)
+    is called with the index in `t_eval` of the first of them and a new
+    array of the states there, one column per sample, which keep may change.
+    Without keep, the samples are dropped.
 
     With `_StepControl`'s step decisions and the array operations of scipy's
-    RK45, the result equals solve_ivp(method="RK45", t_eval=t_eval) to the
+    RK45, the samples equal solve_ivp(method="RK45", t_eval=t_eval) to the
     bit: the same BLAS calls give the same rounding. So, with K the stages
     of a step, one per row, the stage increments are
     np.dot(K[:s].T, A[s, :s]) * h, the error norm is the RMS of
@@ -309,17 +320,14 @@ def _solve(fun, u0, horizon, rtol, atol, t_eval):
     stages = np.empty((_RK45_P.shape[0], n))
     f = fun(0.0, u)
     control = _StepControl(horizon)
-    times, states = [], []
     sampled = 0  # the samples taken so far
     while control.t < horizon:
         t = control.t
         while True:
             h = control.attempt()
             if h is None:
-                # the time of the last sample, as solve_ivp's result reported it
-                reached = times[-1][-1] if times else 0.0
-                raise NumericalError(f"integration failed at t = {reached:.6g}: Required "
-                                     "step size is less than spacing between numbers.")
+                raise NumericalError(f"integration failed at t = {control.t:.6g}: required "
+                                     "step size is less than spacing between numbers")
             stages[0] = f
             for s in range(1, 6):
                 stages[s] = fun(t + _RK45_C[s] * h,
@@ -333,16 +341,15 @@ def _solve(fun, u0, horizon, rtol, atol, t_eval):
                 break
         end = np.searchsorted(t_eval, control.t, side="right")
         if end > sampled:
-            offsets = (t_eval[sampled:end] - t) / h
-            powers = np.cumprod(np.tile(offsets, (_RK45_P.shape[1], 1)), axis=0)
-            y = h * np.dot(stages.T.dot(_RK45_P), powers)
-            y += u[:, None]
-            times.append(t_eval[sampled:end])
-            states.append(y)
+            if keep is not None:
+                offsets = (t_eval[sampled:end] - t) / h
+                powers = np.cumprod(np.tile(offsets, (_RK45_P.shape[1], 1)), axis=0)
+                y = h * np.dot(stages.T.dot(_RK45_P), powers)
+                y += u[:, None]
+                keep(sampled, y)
             sampled = end
         u, f = u_new, f_new
-    nfev = 1 + 6 * (control.accepted_steps + control.rejected_steps)
-    return np.hstack(times), np.hstack(states), {"nfev": nfev}
+    return {"nfev": 1 + 6 * (control.accepted_steps + control.rejected_steps)}
 
 
 def integrate_planar(
@@ -366,8 +373,8 @@ def integrate_planar(
 
     sol, meta = _solve_planar(field, s0.x, s0.y, horizon, rtol, atol)
     grid = sample_grid(horizon, sample_dt)
-    states, overshoot = _clamp_unit(sol.sol(grid), atol, "planar trajectory")
-    meta["max_overshoot"] = overshoot
+    states = sol.sol(grid)
+    meta["max_overshoot"] = _clamp_unit(states, atol, "planar trajectory")
     meta["rtol"], meta["atol"] = rtol, atol
     meta["bidirectional"] = bidirectional
     return Trajectory(times=grid, xs=states[0], ys=states[1], params=p, meta=meta,
@@ -443,6 +450,9 @@ def hetero_rhs(px: np.ndarray, py: np.ndarray, g: InfluenceGraph, a: np.ndarray,
     return dpx, dpy
 
 
+_NODES_HEADER = "t,node,p_x,p_y"
+
+
 @dataclass
 class HeteroTrajectory:
     """Per-node probability trajectories (rows: times, columns: nodes)."""
@@ -457,8 +467,114 @@ class HeteroTrajectory:
         """Long format: t,node,p_x,p_y, one line per time and node; the times
         and node ids are formatted once each."""
         nodes = text("%d", range(self.p_x.shape[1]))
-        write_csv(path, "t,node,p_x,p_y",
+        write_csv(path, _NODES_HEADER,
                   [text("%.12g", self.times)[:, None], nodes, self.p_x, self.p_y])
+
+
+def _node_means(states: np.ndarray, n: int) -> np.ndarray:
+    """The node means of p_x and of p_y (2 x samples) of per-node samples
+    (2n x samples), each summed over the nodes in order. numpy sums a
+    contiguous run of values pairwise, which rounds differently, so the
+    order is fixed by a cumulative sum."""
+    return np.cumsum(states.reshape(2, n, -1), axis=1)[:, -1] / n
+
+
+class HeteroSolve:
+    """The per-node solve of `integrate_hetero`, handing its samples out as
+    the solver passes them instead of keeping them. `times` are the sample
+    times, those of `sample_grid` with 500 intervals by default."""
+
+    def __init__(
+        self,
+        ps0: ProbabilityState,
+        g: InfluenceGraph,
+        activities: np.ndarray,
+        p: ModelParams,
+        horizon: float,
+        rtol: float = DEFAULT_RTOL,
+        atol: float = DEFAULT_ATOL,
+        sample_dt: float | None = None,
+        bidirectional: bool = True,
+    ):
+        if horizon <= 0:
+            raise ValueError("horizon must be > 0")
+        n = ps0.n
+        if g.n != n:
+            raise GraphError("graph order must equal probability vector length")
+        a = np.asarray(activities, dtype=float)
+        if a.shape != (n,):
+            raise ValueError("activities length must equal graph order")
+        if n < 2:
+            raise GraphError("need at least two nodes for the contact process")
+        self.n, self.ps0, self.g, self.a, self.p = n, ps0, g, a, p
+        self.horizon, self.rtol, self.atol = horizon, rtol, atol
+        self.bidirectional = bidirectional
+        self.times = sample_grid(horizon, sample_dt, default_samples=500)
+
+    def run(self, keep) -> Trajectory:
+        """Solve, calling keep(first, states) after each step that passes
+        sample times: `first` is the index in `times` of the first of them
+        and `states` their samples (2n x samples: p_x of each node, then p_y),
+        projected onto [0,1]. Returns the node-average macro trajectory,
+        whose meta holds nfev, the largest overshoot of any sample and the
+        tolerances."""
+        n, g, a, p, bidirectional = self.n, self.g, self.a, self.p, self.bidirectional
+
+        def fun(_t, u):
+            # a new output per call: the solver keeps the last velocity it was given
+            v = np.clip(u, 0.0, 1.0)
+            out = np.empty_like(v)
+            hetero_rhs(v[:n], v[n:], g, a, p, bidirectional, out)
+            return out
+
+        means = np.empty((2, self.times.size))
+        overshoot = 0.0
+
+        def clamped(first, states):
+            nonlocal overshoot
+            overshoot = max(overshoot, _clamp_unit(states, self.atol, "per-node trajectory"))
+            means[:, first:first + states.shape[1]] = _node_means(states, n)
+            keep(first, states)
+
+        u0 = np.concatenate([self.ps0.p_x, self.ps0.p_y])
+        meta = _solve(fun, u0, self.horizon, self.rtol, self.atol, self.times, clamped)
+        meta["max_overshoot"] = overshoot
+        meta["rtol"], meta["atol"] = self.rtol, self.atol
+        return Trajectory(times=self.times, xs=means[0], ys=means[1], params=p, meta=meta)
+
+    def to_csv(self, path) -> Trajectory:
+        """Solve, writing the samples to `path` as `HeteroTrajectory.to_csv`
+        would, and return the node-average macro trajectory. The samples are
+        written some 2**16 rows at a time, and only those not yet written are
+        held, so memory does not grow with the number of samples. A failed
+        solve leaves no file."""
+        n = self.n
+        nodes = text("%d", range(n))
+        # the samples not yet written, by time
+        held = np.empty((min(rows_per_write(n), self.times.size), 2 * n))
+        count = written = 0
+
+        with csv_file(path, _NODES_HEADER) as write_rows:
+            def flush():
+                nonlocal count, written
+                block = held[:count]
+                write_rows([text("%.12g", self.times[written:written + count])[:, None], nodes,
+                            block[:, :n], block[:, n:]])
+                written += count
+                count = 0
+
+            def keep(_first, states):
+                nonlocal count
+                for sample in states.T:
+                    held[count] = sample
+                    count += 1
+                    if count == len(held):
+                        flush()
+
+            macro = self.run(keep)
+            if count:
+                flush()
+        return macro
 
 
 def integrate_hetero(
@@ -473,38 +589,14 @@ def integrate_hetero(
     bidirectional: bool = True,
 ) -> tuple[HeteroTrajectory, Trajectory]:
     """Integrate the 2n-dimensional per-node system; also return the node-average macro trajectory."""
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    n = ps0.n
-    if g.n != n:
-        raise GraphError("graph order must equal probability vector length")
-    a = np.asarray(activities, dtype=float)
-    if a.shape != (n,):
-        raise ValueError("activities length must equal graph order")
-    if n < 2:
-        raise GraphError("need at least two nodes for the contact process")
+    solve = HeteroSolve(ps0, g, activities, p, horizon, rtol, atol, sample_dt, bidirectional)
+    n, times = solve.n, solve.times
+    states = np.empty((2 * n, times.size))
 
-    def fun(_t, u):
-        # a new output per call: the solver keeps the last velocity it was given
-        v = np.clip(u, 0.0, 1.0)
-        out = np.empty_like(v)
-        hetero_rhs(v[:n], v[n:], g, a, p, bidirectional, out)
-        return out
+    def keep(first, block):
+        states[:, first:first + block.shape[1]] = block
 
-    grid = sample_grid(horizon, sample_dt, default_samples=500)
-    u0 = np.concatenate([ps0.p_x, ps0.p_y])
-    times, states, meta = _solve(fun, u0, horizon, rtol, atol, grid)
-    states, overshoot = _clamp_unit(states, atol, "per-node trajectory")
-    meta["max_overshoot"] = overshoot
-    meta["rtol"], meta["atol"] = rtol, atol
-    px = states[:n].T
-    py = states[n:].T
-    hetero = HeteroTrajectory(times=times, p_x=px, p_y=py, params=p, meta=dict(meta))
-    macro = Trajectory(
-        times=times,
-        xs=px.mean(axis=1),
-        ys=py.mean(axis=1),
-        params=p,
-        meta=dict(meta),
-    )
+    macro = solve.run(keep)
+    hetero = HeteroTrajectory(times=times, p_x=states[:n].T, p_y=states[n:].T, params=p,
+                              meta=dict(macro.meta))
     return hetero, macro

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,23 @@ from epigame import ModelParams
 def example_params(zeta: float) -> ModelParams:
     """Reference parameter set used across the suite: alpha=3, lambda=0.5, mu=1, c=3."""
     return ModelParams(alpha=3.0, lam=0.5, mu=1.0, c=3.0, zeta=zeta)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the peak of the memory that tracemalloc traced
+    while it ran, above what was traced when it began."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak
 
 
 def random_valid_params(rng: np.random.Generator, above_threshold: bool | None = None) -> ModelParams:

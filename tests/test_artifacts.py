@@ -26,7 +26,7 @@ from epigame import (
 from epigame.artifacts import CHUNK_ROWS, _scaled, text, write_csv
 from epigame.cli import main
 from epigame.cycles import CycleReport, Crossing, Verdict
-from .conftest import example_params
+from .conftest import example_params, traced_peak
 
 EDGE = [-0.0, 5e-324, 0.1 + 0.2, 1 / 3, 1e22, 2.0, 0.0, 1.0, 7.3, 1e-300]
 TIMES = np.arange(74) * 0.1  # 73 * 0.1 = 7.300000000000001
@@ -80,6 +80,16 @@ def test_masked_floats_are_left_empty(tmp_path):
     values = np.ma.masked_array([0.5, 2.0, -0.0, 1e300], mask=[False, True, False, True])
     write_csv(tmp_path / "m.csv", "v,w", [values, np.array([1.0, 2.0, 3.0, 4.0])])
     assert (tmp_path / "m.csv").read_text() == "v,w\n0.5,1\n,2\n-0,3\n,4\n"
+
+
+def test_write_csv_holds_one_block_of_text(tmp_path):
+    # a block's text is compacted a slice at a time, so beyond the block
+    # buffer (CHUNK_ROWS rows of 30 32-byte float slots) less than 1 MB is held
+    rng = np.random.default_rng(4)
+    columns = [rng.uniform(-1e3, 1e3, 20_000) for _ in range(30)]
+    _, peak = traced_peak(write_csv, tmp_path / "wide.csv",
+                          ",".join(f"c{k}" for k in range(30)), columns)
+    assert peak < CHUNK_ROWS * 30 * 32 + 2 ** 20
 
 
 def g17_reference_values():

@@ -169,6 +169,34 @@ class TestMfHetero:
         assert sidecar["initial"] == dict(zip("xy", initial))
 
 
+    @pytest.mark.parametrize("bad", [np.nan, 5.0], ids=["failed-solve", "overshoot"])
+    def test_failure_leaves_no_artifact(self, tmp_path, capsys, monkeypatch, bad):
+        # after 200 evaluations the velocity turns nan, which fails the solve,
+        # or pushes every probability past 1, which fails the overshoot check;
+        # either way the rows already written go with their file
+        from epigame import meanfield
+        rhs, calls, sizes = meanfield.hetero_rhs, [], []
+
+        def failing(px, py, g, a, p, bidirectional, out):
+            calls.append(None)
+            if len(calls) <= 200:
+                return rhs(px, py, g, a, p, bidirectional, out)
+            if len(calls) == 201:
+                sizes.append((tmp_path / "hetero_nodes.csv").stat().st_size)
+            out[:] = bad
+            return out[:px.size], out[px.size:]
+
+        monkeypatch.setattr(meanfield, "hetero_rhs", failing)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hetero": {"graph": {"type": "complete", "n": 300}}}))
+        args = ["mf-hetero", *REF, "--zeta", "8", "--horizon", "5", "--sample-dt", "0.01",
+                "--config", str(cfg)]
+        assert run(args, tmp_path) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert sizes[0] > 10 ** 5  # rows of many samples had been written
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
+
+
 class TestAbmSim:
     ARGS = ["abm-sim", *REF, "--zeta", "8", "--n", "60", "--seed", "7",
             "--horizon", "5", "--sample-dt", "0.5"]

@@ -1,6 +1,8 @@
 """Planar and per-node mean-field systems and their adaptive integrator."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -18,8 +20,10 @@ from epigame import (
     integrate_planar,
     planar_rhs_xy,
 )
+from epigame.artifacts import CHUNK_ROWS
 from epigame.core import NumericalError
 from epigame.meanfield import (
+    HeteroSolve,
     _ERROR_EXPONENT,
     _RK45_A,
     _RK45_B,
@@ -30,7 +34,7 @@ from epigame.meanfield import (
     _solve_planar,
     sample_grid,
 )
-from .conftest import example_params, random_valid_params
+from .conftest import example_params, random_valid_params, traced_peak
 
 
 class TestPlanarRhs:
@@ -253,24 +257,52 @@ def _hetero_field(n, seed):
     return fun, np.concatenate([rng.uniform(0.3, 0.7, n), rng.uniform(0.05, 0.15, n)])
 
 
+def _solve_kept(fun, u0, horizon, rtol, atol, grid):
+    """_solve with the samples it hands out gathered into one array (a
+    column per time of the grid), each sample handed out once and in order."""
+    states = np.full((u0.size, grid.size), np.nan)
+    blocks = []
+
+    def keep(first, block):
+        blocks.append((first, block.shape[1]))
+        states[:, first:first + block.shape[1]] = block
+
+    meta = _solve(fun, u0, horizon, rtol, atol, grid, keep)
+    firsts, sizes = zip(*blocks)
+    assert list(firsts) == np.cumsum((0,) + sizes[:-1]).tolist()
+    assert sum(sizes) == grid.size
+    return states, meta
+
+
 @pytest.mark.parametrize("n,horizon,sample_dt", [(2, 60.0, 0.3), (200, 20.0, 0.2)])
 def test_per_node_solve_is_solve_ivps(n, horizon, sample_dt):
     # the same step decisions and array operations give the same bits
     fun, u0 = _hetero_field(n, seed=n)
     grid = sample_grid(horizon, sample_dt)
-    times, states, meta = _solve(fun, u0, horizon, 1e-8, 1e-10, grid)
+    states, meta = _solve_kept(fun, u0, horizon, 1e-8, 1e-10, grid)
     ref = solve_ivp(fun, (0.0, horizon), u0, method="RK45", t_eval=grid, rtol=1e-8,
                     atol=1e-10, first_step=1e-3)
-    assert times.tobytes() == ref.t.tobytes()
+    assert grid.tobytes() == ref.t.tobytes()
     assert states.tobytes() == ref.y.tobytes()
     assert meta["nfev"] == ref.nfev
+
+
+def test_failed_per_node_solve_names_the_solvers_time():
+    # the solver stops where the field turns nan, between the samples 0.5
+    # and 1, and says so in the planar solver's words
+    def fun(t, u):
+        return np.full(2, np.nan) if t > 0.7 else -u
+
+    with pytest.raises(NumericalError, match=r"^integration failed at t = 0\.7: required "
+                                             "step size is less than spacing between numbers$"):
+        _solve(fun, [0.5, 0.1], 2.0, 1e-8, 1e-10, np.linspace(0.0, 2.0, 5))
 
 
 def test_per_node_solve_floors_rtol_as_scipy_does():
     fun, u0 = _hetero_field(2, seed=5)
     grid = sample_grid(1.0, 0.5)
     with pytest.warns(UserWarning, match="rtol"):
-        times, states, meta = _solve(fun, u0, 1.0, 1e-16, 1e-10, grid)
+        states, meta = _solve_kept(fun, u0, 1.0, 1e-16, 1e-10, grid)
     with pytest.warns(UserWarning, match="rtol"):
         ref = solve_ivp(fun, (0.0, 1.0), u0, t_eval=grid, rtol=1e-16, atol=1e-10,
                         first_step=1e-3)
@@ -358,6 +390,18 @@ class TestHeteroRhs:
                              horizon=1.0)
 
 
+def _hetero_graph(n, seed):
+    """Start, graph, activities and parameters of a per-node solve on a
+    seeded graph of out-degree 3 (n - 1 below four nodes)."""
+    rng = np.random.default_rng(seed)
+    degree = min(3, n - 1)
+    g = InfluenceGraph.from_adjacency(
+        [rng.choice(np.delete(np.arange(n), i), degree, replace=False).tolist()
+         for i in range(n)])
+    ps0 = ProbabilityState(rng.uniform(0.3, 0.7, n), rng.uniform(0.05, 0.15, n))
+    return ps0, g, rng.uniform(1.0, 5.0, n), example_params(8.0)
+
+
 class TestIntegrateHetero:
     def test_macro_tracks_planar_on_complete_graph(self):
         p = example_params(zeta=5.0)
@@ -393,3 +437,39 @@ class TestIntegrateHetero:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,node,p_x,p_y"
         assert len(lines) == 1 + 3 * 3  # 3 sample times x 3 nodes
+
+    def test_holds_its_results_and_little_more(self):
+        # the samples go straight into the arrays returned, not into a list
+        # of blocks that is then stacked and clamped into copies
+        args = _hetero_graph(200, seed=9)
+        (hetero, _), peak = traced_peak(integrate_hetero, *args, horizon=20.0, sample_dt=0.05)
+        assert hetero.p_x.shape == (401, 200)
+        assert peak < 1.25 * (hetero.p_x.nbytes + hetero.p_y.nbytes)
+
+    @pytest.mark.parametrize("n,horizon,sample_dt", [
+        (3, 2.0, 0.1),  # 21 samples: fewer than one write takes, written at the end
+        (200, 20.0, 0.05),  # 401 samples: 320 a write, in blocks of 20
+        (CHUNK_ROWS + 1, 2.0, 0.1),  # 21 samples: 15 a write, in blocks of one
+    ])
+    def test_streamed_csv_is_the_trajectorys(self, tmp_path, n, horizon, sample_dt):
+        args = _hetero_graph(n, seed=n)
+        hetero, macro = integrate_hetero(*args, horizon=horizon, sample_dt=sample_dt)
+        hetero.to_csv(tmp_path / "kept.csv")
+        macro.to_csv(tmp_path / "kept_macro.csv")
+        streamed = HeteroSolve(*args, horizon=horizon, sample_dt=sample_dt).to_csv(
+            tmp_path / "streamed.csv")
+        streamed.to_csv(tmp_path / "streamed_macro.csv")
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "kept.csv").read_bytes()
+        assert ((tmp_path / "streamed_macro.csv").read_bytes()
+                == (tmp_path / "kept_macro.csv").read_bytes())
+        assert streamed.meta == macro.meta == hetero.meta
+
+    def test_node_means_sum_the_nodes_in_order(self):
+        # the macro trajectory is the left-to-right mean of the clamped nodes,
+        # also at a single sample, where numpy's own sum would go pairwise
+        args = _hetero_graph(300, seed=4)
+        for sample_dt in (None, 0.5, 1.0):
+            hetero, macro = integrate_hetero(*args, horizon=1.0, sample_dt=sample_dt)
+            for values, means in ((hetero.p_x, macro.xs), (hetero.p_y, macro.ys)):
+                ref = [functools.reduce(operator.add, row) / 300 for row in values.tolist()]
+                assert means.tolist() == ref
