@@ -78,8 +78,7 @@ A_E the activity sum of the n_E eligible, it takes on average
 (a_max*n_I + A_I) / (A_E*n_I/n_E + A_I) attempts, at most a_max/a_min. The
 loop holds the agent state and the out-neighbour lists in Python lists for
 the whole run, so no event touches a numpy scalar; it writes the state back
-into the ``Population`` for the debug checks and for the final counter
-check.
+into the ``Population`` for the debug checks and at the end.
 
 The loop counts its events per kind in ``Trajectory.meta["events"]``, also
 when no log is kept, and the rejected adopt and drop proposals in
@@ -335,27 +334,6 @@ def _checked_activities(activities, n: int) -> np.ndarray:
     return activities
 
 
-class _IndexedSet:
-    """Agent ids in ``items``, with each member's slot in ``pos``.
-
-    The event loop adds by appending and removes a given id by
-    moving the last id into its slot, both in O(1). It does this inline,
-    because method calls here cost a measurable share of each event. Slots
-    of ids that are not members are stale and never read.
-    """
-
-    __slots__ = ("items", "pos")
-
-    def __init__(self, n: int, members):
-        self.items = list(members)
-        self.pos = [-1] * n
-        for k, i in enumerate(self.items):
-            self.pos[i] = k
-
-    def __len__(self):
-        return len(self.items)
-
-
 def _uniform_stream(rng: np.random.Generator):
     """A zero-argument draw of one uniform: the doubles of successive
     ``rng.random(UNIFORM_BLOCK)`` blocks, in order. They equal successive
@@ -434,8 +412,9 @@ def simulate(cfg: AbmConfig) -> tuple[Trajectory, EventLog]:
     return traj, log
 
 
-def _check_counts(pop: Population, n1: int, n_inf: int):
-    if int(pop.behaviours.sum()) != n1 or int((pop.healths == INFECTED).sum()) != n_inf:
+def _check_counts(x: list, y: list, n1: int, n_inf: int) -> None:
+    """Raise unless the agent lists hold n1 adopters and n_inf infected."""
+    if sum(x) != n1 or sum(y) != n_inf:
         raise NumericalError("incremental counters diverged from agent vectors")
 
 
@@ -448,15 +427,17 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
     lists that are only sampled by slot, so removing the sampled member moves
     the last one into its slot. The eligible (susceptible, unprotected) group
     also loses members it did not sample, so it keeps each member's slot
-    (``_IndexedSet``). On the complete graph the adopt and drop channels fire
-    at their exact totals; on any other graph they fire at the thinning bounds
-    and each proposal walks the out-neighbour lists (module docstring). The
-    behaviour terms (adopter count, xbar, the adopt weight and the drop rate)
-    change only with adopt and drop events, so they are recomputed only after
-    one; the other rates are recomputed only after an event that changed the
-    state. Each grid time checks the counters against the lists. The lists
-    are written back into ``pop`` before every debug check and once at the
-    end, before the final counter check.
+    (``elig_pos``); adding and removing are inline, because method calls
+    cost a measurable share of each event. On the complete graph the adopt
+    and drop channels fire at their exact totals; on any other graph they
+    fire at the thinning bounds and each proposal walks the out-neighbour
+    lists (module docstring). The behaviour terms (adopter count, xbar, the
+    adopt weight and the drop rate) change only with adopt and drop events,
+    so they are recomputed only after one; the other rates are recomputed
+    only after an event that changed the state. `_check_counts` checks the
+    counters against the lists at each grid time and after the last event.
+    The lists are written back into ``pop`` before every debug check and
+    once at the end.
     """
     p = cfg.params
     g = cfg.graph
@@ -483,8 +464,11 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
     adopters = np.flatnonzero(xs == PROTECTION).tolist()
     nonadopters = np.flatnonzero(xs == NO_PROTECTION).tolist()
     infected = np.flatnonzero(ys == INFECTED).tolist()
-    eligible = _IndexedSet(n, np.flatnonzero(free).tolist())
-    elig, elig_pos = eligible.items, eligible.pos
+    elig = np.flatnonzero(free).tolist()
+    # slots of ids that are not members are stale and never read
+    elig_pos = [-1] * n
+    for k, i in enumerate(elig):
+        elig_pos[i] = k
     a_inf = float(acts[ys == INFECTED].sum())
     a_elig = float(acts[free].sum())
     n_rec = n_infect = n_adopt = n_drop = n_contact = 0
@@ -552,8 +536,7 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
             t_new = t - ln(1.0 - random()) / total
         # sample every grid time strictly before min(t_new, horizon)
         if t_next < t_new and t_next < horizon:
-            if sum(x) != n1 or sum(y) != n_inf:
-                raise NumericalError("incremental counters diverged from agent vectors")
+            _check_counts(x, y, n1, n_inf)
             while t_next < t_new and t_next < horizon:
                 out_x.append(xbar)
                 out_y.append(ybar)
@@ -677,11 +660,12 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
                 log_event((t, EVENT_DROP, i, None))
         if debug:
             xs[:], ys[:] = x, y
-            _debug_check(cfg, pop, adopters, nonadopters, infected, eligible, a_inf, a_elig)
+            _debug_check(cfg, pop, adopters, nonadopters, infected, elig, elig_pos, a_inf,
+                         a_elig)
 
     xs[:], ys[:] = x, y
     n1, n_inf = len(adopters), len(infected)
-    _check_counts(pop, n1, n_inf)
+    _check_counts(x, y, n1, n_inf)
     while len(out_x) < grid.size:  # the state holds through the horizon
         out_x.append(n1 / n)
         out_y.append(n_inf / n)
@@ -695,7 +679,7 @@ def _require_close(name: str, got, ref, rtol: float = 1e-5, atol: float = 1e-8) 
         raise NumericalError(f"{name} diverged from its from-scratch value")
 
 
-def _debug_check(cfg, pop, adopters, nonadopters, infected, eligible, a_inf, a_elig):
+def _debug_check(cfg, pop, adopters, nonadopters, infected, elig, elig_pos, a_inf, a_elig):
     """Compare the loop's groups, eligible slots and activity sums with the
     agent vectors; on the complete graph also its imitation rates with
     ``imitation_rates``."""
@@ -704,10 +688,10 @@ def _debug_check(cfg, pop, adopters, nonadopters, infected, eligible, a_inf, a_e
     for name, members, mask in (("adopter", adopters, xs == PROTECTION),
                                 ("non-adopter", nonadopters, xs == NO_PROTECTION),
                                 ("infected", infected, ys == INFECTED),
-                                ("eligible", eligible.items, free)):
+                                ("eligible", elig, free)):
         if sorted(members) != np.flatnonzero(mask).tolist():
             raise NumericalError(f"{name} set diverged from agent vectors")
-    if any(eligible.pos[i] != k for k, i in enumerate(eligible.items)):
+    if any(elig_pos[i] != k for k, i in enumerate(elig)):
         raise NumericalError("eligible slot table diverged from the eligible set")
     _require_close("infected activity sum", a_inf, float(a[ys == INFECTED].sum()), 0.0, 1e-9)
     _require_close("eligible activity sum", a_elig, float(a[free].sum()), 0.0, 1e-9)

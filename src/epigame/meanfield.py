@@ -15,12 +15,16 @@ on the per-node probability vectors px, py and the activities a.
 
 Both systems are solved with the Dormand-Prince 5(4) pair and the step-size
 control of scipy's RK45, written out here (`_StepControl` and the module
-tableau), so epigame needs neither scipy.integrate nor scipy.optimize. Each
-system has its own kernel. The planar system is stepped on Python floats
-(`_solve_planar`), skipping the per-step numpy work on 2-element arrays that
-dominates a scipy solve of it. The per-node system is stepped on arrays
-(`_solve`) with the same array operations as scipy's `solve_ivp`, so its
-samples equal a `solve_ivp(method="RK45", t_eval=...)` solve to the bit.
+tableau), so epigame needs neither scipy.integrate nor scipy.optimize.
+`_StepControl` also holds the contract around each solve, the same for both
+kernels: a horizon and tolerances > 0, scipy's floor of 100 * machine
+epsilon on rtol, the failure once a step underflows, and the report of nfev,
+steps and tolerances in the solve's meta. Each system has its own kernel.
+The planar system is stepped on Python floats (`_solve_planar`), skipping
+the per-step numpy work on 2-element arrays that dominates a scipy solve of
+it. The per-node system is stepped on arrays (`_solve`) with the same array
+operations as scipy's `solve_ivp`, so its samples equal a
+`solve_ivp(method="RK45", t_eval=...)` solve to the bit.
 `_solve` keeps no samples: it hands each step's samples to its caller as
 soon as the step is accepted. `HeteroSolve` clamps each such block and takes
 its node means; `integrate_hetero` gathers the blocks into one array, while
@@ -34,6 +38,7 @@ back onto [0,1], anything larger raises NumericalError.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -46,6 +51,7 @@ from .network import GraphError, InfluenceGraph
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
 _FIRST_STEP = 1e-3
+_RTOL_FLOOR = 100 * sys.float_info.epsilon  # scipy's least rtol
 
 # RK45's Dormand-Prince tableau (C, A, B, E) and dense-output matrix P,
 # written with the same literal expressions as scipy.integrate.RK45
@@ -195,29 +201,48 @@ class PlanarSolution:
 
 
 class _StepControl:
-    """RK45's step-size rule from t = 0 to the horizon, shared by the float
-    and the array solver: the first step min(1e-3, horizon/2) and the last
-    one clipped to the horizon; an attempt accepted when the RMS norm of its
-    error, relative to atol + rtol*max(|u|, |u_new|), is below 1; the next
-    attempt rescaled by SAFETY*error^(-1/5) within [0.2, 10], with no growth
-    after a rejection of the same step; and a failure once a rejected step
-    falls below ten float spacings of t."""
+    """One RK45 solve from t = 0 to the horizon, as both the float and the
+    array kernel run it.
 
-    def __init__(self, horizon: float):
+    The contract: the horizon, rtol and atol must be > 0 (ValueError), and
+    an rtol below 100 * machine epsilon is raised to it with a UserWarning,
+    as scipy does; `rtol` and `atol` are the values the solve uses. The step
+    rule: the first step min(1e-3, horizon/2) and the last one clipped to
+    the horizon; an attempt accepted when the RMS norm of its error, relative
+    to atol + rtol*max(|u|, |u_new|), is below 1; the next attempt rescaled
+    by SAFETY*error^(-1/5) within [0.2, 10], with no growth after a
+    rejection of the same step; and a NumericalError once a rejected step
+    falls below ten float spacings of t. `report` gives the solve's meta."""
+
+    def __init__(self, horizon: float, rtol: float, atol: float):
+        self.rtol, self.atol = self.tolerances(horizon, rtol, atol)
         self.horizon = horizon
         self.t = 0.0
         self.accepted_steps = self.rejected_steps = 0
         self._h_abs = min(_FIRST_STEP, horizon / 2)
         self._rejected = False
 
-    def attempt(self):
-        """The size h of the next attempt from t, or None when the solve has
-        failed."""
+    @staticmethod
+    def tolerances(horizon: float, rtol: float, atol: float) -> tuple[float, float]:
+        """The (rtol, atol) that a solve to the horizon uses, or ValueError."""
+        if not horizon > 0:
+            raise ValueError("horizon must be > 0")
+        if not (rtol > 0 and atol > 0):
+            raise ValueError("tolerances must be > 0")
+        if rtol < _RTOL_FLOOR:
+            warnings.warn(f"rtol {rtol!r} is below 100 * machine epsilon; "
+                          f"the solve uses {_RTOL_FLOOR!r}", stacklevel=3)
+            rtol = _RTOL_FLOOR
+        return rtol, atol
+
+    def attempt(self) -> float:
+        """The size h of the next attempt from t."""
         min_step = 10 * math.ulp(self.t)  # scipy's 10 * (nextafter(t, inf) - t)
         if not self._rejected:
             self._h_abs = max(self._h_abs, min_step)
         elif self._h_abs < min_step:
-            return None
+            raise NumericalError(f"integration failed at t = {self.t:.6g}: required "
+                                 "step size is less than spacing between numbers")
         self._t_new = min(self.t + self._h_abs, self.horizon)
         return self._t_new - self.t
 
@@ -238,27 +263,31 @@ class _StepControl:
         self.rejected_steps += 1
         return False
 
+    def report(self) -> dict:
+        """The solve's meta; every attempt costs six evaluations after the first."""
+        accepted, rejected = self.accepted_steps, self.rejected_steps
+        return {"nfev": 1 + 6 * (accepted + rejected),
+                "steps": {"accepted": accepted, "rejected": rejected},
+                "rtol": self.rtol, "atol": self.atol}
+
 
 def _solve_planar(field, x, y, horizon, rtol, atol) -> tuple[PlanarSolution, dict]:
     """RK45 from (x, y) at t = 0 to the horizon for a planar field given as a
-    function of two floats, on Python floats, with `_StepControl`'s step
-    decisions. Every step attempt costs six evaluations after the first, so
-    nfev = 1 + 6*(accepted + rejected).
+    function of two floats, on Python floats, with `_StepControl`'s contract
+    and step decisions; returns the solution and `_StepControl.report`.
     """
+    control = _StepControl(horizon, rtol, atol)
+    rtol, atol = control.rtol, control.atol
     (_, (a21, *_), (a31, a32, *_), (a41, a42, a43, *_), (a51, a52, a53, a54, _),
      (a61, a62, a63, a64, a65)) = _DP_A
     b1, b2, b3, b4, b5, b6 = _DP_B
     e1, e2, e3, e4, e5, e6, e7 = _DP_E
     fx, fy = field(x, y)
-    control = _StepControl(horizon)
     attempt, accepts = control.attempt, control.accepts
     times, states, stages = [control.t], [x, y], []
     while control.t < horizon:
         while True:
             h = attempt()
-            if h is None:
-                raise NumericalError(f"integration failed at t = {control.t:.6g}: required "
-                                     "step size is less than spacing between numbers")
             k2x, k2y = field(x + (a21 * fx) * h, y + (a21 * fy) * h)
             k3x, k3y = field(x + (a31 * fx + a32 * k2x) * h, y + (a31 * fy + a32 * k2y) * h)
             k4x, k4y = field(x + (a41 * fx + a42 * k2x + a43 * k3x) * h,
@@ -280,54 +309,44 @@ def _solve_planar(field, x, y, horizon, rtol, atol) -> tuple[PlanarSolution, dic
         states += (xn, yn)
         stages += (fx, k2x, k3x, k4x, k5x, k6x, k7x, fy, k2y, k3y, k4y, k5y, k6y, k7y)
         x, y, fx, fy = xn, yn, k7x, k7y
-    accepted, rejected = control.accepted_steps, control.rejected_steps
     # the dense-output coefficients K^T P of every step, summed stage by stage
     # rather than by a BLAS product, whose rounding varies with the kernel
-    k = np.array(stages).reshape(accepted, 2, 7).T
+    k = np.array(stages).reshape(control.accepted_steps, 2, 7).T
     q = np.array([sum(p * kj for p, kj in zip(column, k)) for column in _RK45_P.T.tolist()])
     solution = PlanarSolution(np.array(times), np.array(states).reshape(-1, 2).T, q)
-    meta = {"nfev": 1 + 6 * (accepted + rejected),
-            "steps": {"accepted": accepted, "rejected": rejected}}
-    return solution, meta
+    return solution, control.report()
 
 
-def _solve(fun, u0, horizon, rtol, atol, t_eval, keep=None) -> dict:
+def _solve(fun, u0, horizon, rtol, atol, t_eval, keep) -> dict:
     """RK45 from u0 at t = 0 to the horizon for a field fun(t, u) on arrays,
-    sampled at the ascending times `t_eval` in [0, horizon]; returns the meta.
+    sampled at the ascending times `t_eval` in [0, horizon]; returns
+    `_StepControl.report`.
 
     After each accepted step that passes sample times, keep(first, states)
     is called with the index in `t_eval` of the first of them and a new
     array of the states there, one column per sample, which keep may change.
-    Without keep, the samples are dropped.
 
-    With `_StepControl`'s step decisions and the array operations of scipy's
-    RK45, the samples equal solve_ivp(method="RK45", t_eval=t_eval) to the
-    bit: the same BLAS calls give the same rounding. So, with K the stages
-    of a step, one per row, the stage increments are
+    With `_StepControl`'s contract and step decisions and the array
+    operations of scipy's RK45, the samples equal
+    solve_ivp(method="RK45", t_eval=t_eval) to the bit: the same BLAS calls
+    give the same rounding. So, with K the stages of a step, one per row,
+    the stage increments are
     np.dot(K[:s].T, A[s, :s]) * h, the error norm is the RMS of
     np.dot(K.T, E) * h / scale, and a step's samples come from its dense
     output K.T.dot(P) at the cumulative products of the tiled offsets.
     """
+    control = _StepControl(horizon, rtol, atol)
+    rtol, atol = control.rtol, control.atol
     u = np.asarray(u0, dtype=float)
     n = u.size
     t_eval = np.asarray(t_eval, dtype=float)
-    floor = 100 * np.finfo(float).eps
-    if rtol < floor:
-        # scipy's floor on rtol
-        warnings.warn(f"rtol {rtol!r} is below 100 * machine epsilon; "
-                      f"the per-node solve uses {floor!r}", stacklevel=3)
-        rtol = floor
     stages = np.empty((_RK45_P.shape[0], n))
     f = fun(0.0, u)
-    control = _StepControl(horizon)
     sampled = 0  # the samples taken so far
     while control.t < horizon:
         t = control.t
         while True:
             h = control.attempt()
-            if h is None:
-                raise NumericalError(f"integration failed at t = {control.t:.6g}: required "
-                                     "step size is less than spacing between numbers")
             stages[0] = f
             for s in range(1, 6):
                 stages[s] = fun(t + _RK45_C[s] * h,
@@ -341,15 +360,14 @@ def _solve(fun, u0, horizon, rtol, atol, t_eval, keep=None) -> dict:
                 break
         end = np.searchsorted(t_eval, control.t, side="right")
         if end > sampled:
-            if keep is not None:
-                offsets = (t_eval[sampled:end] - t) / h
-                powers = np.cumprod(np.tile(offsets, (_RK45_P.shape[1], 1)), axis=0)
-                y = h * np.dot(stages.T.dot(_RK45_P), powers)
-                y += u[:, None]
-                keep(sampled, y)
+            offsets = (t_eval[sampled:end] - t) / h
+            powers = np.cumprod(np.tile(offsets, (_RK45_P.shape[1], 1)), axis=0)
+            y = h * np.dot(stages.T.dot(_RK45_P), powers)
+            y += u[:, None]
+            keep(sampled, y)
             sampled = end
         u, f = u_new, f_new
-    return {"nfev": 1 + 6 * (control.accepted_steps + control.rejected_steps)}
+    return control.report()
 
 
 def integrate_planar(
@@ -363,10 +381,6 @@ def integrate_planar(
 ) -> Trajectory:
     """Integrate the planar system with RK45's adaptive embedded 5(4) scheme
     (`_solve_planar`), sampled on the grid of `sample_grid`."""
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be > 0")
 
     def field(x, y):
         return planar_rhs_xy(x, y, p, bidirectional)
@@ -375,7 +389,6 @@ def integrate_planar(
     grid = sample_grid(horizon, sample_dt)
     states = sol.sol(grid)
     meta["max_overshoot"] = _clamp_unit(states, atol, "planar trajectory")
-    meta["rtol"], meta["atol"] = rtol, atol
     meta["bidirectional"] = bidirectional
     return Trajectory(times=grid, xs=states[0], ys=states[1], params=p, meta=meta,
                       solution=sol)
@@ -496,8 +509,7 @@ class HeteroSolve:
         sample_dt: float | None = None,
         bidirectional: bool = True,
     ):
-        if horizon <= 0:
-            raise ValueError("horizon must be > 0")
+        rtol, atol = _StepControl.tolerances(horizon, rtol, atol)
         n = ps0.n
         if g.n != n:
             raise GraphError("graph order must equal probability vector length")
@@ -516,8 +528,8 @@ class HeteroSolve:
         sample times: `first` is the index in `times` of the first of them
         and `states` their samples (2n x samples: p_x of each node, then p_y),
         projected onto [0,1]. Returns the node-average macro trajectory,
-        whose meta holds nfev, the largest overshoot of any sample and the
-        tolerances."""
+        whose meta holds `_StepControl.report` and the largest overshoot of
+        any sample."""
         n, g, a, p, bidirectional = self.n, self.g, self.a, self.p, self.bidirectional
 
         def fun(_t, u):
@@ -539,7 +551,6 @@ class HeteroSolve:
         u0 = np.concatenate([self.ps0.p_x, self.ps0.p_y])
         meta = _solve(fun, u0, self.horizon, self.rtol, self.atol, self.times, clamped)
         meta["max_overshoot"] = overshoot
-        meta["rtol"], meta["atol"] = self.rtol, self.atol
         return Trajectory(times=self.times, xs=means[0], ys=means[1], params=p, meta=meta)
 
     def to_csv(self, path) -> Trajectory:

@@ -344,8 +344,11 @@ class TestSimulate:
             x, y, a = pop.behaviours, pop.healths, pop.activities
             free = (x == 0) & (y == 0)
             groups = [np.flatnonzero(m).tolist() for m in (x == 1, x == 0, y == 1)]
-            eligible = abm_mod._IndexedSet(pop.n, np.flatnonzero(free).tolist())
-            return (*groups, eligible, float(a[y == 1].sum()), float(a[free].sum()))
+            elig = np.flatnonzero(free).tolist()
+            elig_pos = [-1] * pop.n
+            for k, i in enumerate(elig):
+                elig_pos[i] = k
+            return (*groups, elig, elig_pos, float(a[y == 1].sum()), float(a[free].sum()))
 
         # a drifted eligible set (one member lost, agent vectors unchanged)
         # on a general graph must raise
@@ -353,7 +356,7 @@ class TestSimulate:
         pop = Population(cfg3.behaviours0.copy(), cfg3.healths0.copy(), cfg3.activities)
         state = loop_state(pop)
         abm_mod._debug_check(cfg3, pop, *state)
-        state[3].items.pop()
+        state[3].pop()
         with pytest.raises(NumericalError, match="eligible set"):
             abm_mod._debug_check(cfg3, pop, *state)
         # complete graph: a drifted infected-activity sum must raise
@@ -832,6 +835,14 @@ class TestEnsemble:
     def test_rejects_zero_runs(self):
         with pytest.raises(ConfigError):
             ensemble(small_config(), n_runs=0)
+
+    def test_parallel_runs_equal_serial_runs(self):
+        # each run is seeded on its own, so the worker processes change no bit
+        cfg = small_config(n=200)
+        serial = ensemble(cfg, n_runs=3, n_jobs=1)
+        parallel = ensemble(cfg, n_runs=3, n_jobs=2)
+        for name in ("times", "x_mean", "y_mean", "x_std", "y_std"):
+            assert getattr(parallel, name).tobytes() == getattr(serial, name).tobytes()
 
     @pytest.mark.parametrize("n_jobs", [0, -3])
     def test_rejects_fewer_than_one_job(self, n_jobs):

@@ -139,6 +139,19 @@ class TestIntegratePlanar:
         with pytest.raises(ValueError):
             integrate_planar(MacroState(0.5, 0.5), p, horizon=1.0, rtol=-1e-8)
 
+    def test_floors_rtol_as_scipy_does(self):
+        # below 100 * machine epsilon, rtol is raised to it with a warning, and
+        # the solve takes scipy's steps at that rtol
+        p = example_params(8.0)
+        with pytest.warns(UserWarning, match="rtol"):
+            traj = integrate_planar(MacroState(0.5, 0.1), p, horizon=1.0, rtol=1e-15, atol=1e-20)
+        with pytest.warns(UserWarning, match="rtol"):
+            ref = solve_ivp(lambda _t, u: planar_rhs_xy(u[0], u[1], p), (0.0, 1.0), [0.5, 0.1],
+                            method="RK45", rtol=1e-15, atol=1e-20, first_step=1e-3)
+        assert traj.meta["nfev"] == ref.nfev == 1081
+        assert (traj.meta["rtol"], traj.meta["atol"]) == (100 * np.finfo(float).eps, 1e-20)
+        np.testing.assert_allclose(traj.solution.y[:, -1], ref.y[:, -1], rtol=0, atol=1e-15)
+
     def test_trajectory_validates_time_axis(self):
         p = example_params(zeta=8.0)
         with pytest.raises(ValueError):
@@ -215,10 +228,14 @@ def test_sampled_states_are_the_step_interpolants():
     np.testing.assert_array_equal(sol.sol(sol.t[:1]), sol.y[:, :1])
 
 
+def _drop(_first, _states):
+    """A `keep` for _solve that drops the samples."""
+
+
 @pytest.mark.parametrize("solve", [
     lambda: _solve_planar(lambda x, y: (math.nan, math.nan), 0.5, 0.1, 1.0, 1e-8, 1e-10),
     lambda: _solve(lambda t, u: np.full(2, np.nan), [0.5, 0.1], 1.0, 1e-8, 1e-10,
-                   np.linspace(0.0, 1.0, 5)),
+                   np.linspace(0.0, 1.0, 5), _drop),
 ], ids=["dense", "grid"])
 def test_failed_solve_is_a_numerical_error(solve):
     # a velocity that is nan from the start fails the first step: every
@@ -295,7 +312,7 @@ def test_failed_per_node_solve_names_the_solvers_time():
 
     with pytest.raises(NumericalError, match=r"^integration failed at t = 0\.7: required "
                                              "step size is less than spacing between numbers$"):
-        _solve(fun, [0.5, 0.1], 2.0, 1e-8, 1e-10, np.linspace(0.0, 2.0, 5))
+        _solve(fun, [0.5, 0.1], 2.0, 1e-8, 1e-10, np.linspace(0.0, 2.0, 5), _drop)
 
 
 def test_per_node_solve_floors_rtol_as_scipy_does():
@@ -463,6 +480,49 @@ class TestIntegrateHetero:
         assert ((tmp_path / "streamed_macro.csv").read_bytes()
                 == (tmp_path / "kept_macro.csv").read_bytes())
         assert streamed.meta == macro.meta == hetero.meta
+
+    @pytest.mark.parametrize("entry", ["integrate_hetero", "run", "to_csv"])
+    @pytest.mark.parametrize("bad,message", [
+        ({"rtol": -1.0}, "tolerances"), ({"rtol": 0.0}, "tolerances"),
+        ({"atol": 0.0}, "tolerances"), ({"atol": -1e-3}, "tolerances"),
+        ({"horizon": 0.0}, "horizon"),
+    ], ids=["rtol-negative", "rtol-zero", "atol-zero", "atol-negative", "horizon-zero"])
+    def test_rejects_settings_not_above_zero(self, tmp_path, entry, bad, message):
+        args = _hetero_graph(3, seed=3)
+        settings = {"horizon": 1.0, **bad}
+        solves = {
+            "integrate_hetero": lambda: integrate_hetero(*args, **settings),
+            "run": lambda: HeteroSolve(*args, **settings).run(_drop),
+            "to_csv": lambda: HeteroSolve(*args, **settings).to_csv(tmp_path / "nodes.csv"),
+        }
+        with pytest.raises(ValueError, match=f"^{message} must be > 0$"):
+            solves[entry]()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_step_counts_are_exact(self):
+        # recounted as TestIntegratePlanar.test_step_counts_are_exact does,
+        # on scipy's RK45 stepped over the same per-node field
+        ps0, g, a, p = _hetero_graph(50, seed=6)
+        _, macro = integrate_hetero(ps0, g, a, p, horizon=60.0)
+        calls = 0
+
+        def fun(_t, u):
+            nonlocal calls
+            calls += 1
+            v = np.clip(u, 0.0, 1.0)
+            return np.concatenate(hetero_rhs(v[:50], v[50:], g, a, p))
+
+        solver = RK45(fun, 0.0, np.concatenate([ps0.p_x, ps0.p_y]), 60.0, rtol=1e-8,
+                      atol=1e-10, first_step=1e-3)
+        accepted = rejected = 0
+        while solver.status == "running":
+            before = calls
+            solver.step()
+            accepted += 1
+            rejected += (calls - before) // 6 - 1
+        assert macro.meta["steps"] == {"accepted": accepted, "rejected": rejected}
+        assert macro.meta["nfev"] == 1 + 6 * (accepted + rejected) == calls
+        assert rejected > 0
 
     def test_node_means_sum_the_nodes_in_order(self):
         # the macro trajectory is the left-to-right mean of the clamped nodes,
