@@ -42,7 +42,6 @@ from .abm import (
     AbmConfig,
     EnsembleResult,
     EventLog,
-    Population,
     ensemble,
     simulate,
 )
@@ -54,9 +53,8 @@ __all__ = [
     "AbmConfig", "AssumptionError", "Condition", "ConfigError", "CycleReport",
     "EnsembleResult", "EquilibriumKind", "EventLog", "GraphError",
     "HeteroTrajectory", "InfluenceGraph", "InvalidParameterError",
-    "MacroState", "ModelParams", "NumericalError", "Population",
-    "ProbabilityState", "RegimeLabel", "Stability", "Trajectory",
-    "TrappingRegion", "Verdict",
+    "MacroState", "ModelParams", "NumericalError", "ProbabilityState",
+    "RegimeLabel", "Stability", "Trajectory", "TrappingRegion", "Verdict",
     "beta_pm", "classify_regime", "cost_window", "detect_cycle", "eigenvalues_2x2",
     "endemic_zeta_threshold", "ensemble", "find_equilibria", "hetero_rhs",
     "integrate_hetero", "integrate_planar", "interior_band_zetas", "interior_focus_zeta",

@@ -77,8 +77,12 @@ heterogeneous activities: with n_I infected, A_I their activity sum and
 A_E the activity sum of the n_E eligible, it takes on average
 (a_max*n_I + A_I) / (A_E*n_I/n_E + A_I) attempts, at most a_max/a_min. The
 loop holds the agent state and the out-neighbour lists in Python lists for
-the whole run, so no event touches a numpy scalar; it writes the state back
-into the ``Population`` for the debug checks and at the end.
+the whole run, so no event touches a numpy scalar.
+
+The loop has no checking mode of its own. Its verifier is the draw-by-draw
+replay in the test suite, which recomputes every rate from per-agent
+formulas before each draw and must reproduce the loop's history event for
+event.
 
 The loop counts its events per kind in ``Trajectory.meta["events"]``, also
 when no log is kept, and the rejected adopt and drop proposals in
@@ -100,7 +104,7 @@ import numpy as np
 
 from .artifacts import text, write_csv
 from .core import ConfigError, ModelParams, NumericalError, config_value, config_vector
-from .meanfield import Trajectory, imitation_rates, sample_grid
+from .meanfield import Trajectory, sample_grid
 from .network import InfluenceGraph
 
 NO_PROTECTION, PROTECTION = 0, 1
@@ -117,41 +121,6 @@ EVENT_RECOVERY = "recovery"
 EVENT_ADOPT = "adopt"
 EVENT_DROP = "drop"
 EVENT_KINDS = (EVENT_RECOVERY, EVENT_INFECTION, EVENT_ADOPT, EVENT_DROP, EVENT_CONTACT)
-
-
-@dataclass
-class Population:
-    """Agent vectors: behaviour bits, SIS health states, activity rates."""
-
-    behaviours: np.ndarray
-    healths: np.ndarray
-    activities: np.ndarray
-
-    def __post_init__(self):
-        self.behaviours = np.asarray(self.behaviours, dtype=np.int8)
-        self.healths = np.asarray(self.healths, dtype=np.int8)
-        self.activities = np.asarray(self.activities, dtype=float)
-        n = self.behaviours.size
-        if not (self.healths.size == n and self.activities.size == n):
-            raise ConfigError("population vectors must have equal lengths")
-        if not np.isin(self.behaviours, (NO_PROTECTION, PROTECTION)).all():
-            raise ConfigError("behaviours must be 0 or 1")
-        if not np.isin(self.healths, (SUSCEPTIBLE, INFECTED)).all():
-            raise ConfigError("healths must be S(0) or I(1)")
-        if np.any(self.activities <= 0.0) or not np.isfinite(self.activities).all():
-            raise ConfigError("activities must be positive and finite")
-
-    @property
-    def n(self) -> int:
-        return self.behaviours.size
-
-    @property
-    def x_bar(self) -> float:
-        return float(self.behaviours.sum()) / self.n
-
-    @property
-    def y_bar(self) -> float:
-        return float((self.healths == INFECTED).sum()) / self.n
 
 
 @dataclass
@@ -215,14 +184,14 @@ class AbmConfig:
     infection_mode: str = "aggregated"  # "aggregated" | "contact"
     directionality: str = "bidirectional"  # "bidirectional" | "activator-infects"
     record_events: bool | None = None  # default: only for n <= 1000
-    debug_check: bool = False
 
     def __post_init__(self):
         self.activities = _checked_activities(self.activities, self.graph.n)
-        if self.horizon is None or self.horizon <= 0:
-            raise ConfigError("horizon must be > 0")
-        if self.sample_dt is None or self.sample_dt <= 0:
-            raise ConfigError("sample_dt must be > 0")
+        for name in ("horizon", "sample_dt"):
+            value = getattr(self, name)
+            # false for None, nan and inf too
+            if not (value is not None and 0 < value < math.inf):
+                raise ConfigError(f"{name} must be > 0 and finite, not {value!r}")
         if self.infection_mode not in ("aggregated", "contact"):
             raise ConfigError(f"unknown infection_mode {self.infection_mode!r}")
         if self.directionality not in ("bidirectional", "activator-infects"):
@@ -287,20 +256,24 @@ class AbmConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AbmConfig":
-        """The run spec of `to_dict`; absent optional keys take the field defaults."""
+        """The run spec of `to_dict`; absent optional keys take the field
+        defaults. A key outside SPEC_KEYS, an rng other than RNG_NAME, or
+        initial vectors next to initial fractions is a ConfigError."""
+        unknown = [k for k in d if k not in cls.SPEC_KEYS]
+        if unknown:
+            raise ConfigError(f"unknown key(s) in the run spec: {', '.join(map(repr, unknown))}")
+        if d.get("rng", RNG_NAME) != RNG_NAME:
+            raise ConfigError(f"rng must be {RNG_NAME!r}, not {d['rng']!r}")
         params = ModelParams.from_dict(d["params"])
         graph = InfluenceGraph.from_dict(d["graph"])
-        if "behaviours0" in d or "healths0" in d:
-            initial = {k: None if d.get(k) is None else config_vector(k, d[k], int)
-                       for k in ("behaviours0", "healths0")}
-        else:
-            initial = {k: config_value(k, d.get(k), float) for k in ("x0", "y0")}
+        # every initial key given goes to the constructor, which rejects a
+        # spec holding both vectors and fractions, or only one of a pair
+        initial = {k: None if d[k] is None else config_vector(k, d[k], int)
+                   for k in ("behaviours0", "healths0") if k in d}
+        initial.update({k: config_value(k, d[k], float) for k in ("x0", "y0") if k in d})
         record_events = d.get("record_events")
         if record_events is not None and not isinstance(record_events, bool):
             raise ConfigError("record_events must be true, false or null")
-        debug_check = d.get("debug_check", False)
-        if not isinstance(debug_check, bool):
-            raise ConfigError("debug_check must be true or false")
         return cls(
             params=params,
             graph=graph,
@@ -311,7 +284,6 @@ class AbmConfig:
             infection_mode=d.get("infection_mode", "aggregated"),
             directionality=d.get("directionality", "bidirectional"),
             record_events=record_events,
-            debug_check=debug_check,
             **initial,
         )
 
@@ -375,21 +347,14 @@ def _alias_table(weights) -> tuple[list, list]:
     return prob, alias
 
 
-def _initial_population(cfg: AbmConfig, rng: np.random.Generator) -> Population:
-    n = cfg.graph.n
-    if cfg.behaviours0 is not None:
-        behaviours = cfg.behaviours0.copy()
-        healths = cfg.healths0.copy()
-    else:
-        behaviours = (rng.random(n) < cfg.x0).astype(np.int8)
-        healths = (rng.random(n) < cfg.y0).astype(np.int8)
-    return Population(behaviours=behaviours, healths=healths, activities=cfg.activities.copy())
-
-
 def simulate(cfg: AbmConfig) -> tuple[Trajectory, EventLog]:
     """One statistically exact realization; identical seeds give identical logs."""
     rng = np.random.default_rng(cfg.seed)
-    pop = _initial_population(cfg, rng)
+    if cfg.behaviours0 is not None:
+        behaviours, healths = cfg.behaviours0, cfg.healths0
+    else:
+        behaviours = (rng.random(cfg.graph.n) < cfg.x0).astype(np.int8)
+        healths = (rng.random(cfg.graph.n) < cfg.y0).astype(np.int8)
     if not cfg.params.payoff_assumption_holds:
         import warnings
 
@@ -398,7 +363,7 @@ def simulate(cfg: AbmConfig) -> tuple[Trajectory, EventLog]:
             "simulation is well-defined but the analytical regime results do not apply",
             stacklevel=2,
         )
-    times, xs, ys, log, counts, nulls = _run(cfg, pop, rng)
+    times, xs, ys, log, counts, nulls = _run(cfg, behaviours, healths, rng)
     log.seed = cfg.seed
     traj = Trajectory(
         times=times,
@@ -418,8 +383,9 @@ def _check_counts(x: list, y: list, n1: int, n_inf: int) -> None:
         raise NumericalError("incremental counters diverged from agent vectors")
 
 
-def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
-    """The event loop, for every influence graph.
+def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator):
+    """The event loop, for every influence graph, from the behaviours `xs`
+    and healths `ys`, which it leaves unchanged.
 
     The agent vectors are copied once into Python lists; group members,
     activity sums and rates are plain Python ints and floats, so the loop does
@@ -436,13 +402,11 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
     so they are recomputed only after one; the other rates are recomputed
     only after an event that changed the state. `_check_counts` checks the
     counters against the lists at each grid time and after the last event.
-    The lists are written back into ``pop`` before every debug check and
-    once at the end.
     """
     p = cfg.params
     g = cfg.graph
-    n = pop.n
-    xs, ys, acts = pop.behaviours, pop.healths, pop.activities
+    n = g.n
+    acts = cfg.activities
     x, y, a = xs.tolist(), ys.tolist(), acts.tolist()
     uniform_act = float(np.ptp(acts)) == 0.0
     a_max = float(acts.max())
@@ -450,7 +414,6 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
     bidi = cfg.bidirectional
     contact_mode = cfg.infection_mode == "contact"
     record = cfg.record_events
-    debug = cfg.debug_check
     horizon = cfg.horizon
     log = EventLog()
     log_event = log.flat.extend
@@ -658,12 +621,7 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
             moved = True
             if record:
                 log_event((t, EVENT_DROP, i, None))
-        if debug:
-            xs[:], ys[:] = x, y
-            _debug_check(cfg, pop, adopters, nonadopters, infected, elig, elig_pos, a_inf,
-                         a_elig)
 
-    xs[:], ys[:] = x, y
     n1, n_inf = len(adopters), len(infected)
     _check_counts(x, y, n1, n_inf)
     while len(out_x) < grid.size:  # the state holds through the horizon
@@ -672,36 +630,6 @@ def _run(cfg: AbmConfig, pop: Population, rng: np.random.Generator):
     counts = (n_rec, n_infect, n_adopt, n_drop, n_contact)
     nulls = {EVENT_ADOPT: null_adopt, EVENT_DROP: null_drop}
     return grid, np.array(out_x), np.array(out_y), log, dict(zip(EVENT_KINDS, counts)), nulls
-
-
-def _require_close(name: str, got, ref, rtol: float = 1e-5, atol: float = 1e-8) -> None:
-    if not np.allclose(got, ref, rtol=rtol, atol=atol):
-        raise NumericalError(f"{name} diverged from its from-scratch value")
-
-
-def _debug_check(cfg, pop, adopters, nonadopters, infected, elig, elig_pos, a_inf, a_elig):
-    """Compare the loop's groups, eligible slots and activity sums with the
-    agent vectors; on the complete graph also its imitation rates with
-    ``imitation_rates``."""
-    xs, ys, a = pop.behaviours, pop.healths, pop.activities
-    free = (ys == SUSCEPTIBLE) & (xs == NO_PROTECTION)
-    for name, members, mask in (("adopter", adopters, xs == PROTECTION),
-                                ("non-adopter", nonadopters, xs == NO_PROTECTION),
-                                ("infected", infected, ys == INFECTED),
-                                ("eligible", elig, free)):
-        if sorted(members) != np.flatnonzero(mask).tolist():
-            raise NumericalError(f"{name} set diverged from agent vectors")
-    if any(elig_pos[i] != k for k, i in enumerate(elig)):
-        raise NumericalError("eligible slot table diverged from the eligible set")
-    _require_close("infected activity sum", a_inf, float(a[ys == INFECTED].sum()), 0.0, 1e-9)
-    _require_close("eligible activity sum", a_elig, float(a[free].sum()), 0.0, 1e-9)
-    if cfg.graph.is_complete:
-        xbar, ybar = pop.x_bar, pop.y_bar
-        _, _, q01, q10 = imitation_rates(cfg.graph, xs.astype(float), ybar, cfg.params)
-        pi1 = xbar + cfg.params.zeta * ybar
-        pi0 = 1.0 - xbar + cfg.params.c
-        _require_close("complete-graph adoption rate", xbar * pi1, q01)
-        _require_close("complete-graph drop rate", (1.0 - xbar) * pi0, q10)
 
 
 @dataclass

@@ -92,6 +92,12 @@ POSITIVE = ("horizon", "rtol", "atol", "sample_dt")
 # the abm block's keys that go into the run spec as they are
 ABM_SPEC_KEYS = ("activities", "directionality", "record_events", "behaviours0", "healths0")
 
+# the abm block's keys that a sidecar writes but the run resolves elsewhere,
+# each with where: a block that holds one must agree with the run
+ABM_ECHOED_KEYS = {"params": "params", "horizon": "horizon", "sample_dt": "sample_dt",
+                   "seed": "seed", "x0": "initial.x", "y0": "initial.y",
+                   "rng": "the simulator's rng"}
+
 # the keys each config block may hold: those the commands read and those
 # their sidecars write. Any other key in a block is a configuration error;
 # top-level keys are left alone, since one config may serve several commands.
@@ -209,7 +215,9 @@ def _write_sidecar(outdir: Path, command: str, settings: dict) -> None:
 
 
 def _abm_settings(cfg: dict, args, s: dict) -> tuple[abm_mod.AbmConfig, dict]:
-    """The run spec of abm-sim and compare, and the settings that rebuild it."""
+    """The run spec of abm-sim and compare, and the settings that rebuild it.
+    An ABM_ECHOED_KEYS entry of the abm block that differs from the run's
+    value is a ConfigError naming both."""
     p, s = _model(cfg, args, s)
     if s["seed"] is None:
         if getattr(args, "strict", False):
@@ -231,7 +239,12 @@ def _abm_settings(cfg: dict, args, s: dict) -> tuple[abm_mod.AbmConfig, dict]:
     else:
         spec["x0"], spec["y0"] = s["initial"]["x"], s["initial"]["y"]
     acfg = abm_mod.AbmConfig.from_dict(spec)
-    s["abm"] = acfg.to_dict()
+    spec = s["abm"] = acfg.to_dict()
+    clashes = [f"abm.{key} is {block[key]!r}, but the run resolved {where} to {spec.get(key)!r}"
+               for key, where in ABM_ECHOED_KEYS.items()
+               if key in block and block[key] != spec.get(key)]
+    if clashes:
+        raise ConfigError("; ".join(clashes))
     return acfg, s
 
 

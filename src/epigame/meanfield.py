@@ -145,9 +145,13 @@ def _clamp_unit(values: np.ndarray, atol: float, what: str) -> float:
 
 def sample_grid(horizon: float, sample_dt: float | None, default_samples: int = 2000) -> np.ndarray:
     """Times 0, dt, 2*dt, ... ending exactly at the horizon: a last multiple
-    equal to it up to rounding (73 * 0.1 = 7.300000000000001) is replaced."""
+    equal to it up to rounding (73 * 0.1 = 7.300000000000001) is replaced.
+    A None sample_dt gives `default_samples` equal intervals; any other
+    sample_dt must be > 0 and finite (ValueError)."""
     if sample_dt is None:
         return np.linspace(0.0, horizon, default_samples + 1)
+    if not 0 < sample_dt < math.inf:  # false for nan too
+        raise ValueError(f"sample_dt must be > 0 and finite, not {sample_dt!r}")
     n = int(np.floor(horizon / sample_dt + 1e-9))
     grid = np.arange(n + 1) * sample_dt
     if grid[-1] < horizon - 1e-12 * max(1.0, horizon):
@@ -204,18 +208,20 @@ class _StepControl:
     """One RK45 solve from t = 0 to the horizon, as both the float and the
     array kernel run it.
 
-    The contract: the horizon, rtol and atol must be > 0 (ValueError), and
-    an rtol below 100 * machine epsilon is raised to it with a UserWarning,
-    as scipy does; `rtol` and `atol` are the values the solve uses. The step
-    rule: the first step min(1e-3, horizon/2) and the last one clipped to
-    the horizon; an attempt accepted when the RMS norm of its error, relative
-    to atol + rtol*max(|u|, |u_new|), is below 1; the next attempt rescaled
-    by SAFETY*error^(-1/5) within [0.2, 10], with no growth after a
-    rejection of the same step; and a NumericalError once a rejected step
-    falls below ten float spacings of t. `report` gives the solve's meta."""
+    The contract: the horizon must be > 0 and finite, and rtol and atol > 0
+    (ValueError), and an rtol below 100 * machine epsilon is raised to it
+    with a UserWarning, as scipy does; `rtol` and `atol` are the values the
+    solve uses. The public entry points apply `tolerances` themselves, so
+    the warning names their caller. The step rule: the first step
+    min(1e-3, horizon/2) and the last one clipped to the horizon; an attempt
+    accepted when the RMS norm of its error, relative to
+    atol + rtol*max(|u|, |u_new|), is below 1; the next attempt rescaled by
+    SAFETY*error^(-1/5) within [0.2, 10], with no growth after a rejection of
+    the same step; and a NumericalError once a rejected step falls below ten
+    float spacings of t. `report` gives the solve's meta."""
 
     def __init__(self, horizon: float, rtol: float, atol: float):
-        self.rtol, self.atol = self.tolerances(horizon, rtol, atol)
+        self.rtol, self.atol = self.tolerances(horizon, rtol, atol, stacklevel=3)
         self.horizon = horizon
         self.t = 0.0
         self.accepted_steps = self.rejected_steps = 0
@@ -223,15 +229,20 @@ class _StepControl:
         self._rejected = False
 
     @staticmethod
-    def tolerances(horizon: float, rtol: float, atol: float) -> tuple[float, float]:
-        """The (rtol, atol) that a solve to the horizon uses, or ValueError."""
-        if not horizon > 0:
+    def tolerances(horizon: float, rtol: float, atol: float,
+                   stacklevel: int) -> tuple[float, float]:
+        """The (rtol, atol) that a solve to the horizon uses, or ValueError.
+        The rtol-floor warning is attributed to the frame `stacklevel` levels
+        up from the caller: 1 is the caller itself, 2 the caller's caller."""
+        if not horizon > 0:  # false for nan too
             raise ValueError("horizon must be > 0")
+        if horizon == math.inf:  # the solve would never end
+            raise ValueError("horizon must be finite")
         if not (rtol > 0 and atol > 0):
             raise ValueError("tolerances must be > 0")
         if rtol < _RTOL_FLOOR:
             warnings.warn(f"rtol {rtol!r} is below 100 * machine epsilon; "
-                          f"the solve uses {_RTOL_FLOOR!r}", stacklevel=3)
+                          f"the solve uses {_RTOL_FLOOR!r}", stacklevel=stacklevel + 1)
             rtol = _RTOL_FLOOR
         return rtol, atol
 
@@ -380,13 +391,15 @@ def integrate_planar(
     bidirectional: bool = True,
 ) -> Trajectory:
     """Integrate the planar system with RK45's adaptive embedded 5(4) scheme
-    (`_solve_planar`), sampled on the grid of `sample_grid`."""
+    (`_solve_planar`), sampled on the grid of `sample_grid`. The arguments
+    are checked before the solve."""
+    rtol, atol = _StepControl.tolerances(horizon, rtol, atol, stacklevel=2)
+    grid = sample_grid(horizon, sample_dt)
 
     def field(x, y):
         return planar_rhs_xy(x, y, p, bidirectional)
 
     sol, meta = _solve_planar(field, s0.x, s0.y, horizon, rtol, atol)
-    grid = sample_grid(horizon, sample_dt)
     states = sol.sol(grid)
     meta["max_overshoot"] = _clamp_unit(states, atol, "planar trajectory")
     meta["bidirectional"] = bidirectional
@@ -509,7 +522,7 @@ class HeteroSolve:
         sample_dt: float | None = None,
         bidirectional: bool = True,
     ):
-        rtol, atol = _StepControl.tolerances(horizon, rtol, atol)
+        rtol, atol = _StepControl.tolerances(horizon, rtol, atol, stacklevel=2)
         n = ps0.n
         if g.n != n:
             raise GraphError("graph order must equal probability vector length")
@@ -600,6 +613,7 @@ def integrate_hetero(
     bidirectional: bool = True,
 ) -> tuple[HeteroTrajectory, Trajectory]:
     """Integrate the 2n-dimensional per-node system; also return the node-average macro trajectory."""
+    rtol, atol = _StepControl.tolerances(horizon, rtol, atol, stacklevel=2)
     solve = HeteroSolve(ps0, g, activities, p, horizon, rtol, atol, sample_dt, bidirectional)
     n, times = solve.n, solve.times
     states = np.empty((2 * n, times.size))

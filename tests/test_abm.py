@@ -16,8 +16,6 @@ from epigame import (
     InfluenceGraph,
     MacroState,
     ModelParams,
-    NumericalError,
-    Population,
     ensemble,
     integrate_planar,
     simulate,
@@ -49,20 +47,16 @@ class TestRates:
     def test_complete_graph_payoffs_match_global(self):
         p = example_params(zeta=8.0)
         n = 10
-        pop = Population(
-            behaviours=np.array([1] * 4 + [0] * 6),
-            healths=np.array([1] * 3 + [0] * 7),
-            activities=np.full(n, p.alpha),
-        )
-        pi1, pi0 = node_payoffs(InfluenceGraph.complete(n), pop, p)
+        agents = (np.array([1] * 4 + [0] * 6), np.array([1] * 3 + [0] * 7), np.full(n, p.alpha))
+        pi1, pi0 = node_payoffs(InfluenceGraph.complete(n), *agents, p)
         # the complete-graph payoffs pi1 = x + zeta*y and pi0 = 1 - x + c
         np.testing.assert_allclose(pi1, 0.4 + p.zeta * 0.3, rtol=1e-14)
         np.testing.assert_allclose(pi0, 1.0 - 0.4 + p.c, rtol=1e-14)
 
     def test_zero_prevalence_payoffs(self):
         p = example_params(zeta=8.0)
-        pop = Population(np.zeros(4), np.zeros(4), np.full(4, p.alpha))
-        pi1, pi0 = node_payoffs(InfluenceGraph.complete(4), pop, p)
+        pi1, pi0 = node_payoffs(InfluenceGraph.complete(4), np.zeros(4), np.zeros(4),
+                                np.full(4, p.alpha), p)
         np.testing.assert_array_equal(pi1, 0.0)
         np.testing.assert_array_equal(pi0, 1.0 + p.c)
 
@@ -73,43 +67,42 @@ class TestRates:
         #   q01 = (0, 5/3, 0), q10 = (3, 0, 3)
         p = example_params(zeta=5.0)
         g = InfluenceGraph.from_adjacency([[1], [0, 2], [1]])
-        pop = Population([1, 0, 1], [0, 1, 0], np.full(3, p.alpha))
-        pi1, pi0 = node_payoffs(g, pop, p)
+        agents = ([1, 0, 1], [0, 1, 0], np.full(3, p.alpha))
+        pi1, pi0 = node_payoffs(g, *agents, p)
         np.testing.assert_allclose(pi1, [5 / 3, 8 / 3, 5 / 3], rtol=1e-14)
         np.testing.assert_allclose(pi0, [4.0, 3.0, 4.0], rtol=1e-14)
-        q01, q10 = switch_rates(g, pop, p)
+        q01, q10 = switch_rates(g, *agents, p)
         np.testing.assert_allclose(q01, [0.0, 5 / 3, 0.0], rtol=1e-14)
         np.testing.assert_allclose(q10, [3.0, 0.0, 3.0], rtol=1e-14)
 
     def test_imitation_absorbing_at_consensus(self):
         p = example_params(zeta=8.0)
         g = InfluenceGraph.complete(5)
-        nobody = Population(np.zeros(5), np.zeros(5), np.full(5, p.alpha))
-        q01, _ = switch_rates(g, nobody, p)
+        q01, _ = switch_rates(g, np.zeros(5), np.zeros(5), np.full(5, p.alpha), p)
         np.testing.assert_array_equal(q01, 0.0)  # nobody to imitate
-        everybody = Population(np.ones(5), np.zeros(5), np.full(5, p.alpha))
-        _, q10 = switch_rates(g, everybody, p)
+        _, q10 = switch_rates(g, np.ones(5), np.zeros(5), np.full(5, p.alpha), p)
         np.testing.assert_array_equal(q10, 0.0)
 
     def test_infection_rate_uniform_formula(self):
         # n=5, two infected, uniform activities: lam/(n-1) * (n*a*2/5 + 2a) = lam*a
         p = example_params(zeta=8.0)
-        pop = Population(np.zeros(5), [1, 1, 0, 0, 0], np.full(5, p.alpha))
-        assert infection_rate(pop, 2, p) == pytest.approx(p.lam * p.alpha, rel=1e-14)
+        agents = (np.zeros(5), [1, 1, 0, 0, 0], np.full(5, p.alpha))
+        assert infection_rate(*agents, 2, p) == pytest.approx(p.lam * p.alpha, rel=1e-14)
 
     def test_infection_rate_one_directional(self):
         # only contacts initiated by the infected count
         p = example_params(zeta=8.0)
-        pop = Population(np.zeros(5), [1, 1, 0, 0, 0], np.full(5, p.alpha))
+        agents = (np.zeros(5), [1, 1, 0, 0, 0], np.full(5, p.alpha))
         expect = p.lam / 4 * 2 * p.alpha
-        assert infection_rate(pop, 2, p, bidirectional=False) == pytest.approx(expect, rel=1e-14)
+        rate = infection_rate(*agents, 2, p, bidirectional=False)
+        assert rate == pytest.approx(expect, rel=1e-14)
 
     def test_infection_rate_guards(self):
         p = example_params(zeta=8.0)
-        pop = Population([1, 0, 0], [0, 1, 0], np.full(3, p.alpha))
-        assert infection_rate(pop, 0, p) == 0.0  # protected
+        agents = ([1, 0, 0], [0, 1, 0], np.full(3, p.alpha))
+        assert infection_rate(*agents, 0, p) == 0.0  # protected
         with pytest.raises(ValueError):
-            infection_rate(pop, 1, p)  # already infected
+            infection_rate(*agents, 1, p)  # already infected
 
 
 def random_digraph(rng, n, max_degree=4):
@@ -317,57 +310,6 @@ class TestSimulate:
         _, log2 = simulate(dataclasses.replace(cfg))
         assert log.events == log2.events
 
-    def test_debug_invariant_checking(self):
-        # heterogeneous activities exercise the rejection-sampling paths
-        rng = np.random.default_rng(11)
-        cfg = small_config(
-            n=30,
-            activities=rng.uniform(1.0, 5.0, 30),
-            horizon=4.0,
-            debug_check=True,
-        )
-        simulate(cfg)  # raises on any incremental bookkeeping drift
-        cfg2 = small_config(
-            n=30,
-            activities=rng.uniform(1.0, 5.0, 30),
-            horizon=4.0,
-            infection_mode="contact",
-            debug_check=True,
-        )
-        simulate(cfg2)
-        # general graph: the groups, eligible slots and activity sums are
-        # compared with the agent vectors after every event
-        for mode in ("aggregated", "contact"):
-            simulate(general_config(n=30, horizon=4.0, infection_mode=mode, debug_check=True))
-
-        def loop_state(pop):
-            x, y, a = pop.behaviours, pop.healths, pop.activities
-            free = (x == 0) & (y == 0)
-            groups = [np.flatnonzero(m).tolist() for m in (x == 1, x == 0, y == 1)]
-            elig = np.flatnonzero(free).tolist()
-            elig_pos = [-1] * pop.n
-            for k, i in enumerate(elig):
-                elig_pos[i] = k
-            return (*groups, elig, elig_pos, float(a[y == 1].sum()), float(a[free].sum()))
-
-        # a drifted eligible set (one member lost, agent vectors unchanged)
-        # on a general graph must raise
-        cfg3 = general_config(n=30)
-        pop = Population(cfg3.behaviours0.copy(), cfg3.healths0.copy(), cfg3.activities)
-        state = loop_state(pop)
-        abm_mod._debug_check(cfg3, pop, *state)
-        state[3].pop()
-        with pytest.raises(NumericalError, match="eligible set"):
-            abm_mod._debug_check(cfg3, pop, *state)
-        # complete graph: a drifted infected-activity sum must raise
-        p = cfg3.params
-        pop = Population([1, 0, 0, 1], [0, 1, 0, 0], np.full(4, p.alpha))
-        cfg4 = small_config(n=4)
-        *groups, a_inf, a_elig = loop_state(pop)
-        abm_mod._debug_check(cfg4, pop, *groups, a_inf, a_elig)
-        with pytest.raises(NumericalError, match="infected activity"):
-            abm_mod._debug_check(cfg4, pop, *groups, 2 * a_inf, a_elig)
-
     @pytest.mark.parametrize("mode", ["aggregated", "contact"])
     @pytest.mark.parametrize("graph", ["complete", "general"])
     def test_event_counters_match_log(self, graph, mode):
@@ -501,16 +443,15 @@ def replay_complete(cfg, nulls=None):
     rejected = 0
     t = 0.0
     while True:
-        pop = Population(x, y, act)
         r_rec = p.mu * len(groups["infected"])
         if contact:
             r_mid = float(act.sum())  # the event log is on, so contacts always fire
         else:
-            r_mid = sum(infection_rate(pop, i, p, bidi) for i in groups["eligible"])
+            r_mid = sum(infection_rate(x, y, act, i, p, bidi) for i in groups["eligible"])
         n1 = len(groups["adopters"])
         zy = p.zeta * (len(groups["infected"]) / n)
         if complete:
-            q01, q10 = switch_rates(cfg.graph, pop, p)
+            q01, q10 = switch_rates(cfg.graph, x, y, act, p)
             r_adopt = float(q01[x == 0].sum())
             r_drop = float(q10[x == 1].sum())
         else:
@@ -564,7 +505,7 @@ def replay_complete(cfg, nulls=None):
                 i = draw("eligible")
                 if not (heterogeneous and bidi):
                     break
-                if uniform() * r_max <= infection_rate(pop, i, p, bidi):
+                if uniform() * r_max <= infection_rate(x, y, act, i, p, bidi):
                     break
                 rejected += 1
             infect(i)
@@ -609,14 +550,13 @@ def first_event_rates(cfg):
     from the reference rate formulas; zero-rate channels included."""
     p = cfg.params
     x, y, act = cfg.behaviours0, cfg.healths0, cfg.activities
-    pop = Population(x, y, act)
-    q01, q10 = switch_rates(cfg.graph, pop, p)
+    q01, q10 = switch_rates(cfg.graph, x, y, act, p)
     rates = {}
     for i in range(cfg.graph.n):
         if y[i] == 1:
             rates["recovery", i] = p.mu
         elif cfg.infection_mode == "aggregated":
-            rates["infection", i] = infection_rate(pop, i, p, cfg.bidirectional)
+            rates["infection", i] = infection_rate(x, y, act, i, p, cfg.bidirectional)
         if cfg.infection_mode == "contact":
             rates["contact", i] = float(act[i])  # the log is on: every contact is an event
         if x[i] == 0:
@@ -890,19 +830,37 @@ class TestConfig:
             dict(n=4, activities=[float("inf")] * 4),
             dict(n=4, x0=None, y0=None, behaviours0=[0.6, 1, 0, 1], healths0=[0, 1, 0, 0]),
             dict(n=4, x0=None, y0=None, behaviours0=[1, 0, 0, 1], healths0=[256, 1, 0, 1]),
+            dict(horizon=float("nan")),
+            dict(horizon=float("inf")),
+            dict(sample_dt=float("nan")),
+            dict(sample_dt=float("inf")),
         ],
     )
     def test_rejects_malformed(self, overrides):
         with pytest.raises(ConfigError):
             small_config(**overrides)
 
-    @pytest.mark.parametrize("key,value", [
-        ("record_events", "no"), ("record_events", 1), ("debug_check", "yes"),
-        ("debug_check", None),
-    ])
+    @pytest.mark.parametrize("key,value", [("record_events", "no"), ("record_events", 1)])
     def test_from_dict_rejects_non_boolean_switches(self, key, value):
         with pytest.raises(ConfigError, match=key):
             AbmConfig.from_dict({**small_config().to_dict(), key: value})
+
+    @pytest.mark.parametrize("key,value", [
+        ("debug_check", "yes"), ("debug_check", None), ("horizn", 5),
+        ("infection_mod", "contact"),
+    ])
+    def test_from_dict_rejects_unknown_keys(self, key, value):
+        # a misspelt key would otherwise leave its setting at the default
+        with pytest.raises(ConfigError, match=f"unknown key.*'{key}'"):
+            AbmConfig.from_dict({**small_config().to_dict(), key: value})
+
+    def test_from_dict_rejects_what_it_would_ignore(self):
+        spec = small_config(n=4, x0=None, y0=None, behaviours0=[1, 0, 0, 1],
+                            healths0=[0, 1, 0, 0]).to_dict()
+        with pytest.raises(ConfigError, match="not both"):
+            AbmConfig.from_dict({**spec, "x0": 0.5, "y0": 0.5})
+        with pytest.raises(ConfigError, match="rng"):
+            AbmConfig.from_dict({**spec, "rng": "mt19937"})
 
     def test_record_events_defaults_by_size(self):
         assert small_config(n=50).record_events is True

@@ -312,6 +312,14 @@ MALFORMED_GRAPHS = [
     pytest.param("abm-sim", ["--seed", "1", "--horizon", "1"],
                  {"abm": {"n": 20, "debug_check": "yes"}}, "'debug_check'",
                  id="abm-debug_check"),
+    # a sidecar key of the abm block that the run resolves elsewhere must agree with it
+    pytest.param("abm-sim", [],
+                 {"abm": {"n": 50, "horizon": 2.0, "seed": 9, "sample_dt": 0.5, "x0": 0.9,
+                          "rng": "whatever", "params": {"alpha": 1}}},
+                 "abm.horizon is 2.0, but the run resolved horizon to 30.0",
+                 id="abm-horizon-not-the-run's"),
+    pytest.param("compare", ABM, {"abm": {"rng": "mt19937"}}, "abm.rng",
+                 id="abm-rng-not-the-run's"),
     pytest.param("cycle", ["--horizon", "10"], {"cycle": {"tol_cylce": 0.5}}, "'tol_cylce'",
                  id="unknown-cycle-key"),
     pytest.param("compare", ABM, {"compare": {"n_run": 2}}, "'n_run'", id="unknown-compare-key"),

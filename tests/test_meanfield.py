@@ -20,6 +20,7 @@ from epigame import (
     integrate_planar,
     planar_rhs_xy,
 )
+from epigame import meanfield
 from epigame.artifacts import CHUNK_ROWS
 from epigame.core import NumericalError
 from epigame.meanfield import (
@@ -324,6 +325,45 @@ def test_per_node_solve_floors_rtol_as_scipy_does():
         ref = solve_ivp(fun, (0.0, 1.0), u0, t_eval=grid, rtol=1e-16, atol=1e-10,
                         first_step=1e-3)
     assert states.tobytes() == ref.y.tobytes() and meta["nfev"] == ref.nfev
+
+
+def _entry_points(**settings):
+    """A call of each public solve entry point with `settings` (horizon 1
+    unless given), on a three-node graph."""
+    args = _hetero_graph(3, seed=3)
+    settings = {"horizon": 1.0, **settings}
+    return {
+        "integrate_planar": lambda: integrate_planar(MacroState(0.5, 0.1), args[-1], **settings),
+        "integrate_hetero": lambda: integrate_hetero(*args, **settings),
+        "HeteroSolve": lambda: HeteroSolve(*args, **settings),
+    }
+
+
+@pytest.mark.parametrize("entry", ["integrate_planar", "integrate_hetero", "HeteroSolve"])
+@pytest.mark.parametrize("sample_dt", [-1.0, 0.0, math.nan])
+def test_rejects_a_bad_sample_dt_before_the_solve(monkeypatch, entry, sample_dt):
+    # once a negative sample_dt failed with an IndexError after the whole
+    # solve; now no right-hand side is evaluated
+    calls = []
+    for name in ("planar_rhs_xy", "hetero_rhs"):
+        monkeypatch.setattr(meanfield, name, lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="^sample_dt must be > 0 and finite"):
+        _entry_points(sample_dt=sample_dt)[entry]()
+    assert calls == []
+
+
+@pytest.mark.parametrize("entry", ["integrate_planar", "integrate_hetero", "HeteroSolve"])
+def test_rtol_floor_warning_names_the_caller(entry):
+    solve = _entry_points(horizon=0.01, rtol=1e-16)[entry]
+    with pytest.warns(UserWarning, match="rtol") as record:
+        solve()
+    assert [w.filename for w in record] == [__file__]
+
+
+def test_rejects_an_infinite_horizon():
+    for solve in _entry_points(horizon=math.inf).values():
+        with pytest.raises(ValueError, match="^horizon must be finite$"):
+            solve()
 
 
 @pytest.mark.parametrize("which", ["p_x", "p_y"])
