@@ -27,15 +27,11 @@ from .equilibria import (
     Stability,
     beta_pm,
     classify_regime,
-    cost_window,
     eigenvalues_2x2,
-    endemic_zeta_threshold,
     find_equilibria,
-    interior_band_zetas,
-    interior_focus_zeta,
     interior_point,
-    interior_real_zeta,
     jacobian,
+    thresholds,
 )
 from .cycles import CycleReport, TrappingRegion, Verdict, detect_cycle, trapping_region
 from .abm import (
@@ -55,9 +51,8 @@ __all__ = [
     "HeteroTrajectory", "InfluenceGraph", "InvalidParameterError",
     "MacroState", "ModelParams", "NumericalError", "ProbabilityState",
     "RegimeLabel", "Stability", "Trajectory", "TrappingRegion", "Verdict",
-    "beta_pm", "classify_regime", "cost_window", "detect_cycle", "eigenvalues_2x2",
-    "endemic_zeta_threshold", "ensemble", "find_equilibria", "hetero_rhs",
-    "integrate_hetero", "integrate_planar", "interior_band_zetas", "interior_focus_zeta",
-    "interior_point", "interior_real_zeta", "jacobian", "planar_rhs_xy",
-    "render_phase_portrait", "simulate", "trapping_region",
+    "beta_pm", "classify_regime", "detect_cycle", "eigenvalues_2x2", "ensemble",
+    "find_equilibria", "hetero_rhs", "integrate_hetero", "integrate_planar",
+    "interior_point", "jacobian", "planar_rhs_xy", "render_phase_portrait", "simulate",
+    "thresholds", "trapping_region",
 ]

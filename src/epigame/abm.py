@@ -103,7 +103,15 @@ from itertools import chain
 import numpy as np
 
 from .artifacts import text, write_csv
-from .core import ConfigError, ModelParams, NumericalError, config_value, config_vector
+from .core import (
+    ConfigError,
+    ModelParams,
+    NumericalError,
+    activities_from,
+    checked_activities,
+    config_value,
+    config_vector,
+)
 from .meanfield import Trajectory, sample_grid
 from .network import InfluenceGraph
 
@@ -186,7 +194,7 @@ class AbmConfig:
     record_events: bool | None = None  # default: only for n <= 1000
 
     def __post_init__(self):
-        self.activities = _checked_activities(self.activities, self.graph.n)
+        self.activities = checked_activities(self.activities, self.graph.n)
         for name in ("horizon", "sample_dt"):
             value = getattr(self, name)
             # false for None, nan and inf too
@@ -286,24 +294,6 @@ class AbmConfig:
             record_events=record_events,
             **initial,
         )
-
-
-def activities_from(spec, n: int, alpha: float) -> np.ndarray:
-    """Per-agent activities from a config: "uniform" (alpha for all n
-    agents) or a list of n positive finite numbers."""
-    if spec == "uniform":
-        return np.full(n, alpha)
-    return _checked_activities(config_vector("activities", spec), n)
-
-
-def _checked_activities(activities, n: int) -> np.ndarray:
-    """`activities` as a float array, if it holds n positive finite numbers."""
-    activities = np.asarray(activities, dtype=float)
-    if activities.shape != (n,):
-        raise ConfigError("activities length must equal graph order")
-    if not (np.isfinite(activities) & (activities > 0)).all():
-        raise ConfigError("activities must be positive and finite")
-    return activities
 
 
 def _uniform_stream(rng: np.random.Generator):
@@ -418,7 +408,7 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
     log = EventLog()
     log_event = log.flat.extend
     # off the complete graph: out-neighbour lists for the thinning walks
-    nbrs = None if g.is_complete else [g.neighbors(i).tolist() for i in range(n)]
+    nbrs = None if g.is_complete else g.neighbor_lists()
     # with heterogeneous activities: the contact initiator's alias table
     if contact_mode and not uniform_act:
         alias_prob, alias = _alias_table(a)

@@ -39,6 +39,7 @@ from .core import (
     MacroState,
     ModelParams,
     NumericalError,
+    activities_from,
     config_value,
     config_vector,
 )
@@ -304,7 +305,7 @@ def _cmd_mf_hetero(cfg: dict, args, s: dict) -> int:
     if "graph" not in block:
         raise ConfigError("mf-hetero needs a 'hetero' config block with a 'graph'")
     graph = InfluenceGraph.from_dict(block["graph"])
-    activities = abm_mod.activities_from(block.get("activities", "uniform"), graph.n, p.alpha)
+    activities = activities_from(block.get("activities", "uniform"), graph.n, p.alpha)
 
     def start(v):  # hetero.p_x0 or p_y0: one probability for every node, or one per node
         name, value = f"hetero.p_{v}0", block.get(f"p_{v}0", s["initial"][v])

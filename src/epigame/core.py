@@ -2,7 +2,8 @@
 
 Every other module (mean-field ODEs, equilibrium analysis, cycle detection,
 agent-based simulation, CLI) shares the five scalar model parameters, the
-planar macroscopic state and the error types defined here.
+planar macroscopic state, the error types and the config readers defined
+here, among them the one check of per-agent activities.
 """
 from __future__ import annotations
 
@@ -78,6 +79,25 @@ def config_vector(name: str, value, cast=float) -> np.ndarray:
     if not ok.all():
         raise ConfigError(f"{name} must hold {what} only, not {value[int(np.argmin(ok))]!r}")
     return read
+
+
+def checked_activities(activities, n: int) -> np.ndarray:
+    """`activities` as a float array, if it holds n positive finite numbers:
+    the per-agent contact rates of the agent model and of the per-node ODE."""
+    activities = np.asarray(activities, dtype=float)
+    if activities.shape != (n,):
+        raise ConfigError("activities length must equal graph order")
+    if not (np.isfinite(activities) & (activities > 0)).all():
+        raise ConfigError("activities must be positive and finite")
+    return activities
+
+
+def activities_from(spec, n: int, alpha: float) -> np.ndarray:
+    """Per-agent activities from a config: "uniform" (alpha for all n
+    agents) or a list of n positive finite numbers."""
+    if spec == "uniform":
+        return np.full(n, alpha)
+    return checked_activities(config_vector("activities", spec), n)
 
 
 @dataclass(frozen=True)

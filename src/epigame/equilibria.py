@@ -13,15 +13,17 @@ with y = 1 - mu / (2 alpha lam (1 - beta)).
 All eigenvalues are computed in closed form from the 2x2 trace/determinant;
 no general eigensolver is involved.
 
+`thresholds(p)` gives the seven closed-form thresholds in zeta and c of a
+point as one record; `regime_ledger` reads the same record over arrays.
+
 The regime classifier is array-valued. `regime_ledger` evaluates the nine
 conditions of REGIME_CONDITIONS elementwise over numpy arrays of parameter
 points, giving (9, n) arrays of left-hand sides, right-hand sides and
 verdicts, and runs the decision ladder as boolean masks, marginal tests
 included. `sweep` makes one ledger call for its whole grid;
 `classify_regime` is its one-point case and adds `find_equilibria` for the
-report. The ledger uses
-the scalar formulas' operations in the same order, so its values are
-bit-identical to evaluating each point on its own.
+report. The ledger uses the scalar formulas' operations in the same order,
+so its values are bit-identical to evaluating each point on its own.
 """
 from __future__ import annotations
 
@@ -160,17 +162,36 @@ class RegimeReport:
 # closed-form threshold quantities
 
 
-class _Thresholds(NamedTuple):
-    endemic: np.ndarray
-    real: np.ndarray
-    focus: np.ndarray
-    band_lo: np.ndarray
-    band_hi: np.ndarray
-    window_lo: np.ndarray
-    window_hi: np.ndarray
+class Thresholds(NamedTuple):
+    """The closed-form zeta and cost thresholds: floats from `thresholds`.
+
+    endemic: 2*alpha*lam*(1+c) / (2*alpha*lam - mu), the risk perception
+        above which the protection-free endemic state destabilises; infinite
+        below the epidemic threshold.
+    real: the smallest zeta for which the interior x-roots are real. When
+        the defining quadratic has no real roots in zeta (possible only for
+        c < 1) the discriminant is positive everywhere and the bound is
+        vacuous (-inf).
+    focus: the lower zeta bound for local stability of the upper interior state.
+    band_lo, band_hi: the zeta roots of the trace condition at the upper
+        interior state. Above band_hi that state is fully repelling and a
+        periodic orbit attracts all interior trajectories. Below the epidemic
+        threshold the band is (-inf, inf).
+    window_lo, window_hi: the cost window [4*alpha*lam/mu - 3,
+        32*alpha*lam/(5*mu) - 3) where a unique interior endemic state exists
+        only above a zeta threshold.
+    """
+
+    endemic: float | np.ndarray
+    real: float | np.ndarray
+    focus: float | np.ndarray
+    band_lo: float | np.ndarray
+    band_hi: float | np.ndarray
+    window_lo: float | np.ndarray
+    window_hi: float | np.ndarray
 
 
-def _thresholds(al, mu, c) -> _Thresholds:
+def _thresholds(al, mu, c) -> Thresholds:
     """The closed-form thresholds, elementwise over alpha*lam, mu and c.
 
     Branches that do not apply (below the epidemic threshold, a negative
@@ -195,52 +216,13 @@ def _thresholds(al, mu, c) -> _Thresholds:
                            -np.inf)
         band_hi = np.where(above, pref * ((c + 1.0) * (1.0 + s) + al * (c - 3.0) + 2.0 * mu),
                            np.inf)
-    return _Thresholds(endemic, real, focus, band_lo, band_hi,
-                       4.0 * al / mu - 3.0, 32.0 * al / (5.0 * mu) - 3.0)
+    return Thresholds(endemic, real, focus, band_lo, band_hi,
+                      4.0 * al / mu - 3.0, 32.0 * al / (5.0 * mu) - 3.0)
 
 
-def _point_thresholds(p: ModelParams) -> _Thresholds:
-    return _thresholds(p.alpha * p.lam, p.mu, p.c)
-
-
-def endemic_zeta_threshold(p: ModelParams) -> float:
-    """Risk-perception level above which the protection-free endemic state destabilises.
-
-    2*alpha*lam*(1+c) / (2*alpha*lam - mu); infinite below the epidemic threshold.
-    """
-    return float(_point_thresholds(p).endemic)
-
-
-def interior_real_zeta(p: ModelParams) -> float:
-    """Smallest zeta for which the interior x-roots are real.
-
-    When the defining quadratic has no real roots in zeta (possible only for
-    c < 1) the discriminant is positive everywhere and the bound is vacuous.
-    """
-    return float(_point_thresholds(p).real)
-
-
-def interior_focus_zeta(p: ModelParams) -> float:
-    """Lower zeta bound for local stability of the upper interior state."""
-    return float(_point_thresholds(p).focus)
-
-
-def interior_band_zetas(p: ModelParams) -> tuple[float, float]:
-    """(lower, upper) zeta roots of the trace condition at the upper interior state.
-
-    Above the upper root the interior state is fully repelling and a periodic
-    orbit attracts all interior trajectories. Below the epidemic threshold
-    the band is (-inf, inf).
-    """
-    t = _point_thresholds(p)
-    return (float(t.band_lo), float(t.band_hi))
-
-
-def cost_window(p: ModelParams) -> tuple[float, float]:
-    """Cost window [4*alpha*lam/mu - 3, 32*alpha*lam/(5*mu) - 3) where a unique
-    interior endemic state exists only above a zeta threshold."""
-    t = _point_thresholds(p)
-    return (float(t.window_lo), float(t.window_hi))
+def thresholds(p: ModelParams) -> Thresholds:
+    """The closed-form thresholds of one parameter point, as floats."""
+    return Thresholds(*map(float, _thresholds(p.alpha * p.lam, p.mu, p.c)))
 
 
 @dataclass(frozen=True)
@@ -326,7 +308,7 @@ def _stability(kind: EquilibriumKind, point: tuple[float, float],
 
 
 def _interior_report(kind: EquilibriumKind, beta: float | None, roots: BetaRoots,
-                     p: ModelParams, thr: float, z_real: float) -> EquilibriumReport:
+                     p: ModelParams, t: Thresholds) -> EquilibriumReport:
     conds = [
         Condition("roots-real", roots.discriminant, 0.0, ">=", "interior-existence"),
     ]
@@ -342,12 +324,12 @@ def _interior_report(kind: EquilibriumKind, beta: float | None, roots: BetaRoots
     meta: dict = {}
     if kind is EquilibriumKind.INTERIOR_PLUS:
         clause_a = (
-            Condition("zeta-at-least-real-bound", p.zeta, z_real, ">=", "interior-existence"),
+            Condition("zeta-at-least-real-bound", p.zeta, t.real, ">=", "interior-existence"),
             Condition("zeta-below-cost-plus-3", p.zeta, p.c + 3.0, "<", "interior-existence"),
         )
         clause_b = (
             Condition("zeta-at-least-cost-plus-3", p.zeta, p.c + 3.0, ">=", "interior-existence"),
-            Condition("zeta-above-endemic-threshold", p.zeta, thr, ">", "interior-existence"),
+            Condition("zeta-above-endemic-threshold", p.zeta, t.endemic, ">", "interior-existence"),
         )
         conds.extend(clause_a)
         conds.extend(clause_b)
@@ -357,14 +339,9 @@ def _interior_report(kind: EquilibriumKind, beta: float | None, roots: BetaRoots
         meta["clause"] = "a" if a_ok else ("b" if b_ok else None)
     else:
         window = [
-            Condition("zeta-at-least-real-bound", p.zeta, z_real, ">=", "interior-existence"),
-            Condition(
-                "zeta-below-min-cost3-threshold",
-                p.zeta,
-                min(p.c + 3.0, thr),
-                "<",
-                "interior-existence",
-            ),
+            Condition("zeta-at-least-real-bound", p.zeta, t.real, ">=", "interior-existence"),
+            Condition("zeta-below-min-cost3-threshold", p.zeta, min(p.c + 3.0, t.endemic), "<",
+                      "interior-existence"),
         ]
         conds.extend(window)
         exists = y_cond.satisfied and all(c.satisfied for c in window)
@@ -389,8 +366,7 @@ def find_equilibria(p: ModelParams) -> list[EquilibriumReport]:
                         "epidemic-threshold")
     pf_point = (0.0, 1.0 - p.mu / (2.0 * p.alpha * p.lam)) if pf_cond.satisfied else None
     roots = beta_pm(p)
-    t = _point_thresholds(p)
-    thr, z_real = float(t.endemic), float(t.real)
+    t = thresholds(p)
     reports = [
         EquilibriumReport(kind=EquilibriumKind.DFE_ORIGIN, point=(0.0, 0.0), exists=True,
                           conditions=[]),
@@ -398,8 +374,8 @@ def find_equilibria(p: ModelParams) -> list[EquilibriumReport]:
                           conditions=[]),
         EquilibriumReport(kind=EquilibriumKind.PROTECTION_FREE_EE, point=pf_point,
                           exists=pf_cond.satisfied, conditions=[pf_cond]),
-        _interior_report(EquilibriumKind.INTERIOR_PLUS, roots.beta_plus, roots, p, thr, z_real),
-        _interior_report(EquilibriumKind.INTERIOR_MINUS, roots.beta_minus, roots, p, thr, z_real),
+        _interior_report(EquilibriumKind.INTERIOR_PLUS, roots.beta_plus, roots, p, t),
+        _interior_report(EquilibriumKind.INTERIOR_MINUS, roots.beta_minus, roots, p, t),
     ]
     for r in reports:
         if r.exists:

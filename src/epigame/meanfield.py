@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import csv_file, rows_per_write, text, write_csv
-from .core import MacroState, ModelParams, NumericalError
+from .core import MacroState, ModelParams, NumericalError, checked_activities
 from .network import GraphError, InfluenceGraph
 
 DEFAULT_RTOL = 1e-8
@@ -526,9 +526,7 @@ class HeteroSolve:
         n = ps0.n
         if g.n != n:
             raise GraphError("graph order must equal probability vector length")
-        a = np.asarray(activities, dtype=float)
-        if a.shape != (n,):
-            raise ValueError("activities length must equal graph order")
+        a = checked_activities(activities, n)
         if n < 2:
             raise GraphError("need at least two nodes for the contact process")
         self.n, self.ps0, self.g, self.a, self.p = n, ps0, g, a, p

@@ -30,7 +30,9 @@ class InfluenceGraph:
             raise GraphError("graph must have at least one node")
         self.n = int(n)
         self._complete = _complete
-        self._adj: list[np.ndarray] | None = None
+        # node i's out-neighbours are indices[indptr[i]:indptr[i + 1]], sorted
+        self._indptr: np.ndarray | None = None
+        self._indices: np.ndarray | None = None
         self._w: sp.csr_matrix | None = None
         if _complete:
             if n < 2:
@@ -60,10 +62,14 @@ class InfluenceGraph:
         repeated = (cols[1:] == cols[:-1]) & (rows[1:] == rows[:-1])
         if repeated.any():
             raise GraphError(f"node {rows[np.argmax(repeated)]} lists a neighbour twice")
-        self._adj = np.split(cols, np.cumsum(degrees)[:-1])
+        self._indptr = np.concatenate(([0], np.cumsum(degrees)))
+        self._indices = cols
+        # read-only, so a write through `neighbors` cannot part them from `_w`
+        for a in (self._indptr, self._indices):
+            a.flags.writeable = False
         self.degrees = degrees
         vals = np.repeat(1.0 / degrees, degrees)
-        self._w = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        self._w = sp.csr_matrix((vals, cols, self._indptr), shape=(n, n))
 
     @classmethod
     def complete(cls, n: int) -> "InfluenceGraph":
@@ -81,7 +87,14 @@ class InfluenceGraph:
     def neighbors(self, i: int) -> np.ndarray:
         if self._complete:
             return np.arange(self.n, dtype=np.int64)
-        return self._adj[i]
+        return self._indices[self._indptr[i]:self._indptr[i + 1]]
+
+    def neighbor_lists(self) -> list[list[int]]:
+        """Every node's out-neighbours, in order, as lists of ints."""
+        if self._complete:
+            raise GraphError("a complete graph stores no neighbour lists")
+        flat, bounds = self._indices.tolist(), self._indptr.tolist()
+        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def neighbor_mean(self, v: np.ndarray) -> np.ndarray:
         """Per-node average of v over each node's out-neighbourhood."""
@@ -95,7 +108,7 @@ class InfluenceGraph:
     def to_dict(self) -> dict:
         if self._complete:
             return {"type": "complete", "n": self.n}
-        return {"type": "adjacency", "lists": [a.tolist() for a in self._adj]}
+        return {"type": "adjacency", "lists": self.neighbor_lists()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "InfluenceGraph":
@@ -126,4 +139,5 @@ class InfluenceGraph:
             return False
         if self._complete:
             return True
-        return all(np.array_equal(a, b) for a, b in zip(self._adj, other._adj))
+        return (np.array_equal(self._indptr, other._indptr)
+                and np.array_equal(self._indices, other._indices))

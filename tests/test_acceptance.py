@@ -18,18 +18,15 @@ from epigame import (
     RegimeLabel,
     Verdict,
     classify_regime,
-    cost_window,
     detect_cycle,
     eigenvalues_2x2,
-    endemic_zeta_threshold,
     ensemble,
     find_equilibria,
     integrate_planar,
-    interior_band_zetas,
-    interior_focus_zeta,
     jacobian,
     planar_rhs_xy,
     simulate,
+    thresholds,
     trapping_region,
 )
 from epigame.cli import main as cli_main
@@ -163,11 +160,11 @@ def test_05_threshold_boundary_values():
     """The four closed-form boundaries of the reference parameter set."""
     p = example_params(8.0)
     got = {
-        "endemic switch": endemic_zeta_threshold(p),
-        "spiral bound": interior_focus_zeta(p),
-        "band upper": interior_band_zetas(p)[1],
-        "window lower": cost_window(p)[0],
-        "window upper": cost_window(p)[1],
+        "endemic switch": thresholds(p).endemic,
+        "spiral bound": thresholds(p).focus,
+        "band upper": thresholds(p).band_hi,
+        "window lower": thresholds(p).window_lo,
+        "window upper": thresholds(p).window_hi,
     }
     want = {
         "endemic switch": 6.0,

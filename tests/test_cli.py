@@ -14,6 +14,7 @@ import pytest
 import epigame
 from epigame import equilibria
 from epigame.cli import ABM_SPEC_KEYS, BLOCK_KEYS, SETTINGS, build_parser, main
+from .conftest import traced_peak
 
 REF = ["--alpha", "3", "--lambda", "0.5", "--mu", "1", "--c", "3"]
 
@@ -195,6 +196,26 @@ class TestMfHetero:
         assert "numerical failure" in capsys.readouterr().err
         assert sizes[0] > 10 ** 5  # rows of many samples had been written
         assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_streams_its_samples(self, tmp_path, capsys):
+        # the traced peak at 1000 samples is within 1 MB of that at 100: the
+        # per-node rows go to disk as they arrive, not into one array
+        rng = np.random.default_rng(1)
+        n = 1000
+        # a random graph of out-degree 10 without self-loops
+        lists = [sorted(((rng.choice(n - 1, 10, replace=False) + i + 1) % n).tolist())
+                 for i in range(n)]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hetero": {"graph": {"type": "adjacency", "lists": lists}}}))
+        peaks = []
+        for sample_dt in ("0.1", "0.01"):  # 100 and 1000 samples over the horizon
+            args = ["mf-hetero", *REF, "--zeta", "8", "--horizon", "10", "--sample-dt", sample_dt,
+                    "--config", str(cfg)]
+            code, peak = traced_peak(run, args, tmp_path / sample_dt)
+            assert code == 0
+            peaks.append(peak / 2 ** 20)
+        capsys.readouterr()
+        assert peaks[1] - peaks[0] <= 1.0, f"traced peaks {peaks[0]:.2f} and {peaks[1]:.2f} MB"
 
 
 class TestAbmSim:

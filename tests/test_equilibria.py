@@ -17,16 +17,12 @@ from epigame import (
     Stability,
     beta_pm,
     classify_regime,
-    cost_window,
     eigenvalues_2x2,
-    endemic_zeta_threshold,
     find_equilibria,
-    interior_band_zetas,
-    interior_focus_zeta,
     interior_point,
-    interior_real_zeta,
     jacobian,
     planar_rhs_xy,
+    thresholds,
 )
 from .conftest import example_params, random_valid_params
 
@@ -40,30 +36,30 @@ class TestThresholds:
     """All four closed-form thresholds at the reference set alpha=3, lambda=0.5, mu=1, c=3."""
 
     def test_endemic_switch_threshold(self):
-        assert endemic_zeta_threshold(example_params(8.0)) == pytest.approx(6.0, abs=1e-12)
+        assert thresholds(example_params(8.0)).endemic == pytest.approx(6.0, abs=1e-12)
 
     def test_endemic_threshold_infinite_below_epidemic_threshold(self):
         p = ModelParams(alpha=3.0, lam=0.15, mu=1.0, c=3.0, zeta=8.0)
-        assert math.isinf(endemic_zeta_threshold(p))
+        assert math.isinf(thresholds(p).endemic)
 
     def test_spiral_stability_bound(self):
-        assert interior_focus_zeta(example_params(8.0)) == pytest.approx(7.6433349, abs=1e-5)
+        assert thresholds(example_params(8.0)).focus == pytest.approx(7.6433349, abs=1e-5)
 
     def test_band_upper_root(self):
-        lo, hi = interior_band_zetas(example_params(8.0))
-        assert hi == pytest.approx(9.0, abs=1e-10)
-        assert lo < hi
+        t = thresholds(example_params(8.0))
+        assert t.band_hi == pytest.approx(9.0, abs=1e-10)
+        assert t.band_lo < t.band_hi
 
     def test_cost_window(self):
-        lo, hi = cost_window(example_params(8.0))
-        assert lo == pytest.approx(3.0, abs=1e-12)
-        assert hi == pytest.approx(6.6, abs=1e-12)
+        t = thresholds(example_params(8.0))
+        assert t.window_lo == pytest.approx(3.0, abs=1e-12)
+        assert t.window_hi == pytest.approx(6.6, abs=1e-12)
 
     def test_real_root_threshold_consistency(self, rng):
-        # the discriminant changes sign exactly at interior_real_zeta
+        # the discriminant changes sign exactly at the real-root threshold
         for _ in range(50):
             p = random_valid_params(rng, above_threshold=True)
-            zc = interior_real_zeta(p)
+            zc = thresholds(p).real
             below = ModelParams(p.alpha, p.lam, p.mu, p.c, max(zc * (1 - 1e-6), 1e-9))
             above = ModelParams(p.alpha, p.lam, p.mu, p.c, zc * (1 + 1e-6))
             assert beta_pm(below).discriminant < 0
@@ -281,8 +277,8 @@ class TestClassifyRegime:
     def test_outside_cost_window_is_local_only(self):
         # same rates but c = 7 > window upper bound 6.6
         p = ModelParams(alpha=3.0, lam=0.5, mu=1.0, c=7.0, zeta=13.0)
-        lo, hi = cost_window(p)
-        assert not (lo <= p.c < hi)
+        t = thresholds(p)
+        assert not (t.window_lo <= p.c < t.window_hi)
         assert classify_regime(p).label == RegimeLabel.LOCAL_ONLY
 
     def test_report_is_json_serializable(self):

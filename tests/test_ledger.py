@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from epigame import ModelParams, find_equilibria
+from epigame import ModelParams, find_equilibria, thresholds
 from epigame.cli import main
 from epigame.equilibria import regime_ledger
 
@@ -236,6 +236,10 @@ def test_ledger_matches_scalar_reference_on_random_points():
     lhs, rhs, satisfied, labels = [], [], [], []
     for point in zip(alpha.tolist(), lam.tolist(), mu.tolist(), c.tolist(), zeta.tolist()):
         p = ModelParams(*point)
+        t = thresholds(p)
+        assert (t.endemic, t.focus, (t.band_lo, t.band_hi), (t.window_lo, t.window_hi)) == (
+            ref_endemic_zeta_threshold(p), ref_interior_focus_zeta(p),
+            ref_interior_band_zetas(p), ref_cost_window(p))
         conds = ref_conditions(p)
         lhs.append([cond[1] for cond in conds])
         rhs.append([cond[2] for cond in conds])
@@ -255,5 +259,8 @@ def test_ledger_raises_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ledger = regime_ledger(alpha, lam, mu, c, zeta)
+        points = [thresholds(ModelParams(*point)) for point in zip(
+            alpha.flat, lam.flat, mu.flat, c.flat, zeta.flat)]
     assert ledger.lhs.shape == ledger.rhs.shape == ledger.satisfied.shape == (9, alpha.size)
     assert np.isinf(ledger.rhs).any()
+    assert {math.inf, -math.inf} <= {v for t in points for v in t}

@@ -446,6 +446,25 @@ class TestHeteroRhs:
             integrate_hetero(ps1, InfluenceGraph.from_adjacency([[0]]), np.full(1, p.alpha), p,
                              horizon=1.0)
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("entry", [integrate_hetero, HeteroSolve])
+    def test_nonpositive_or_nonfinite_activity_raises_before_any_evaluation(
+            self, monkeypatch, entry, bad):
+        # the agent model's check: every activity positive and finite
+        calls = []
+        rhs = meanfield.hetero_rhs
+        monkeypatch.setattr(meanfield, "hetero_rhs", lambda *a: calls.append(1) or rhs(*a))
+        p = example_params(zeta=8.0)
+        ps0 = ProbabilityState(np.full(3, 0.5), np.full(3, 0.1))
+        g = InfluenceGraph.complete(3)
+        with pytest.raises(ValueError, match="positive and finite"):
+            solve = entry(ps0, g, np.array([bad, 3.0, 3.0]), p, 1.0, sample_dt=0.5)
+            if entry is HeteroSolve:
+                solve.run(lambda first, states: None)
+        assert calls == []
+        integrate_hetero(ps0, g, np.full(3, 3.0), p, 1.0, sample_dt=0.5)
+        assert calls  # the counter sees the evaluations of a valid solve
+
 
 def _hetero_graph(n, seed):
     """Start, graph, activities and parameters of a per-node solve on a

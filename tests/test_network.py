@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from epigame import GraphError, InfluenceGraph
 
@@ -75,6 +76,24 @@ class TestAdjacency:
         with pytest.raises(GraphError):
             g.neighbor_mean(np.zeros(3))
 
+    def test_every_reader_sees_the_one_adjacency(self):
+        rng = np.random.default_rng(4)
+        n = 50
+        lists = [rng.choice(n, rng.integers(1, 12), replace=False).tolist() for _ in range(n)]
+        g = InfluenceGraph.from_adjacency(lists)
+        assert g.neighbor_lists() == [sorted(a) for a in lists]
+        assert [g.neighbors(i).tolist() for i in range(n)] == g.neighbor_lists()
+        # the product equals that of the matrix built from (row, column) pairs, bit for bit
+        rows = np.repeat(np.arange(n), g.degrees)
+        cols = np.concatenate([sorted(a) for a in lists])
+        w = sp.csr_matrix((np.repeat(1.0 / g.degrees, g.degrees), (rows, cols)), shape=(n, n))
+        v = rng.standard_normal(n)
+        assert g.neighbor_mean(v).tolist() == (w @ v).tolist()
+        with pytest.raises(GraphError, match="no neighbour lists"):
+            InfluenceGraph.complete(3).neighbor_lists()
+        with pytest.raises(ValueError, match="read-only"):
+            g.neighbors(0)[0] = 0
+
 
 class TestSerialization:
     def test_complete_round_trip(self):
@@ -99,3 +118,6 @@ class TestSerialization:
         b = InfluenceGraph.from_adjacency([[1], [1]])
         assert a != b
         assert a != InfluenceGraph.complete(2)
+        # the same neighbours in the same order, split between nodes differently
+        assert (InfluenceGraph.from_adjacency([[0], [1, 2], [2]])
+                != InfluenceGraph.from_adjacency([[0, 1], [2], [2]]))
