@@ -99,6 +99,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
+from typing import ClassVar
 
 import numpy as np
 
@@ -141,7 +142,7 @@ class EventLog:
 
     flat: list = field(default_factory=list)
     seed: int | None = None
-    rng_name: str = RNG_NAME
+    rng_name: ClassVar[str] = RNG_NAME  # the simulator's one generator, not settable
 
     def append(self, t: float, kind: str, actor: int, counterpart: int | None = None):
         self.flat.extend((t, kind, actor, counterpart))
@@ -214,7 +215,7 @@ class AbmConfig:
             for name in ("behaviours0", "healths0"):
                 v = np.asarray(getattr(self, name))
                 if v.shape != (self.graph.n,):
-                    raise ConfigError("initial vectors must have length n")
+                    raise ConfigError(f"{name} must have length n = {self.graph.n}")
                 if not np.isin(v, (0, 1)).all():
                     raise ConfigError(f"{name} entries must be 0 or 1")
                 setattr(self, name, v.astype(np.int8))

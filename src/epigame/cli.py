@@ -90,14 +90,16 @@ SETTINGS = {
 # the settings that must be > 0 when given
 POSITIVE = ("horizon", "rtol", "atol", "sample_dt")
 
-# the abm block's keys that go into the run spec as they are
-ABM_SPEC_KEYS = ("activities", "directionality", "record_events", "behaviours0", "healths0")
-
 # the abm block's keys that a sidecar writes but the run resolves elsewhere,
 # each with where: a block that holds one must agree with the run
 ABM_ECHOED_KEYS = {"params": "params", "horizon": "horizon", "sample_dt": "sample_dt",
                    "seed": "seed", "x0": "initial.x", "y0": "initial.y",
                    "rng": "the simulator's rng"}
+
+# the abm block's keys that go into the run spec as they are: all the rest,
+# except the graph and the infection mode, which are settings of their own
+ABM_SPEC_KEYS = tuple(k for k in abm_mod.AbmConfig.SPEC_KEYS
+                      if k not in ABM_ECHOED_KEYS and k not in ("graph", "infection_mode"))
 
 # the keys each config block may hold: those the commands read and those
 # their sidecars write. Any other key in a block is a configuration error;

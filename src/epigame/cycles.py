@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,6 +44,8 @@ class Crossing:
 
 @dataclass
 class CycleReport:
+    """What `detect_cycle` found; it crosses the section only with x rising."""
+
     verdict: Verdict
     point: tuple[float, float] | None = None
     period: float | None = None
@@ -51,7 +54,7 @@ class CycleReport:
     crossings: list[Crossing] = field(default_factory=list)
     transient_discarded: float = 0.0
     section_x: float | None = None
-    direction: str = "up"
+    direction: ClassVar[str] = "up"
 
     def to_dict(self) -> dict:
         return {

@@ -221,7 +221,7 @@ class _StepControl:
     float spacings of t. `report` gives the solve's meta."""
 
     def __init__(self, horizon: float, rtol: float, atol: float):
-        self.rtol, self.atol = self.tolerances(horizon, rtol, atol, stacklevel=3)
+        self.rtol, self.atol = self.tolerances(horizon, rtol, atol)
         self.horizon = horizon
         self.t = 0.0
         self.accepted_steps = self.rejected_steps = 0
@@ -229,11 +229,10 @@ class _StepControl:
         self._rejected = False
 
     @staticmethod
-    def tolerances(horizon: float, rtol: float, atol: float,
-                   stacklevel: int) -> tuple[float, float]:
+    def tolerances(horizon: float, rtol: float, atol: float) -> tuple[float, float]:
         """The (rtol, atol) that a solve to the horizon uses, or ValueError.
-        The rtol-floor warning is attributed to the frame `stacklevel` levels
-        up from the caller: 1 is the caller itself, 2 the caller's caller."""
+        The rtol-floor warning names the caller's caller: the code that
+        called the public entry point which called this."""
         if not horizon > 0:  # false for nan too
             raise ValueError("horizon must be > 0")
         if horizon == math.inf:  # the solve would never end
@@ -242,7 +241,7 @@ class _StepControl:
             raise ValueError("tolerances must be > 0")
         if rtol < _RTOL_FLOOR:
             warnings.warn(f"rtol {rtol!r} is below 100 * machine epsilon; "
-                          f"the solve uses {_RTOL_FLOOR!r}", stacklevel=stacklevel + 1)
+                          f"the solve uses {_RTOL_FLOOR!r}", stacklevel=3)
             rtol = _RTOL_FLOOR
         return rtol, atol
 
@@ -393,7 +392,7 @@ def integrate_planar(
     """Integrate the planar system with RK45's adaptive embedded 5(4) scheme
     (`_solve_planar`), sampled on the grid of `sample_grid`. The arguments
     are checked before the solve."""
-    rtol, atol = _StepControl.tolerances(horizon, rtol, atol, stacklevel=2)
+    rtol, atol = _StepControl.tolerances(horizon, rtol, atol)
     grid = sample_grid(horizon, sample_dt)
 
     def field(x, y):
@@ -522,7 +521,7 @@ class HeteroSolve:
         sample_dt: float | None = None,
         bidirectional: bool = True,
     ):
-        rtol, atol = _StepControl.tolerances(horizon, rtol, atol, stacklevel=2)
+        rtol, atol = _StepControl.tolerances(horizon, rtol, atol)
         n = ps0.n
         if g.n != n:
             raise GraphError("graph order must equal probability vector length")
@@ -611,7 +610,7 @@ def integrate_hetero(
     bidirectional: bool = True,
 ) -> tuple[HeteroTrajectory, Trajectory]:
     """Integrate the 2n-dimensional per-node system; also return the node-average macro trajectory."""
-    rtol, atol = _StepControl.tolerances(horizon, rtol, atol, stacklevel=2)
+    rtol, atol = _StepControl.tolerances(horizon, rtol, atol)
     solve = HeteroSolve(ps0, g, activities, p, horizon, rtol, atol, sample_dt, bidirectional)
     n, times = solve.n, solve.times
     states = np.empty((2 * n, times.size))

@@ -25,22 +25,18 @@ class InfluenceGraph:
     undefined.
     """
 
-    def __init__(self, n: int, adjacency: list | None = None, *, _complete: bool = False):
+    def __init__(self, n: int, adjacency: list | None = None):
+        """adjacency[i] lists node i's out-neighbours; None gives the complete graph."""
         if n < 1:
             raise GraphError("graph must have at least one node")
         self.n = int(n)
-        self._complete = _complete
-        # node i's out-neighbours are indices[indptr[i]:indptr[i + 1]], sorted
-        self._indptr: np.ndarray | None = None
-        self._indices: np.ndarray | None = None
-        self._w: sp.csr_matrix | None = None
-        if _complete:
+        self._complete = adjacency is None
+        if self._complete:
             if n < 2:
                 raise GraphError("complete influence graph needs n >= 2")
             self.degrees = np.full(n, n, dtype=np.int64)
+            self._indptr = self._indices = self._w = None
             return
-        if adjacency is None:
-            raise GraphError("adjacency lists required for a non-complete graph")
         if len(adjacency) != n:
             raise GraphError("adjacency list count must equal n")
         # every index is checked as one array, then sorted within its node
@@ -62,19 +58,20 @@ class InfluenceGraph:
         repeated = (cols[1:] == cols[:-1]) & (rows[1:] == rows[:-1])
         if repeated.any():
             raise GraphError(f"node {rows[np.argmax(repeated)]} lists a neighbour twice")
+        # node i's out-neighbours are indices[indptr[i]:indptr[i + 1]], sorted
         self._indptr = np.concatenate(([0], np.cumsum(degrees)))
         self._indices = cols
-        # read-only, so a write through `neighbors` cannot part them from `_w`
+        # read-only, so no write through `neighbors` reaches (or parts them from) `_w`
         for a in (self._indptr, self._indices):
             a.flags.writeable = False
         self.degrees = degrees
         vals = np.repeat(1.0 / degrees, degrees)
-        self._w = sp.csr_matrix((vals, cols, self._indptr), shape=(n, n))
+        self._w = sp.csr_array((vals, cols, self._indptr), shape=(n, n))
 
     @classmethod
     def complete(cls, n: int) -> "InfluenceGraph":
         """Complete graph including self-loops: neighbors(i) is the whole population."""
-        return cls(n, _complete=True)
+        return cls(n)
 
     @classmethod
     def from_adjacency(cls, adjacency: list) -> "InfluenceGraph":

@@ -11,18 +11,14 @@ import numpy as np
 from .artifacts import text, write_csv
 from .core import MacroState, ModelParams
 from .equilibria import find_equilibria
-from .meanfield import DEFAULT_ATOL, DEFAULT_RTOL, integrate_planar, planar_rhs_xy
+from .meanfield import integrate_planar, planar_rhs_xy
 
 
-def default_initial_circle(n_traj: int = 8, center=(0.5, 0.5), radius: float = 0.35):
-    """Ring of initial conditions around the centre of the unit square."""
-    states = []
-    for k in range(n_traj):
-        ang = 2.0 * math.pi * k / n_traj
-        x = min(max(center[0] + radius * math.cos(ang), 1e-3), 1.0 - 1e-3)
-        y = min(max(center[1] + radius * math.sin(ang), 1e-3), 1.0 - 1e-3)
-        states.append(MacroState(x, y))
-    return states
+def default_initial_circle() -> list[MacroState]:
+    """Eight initial conditions evenly spaced on the circle of radius 0.35
+    about the centre of the unit square, starting at (0.85, 0.5)."""
+    angles = (2.0 * math.pi * k / 8 for k in range(8))
+    return [MacroState(0.5 + 0.35 * math.cos(a), 0.5 + 0.35 * math.sin(a)) for a in angles]
 
 
 def render_phase_portrait(
@@ -32,11 +28,11 @@ def render_phase_portrait(
     grid_ny: int = 20,
     initial_states=None,
     horizon: float = 200.0,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
     sample_dt: float | None = None,
 ) -> list[Path]:
-    """Write field.csv (x,y,dx,dy), equilibria.csv, and one CSV per trajectory."""
+    """Write field.csv (x,y,dx,dy), equilibria.csv, and one CSV per trajectory
+    from `initial_states` (default: `default_initial_circle()`), solved at
+    integrate_planar's default tolerances."""
     if grid_nx < 2 or grid_ny < 2:
         raise ValueError("grid must be at least 2x2")
     outdir = Path(outdir)
@@ -62,7 +58,7 @@ def render_phase_portrait(
     if initial_states is None:
         initial_states = default_initial_circle()
     for k, s0 in enumerate(initial_states):
-        traj = integrate_planar(s0, p, horizon, rtol=rtol, atol=atol, sample_dt=sample_dt)
+        traj = integrate_planar(s0, p, horizon, sample_dt=sample_dt)
         path = outdir / f"traj_{k:02d}.csv"
         traj.to_csv(path)
         written.append(path)

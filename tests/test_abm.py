@@ -16,6 +16,7 @@ from epigame import (
     InfluenceGraph,
     MacroState,
     ModelParams,
+    NumericalError,
     ensemble,
     integrate_planar,
     simulate,
@@ -854,6 +855,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"unknown key.*'{key}'"):
             AbmConfig.from_dict({**small_config().to_dict(), key: value})
 
+    @pytest.mark.parametrize("initial,message", [
+        ({"behaviours0": [1, 0, 0, 1]}, "both behaviours0 and healths0"),
+        ({"healths0": [0, 1, 0, 0]}, "both behaviours0 and healths0"),
+        ({"x0": 0.5}, "both x0 and y0"),
+        ({"y0": 0.5}, "both x0 and y0"),
+        ({"behaviours0": [1, 0, 0], "healths0": [0, 1, 0, 0]}, "behaviours0 must have length"),
+        ({"behaviours0": [1, 0, 0, 1], "healths0": [0, 1]}, "healths0 must have length"),
+    ])
+    def test_from_dict_rejects_an_incomplete_initial_state(self, initial, message):
+        spec = small_config(n=4).to_dict()
+        del spec["x0"], spec["y0"]
+        with pytest.raises(ConfigError, match=message):
+            AbmConfig.from_dict({**spec, **initial})
+
     def test_from_dict_rejects_what_it_would_ignore(self):
         spec = small_config(n=4, x0=None, y0=None, behaviours0=[1, 0, 0, 1],
                             healths0=[0, 1, 0, 0]).to_dict()
@@ -866,6 +881,13 @@ class TestConfig:
         assert small_config(n=50).record_events is True
         big = small_config(n=1001)
         assert big.record_events is False
+
+    def test_diverged_counters_are_an_error(self):
+        abm_mod._check_counts([1, 0, 1], [0, 0, 1], 2, 1)
+        with pytest.raises(NumericalError, match="diverged"):
+            abm_mod._check_counts([1, 0, 1], [0, 0, 1], 1, 1)
+        with pytest.raises(NumericalError, match="diverged"):
+            abm_mod._check_counts([1, 0, 1], [0, 0, 1], 2, 2)
 
     def test_event_log_csv_header(self, tmp_path):
         _, log = simulate(small_config(horizon=1.0))

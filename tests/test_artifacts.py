@@ -82,6 +82,12 @@ def test_masked_floats_are_left_empty(tmp_path):
     assert (tmp_path / "m.csv").read_text() == "v,w\n0.5,1\n,2\n-0,3\n,4\n"
 
 
+def test_integer_column_is_an_error(tmp_path):
+    # integers are written through `text`, so a raw one is a caller's slip
+    with pytest.raises(TypeError, match="float or bytes arrays, not int64"):
+        write_csv(tmp_path / "k.csv", "k", [np.arange(3, dtype=np.int64)])
+
+
 def test_write_csv_holds_one_block_of_text(tmp_path):
     # a block's text is compacted a slice at a time, so beyond the block
     # buffer (CHUNK_ROWS rows of 30 32-byte float slots) less than 1 MB is held
@@ -215,6 +221,16 @@ def test_event_log_is_one_flat_list_read_as_tuples(tmp_path):
     assert len(log) == 2
 
 
+def test_provenance_fields_are_constants():
+    # any other value would write a false provenance line into the artifact
+    assert EventLog().rng_name == EventLog.rng_name == "numpy-pcg64"
+    assert CycleReport(verdict=Verdict.UNDECIDED).to_dict()["direction"] == "up"
+    with pytest.raises(TypeError):
+        EventLog(rng_name="mt19937")
+    with pytest.raises(TypeError):
+        CycleReport(verdict=Verdict.UNDECIDED, direction="down")
+
+
 def test_crossings(tmp_path):
     crossings = [Crossing(k=0, t=0.1 + 0.2, y=-0.0, period=None)]
     crossings += [Crossing(k=k, t=EDGE[k] + k, y=EDGE[-k], period=None if k == 5 else EDGE[k])
@@ -244,6 +260,12 @@ def test_phase_portrait_field_and_equilibria(tmp_path):
         if rep.exists:
             ref += f"{rep.kind.value},{rep.point[0]:.17g},{rep.point[1]:.17g},{rep.stability.value}\n"
     assert (tmp_path / "equilibria.csv").read_text() == ref
+
+
+@pytest.mark.parametrize("grid", [(1, 20), (20, 1)])
+def test_phase_portrait_needs_a_2x2_grid(tmp_path, grid):
+    with pytest.raises(ValueError, match="at least 2x2"):
+        render_phase_portrait(example_params(8.0), tmp_path, *grid, initial_states=[])
 
 
 def read_floats(path):

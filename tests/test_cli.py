@@ -414,6 +414,14 @@ MALFORMED_GRAPHS = [
     pytest.param("abm-sim", [*ABM, "--mode", "foo"], None, "infection_mode", id="mode-flag-foo"),
     pytest.param("compare", [*ABM, "--n-jobs", "0"], None, "n_jobs must be >= 1",
                  id="n_jobs-flag-zero"),
+    # blocks with a setting missing, or one too many
+    pytest.param("sweep", [], {"sweep": {}}, "with a 'grid'", id="sweep-without-grid"),
+    pytest.param("sweep", [], {"sweep": {"grid": {name: {"min": 2, "max": 4, "steps": 2}
+                                                  for name in ("alpha", "c", "mu")}}},
+                 "sweep grid must vary one or two parameters", id="sweep-three-axes"),
+    # an integer beyond the float range is no finite number
+    pytest.param("abm-sim", ABM, {"abm": {"activities": [10 ** 400] + [1] * 19}},
+                 "activities must hold finite numbers only", id="activities-beyond-float"),
 ])
 def test_rejects_malformed_settings(tmp_path, capsys, command, flags, cfg, message):
     args = [command, *REF, "--zeta", "8", *flags]
@@ -425,6 +433,13 @@ def test_rejects_malformed_settings(tmp_path, capsys, command, flags, cfg, messa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert run(["regime", *REF, "--zeta", "8", "--config", str(path)], tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: config file not found: {path}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("horizon", ["inf", "nan"])

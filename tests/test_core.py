@@ -38,6 +38,9 @@ class TestModelParams:
             ("c", -3.0, "c"),
             ("alpha", float("nan"), "alpha"),
             ("zeta", float("inf"), "zeta"),
+            ("alpha", "3", "alpha"),
+            ("zeta", None, "zeta"),
+            ("c", True, "c"),
         ],
     )
     def test_rejects_out_of_range(self, field, value, reported):

@@ -209,6 +209,12 @@ class TestTrappingRegion:
         before = traj.times < t_entry
         assert np.all(np.diff(traj.ys[before]) < 0)
 
+    def test_never_entering_has_no_entry_time(self):
+        # the rectangle's top is y = 2/3 at zeta 9.5; this orbit stays above it
+        p = example_params(9.5)
+        traj = Trajectory(times=[0.0, 1.0], xs=[0.5, 0.5], ys=[0.9, 0.8], params=p)
+        assert trapping_region(p).entered_and_stayed(traj) == (False, None)
+
     def test_contains_tolerance(self):
         r = trapping_region(example_params(9.5))
         assert r.contains(0.5, r.y_max)

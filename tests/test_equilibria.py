@@ -228,6 +228,10 @@ class TestConditions:
         assert not Condition("x", 6.0, math.inf, "<", "s").marginal
         assert not Condition("x", 6.0, -math.inf, ">", "s").marginal
 
+    def test_unknown_operator_is_an_error(self):
+        with pytest.raises(ValueError, match="unknown operator '='"):
+            Condition("x", 1.0, 1.0, "=", "s").satisfied
+
     def test_regime_conditions_schema(self):
         conds = classify_regime(example_params(9.5)).conditions
         assert len(conds) == 9

@@ -159,6 +159,10 @@ class TestIntegratePlanar:
             Trajectory(times=[1.0, 2.0], xs=[0.1, 0.2], ys=[0.1, 0.2], params=p)
         with pytest.raises(ValueError):
             Trajectory(times=[0.0, 0.0], xs=[0.1, 0.2], ys=[0.1, 0.2], params=p)
+        with pytest.raises(ValueError, match="identical shapes"):
+            Trajectory(times=[0.0, 1.0], xs=[0.1], ys=[0.1, 0.2], params=p)
+        with pytest.raises(ValueError, match="empty trajectory"):
+            Trajectory(times=[], xs=[], ys=[], params=p)
 
     def test_csv_round_trip(self, tmp_path):
         p = example_params(zeta=8.0)
@@ -375,20 +379,31 @@ def test_probability_state_needs_finite_entries_in_the_unit_interval(which, bad)
         ProbabilityState(**entries)
 
 
+@pytest.mark.parametrize("p_x,p_y", [([0.2], [0.1, 0.3]), ([[0.2, 0.4]], [[0.1, 0.3]])],
+                         ids=["unequal-lengths", "2-d"])
+def test_probability_state_needs_vectors_of_equal_length(p_x, p_y):
+    with pytest.raises(ValueError, match="1-d vectors of equal length"):
+        ProbabilityState(p_x, p_y)
+
+
 class TestHeteroRhs:
-    def test_complete_uniform_matches_planar_up_to_finite_size(self):
+    @pytest.mark.parametrize("bidirectional", [True, False])
+    def test_complete_uniform_matches_planar_up_to_finite_size(self, bidirectional):
         # uniform marginals on the complete graph reproduce the planar field
-        # exactly once the finite-size factor n/(n-1) on infection is undone
+        # exactly once the finite-size factor n/(n-1) on infection is undone,
+        # with the planar field's k = 2*alpha*lambda, or alpha*lambda when only
+        # the active agent infects
         p = example_params(zeta=8.0)
         n = 7
         g = InfluenceGraph.complete(n)
         a = np.full(n, p.alpha)
         x, y = 0.31, 0.44
         ps = ProbabilityState(np.full(n, x), np.full(n, y))
-        dpx, dpy = hetero_rhs(ps.p_x, ps.p_y, g, a, p)
-        dx, dy = planar_rhs_xy(x, y, p)
+        dpx, dpy = hetero_rhs(ps.p_x, ps.p_y, g, a, p, bidirectional)
+        dx, dy = planar_rhs_xy(x, y, p, bidirectional=bidirectional)
         np.testing.assert_allclose(dpx, dx, rtol=1e-13, atol=1e-14)
-        expected_dy = dy + (2 * p.alpha * p.lam * y * (1 - x) * (1 - y)) / (n - 1)
+        k = (2 if bidirectional else 1) * p.alpha * p.lam
+        expected_dy = dy + (k * y * (1 - x) * (1 - y)) / (n - 1)
         np.testing.assert_allclose(dpy, expected_dy, rtol=1e-13, atol=1e-14)
 
     def test_no_infection_without_prevalence(self):

@@ -28,6 +28,12 @@ class TestComplete:
         g = InfluenceGraph.complete(1_000_000)
         assert g.n == 1_000_000
 
+    def test_is_the_graph_without_adjacency_lists(self):
+        assert InfluenceGraph(3) == InfluenceGraph.complete(3)
+        assert InfluenceGraph(3).is_complete
+        with pytest.raises(TypeError):
+            InfluenceGraph(3, _complete=True)
+
 
 class TestAdjacency:
     def test_neighbor_mean_row_normalised(self):
@@ -53,6 +59,7 @@ class TestAdjacency:
             [[1], []],          # out-degree zero
             [[1], [5]],         # index out of range
             [[1], [-1]],        # negative index
+            [["a"], [0]],       # not a number
         ],
     )
     def test_structural_validation(self, lists):
@@ -70,6 +77,19 @@ class TestAdjacency:
         np.testing.assert_array_equal(g.neighbors(0), [1, 2])
         assert g.neighbors(0).dtype == np.int64
         assert g == InfluenceGraph.from_adjacency([[1, 2], [0], [1]])
+
+    def test_one_list_per_node(self):
+        with pytest.raises(GraphError, match="count must equal n"):
+            InfluenceGraph(3, [[1]])
+
+    def test_matrix_keeps_the_graphs_own_indices(self):
+        # the product matrix holds the neighbour indices once, as the graph's
+        # read-only arrays, wherever scipy keeps their int64 dtype
+        g = InfluenceGraph.from_adjacency([[1, 2], [0], [0, 1]])
+        if g._w.indices.dtype != np.int64:
+            pytest.skip("this scipy copies sparse indices to int32")
+        assert np.shares_memory(g._w.indices, g.neighbors(0))
+        assert np.shares_memory(g._w.indptr, g._indptr)
 
     def test_vector_length_checked(self):
         g = InfluenceGraph.from_adjacency([[1], [0]])
@@ -118,6 +138,7 @@ class TestSerialization:
         b = InfluenceGraph.from_adjacency([[1], [1]])
         assert a != b
         assert a != InfluenceGraph.complete(2)
+        assert a.__eq__(5) is NotImplemented and a != 5
         # the same neighbours in the same order, split between nodes differently
         assert (InfluenceGraph.from_adjacency([[0], [1, 2], [2]])
                 != InfluenceGraph.from_adjacency([[0, 1], [2], [2]]))
