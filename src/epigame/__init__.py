@@ -25,6 +25,7 @@ from .equilibria import (
     EquilibriumKind,
     RegimeLabel,
     Stability,
+    TrappingRegion,
     beta_pm,
     classify_regime,
     eigenvalues_2x2,
@@ -32,8 +33,9 @@ from .equilibria import (
     interior_point,
     jacobian,
     thresholds,
+    trapping_region,
 )
-from .cycles import CycleReport, TrappingRegion, Verdict, detect_cycle, trapping_region
+from .cycles import CycleReport, Verdict, detect_cycle
 from .abm import (
     AbmConfig,
     EnsembleResult,

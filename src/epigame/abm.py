@@ -164,11 +164,9 @@ class EventLog:
         def ids(column):
             """A bytes column of the node ids in `column`, each id formatted
             once; an absent id (None, read as nan, then -1) is the last,
-            emptied entry."""
+            empty entry."""
             index = np.nan_to_num(np.array(column, dtype=float), nan=-1).astype(np.intp)
-            names = text("%d", range(index.max(initial=-1) + 2))
-            names[-1] = b""
-            return names[index]
+            return text("%d", [*range(index.max(initial=-1) + 1), None])[index]
 
         write_csv(path, "t,kind,actor,counterpart",
                   [np.array(flat[0::4], dtype=float), np.array(flat[1::4], dtype=bytes),

@@ -59,9 +59,8 @@ def write_csv(path, header: str, columns, comment: str | None = None) -> None:
 
     ``columns`` are arrays that broadcast together; the rows are the elements
     of their broadcast shape in C order, and a row's fields are joined by
-    commas. A float column is written ``%.17g``, with its masked elements
-    (``numpy.ma``) left empty; a bytes column, which must hold no NUL byte,
-    is written as it stands.
+    commas. A float column is written ``%.17g``; a bytes column, which must
+    hold no NUL byte, is written as it stands.
     """
     with csv_file(path, header, comment) as write_rows:
         write_rows(columns)
@@ -105,26 +104,24 @@ def _write_rows(f, columns) -> None:
     step = _block_rows(lines)
     fields, words = [], 0
     for k, col in enumerate(columns):
-        data = np.broadcast_to(np.ma.getdata(col), shape)
+        data = np.broadcast_to(col, shape)
         if data.dtype.kind == "S":
             size = data.dtype.itemsize // 8 + 1  # the text, then its separator
         elif data.dtype.kind == "f":
             size = _SLOT_WORDS
         else:
             raise TypeError(f"CSV columns are float or bytes arrays, not {data.dtype}")
-        mask = np.ma.getmask(col)
-        mask = None if mask is np.ma.nomask else np.broadcast_to(mask, shape)
         # the separator ends the field's last word
         sep = np.uint64(ord("\n" if k == len(columns) - 1 else ",")) << np.uint64(56)
-        fields.append((data, mask, slice(words, words + size), sep))
+        fields.append((data, slice(words, words + size), sep))
         words += size
     buf = np.zeros((step * lines, words), _WORD)
-    for _, _, where, sep in fields:
+    for _, where, sep in fields:
         buf[:, where.stop - 1] = sep
     per_slice = max(1, _SLICE_BYTES // (8 * words))  # lines compacted at a time
     for first in range(0, shape[0], step):
         block = buf[:(min(first + step, shape[0]) - first) * lines]
-        for data, mask, where, sep in fields:
+        for data, where, sep in fields:
             part = np.ascontiguousarray(data[first:first + step]).reshape(-1)
             if data.dtype.kind == "S":
                 width = part.dtype.itemsize
@@ -133,17 +130,16 @@ def _write_rows(f, columns) -> None:
                 continue
             slot = block[:, where]
             _g17(part.astype(np.float64, copy=False), slot)
-            if mask is not None:
-                slot[mask[first:first + step].reshape(-1)] = 0
             slot[:, -1] |= sep
         for line in range(0, len(block), per_slice):
             f.write(block[line:line + per_slice].tobytes().translate(None, b"\0"))
 
 
 def text(fmt: str, values) -> np.ndarray:
-    """``fmt % v`` for each v of ``values``, as a bytes column. A field that
-    repeats is formatted once per distinct value by indexing such a column."""
-    return np.array([(fmt % v).encode() for v in values], dtype=bytes)
+    """``fmt % v`` for each v of ``values``, as a bytes column; None is an
+    absent field, written empty. A field that repeats is formatted once per
+    distinct value by indexing such a column."""
+    return np.array([b"" if v is None else (fmt % v).encode() for v in values], dtype=bytes)
 
 
 def write_json(path, obj) -> None:

@@ -272,8 +272,8 @@ def _cmd_regime(cfg: dict, args, s: dict) -> int:
 
 def _cmd_equilibria(cfg: dict, args, s: dict) -> int:
     p, s = _model(cfg, args, s)
+    reports = find_equilibria(p)  # raises outside the payoff ordering
     outdir = _outdir(cfg, args)
-    reports = find_equilibria(p)
     out = outdir / "equilibria.json"
     write_json(out, {"params": p.to_dict(), "equilibria": [r.to_dict() for r in reports]})
     _write_sidecar(outdir, "equilibria", s)
@@ -320,9 +320,9 @@ def _cmd_mf_hetero(cfg: dict, args, s: dict) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"hetero.p_x0, p_y0: {exc}") from exc
     s["hetero"] = {**block, "graph": graph.to_dict()}
-    outdir = _outdir(cfg, args)
     solve = HeteroSolve(ps0, graph, activities, p, s["horizon"], s["rtol"], s["atol"],
-                        s["sample_dt"])
+                        s["sample_dt"])  # checks the inputs, solves nothing yet
+    outdir = _outdir(cfg, args)
     nodes_out = outdir / "hetero_nodes.csv"
     macro_out = outdir / "hetero_macro.csv"
     # the per-node rows go to disk as the solver passes their times, so no

@@ -1,5 +1,4 @@
-"""Detection of periodic orbits in planar trajectories via a Poincare section,
-plus the attracting rectangle that confines the oscillatory regime.
+"""Detection of periodic orbits in planar trajectories via a Poincare section.
 
 Section-based detection is preferred over spectral peak-finding because the
 orbit is strongly non-sinusoidal near the saddle points; crossing times of a
@@ -12,13 +11,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
 
 from .artifacts import text, write_csv
-from .core import AssumptionError, ConfigError, ModelParams
+from .core import ConfigError, ModelParams
 from .equilibria import beta_pm
 from .meanfield import Trajectory, planar_rhs_xy
 
@@ -71,11 +70,10 @@ class CycleReport:
 
     def crossings_to_csv(self, path) -> None:
         cs = self.crossings
-        periods = np.ma.masked_array([0.0 if c.period is None else c.period for c in cs],
-                                     mask=[c.period is None for c in cs], dtype=float)
         write_csv(path, "k,t_k,y_k,period_k", [text("%d", [c.k for c in cs]),
                                                np.array([c.t for c in cs], dtype=float),
-                                               np.array([c.y for c in cs], dtype=float), periods])
+                                               np.array([c.y for c in cs], dtype=float),
+                                               text("%.17g", [c.period for c in cs])])
 
 
 # the tolerance with which solve_ivp locates its events, so that a crossing
@@ -218,13 +216,12 @@ def detect_cycle(
     tail_disp = float(np.hypot(xs[tail] - xf, ys[tail] - yf).max(initial=0.0))
     tol = traj.meta["rtol"] + traj.meta["atol"]
     if math.hypot(dx, dy) < 100 * tol and tail_disp < 1e4 * tol:
-        return CycleReport(
-            verdict=Verdict.CONVERGED_TO_POINT,
-            point=(xf, yf),
-            transient_discarded=t_cut,
-        )
+        return CycleReport(verdict=Verdict.CONVERGED_TO_POINT, point=(xf, yf),
+                           transient_discarded=t_cut)
 
-    roots = beta_pm(p)
+    # k = alpha*lam when only the activator infects: the bidirectional 2*alpha*lam
+    # at alpha/2, to the bit
+    roots = beta_pm(p if bidirectional else replace(p, alpha=p.alpha / 2.0))
     if roots.beta_plus is not None and 0.0 < roots.beta_plus < 1.0:
         x_sec = float(roots.beta_plus)
     else:
@@ -235,12 +232,8 @@ def detect_cycle(
     crossings = [Crossing(k=k, t=t, y=float(state[1]), period=t - found[k - 1][0] if k else None)
                  for k, (t, state) in enumerate(found)]
 
-    report = CycleReport(
-        verdict=Verdict.UNDECIDED,
-        crossings=crossings,
-        transient_discarded=t_cut,
-        section_x=x_sec,
-    )
+    report = CycleReport(verdict=Verdict.UNDECIDED, crossings=crossings,
+                         transient_discarded=t_cut, section_x=x_sec)
     if len(crossings) < min_crossings:
         return report
 
@@ -270,38 +263,3 @@ def detect_cycle(
     report.period = period
     report.amplitude_x, report.amplitude_y = amplitude(0), amplitude(1)
     return report
-
-
-@dataclass(frozen=True)
-class TrappingRegion:
-    """Attracting, forward-invariant rectangle [0,1] x [0, 1 - mu/(2 alpha lam)]."""
-
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-
-    def contains(self, x, y, tol: float = 0.0):
-        """Whether (x, y) lies in the rectangle widened by tol; elementwise on arrays."""
-        return ((self.x_min - tol <= x) & (x <= self.x_max + tol)
-                & (self.y_min - tol <= y) & (y <= self.y_max + tol))
-
-    def entered_and_stayed(self, traj: Trajectory, tol: float = 1e-9) -> tuple[bool, float | None]:
-        """First entry time, and whether the trajectory never leaves afterwards."""
-        inside = self.contains(traj.xs, traj.ys, tol)
-        idx = np.nonzero(inside)[0]
-        if idx.size == 0:
-            return (False, None)
-        first = idx[0]
-        return (bool(inside[first:].all()), float(traj.times[first]))
-
-
-def trapping_region(p: ModelParams) -> TrappingRegion:
-    """The rectangle confining all long-run behaviour above the epidemic threshold."""
-    k = 2.0 * p.alpha * p.lam
-    if p.lam <= p.mu / (2.0 * p.alpha):
-        raise AssumptionError(
-            "trapping region degenerates at or below the epidemic threshold "
-            "(lam <= mu/(2*alpha)); the system converges to a disease-free state instead"
-        )
-    return TrappingRegion(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0 - p.mu / k)

@@ -13,8 +13,9 @@ with y = 1 - mu / (2 alpha lam (1 - beta)).
 All eigenvalues are computed in closed form from the 2x2 trace/determinant;
 no general eigensolver is involved.
 
-`thresholds(p)` gives the seven closed-form thresholds in zeta and c of a
-point as one record; `regime_ledger` reads the same record over arrays.
+`thresholds(p)` gives a point's closed-form thresholds, the epidemic one
+among them, as one record; `regime_ledger` reads it over arrays, and
+`find_equilibria` and `trapping_region` (the attracting rectangle) read it.
 
 The regime classifier is array-valued. `regime_ledger` evaluates the nine
 conditions of REGIME_CONDITIONS elementwise over numpy arrays of parameter
@@ -32,12 +33,12 @@ import enum
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .core import AssumptionError, MacroState, ModelParams, NumericalError
-from .meanfield import planar_rhs_xy
+from .meanfield import Trajectory, planar_rhs_xy
 
 # comparisons closer to equality than this (relative) are treated as marginal
 _MARGIN_RTOL = 1e-12
@@ -77,13 +78,10 @@ class Condition:
         return bool(_near(self.lhs, self.rhs))
 
     def to_dict(self) -> dict:
-        def _f(v):
-            return None if math.isinf(v) else v
-
         return {
             "name": self.name,
-            "lhs": _f(self.lhs),
-            "rhs": _f(self.rhs),
+            "lhs": None if math.isinf(self.lhs) else self.lhs,
+            "rhs": None if math.isinf(self.rhs) else self.rhs,
             "op": self.op,
             "satisfied": bool(self.satisfied),
             "source": self.source,
@@ -132,11 +130,8 @@ class EquilibriumReport:
             "point": list(self.point) if self.point is not None else None,
             "exists": self.exists,
             "conditions": [c.to_dict() for c in self.conditions],
-            "eigenvalues": (
-                [[e.real, e.imag] for e in self.eigenvalues]
-                if self.eigenvalues is not None
-                else None
-            ),
+            "eigenvalues": (None if self.eigenvalues is None
+                            else [[e.real, e.imag] for e in self.eigenvalues]),
             "stability": self.stability.value if self.stability else None,
             "meta": self.meta,
         }
@@ -163,11 +158,11 @@ class RegimeReport:
 
 
 class Thresholds(NamedTuple):
-    """The closed-form zeta and cost thresholds: floats from `thresholds`.
+    """The closed-form thresholds: floats from `thresholds`.
 
     endemic: 2*alpha*lam*(1+c) / (2*alpha*lam - mu), the risk perception
         above which the protection-free endemic state destabilises; infinite
-        below the epidemic threshold.
+        at or below the epidemic threshold.
     real: the smallest zeta for which the interior x-roots are real. When
         the defining quadratic has no real roots in zeta (possible only for
         c < 1) the discriminant is positive everywhere and the bound is
@@ -175,11 +170,20 @@ class Thresholds(NamedTuple):
     focus: the lower zeta bound for local stability of the upper interior state.
     band_lo, band_hi: the zeta roots of the trace condition at the upper
         interior state. Above band_hi that state is fully repelling and a
-        periodic orbit attracts all interior trajectories. Below the epidemic
-        threshold the band is (-inf, inf).
+        periodic orbit attracts all interior trajectories. At or below the
+        epidemic threshold the band is (-inf, inf).
     window_lo, window_hi: the cost window [4*alpha*lam/mu - 3,
         32*alpha*lam/(5*mu) - 3) where a unique interior endemic state exists
         only above a zeta threshold.
+    epidemic: mu/(2*alpha). A point is above the epidemic threshold when
+        lam > epidemic, the one test that `regime_ledger`, `find_equilibria`
+        and `trapping_region` read.
+    prevalence: 1 - mu/(2*alpha*lam), the prevalence of the protection-free
+        endemic state.
+
+    Within an ulp of the threshold lam > epidemic can hold while
+    2*alpha*lam - mu is not > 0 (the band formula is 0/0 there); endemic and
+    the band then take their at-threshold values, so no field is ever nan.
     """
 
     endemic: float | np.ndarray
@@ -189,18 +193,23 @@ class Thresholds(NamedTuple):
     band_hi: float | np.ndarray
     window_lo: float | np.ndarray
     window_hi: float | np.ndarray
+    epidemic: float | np.ndarray
+    prevalence: float | np.ndarray
 
 
-def _thresholds(al, mu, c) -> Thresholds:
-    """The closed-form thresholds, elementwise over alpha*lam, mu and c.
+def _thresholds(alpha, lam, mu, c) -> Thresholds:
+    """The closed-form thresholds, elementwise over alpha, lam, mu and c.
 
-    Branches that do not apply (below the epidemic threshold, a negative
-    square-root argument) are computed and then masked out, so their
+    Branches that do not apply (at or below the epidemic threshold, a
+    negative square-root argument) are computed and then masked out, so their
     floating-point warnings are silenced.
     """
-    al, mu, c = (np.asarray(v, dtype=float) for v in (al, mu, c))
+    alpha, lam, mu, c = (np.asarray(v, dtype=float) for v in (alpha, lam, mu, c))
+    al = alpha * lam
     k = 2.0 * al
-    above = k > mu
+    epidemic = mu / (2.0 * alpha)
+    # k > mu fails only within an ulp of the threshold when lam > epidemic holds
+    above = (lam > epidemic) & (k > mu)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         endemic = np.where(above, k * (1.0 + c) / (k - mu), np.inf)
         arg = 4.0 * mu / al * (c - 1.0 + mu / al)
@@ -217,12 +226,12 @@ def _thresholds(al, mu, c) -> Thresholds:
         band_hi = np.where(above, pref * ((c + 1.0) * (1.0 + s) + al * (c - 3.0) + 2.0 * mu),
                            np.inf)
     return Thresholds(endemic, real, focus, band_lo, band_hi,
-                      4.0 * al / mu - 3.0, 32.0 * al / (5.0 * mu) - 3.0)
+                      4.0 * al / mu - 3.0, 32.0 * al / (5.0 * mu) - 3.0, epidemic, 1.0 - mu / k)
 
 
 def thresholds(p: ModelParams) -> Thresholds:
     """The closed-form thresholds of one parameter point, as floats."""
-    return Thresholds(*map(float, _thresholds(p.alpha * p.lam, p.mu, p.c)))
+    return Thresholds(*map(float, _thresholds(p.alpha, p.lam, p.mu, p.c)))
 
 
 @dataclass(frozen=True)
@@ -236,9 +245,8 @@ class BetaRoots:
 
 def beta_pm(p: ModelParams) -> BetaRoots:
     """Closed-form x-coordinates of the interior endemic candidates."""
-    k = 2.0 * p.alpha * p.lam
     b = p.c + 3.0 - p.zeta
-    disc = b * b + 8.0 * (p.zeta * (1.0 - p.mu / k) - 1.0 - p.c)
+    disc = b * b + 8.0 * (p.zeta * thresholds(p).prevalence - 1.0 - p.c)
     if disc < 0.0:
         return BetaRoots(discriminant=disc, beta_plus=None, beta_minus=None)
     root = math.sqrt(disc)
@@ -362,11 +370,10 @@ def find_equilibria(p: ModelParams) -> list[EquilibriumReport]:
             "equilibrium analysis requires c > 1 and zeta > c + 1 "
             f"(got c={p.c}, zeta={p.zeta})"
         )
-    pf_cond = Condition("above-epidemic-threshold", p.lam, p.mu / (2.0 * p.alpha), ">",
-                        "epidemic-threshold")
-    pf_point = (0.0, 1.0 - p.mu / (2.0 * p.alpha * p.lam)) if pf_cond.satisfied else None
-    roots = beta_pm(p)
     t = thresholds(p)
+    pf_cond = Condition("above-epidemic-threshold", p.lam, t.epidemic, ">", "epidemic-threshold")
+    pf_point = (0.0, t.prevalence) if pf_cond.satisfied else None
+    roots = beta_pm(p)
     reports = [
         EquilibriumReport(kind=EquilibriumKind.DFE_ORIGIN, point=(0.0, 0.0), exists=True,
                           conditions=[]),
@@ -387,6 +394,40 @@ def find_equilibria(p: ModelParams) -> list[EquilibriumReport]:
                 )
             r.eigenvalues, r.stability = _stability(r.kind, r.point, p)
     return reports
+
+
+@dataclass(frozen=True)
+class TrappingRegion:
+    """Attracting, forward-invariant rectangle [0,1] x [0, 1 - mu/(2 alpha lam)]."""
+
+    y_max: float
+    x_min: ClassVar[float] = 0.0
+    x_max: ClassVar[float] = 1.0
+    y_min: ClassVar[float] = 0.0
+
+    def contains(self, x, y, tol: float = 0.0):
+        """Whether (x, y) lies in the rectangle widened by tol; elementwise on arrays."""
+        return ((self.x_min - tol <= x) & (x <= self.x_max + tol)
+                & (self.y_min - tol <= y) & (y <= self.y_max + tol))
+
+    def entered_and_stayed(self, traj: Trajectory, tol: float = 1e-9) -> tuple[bool, float | None]:
+        """First entry time, and whether the trajectory never leaves afterwards."""
+        inside = self.contains(traj.xs, traj.ys, tol)
+        if not inside.any():
+            return (False, None)
+        first = int(np.argmax(inside))
+        return (bool(inside[first:].all()), float(traj.times[first]))
+
+
+def trapping_region(p: ModelParams) -> TrappingRegion:
+    """The rectangle confining all long-run behaviour above the epidemic threshold."""
+    t = thresholds(p)
+    if not p.lam > t.epidemic:
+        raise AssumptionError(
+            "trapping region degenerates at or below the epidemic threshold "
+            "(lam <= mu/(2*alpha)); the system converges to a disease-free state instead"
+        )
+    return TrappingRegion(y_max=t.prevalence)
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +483,9 @@ def regime_ledger(alpha, lam, mu, c, zeta) -> RegimeLedger:
     """
     points = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, lam, mu, c, zeta)))
     alpha, lam, mu, c, zeta = (v.reshape(-1) for v in points)
-    t = _thresholds(alpha * lam, mu, c)
+    t = _thresholds(alpha, lam, mu, c)
     lhs = np.array([c, zeta, lam, c, c, zeta, zeta, zeta, zeta])
-    rhs = np.array([np.ones_like(c), c + 1.0, mu / (2.0 * alpha), t.window_lo, t.window_hi,
+    rhs = np.array([np.ones_like(c), c + 1.0, t.epidemic, t.window_lo, t.window_hi,
                     t.endemic, t.focus, t.band_lo, t.band_hi])
     satisfied = np.array([_OPS[op](l, r)
                           for l, r, (_, op, _) in zip(lhs, rhs, REGIME_CONDITIONS)])

@@ -76,8 +76,8 @@ def test_percent_in_a_field_is_written_literally(tmp_path):
     assert (tmp_path / "pct.csv").read_text() == "t,kind\n1,100%\n2,%s\n3,%%\n4,%.17g\n"
 
 
-def test_masked_floats_are_left_empty(tmp_path):
-    values = np.ma.masked_array([0.5, 2.0, -0.0, 1e300], mask=[False, True, False, True])
+def test_absent_fields_are_left_empty(tmp_path):
+    values = text("%.17g", [0.5, None, -0.0, None])
     write_csv(tmp_path / "m.csv", "v,w", [values, np.array([1.0, 2.0, 3.0, 4.0])])
     assert (tmp_path / "m.csv").read_text() == "v,w\n0.5,1\n,2\n-0,3\n,4\n"
 

@@ -422,6 +422,12 @@ MALFORMED_GRAPHS = [
     # an integer beyond the float range is no finite number
     pytest.param("abm-sim", ABM, {"abm": {"activities": [10 ** 400] + [1] * 19}},
                  "activities must hold finite numbers only", id="activities-beyond-float"),
+    # checks that a command's computation makes: before the output directory too
+    pytest.param("equilibria", ["--c", "0.5"], None, "c > 1", id="equilibria-outside-payoff"),
+    pytest.param("mf-hetero", ["--horizon", "1"],
+                 {"hetero": {"graph": {"type": "complete", "n": 3}, "p_x0": [0.5, 0.5],
+                             "p_y0": [0.1, 0.1]}},
+                 "graph order", id="hetero-vectors-not-the-graph's-order"),
 ])
 def test_rejects_malformed_settings(tmp_path, capsys, command, flags, cfg, message):
     args = [command, *REF, "--zeta", "8", *flags]
@@ -432,7 +438,7 @@ def test_rejects_malformed_settings(tmp_path, capsys, command, flags, cfg, messa
     assert run(args, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
-    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Limit-cycle detection on a Poincare section and the trapping rectangle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from epigame import (
     MacroState,
     ModelParams,
     Trajectory,
+    TrappingRegion,
     Verdict,
     beta_pm,
     detect_cycle,
@@ -109,6 +111,19 @@ class TestDetectCycle:
         traj = integrate_planar(MacroState(0.5, 0.1), p, horizon=20.0, sample_dt=0.01)
         rep = detect_cycle(traj, p)
         assert rep.verdict == Verdict.UNDECIDED
+
+    def test_activator_infects_reads_its_own_section(self):
+        # the same field as the bidirectional model at alpha/2, where k = alpha*lam
+        # to the bit, so the two reports agree in every field
+        reports = []
+        for alpha, bidirectional in ((6.0, False), (3.0, True)):
+            p = ModelParams(alpha=alpha, lam=0.5, mu=1.0, c=3.0, zeta=9.5)
+            traj = integrate_planar(MacroState(0.5, 0.1), p, horizon=500.0,
+                                    bidirectional=bidirectional)
+            reports.append(detect_cycle(traj, p))
+        assert reports[0] == reports[1]
+        assert reports[0].verdict is Verdict.LIMIT_CYCLE
+        assert reports[0].section_x == beta_pm(example_params(9.5)).beta_plus
 
     def test_deterministic(self, cycle_traj):
         p, traj = cycle_traj
@@ -220,6 +235,14 @@ class TestTrappingRegion:
         assert r.contains(0.5, r.y_max)
         assert not r.contains(0.5, r.y_max + 1e-9)
         assert r.contains(0.5, r.y_max + 1e-9, tol=1e-8)
+
+    def test_the_rectangle_is_its_height(self):
+        # the other three sides are the unit square's: one value per type
+        r = trapping_region(example_params(9.5))
+        assert [f.name for f in dataclasses.fields(r)] == ["y_max"]
+        assert (TrappingRegion.x_min, TrappingRegion.x_max, TrappingRegion.y_min) == (0.0, 1.0, 0.0)
+        with pytest.raises(TypeError):
+            TrappingRegion(y_max=0.5, x_min=0.1)
 
     def test_contains_is_elementwise(self):
         r = trapping_region(example_params(9.5))

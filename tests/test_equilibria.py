@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from epigame import (
     jacobian,
     planar_rhs_xy,
     thresholds,
+    trapping_region,
 )
+from epigame.equilibria import regime_ledger
 from .conftest import example_params, random_valid_params
 
 
@@ -64,6 +67,41 @@ class TestThresholds:
             above = ModelParams(p.alpha, p.lam, p.mu, p.c, zc * (1 + 1e-6))
             assert beta_pm(below).discriminant < 0
             assert beta_pm(above).discriminant > 0
+
+
+class TestEpidemicThreshold:
+    """Within an ulp of 2*alpha*lam = mu, lam > mu/(2*alpha) and 2*alpha*lam > mu can
+    disagree; every reader decides by the first, and no threshold turns nan."""
+
+    @pytest.mark.parametrize("alpha,lam,mu,above", [
+        # 2*alpha*lam - mu is 8.9e-16, yet lam > mu/(2*alpha) fails
+        (6.105694180095081, 0.5996055270514353, 7.322015953741584, False),
+        # 2*alpha*lam - mu is 0.0, yet lam > mu/(2*alpha) holds
+        (5.481887415507686, 0.8534667247113027, 9.357216995498906, True),
+    ])
+    def test_every_reader_agrees_at_the_threshold(self, alpha, lam, mu, above):
+        p = ModelParams(alpha=alpha, lam=lam, mu=mu, c=3.0, zeta=9.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = thresholds(p)
+            ledger = regime_ledger(alpha, lam, mu, 3.0, 9.5)
+            pf = by_kind(find_equilibria(p), EquilibriumKind.PROTECTION_FREE_EE)
+            if above:
+                region = trapping_region(p)
+                assert region.y_max == t.prevalence
+            else:
+                with pytest.raises(AssumptionError):
+                    trapping_region(p)
+        assert (p.lam > t.epidemic) == bool(ledger.satisfied[2, 0]) == pf.exists == above
+        assert ledger.rhs[2, 0] == t.epidemic == mu / (2.0 * alpha)
+        assert pf.point == ((0.0, t.prevalence) if above else None)
+        assert (t.endemic, t.band_lo, t.band_hi) == (math.inf, -math.inf, math.inf)
+        assert not any(math.isnan(v) for v in t)
+        assert ledger.labels[0] == RegimeLabel.GLOBAL_DFE.value
+
+    def test_protection_free_prevalence(self):
+        t = thresholds(example_params(8.0))
+        assert (t.epidemic, t.prevalence) == (1.0 / 6.0, 1.0 - 1.0 / 3.0)
 
 
 class TestBetaRoots:
