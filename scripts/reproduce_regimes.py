@@ -40,7 +40,7 @@ def main() -> None:
         traj = integrate_planar(
             MacroState(0.5, 0.1), p, horizon=args.horizon, rtol=1e-10, atol=1e-12,
         )
-        report = detect_cycle(traj, p)
+        report = detect_cycle(traj)
         write_json(outdir / "cycle.json", report.to_dict())
         report.crossings_to_csv(outdir / "crossings.csv")
 

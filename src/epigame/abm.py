@@ -95,6 +95,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -194,6 +195,10 @@ class AbmConfig:
 
     def __post_init__(self):
         self.activities = checked_activities(self.activities, self.graph.n)
+        # numpy would draw a None seed from OS entropy and reject a negative one
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, not {seed!r}")
         for name in ("horizon", "sample_dt"):
             value = getattr(self, name)
             # false for None, nan and inf too
@@ -670,6 +675,8 @@ def ensemble(cfg: AbmConfig, n_runs: int, n_jobs: int = 1) -> EnsembleResult:
     check_ensemble_size(n_runs, n_jobs)
     seeds = [cfg.seed + k for k in range(n_runs)]
     cfgs = [dataclasses.replace(cfg, seed=s) for s in seeds]
+    # a pool forks all its workers at once, so no more than there are runs
+    n_jobs = min(n_jobs, n_runs)
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(_one_run, cfgs))

@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -359,7 +360,7 @@ def _cmd_cycle(cfg: dict, args, s: dict) -> int:
     check_cycle_settings(**s["cycle"])  # before the solve and the output directory
     outdir = _outdir(cfg, args)
     traj = integrate_planar(MacroState(**s["initial"]), p, s["horizon"], s["rtol"], s["atol"])
-    report = detect_cycle(traj, p, **s["cycle"])
+    report = detect_cycle(traj, **s["cycle"])
     out = outdir / "cycle.json"
     write_json(out, report.to_dict())
     report.crossings_to_csv(outdir / "crossings.csv")
@@ -434,10 +435,10 @@ def _cmd_compare(cfg: dict, args, s: dict) -> int:
     ens = abm_mod.ensemble(acfg, **s["compare"])
     x0 = acfg.x0 if acfg.x0 is not None else float(acfg.behaviours0.mean())
     y0 = acfg.y0 if acfg.y0 is not None else float((acfg.healths0 == 1).mean())
-    ode = integrate_planar(
-        MacroState(x0, y0), acfg.params, acfg.horizon, sample_dt=acfg.sample_dt,
-        bidirectional=acfg.bidirectional,
-    )
+    # k = alpha*lam when only the activator infects: the planar field's
+    # 2*alpha*lam at alpha/2, to the bit
+    p = acfg.params if acfg.bidirectional else replace(acfg.params, alpha=acfg.params.alpha / 2)
+    ode = integrate_planar(MacroState(x0, y0), p, acfg.horizon, sample_dt=acfg.sample_dt)
     ode_out = outdir / "compare_ode.csv"
     abm_out = outdir / "compare_abm.csv"
     gap_out = outdir / "compare_gap.csv"

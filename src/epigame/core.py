@@ -83,7 +83,10 @@ def config_vector(name: str, value, cast=float) -> np.ndarray:
 
 def checked_activities(activities, n: int) -> np.ndarray:
     """`activities` as a float array, if it holds n positive finite numbers:
-    the per-agent contact rates of the agent model and of the per-node ODE."""
+    the per-agent contact rates of the agent model and of the per-node ODE.
+    Both need n >= 2, since an agent contacts one of the n - 1 others."""
+    if n < 2:
+        raise ConfigError("need at least two nodes for the contact process")
     activities = np.asarray(activities, dtype=float)
     if activities.shape != (n,):
         raise ConfigError("activities length must equal graph order")

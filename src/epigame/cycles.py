@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
 from .artifacts import text, write_csv
-from .core import ConfigError, ModelParams
+from .core import ConfigError
 from .equilibria import beta_pm
 from .meanfield import Trajectory, planar_rhs_xy
 
@@ -178,7 +178,6 @@ def check_cycle_settings(tol_cycle: float, transient_frac: float, min_crossings:
 
 def detect_cycle(
     traj: Trajectory,
-    p: ModelParams,
     tol_cycle: float = DEFAULT_TOL_CYCLE,
     transient_frac: float = DEFAULT_TRANSIENT_FRAC,
     min_crossings: int = DEFAULT_MIN_CROSSINGS,
@@ -186,17 +185,18 @@ def detect_cycle(
     """Decide whether a planar solve settled onto a point or a periodic orbit.
 
     Every figure comes from the solve behind `traj` (its accepted steps and
-    dense interpolant), none from its samples; a trajectory without that
-    solve raises ValueError. The first `transient_frac` of the horizon is
-    discarded. Convergence to a point requires a terminal vector-field norm
-    below 100*tol and a state displacement below 1e4*tol over the steps of
-    the last 10% of the horizon, where tol = rtol + atol of the solve: the
-    error of a solve bounds how still its end can be (1e-8 and 1e-6 at rtol
-    1e-10, atol 1e-12). A limit cycle requires at least `min_crossings`
-    successive upward section crossings whose y-values differ by less than
-    tol_cycle and whose inter-crossing times change by less than 1e-3
-    relative; its amplitudes are the ranges of x and y over the last period,
-    from their exact extrema. Settings out of range raise ConfigError
+    dense interpolant) and its parameters `traj.params`, none from its
+    samples; a trajectory without that solve raises ValueError. The first
+    `transient_frac` of the horizon is discarded. Convergence to a point
+    requires a terminal vector-field norm below 100*tol and a state
+    displacement below 1e4*tol over the steps of the last 10% of the
+    horizon, where tol = rtol + atol of the solve: the error of a solve
+    bounds how still its end can be (1e-8 and 1e-6 at rtol 1e-10, atol
+    1e-12). A limit cycle requires at least `min_crossings` successive
+    upward section crossings whose y-values differ by less than tol_cycle
+    and whose inter-crossing times change by less than 1e-3 relative; its
+    amplitudes are the ranges of x and y over the last period, from their
+    exact extrema. Settings out of range raise ConfigError
     (`check_cycle_settings`).
     """
     check_cycle_settings(tol_cycle, transient_frac, min_crossings)
@@ -204,14 +204,14 @@ def detect_cycle(
     if sol is None:
         raise ValueError("detect_cycle needs the planar solve behind the trajectory "
                          "(integrate_planar keeps it)")
-    bidirectional = traj.meta["bidirectional"]
+    p = traj.params
     horizon = traj.horizon
     t_cut = transient_frac * horizon
     xs, ys = np.clip(sol.y, 0.0, 1.0)
 
     # fixed-point verdict first: vanished velocity and no residual drift
     xf, yf = float(xs[-1]), float(ys[-1])
-    dx, dy = planar_rhs_xy(xf, yf, p, bidirectional)
+    dx, dy = planar_rhs_xy(xf, yf, p)
     tail = sol.t >= 0.9 * horizon
     tail_disp = float(np.hypot(xs[tail] - xf, ys[tail] - yf).max(initial=0.0))
     tol = traj.meta["rtol"] + traj.meta["atol"]
@@ -219,9 +219,7 @@ def detect_cycle(
         return CycleReport(verdict=Verdict.CONVERGED_TO_POINT, point=(xf, yf),
                            transient_discarded=t_cut)
 
-    # k = alpha*lam when only the activator infects: the bidirectional 2*alpha*lam
-    # at alpha/2, to the bit
-    roots = beta_pm(p if bidirectional else replace(p, alpha=p.alpha / 2.0))
+    roots = beta_pm(p)
     if roots.beta_plus is not None and 0.0 < roots.beta_plus < 1.0:
         x_sec = float(roots.beta_plus)
     else:
@@ -255,7 +253,7 @@ def detect_cycle(
     ends = sol.sol([t0, t1])
 
     def amplitude(axis):
-        extrema = _roots(sol, lambda x, y: planar_rhs_xy(x, y, p, bidirectional)[axis], t0, t1)
+        extrema = _roots(sol, lambda x, y: planar_rhs_xy(x, y, p)[axis], t0, t1)
         values = [*ends[axis], *(state[axis] for _, state in extrema)]
         return float(max(values) - min(values))
 

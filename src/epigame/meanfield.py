@@ -6,12 +6,13 @@ Planar vector field:
     dx/dt = x (1 - x) (2x + zeta*y - 1 - c)
     dy/dt = 2*alpha*lambda * y (1 - x)(1 - y) - mu*y
 
-The factor 2*alpha*lambda reflects bidirectional transmission (both the
+The factor 2*alpha*lambda reflects bidirectional transmission: both the
 contact initiated by the susceptible and the one initiated by the infected
-count); with one-directional transmission the factor halves to alpha*lambda.
-`planar_rhs_xy(x, y, p, bidirectional)` gives this velocity, and
-`hetero_rhs(px, py, g, a, p, bidirectional)` that of the per-node system,
-on the per-node probability vectors px, py and the activities a.
+count. With only the activator infecting it is alpha*lambda, which is this
+field at alpha/2 to the bit, so that variant is solved there (CLI compare).
+`planar_rhs_xy(x, y, p)` gives this velocity, and `hetero_rhs(px, py, g, a, p)`
+that of the per-node system, on the per-node probability vectors px, py and
+the activities a.
 
 Both systems are solved with the Dormand-Prince 5(4) pair and the step-size
 control of scipy's RK45, written out here (`_StepControl` and the module
@@ -123,9 +124,9 @@ class Trajectory:
         write_csv(path, "t,x,y", [text("%.12g", self.times), self.xs, self.ys])
 
 
-def planar_rhs_xy(x, y, p: ModelParams, bidirectional: bool = True):
+def planar_rhs_xy(x, y, p: ModelParams):
     """Velocity (dx, dy) of the planar system at (x, y); accepts scalars or numpy arrays."""
-    k = (2.0 if bidirectional else 1.0) * p.alpha * p.lam
+    k = 2.0 * p.alpha * p.lam
     dx = x * (1.0 - x) * (2.0 * x + p.zeta * y - 1.0 - p.c)
     dy = k * y * (1.0 - x) * (1.0 - y) - p.mu * y
     return dx, dy
@@ -387,7 +388,6 @@ def integrate_planar(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     sample_dt: float | None = None,
-    bidirectional: bool = True,
 ) -> Trajectory:
     """Integrate the planar system with RK45's adaptive embedded 5(4) scheme
     (`_solve_planar`), sampled on the grid of `sample_grid`. The arguments
@@ -396,12 +396,11 @@ def integrate_planar(
     grid = sample_grid(horizon, sample_dt)
 
     def field(x, y):
-        return planar_rhs_xy(x, y, p, bidirectional)
+        return planar_rhs_xy(x, y, p)
 
     sol, meta = _solve_planar(field, s0.x, s0.y, horizon, rtol, atol)
     states = sol.sol(grid)
     meta["max_overshoot"] = _clamp_unit(states, atol, "planar trajectory")
-    meta["bidirectional"] = bidirectional
     return Trajectory(times=grid, xs=states[0], ys=states[1], params=p, meta=meta,
                       solution=sol)
 
@@ -434,8 +433,8 @@ def imitation_rates(g: InfluenceGraph, px: np.ndarray, ybar: float, p: ModelPara
     pi1 is the neighbourhood adoption share plus the risk perception
     zeta*ybar, pi0 the complementary share plus the protection cost c;
     q01 and q10 average the adopters' pi1 and the non-adopters' pi0 over
-    each node's out-neighbours. The agent model passes behaviour bits as
-    ``px``, the mean-field model adoption probabilities.
+    each node's out-neighbours, at the per-node adoption probabilities
+    ``px`` of the mean-field model.
     """
     nbr_px = g.neighbor_mean(px)
     pi1 = nbr_px + p.zeta * ybar
@@ -446,8 +445,7 @@ def imitation_rates(g: InfluenceGraph, px: np.ndarray, ybar: float, p: ModelPara
 
 
 def hetero_rhs(px: np.ndarray, py: np.ndarray, g: InfluenceGraph, a: np.ndarray,
-               p: ModelParams, bidirectional: bool = True,
-               out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+               p: ModelParams, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Velocity (dpx, dpy) of the per-node probability system at the per-node
     adoption and infection probabilities px, py, with activities a; all three
     are vectors of length g.n. `out`, a vector of length 2*g.n, receives
@@ -460,11 +458,7 @@ def hetero_rhs(px: np.ndarray, py: np.ndarray, g: InfluenceGraph, a: np.ndarray,
     n = g.n
     ybar = py.mean()
     _, _, q01, q10 = imitation_rates(g, px, ybar, p)
-    infected_activity = float(a @ py)
-    if bidirectional:
-        pressure = n * a * ybar + infected_activity
-    else:
-        pressure = np.full(n, infected_activity)
+    pressure = n * a * ybar + float(a @ py)
     free = 1.0 - px
     q_si = p.lam * free / (n - 1) * pressure
     if out is None:
@@ -519,18 +513,14 @@ class HeteroSolve:
         rtol: float = DEFAULT_RTOL,
         atol: float = DEFAULT_ATOL,
         sample_dt: float | None = None,
-        bidirectional: bool = True,
     ):
         rtol, atol = _StepControl.tolerances(horizon, rtol, atol)
         n = ps0.n
         if g.n != n:
             raise GraphError("graph order must equal probability vector length")
         a = checked_activities(activities, n)
-        if n < 2:
-            raise GraphError("need at least two nodes for the contact process")
         self.n, self.ps0, self.g, self.a, self.p = n, ps0, g, a, p
         self.horizon, self.rtol, self.atol = horizon, rtol, atol
-        self.bidirectional = bidirectional
         self.times = sample_grid(horizon, sample_dt, default_samples=500)
 
     def run(self, keep) -> Trajectory:
@@ -540,13 +530,13 @@ class HeteroSolve:
         projected onto [0,1]. Returns the node-average macro trajectory,
         whose meta holds `_StepControl.report` and the largest overshoot of
         any sample."""
-        n, g, a, p, bidirectional = self.n, self.g, self.a, self.p, self.bidirectional
+        n, g, a, p = self.n, self.g, self.a, self.p
 
         def fun(_t, u):
             # a new output per call: the solver keeps the last velocity it was given
             v = np.clip(u, 0.0, 1.0)
             out = np.empty_like(v)
-            hetero_rhs(v[:n], v[n:], g, a, p, bidirectional, out)
+            hetero_rhs(v[:n], v[n:], g, a, p, out)
             return out
 
         means = np.empty((2, self.times.size))
@@ -607,11 +597,10 @@ def integrate_hetero(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     sample_dt: float | None = None,
-    bidirectional: bool = True,
 ) -> tuple[HeteroTrajectory, Trajectory]:
     """Integrate the 2n-dimensional per-node system; also return the node-average macro trajectory."""
     rtol, atol = _StepControl.tolerances(horizon, rtol, atol)
-    solve = HeteroSolve(ps0, g, activities, p, horizon, rtol, atol, sample_dt, bidirectional)
+    solve = HeteroSolve(ps0, g, activities, p, horizon, rtol, atol, sample_dt)
     n, times = solve.n, solve.times
     states = np.empty((2 * n, times.size))
 

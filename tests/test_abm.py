@@ -790,6 +790,29 @@ class TestEnsemble:
         with pytest.raises(ConfigError, match="n_jobs must be >= 1"):
             ensemble(small_config(), n_runs=2, n_jobs=n_jobs)
 
+    def test_starts_no_more_workers_than_runs(self, monkeypatch):
+        # a fork pool starts all its workers at the first submit; a stand-in
+        # pool records how many were asked for and runs the work in process
+        asked = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(abm_mod, "ProcessPoolExecutor", Pool)
+        ensemble(small_config(), n_runs=2, n_jobs=64)
+        ensemble(small_config(), n_runs=1, n_jobs=64)  # one run needs no pool
+        assert asked == [2]
+
 
 class TestConfig:
     def test_round_trip(self):
@@ -835,6 +858,13 @@ class TestConfig:
             dict(horizon=float("inf")),
             dict(sample_dt=float("nan")),
             dict(sample_dt=float("inf")),
+            # seeds numpy rejects only once the run starts, or draws from OS entropy
+            dict(seed=-1),
+            dict(seed=None),
+            dict(seed=True),
+            dict(seed=1.0),
+            # the contact process picks one of the n - 1 other agents
+            dict(graph=InfluenceGraph.from_adjacency([[0]]), activities=[3.0]),
         ],
     )
     def test_rejects_malformed(self, overrides):

@@ -83,7 +83,7 @@ def test_01_regime_reproduction():
     p = example_params(9.5)
     ok = ok and classify_regime(p).label == RegimeLabel.LIMIT_CYCLE
     traj = integrate_planar(MacroState(0.5, 0.1), p, horizon=500.0, sample_dt=0.01)
-    rep = detect_cycle(traj, p)  # the verdict itself enforces 1e-3 relative period drift
+    rep = detect_cycle(traj)  # the verdict itself enforces 1e-3 relative period drift
     ok = ok and rep.verdict == Verdict.LIMIT_CYCLE
     detail.append(f"zeta=9.5 period {rep.period:.4f}" if rep.period else "zeta=9.5 no period")
     report(1, "regime reproduction", ok, "; ".join(detail))

@@ -178,10 +178,10 @@ class TestMfHetero:
         from epigame import meanfield
         rhs, calls, sizes = meanfield.hetero_rhs, [], []
 
-        def failing(px, py, g, a, p, bidirectional, out):
+        def failing(px, py, g, a, p, out):
             calls.append(None)
             if len(calls) <= 200:
-                return rhs(px, py, g, a, p, bidirectional, out)
+                return rhs(px, py, g, a, p, out)
             if len(calls) == 201:
                 sizes.append((tmp_path / "hetero_nodes.csv").stat().st_size)
             out[:] = bad
@@ -428,6 +428,16 @@ MALFORMED_GRAPHS = [
                  {"hetero": {"graph": {"type": "complete", "n": 3}, "p_x0": [0.5, 0.5],
                              "p_y0": [0.1, 0.1]}},
                  "graph order", id="hetero-vectors-not-the-graph's-order"),
+    # runs the contact process cannot make: one node, or a seed numpy cannot take
+    *(pytest.param(command, ["--seed", "1", "--horizon", "1"],
+                   {"abm": {"graph": {"type": "adjacency", "lists": [[0]]}}}, "two nodes",
+                   id=f"{command}-one-node") for command in ("abm-sim", "compare")),
+    pytest.param("mf-hetero", ["--horizon", "1"],
+                 {"hetero": {"graph": {"type": "adjacency", "lists": [[0]]}}}, "two nodes",
+                 id="mf-hetero-one-node"),
+    *(pytest.param(command, ["--n", "20", "--seed", "-1", "--horizon", "1"], None,
+                   "seed must be an integer >= 0", id=f"{command}-seed-negative")
+      for command in ("abm-sim", "compare")),
 ])
 def test_rejects_malformed_settings(tmp_path, capsys, command, flags, cfg, message):
     args = [command, *REF, "--zeta", "8", *flags]
@@ -960,6 +970,26 @@ def test_frozen_path_compare_keeps_its_bytes(tmp_path, capsys):
     digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                     for name in ("compare_abm.csv", "compare_gap.csv"))
     assert digests == PINNED_FROZEN_COMPARE
+
+
+# SHA-256 of compare_ode.csv, compare_abm.csv and compare_gap.csv of the same
+# compare with only the activator infecting, recorded when its reference
+# moved from a one-directional planar field to the planar field at alpha/2
+PINNED_ACTIVATOR_COMPARE = (
+    "6167fdc7d5e4a353d988781465e8430ca8a38c212e246685dde053ac597fde5e",
+    "99c4ed6352a2b888e267f9d45709f706f930a47e3f6cbce763fdf8b05caddc43",
+    "c5723dd694f41ed20549e31aee68332597424ac26ff73dffe1ab12e2a6bee42e")
+
+
+def test_activator_infects_compare_keeps_its_bytes(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"abm": {"directionality": "activator-infects"}}))
+    assert run(["compare", *REF, "--zeta", "8", "--n", "2000", "--seed", "5", "--n-runs", "2",
+                "--horizon", "10", "--config", str(config)], tmp_path) == 0
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("compare_ode.csv", "compare_abm.csv", "compare_gap.csv"))
+    assert digests == PINNED_ACTIVATOR_COMPARE
 
 
 # SHA-256 of hetero_nodes.csv and hetero_macro.csv of one seeded mf-hetero

@@ -36,7 +36,7 @@ def cycle_traj():
 class TestDetectCycle:
     def test_periodic_regime_is_recognised(self, cycle_traj):
         p, traj = cycle_traj
-        rep = detect_cycle(traj, p)
+        rep = detect_cycle(traj)
         assert rep.verdict == Verdict.LIMIT_CYCLE
         assert rep.period is not None and rep.period > 0
         assert len(rep.crossings) >= 5
@@ -47,8 +47,8 @@ class TestDetectCycle:
     def test_period_stable_under_denser_sampling(self, cycle_traj):
         p, traj = cycle_traj
         dense = integrate_planar(MacroState(0.5, 0.1), p, horizon=500.0, sample_dt=0.005)
-        t1 = detect_cycle(traj, p).period
-        t2 = detect_cycle(dense, p).period
+        t1 = detect_cycle(traj).period
+        t2 = detect_cycle(dense).period
         assert abs(t2 - t1) / t1 < 1e-3
 
     @pytest.mark.parametrize("setting", [
@@ -58,14 +58,14 @@ class TestDetectCycle:
         {"min_crossings": 1}, {"min_crossings": 0},
     ], ids=lambda s: "{}={}".format(*next(iter(s.items()))))
     def test_rejects_settings_out_of_range(self, cycle_traj, setting):
-        p, traj = cycle_traj
+        _, traj = cycle_traj
         (name,) = setting
         with pytest.raises(ConfigError, match=f"cycle.{name}"):
-            detect_cycle(traj, p, **setting)
+            detect_cycle(traj, **setting)
 
     def test_crossing_heights_settle(self, cycle_traj):
-        p, traj = cycle_traj
-        rep = detect_cycle(traj, p)
+        _, traj = cycle_traj
+        rep = detect_cycle(traj)
         tail = [c.y for c in rep.crossings[-5:]]
         assert max(tail) - min(tail) < 1e-4
 
@@ -77,7 +77,7 @@ class TestDetectCycle:
         traj = integrate_planar(
             MacroState(0.5, 0.1), p, horizon=500.0, sample_dt=0.01, rtol=1e-10, atol=1e-12
         )
-        rep = detect_cycle(traj, p)
+        rep = detect_cycle(traj)
         assert rep.verdict == Verdict.CONVERGED_TO_POINT
         assert rep.point[0] == pytest.approx(0.457427, abs=1e-4)
         assert rep.point[1] == pytest.approx(0.385643, abs=1e-4)
@@ -93,7 +93,7 @@ class TestDetectCycle:
         # state is marginal and the spiral neither settles nor repeats within
         # the horizon (9.0), and the limit cycle (9.5)
         p = example_params(zeta)
-        rep = detect_cycle(integrate_planar(MacroState(0.5, 0.1), p, horizon=500.0), p)
+        rep = detect_cycle(integrate_planar(MacroState(0.5, 0.1), p, horizon=500.0))
         assert rep.verdict == verdict
         if verdict == Verdict.LIMIT_CYCLE:
             assert rep.period == pytest.approx(5.7730067861, rel=0, abs=1e-9)
@@ -101,7 +101,7 @@ class TestDetectCycle:
     def test_fixed_start_is_a_point(self):
         p = example_params(9.5)
         traj = integrate_planar(MacroState(0.0, 0.0), p, horizon=50.0)
-        rep = detect_cycle(traj, p)
+        rep = detect_cycle(traj)
         assert rep.verdict == Verdict.CONVERGED_TO_POINT
         assert rep.point == (0.0, 0.0)
 
@@ -109,31 +109,18 @@ class TestDetectCycle:
         # too short to collect five settled crossings
         p = example_params(9.5)
         traj = integrate_planar(MacroState(0.5, 0.1), p, horizon=20.0, sample_dt=0.01)
-        rep = detect_cycle(traj, p)
+        rep = detect_cycle(traj)
         assert rep.verdict == Verdict.UNDECIDED
 
-    def test_activator_infects_reads_its_own_section(self):
-        # the same field as the bidirectional model at alpha/2, where k = alpha*lam
-        # to the bit, so the two reports agree in every field
-        reports = []
-        for alpha, bidirectional in ((6.0, False), (3.0, True)):
-            p = ModelParams(alpha=alpha, lam=0.5, mu=1.0, c=3.0, zeta=9.5)
-            traj = integrate_planar(MacroState(0.5, 0.1), p, horizon=500.0,
-                                    bidirectional=bidirectional)
-            reports.append(detect_cycle(traj, p))
-        assert reports[0] == reports[1]
-        assert reports[0].verdict is Verdict.LIMIT_CYCLE
-        assert reports[0].section_x == beta_pm(example_params(9.5)).beta_plus
-
     def test_deterministic(self, cycle_traj):
-        p, traj = cycle_traj
-        a = detect_cycle(traj, p)
-        b = detect_cycle(traj, p)
+        _, traj = cycle_traj
+        a = detect_cycle(traj)
+        b = detect_cycle(traj)
         assert a.to_dict() == b.to_dict()
 
     def test_crossings_csv(self, cycle_traj, tmp_path):
-        p, traj = cycle_traj
-        rep = detect_cycle(traj, p)
+        _, traj = cycle_traj
+        rep = detect_cycle(traj)
         out = tmp_path / "crossings.csv"
         rep.crossings_to_csv(out)
         lines = out.read_text().strip().splitlines()
@@ -151,7 +138,7 @@ class TestReadsTheSolve:
         out = {}
         for sample_dt in (0.5, 0.1, 0.05, 0.01, None):
             traj = integrate_planar(MacroState(0.5, 0.1), p, horizon=500.0, sample_dt=sample_dt)
-            out[sample_dt] = traj, detect_cycle(traj, p)
+            out[sample_dt] = traj, detect_cycle(traj)
         return p, out
 
     def test_verdict_and_crossings_ignore_the_sample_spacing(self, reports):
@@ -192,7 +179,7 @@ class TestReadsTheSolve:
         traj, _ = out[0.5]
         sampled = Trajectory(traj.times, traj.xs, traj.ys, p, dict(traj.meta))
         with pytest.raises(ValueError, match="solve"):
-            detect_cycle(sampled, p)
+            detect_cycle(sampled)
 
 
 class TestTrappingRegion:

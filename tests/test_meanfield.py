@@ -22,7 +22,7 @@ from epigame import (
 )
 from epigame import meanfield
 from epigame.artifacts import CHUNK_ROWS
-from epigame.core import NumericalError
+from epigame.core import ConfigError, NumericalError
 from epigame.meanfield import (
     HeteroSolve,
     _ERROR_EXPONENT,
@@ -59,15 +59,6 @@ class TestPlanarRhs:
         dx, dy = planar_rhs_xy(0.25, 0.5, p)
         assert dx == pytest.approx(0.09375, abs=1e-15)
         assert dy == pytest.approx(0.0625, abs=1e-15)
-
-    def test_one_directional_halves_transmission(self):
-        p = example_params(zeta=8.0)
-        _, dy_bi = planar_rhs_xy(0.2, 0.3, p, bidirectional=True)
-        _, dy_one = planar_rhs_xy(0.2, 0.3, p, bidirectional=False)
-        # dy = k*y(1-x)(1-y) - mu*y with k halved: the transmission part halves
-        transmission_bi = dy_bi + p.mu * 0.3
-        transmission_one = dy_one + p.mu * 0.3
-        assert transmission_one == pytest.approx(transmission_bi / 2, rel=1e-15)
 
     def test_array_form_matches_scalar_form(self, rng):
         p = random_valid_params(rng)
@@ -273,7 +264,7 @@ def _hetero_field(n, seed):
     def fun(_t, u):
         v = np.clip(u, 0.0, 1.0)
         out = np.empty_like(v)
-        hetero_rhs(v[:n], v[n:], g, a, p, True, out)
+        hetero_rhs(v[:n], v[n:], g, a, p, out)
         return out
 
     return fun, np.concatenate([rng.uniform(0.3, 0.7, n), rng.uniform(0.05, 0.15, n)])
@@ -387,22 +378,20 @@ def test_probability_state_needs_vectors_of_equal_length(p_x, p_y):
 
 
 class TestHeteroRhs:
-    @pytest.mark.parametrize("bidirectional", [True, False])
-    def test_complete_uniform_matches_planar_up_to_finite_size(self, bidirectional):
+    def test_complete_uniform_matches_planar_up_to_finite_size(self):
         # uniform marginals on the complete graph reproduce the planar field
         # exactly once the finite-size factor n/(n-1) on infection is undone,
-        # with the planar field's k = 2*alpha*lambda, or alpha*lambda when only
-        # the active agent infects
+        # with the planar field's k = 2*alpha*lambda
         p = example_params(zeta=8.0)
         n = 7
         g = InfluenceGraph.complete(n)
         a = np.full(n, p.alpha)
         x, y = 0.31, 0.44
         ps = ProbabilityState(np.full(n, x), np.full(n, y))
-        dpx, dpy = hetero_rhs(ps.p_x, ps.p_y, g, a, p, bidirectional)
-        dx, dy = planar_rhs_xy(x, y, p, bidirectional=bidirectional)
+        dpx, dpy = hetero_rhs(ps.p_x, ps.p_y, g, a, p)
+        dx, dy = planar_rhs_xy(x, y, p)
         np.testing.assert_allclose(dpx, dx, rtol=1e-13, atol=1e-14)
-        k = (2 if bidirectional else 1) * p.alpha * p.lam
+        k = 2 * p.alpha * p.lam
         expected_dy = dy + (k * y * (1 - x) * (1 - y)) / (n - 1)
         np.testing.assert_allclose(dpy, expected_dy, rtol=1e-13, atol=1e-14)
 
@@ -457,7 +446,7 @@ class TestHeteroRhs:
         with pytest.raises(ValueError, match="activities length"):
             integrate_hetero(ps4, g, np.full(3, p.alpha), p, horizon=1.0)
         ps1 = ProbabilityState(np.zeros(1), np.zeros(1))
-        with pytest.raises(GraphError, match="two nodes"):
+        with pytest.raises(ConfigError, match="two nodes"):
             integrate_hetero(ps1, InfluenceGraph.from_adjacency([[0]]), np.full(1, p.alpha), p,
                              horizon=1.0)
 
