@@ -5,6 +5,11 @@ per row. `write_csv` takes the columns as numpy arrays and writes them
 ``CHUNK_ROWS`` rows at a time, so no artifact is ever held in memory as text.
 `csv_file` writes one whose rows arrive in several calls, as a solver hands
 out its samples; a CSV that fails part-way is deleted, never left partial.
+`csv_file_in_child` runs `csv_file` in a writer process, fed its columns
+over a pipe, so that the rows are formatted on another core while the
+caller computes the next ones. The caller joins the writer on every path;
+after any failure no file is left, and a failed writer raises an OSError
+naming the file.
 A float column is written as ``'%.17g' % v`` would write each value; a bytes
 column (dtype ``S``, made by `text`) is written as it stands. Fields that
 repeat, such as a time shared by many lines or a node id shared by many
@@ -36,8 +41,11 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
-from contextlib import contextmanager
+import signal
+import sys
+from contextlib import contextmanager, suppress
 from functools import partial
 
 import numpy as np
@@ -82,6 +90,97 @@ def csv_file(path, header: str, comment: str | None = None):
     except BaseException:
         os.remove(path)
         raise
+
+
+@contextmanager
+def csv_file_in_child(path, header: str):
+    """`csv_file` without a comment line, run in a child process, with its
+    contract: the function given writes further rows each time it is
+    called, and if the block raises, no file is left.
+
+    The function sends each column down a pipe, once and contiguous, and
+    returns; the child, started from multiprocessing's default context,
+    receives the columns and formats and writes them with `csv_file`. The
+    child is the file's only writer, so the bytes are those `csv_file`
+    writes. A pipe holds little, so a caller that gets ahead of the child
+    waits in the call, and neither process holds more than a block or two.
+
+    The child prints nothing and ignores SIGINT: an interrupt reaches the
+    caller, whose block then ends the rows. It is joined before the block's
+    outcome is passed on, whatever that is: success, an exception or an
+    interrupt in the block, or a failed writer. A writer that fails makes
+    the function or the block's end raise an OSError naming ``path`` with
+    the child's error. After any failure the file is deleted.
+    """
+    rows, send = multiprocessing.Pipe(duplex=False)
+    outcome, report = multiprocessing.Pipe(duplex=False)
+    child = multiprocessing.Process(target=_write_sent_rows,
+                                    args=(path, header, rows, send, report))
+    child.start()
+    # the parent keeps only its own ends, so that a child gone makes sending
+    # fail and reading its report end
+    rows.close()
+    report.close()
+
+    def write_rows(columns):
+        try:
+            _send_columns(send, columns)
+        except BrokenPipeError as exc:  # the child stopped reading: it failed
+            raise _writer_error(path, outcome) from exc
+
+    try:
+        try:
+            yield write_rows
+            write_rows(None)  # the end of the rows: the child keeps the file
+        finally:
+            send.close()  # after a failed block the child reads the end of the pipe
+            child.join()
+        if child.exitcode:
+            raise _writer_error(path, outcome)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(path)  # a child that was killed could not delete it
+        raise
+    finally:
+        outcome.close()
+
+
+def _send_columns(send, columns) -> None:
+    """Send the columns, as `_write_sent_rows` receives them; None ends the
+    rows."""
+    if columns is None:
+        send.send(None)
+        return
+    arrays = [np.asarray(c) for c in columns]
+    send.send([(a.dtype.str, a.shape) for a in arrays])
+    for a in arrays:  # as bytes: a memoryview of an empty array cannot be cast to them
+        send.send_bytes(np.ascontiguousarray(a).reshape(-1).view(np.uint8))
+
+
+def _write_sent_rows(path, header, rows, send, report) -> None:
+    """The child of `csv_file_in_child`: write the columns received on
+    ``rows`` until their end, or send what failed on ``report``."""
+    # a forked child holds the parent's sending end too; open, it would keep
+    # the pipe from ever reaching its end when the parent's block fails
+    send.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        with csv_file(path, header) as write_rows:
+            while (layout := rows.recv()) is not None:
+                write_rows([np.frombuffer(rows.recv_bytes(), dtype).reshape(shape)
+                            for dtype, shape in layout])
+    except Exception as exc:  # reported to the parent, not printed
+        report.send(f"{type(exc).__name__}: {exc}")
+        sys.exit(1)
+
+
+def _writer_error(path, outcome) -> OSError:
+    """The error of a failed `csv_file_in_child` child, from its report."""
+    try:
+        reason = outcome.recv()
+    except EOFError:
+        reason = "it ended without a report"
+    return OSError(f"the writer process of {path} failed: {reason}")
 
 
 def rows_per_write(lines: int) -> int:

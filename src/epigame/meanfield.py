@@ -30,7 +30,10 @@ operations as scipy's `solve_ivp`, so its samples equal a
 soon as the step is accepted. `HeteroSolve` clamps each such block and takes
 its node means; `integrate_hetero` gathers the blocks into one array, while
 `HeteroSolve.to_csv`, which the CLI's mf-hetero runs, writes them to disk as
-they arrive, so its memory does not grow with the number of samples.
+they arrive, so its memory does not grow with the number of samples. It
+hands them to a writer process (`artifacts.csv_file_in_child`), which formats
+and writes each block on another core while this one solves on; a failed
+solve, an interrupt or a failed writer leaves no file and no process.
 
 The unit square is positively invariant for the planar system; the
 integrators enforce this numerically: overshoot below 10*atol is projected
@@ -45,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import csv_file, rows_per_write, text, write_csv
+from .artifacts import csv_file_in_child, rows_per_write, text, write_csv
 from .core import MacroState, ModelParams, NumericalError, checked_activities
 from .network import GraphError, InfluenceGraph
 
@@ -556,30 +559,31 @@ class HeteroSolve:
     def to_csv(self, path) -> Trajectory:
         """Solve, writing the samples to `path` as `HeteroTrajectory.to_csv`
         would, and return the node-average macro trajectory. The samples are
-        written some 2**16 rows at a time, and only those not yet written are
-        held, so memory does not grow with the number of samples. A failed
-        solve leaves no file."""
+        handed some 2**16 rows at a time to a writer process
+        (`csv_file_in_child`), which formats and writes them while the solve
+        goes on, and only those not yet handed over are held, so memory does
+        not grow with the number of samples. A failed solve leaves no file."""
         n = self.n
         nodes = text("%d", range(n))
-        # the samples not yet written, by time
-        held = np.empty((min(rows_per_write(n), self.times.size), 2 * n))
+        # the samples not yet written, by time: p_x, then p_y, each a
+        # contiguous block, so that each goes to the writer as it lies
+        held = np.empty((2, min(rows_per_write(n), self.times.size), n))
         count = written = 0
 
-        with csv_file(path, _NODES_HEADER) as write_rows:
+        with csv_file_in_child(path, _NODES_HEADER) as write_rows:
             def flush():
                 nonlocal count, written
-                block = held[:count]
                 write_rows([text("%.12g", self.times[written:written + count])[:, None], nodes,
-                            block[:, :n], block[:, n:]])
+                            held[0, :count], held[1, :count]])
                 written += count
                 count = 0
 
             def keep(_first, states):
                 nonlocal count
                 for sample in states.T:
-                    held[count] = sample
+                    held[:, count] = sample.reshape(2, n)
                     count += 1
-                    if count == len(held):
+                    if count == held.shape[1]:
                         flush()
 
             macro = self.run(keep)

@@ -1,3 +1,5 @@
+import multiprocessing
+import signal
 import tracemalloc
 
 import numpy as np
@@ -26,6 +28,26 @@ def traced_peak(fn, *args, **kwargs):
         if started:
             tracemalloc.stop()
     return result, peak
+
+
+@pytest.fixture
+def bounded():
+    """Fail the test, rather than hang it, if it runs over 30 s (a writer
+    process that never ends); then end any child process it left."""
+    def expire(_signum, _frame):
+        # not a TimeoutError: that is an OSError, which Process.join swallows
+        pytest.fail("over 30 s: a writer process did not end")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        for child in multiprocessing.active_children():
+            child.kill()
+            child.join()
 
 
 def random_valid_params(rng: np.random.Generator, above_threshold: bool | None = None) -> ModelParams:

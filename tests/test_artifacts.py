@@ -7,6 +7,10 @@ sample grid)."""
 
 import json
 import math
+import multiprocessing
+import os
+import re
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +27,8 @@ from epigame import (
     planar_rhs_xy,
     render_phase_portrait,
 )
-from epigame.artifacts import CHUNK_ROWS, _scaled, text, write_csv
+from epigame import artifacts
+from epigame.artifacts import CHUNK_ROWS, _scaled, csv_file, csv_file_in_child, text, write_csv
 from epigame.cli import main
 from epigame.cycles import CycleReport, Crossing, Verdict
 from .conftest import example_params, traced_peak
@@ -96,6 +101,64 @@ def test_write_csv_holds_one_block_of_text(tmp_path):
     _, peak = traced_peak(write_csv, tmp_path / "wide.csv",
                           ",".join(f"c{k}" for k in range(30)), columns)
     assert peak < CHUNK_ROWS * 30 * 32 + 2 ** 20
+
+
+def test_csv_file_in_child_writes_what_csv_file_writes(tmp_path, bounded):
+    # several calls, broadcast bytes columns, non-contiguous
+    # float columns and an empty block
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(300, 6))
+    nodes = text("%d", range(3))
+    blocks = [[text("%d", range(k, k + 100))[:, None], nodes, values[k:k + 100, ::2],
+               values[k:k + 100, 1::2]] for k in (0, 100, 200)]
+    blocks.insert(1, [text("%d", [])[:, None], nodes, values[:0, ::2], values[:0, 1::2]])
+    for writer, name in ((csv_file, "parent.csv"), (csv_file_in_child, "child.csv")):
+        with writer(tmp_path / name, "k,node,a,b") as write_rows:
+            for block in blocks:
+                write_rows(block)
+    assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "parent.csv").read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_csv_file_in_child_failed_block_leaves_nothing(tmp_path, bounded, error):
+    path = tmp_path / "rows.csv"
+    with pytest.raises(error):
+        with csv_file_in_child(path, "a") as write_rows:
+            write_rows([np.arange(10 ** 5, dtype=float)])
+            raise error
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def _writer_fails(_f, _columns):
+    raise OSError("no space left")
+
+
+def _writer_is_killed(_f, _columns):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("blocks", [1, 50], ids=["at-the-end", "while-sending"])
+@pytest.mark.parametrize("failure,reason", [
+    (_writer_fails, "OSError: no space left"), (_writer_is_killed, "it ended without a report"),
+], ids=["raises", "killed"])
+def test_csv_file_in_child_failed_writer_names_the_file(tmp_path, capfd, monkeypatch, bounded,
+                                                       blocks, failure, reason):
+    # the forked writer inherits the patched row writer. One small block fits
+    # in the pipe, so the failure shows at the block's end; 50 blocks of
+    # 0.8 MB do not, so it shows in a call, as the pipe breaks
+    monkeypatch.setattr(artifacts, "_write_rows", failure)
+    path = tmp_path / "rows.csv"
+    size = 10 if blocks == 1 else 10 ** 5
+    message = f"the writer process of {path} failed: {reason}"
+    with pytest.raises(OSError, match=f"^{re.escape(message)}$"):
+        with csv_file_in_child(path, "a") as write_rows:
+            for _ in range(blocks):
+                write_rows([np.arange(size, dtype=float)])
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr() == ("", "")  # the child prints nothing
 
 
 def g17_reference_values():

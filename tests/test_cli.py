@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -172,18 +173,28 @@ class TestMfHetero:
 
     @pytest.mark.parametrize("bad", [np.nan, 5.0], ids=["failed-solve", "overshoot"])
     def test_failure_leaves_no_artifact(self, tmp_path, capsys, monkeypatch, bad):
-        # after 200 evaluations the velocity turns nan, which fails the solve,
+        # after 200 evaluations, and once the writer process has put rows of
+        # many samples on disk, the velocity turns nan, which fails the solve,
         # or pushes every probability past 1, which fails the overshoot check;
         # either way the rows already written go with their file
         from epigame import meanfield
         rhs, calls, sizes = meanfield.hetero_rhs, [], []
+
+        def written():
+            try:
+                return (tmp_path / "hetero_nodes.csv").stat().st_size
+            except FileNotFoundError:
+                return 0
 
         def failing(px, py, g, a, p, out):
             calls.append(None)
             if len(calls) <= 200:
                 return rhs(px, py, g, a, p, out)
             if len(calls) == 201:
-                sizes.append((tmp_path / "hetero_nodes.csv").stat().st_size)
+                deadline = time.monotonic() + 30.0
+                while written() <= 10 ** 5 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                sizes.append(written())
             out[:] = bad
             return out[:px.size], out[px.size:]
 
@@ -200,13 +211,7 @@ class TestMfHetero:
     def test_streams_its_samples(self, tmp_path, capsys):
         # the traced peak at 1000 samples is within 1 MB of that at 100: the
         # per-node rows go to disk as they arrive, not into one array
-        rng = np.random.default_rng(1)
-        n = 1000
-        # a random graph of out-degree 10 without self-loops
-        lists = [sorted(((rng.choice(n - 1, 10, replace=False) + i + 1) % n).tolist())
-                 for i in range(n)]
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"hetero": {"graph": {"type": "adjacency", "lists": lists}}}))
+        cfg = _out_degree_10_config(tmp_path)
         peaks = []
         for sample_dt in ("0.1", "0.01"):  # 100 and 1000 samples over the horizon
             args = ["mf-hetero", *REF, "--zeta", "8", "--horizon", "10", "--sample-dt", sample_dt,
@@ -216,6 +221,47 @@ class TestMfHetero:
             peaks.append(peak / 2 ** 20)
         capsys.readouterr()
         assert peaks[1] - peaks[0] <= 1.0, f"traced peaks {peaks[0]:.2f} and {peaks[1]:.2f} MB"
+
+    def test_writer_process_streams_its_samples(self, tmp_path):
+        # the writer process's peak RSS at 1000 samples is within 4 MB of
+        # that at 100: it holds a block of rows or two, never all the samples
+        # (16 MB at 1000). tracemalloc sees only the parent, so each run is a
+        # fresh process whose one waited-for child is the writer.
+        cfg = _out_degree_10_config(tmp_path)
+        script = ("import resource, sys\n"
+                  "from epigame.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        peaks = []
+        for sample_dt in ("0.1", "0.01"):  # 100 and 1000 samples over the horizon
+            args = ["mf-hetero", *REF, "--zeta", "8", "--horizon", "10", "--sample-dt", sample_dt,
+                    "--config", str(cfg), "--outdir", str(tmp_path / sample_dt)]
+            proc = subprocess.run([sys.executable, "-c", script, *args], env=_src_env(),
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            code, maxrss = proc.stdout.split()[-2:]
+            assert code == "0"
+            peaks.append(int(maxrss) / 1024)  # ru_maxrss is in kB on Linux
+        assert abs(peaks[1] - peaks[0]) <= 4.0, f"writer peaks {peaks[0]:.1f} and {peaks[1]:.1f} MB"
+
+
+def _out_degree_10_config(tmp_path):
+    """A config whose hetero block holds a seeded random graph on 1000 nodes,
+    of out-degree 10 without self-loops."""
+    rng = np.random.default_rng(1)
+    n = 1000
+    lists = [sorted(((rng.choice(n - 1, 10, replace=False) + i + 1) % n).tolist())
+             for i in range(n)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"hetero": {"graph": {"type": "adjacency", "lists": lists}}}))
+    return cfg
+
+
+def _src_env():
+    """The environment with this checkout's epigame first on PYTHONPATH."""
+    src = str(Path(epigame.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
 
 
 class TestAbmSim:
@@ -461,11 +507,8 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("horizon", ["inf", "nan"])
 def test_non_finite_horizon_exits_2_at_once(tmp_path, horizon):
     # such a horizon once sent the solver on without end, so the run gets a time limit
-    src = str(Path(epigame.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
-        "PYTHONPATH")]))}
     args = ["mf-sim", *REF, "--zeta", "8", "--horizon", horizon, "--outdir", str(tmp_path)]
-    proc = subprocess.run([sys.executable, "-m", "epigame.cli", *args], env=env,
+    proc = subprocess.run([sys.executable, "-m", "epigame.cli", *args], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: horizon")
@@ -836,10 +879,7 @@ def test_no_command_loads_scipy_integrate_or_optimize(tmp_path):
               "loaded = sorted(m for m in sys.modules\n"
               "                if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize']))\n"
               "print(json.dumps([codes, loaded, 'scipy.sparse' in sys.modules]))\n")
-    src = str(Path(epigame.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
-        "PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=_src_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     codes, loaded, sparse = json.loads(proc.stdout.splitlines()[-1])

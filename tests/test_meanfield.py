@@ -2,6 +2,7 @@
 
 import functools
 import math
+import multiprocessing
 import operator
 
 import numpy as np
@@ -543,6 +544,25 @@ class TestIntegrateHetero:
         assert ((tmp_path / "streamed_macro.csv").read_bytes()
                 == (tmp_path / "kept_macro.csv").read_bytes())
         assert streamed.meta == macro.meta == hetero.meta
+
+    def test_failed_solve_leaves_no_file_and_no_writer(self, tmp_path, monkeypatch, bounded):
+        # the velocity turns nan after 200 evaluations, when blocks of rows
+        # have gone to the writer process
+        rhs, calls = meanfield.hetero_rhs, []
+
+        def failing(px, py, g, a, p, out):
+            calls.append(None)
+            if len(calls) <= 200:
+                return rhs(px, py, g, a, p, out)
+            out[:] = np.nan
+            return out[:px.size], out[px.size:]
+
+        monkeypatch.setattr(meanfield, "hetero_rhs", failing)
+        solve = HeteroSolve(*_hetero_graph(300, seed=5), horizon=5.0, sample_dt=0.01)
+        with pytest.raises(NumericalError):
+            solve.to_csv(tmp_path / "nodes.csv")
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("entry", ["integrate_hetero", "run", "to_csv"])
     @pytest.mark.parametrize("bad,message", [
