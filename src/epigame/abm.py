@@ -22,24 +22,38 @@ zeta >= 0, q01_i <= 1 + zeta*ybar and q10_i <= 1 + c. The adopt channel
 therefore fires at n0*(1 + zeta*ybar), or 0 when nobody protects (every q01
 is then 0), and the drop channel at n1*(1 + c), or 0 when everybody protects.
 
-Random-draw contract (what seeded replay reproduces). A "uniform" below is
-one draw of U[0,1), taken by path:
+Random-draw contract (what seeded replay reproduces). The loop reads
+PCG64's 64-bit words in order, fetched in blocks of 4096 (`_Words`). A
+"uniform" below is one word's ``(word >> 11) * 2**-53``, the double that a
+scalar ``rng.random()`` call gives from it, so the uniforms are those of
+successive scalar calls on every path. The paths differ in the wait:
 
-- the frozen path, the complete graph with uniform activities: the doubles
-  of scalar ``rng.random()`` calls, taken through the bit generator's public
-  ctypes interface (``rng.bit_generator.ctypes.next_double``, the C function
-  that ``rng.random()`` calls), with the waiting time
-  ``(1/R) * rng.standard_exponential()``, which is what
-  ``rng.exponential(1/R)`` computes. Its seeded logs are pinned by the
-  acceptance tests and never change;
-- every other path (any other graph, or heterogeneous activities): the next
-  double of the ``rng.random(4096)`` blocks, which are the doubles that
-  successive scalar calls would give.
+- the frozen path, the complete graph with uniform activities, whose
+  seeded logs the acceptance tests pin, waits ``(1/R) * e``, with e the
+  standard exponential of numpy's ziggurat (Marsaglia & Tsang 2000):
+  ``rng.exponential(1/R)``, double for double. The ziggurat's fast path
+  uses one word; a word that leaves it (about 1 wait in 45) takes a uniform
+  from the next word for the tail or the wedge test, and may start over
+  from the word after. The loop computes the fast path for a whole block
+  with numpy and replays the slow path in Python, from the ziggurat's
+  tables, committed as literals (``_ziggurat``, read from numpy's
+  ``libnpyrandom.a``). This ties the frozen path to numpy's ziggurat. numpy
+  has kept it since ``Generator`` arrived, but the guard is not that
+  history: ``TestSamplers`` compares 10**6 draws at each of three seeds,
+  slow paths included, with the installed numpy's methods;
+- every other path (any other graph, or heterogeneous activities) waits
+  -log(1 - u)/R for a uniform u. It fetches its blocks with
+  ``rng.random(4096)``, the same doubles, since it needs no exponentials.
+
+``Trajectory.meta["words"]`` counts the words the loop read (not the ones
+it fetched ahead), so ``default_rng(seed)`` advanced by that count, plus the
+2n words of a sampled initial state, is where scalar draws would have left
+the generator.
 
 Per event, in order:
 
-1. waiting time, R the total rate: ``(1/R) * rng.standard_exponential()``
-   on the frozen path, -log(1 - u)/R for a uniform u on every other path
+1. waiting time, R the total rate: ``rng.exponential(1/R)``'s double on
+   the frozen path, -log(1 - u)/R for a uniform u on every other path
 2. a uniform for the channel choice, cumulative over
    [recovery, infection|contact, adopt, drop]
 3. member selection inside the channel: a uniform as an index into the
@@ -98,12 +112,11 @@ import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import chain
 from typing import ClassVar
 
 import numpy as np
 
+from . import _ziggurat as zig
 from .artifacts import text, write_csv
 from .core import (
     ConfigError,
@@ -122,8 +135,16 @@ SUSCEPTIBLE, INFECTED = 0, 1
 
 RNG_NAME = "numpy-pcg64"
 
-# uniforms drawn per ``rng.random`` call on the buffered paths
+# 64-bit words per block the event loop fetches
 UNIFORM_BLOCK = 4096
+# an event that starts past this position refills first: a bounded event
+# reads at most six words, and the fifteen left are enough. The two
+# unbounded draws, the ziggurat's retries and the rejection for a
+# heterogeneous aggregated target, check the position themselves
+REFILL_AT = UNIFORM_BLOCK - 16
+# the ziggurat's fast-path tables, for a whole block at once
+_WE = np.array(zig.WE)
+_KE = np.array(zig.KE, dtype=np.uint64)
 
 EVENT_CONTACT = "contact"
 EVENT_INFECTION = "infection"
@@ -300,21 +321,75 @@ class AbmConfig:
         )
 
 
-def _uniform_stream(rng: np.random.Generator):
-    """A zero-argument draw of one uniform: the doubles of successive
-    ``rng.random(UNIFORM_BLOCK)`` blocks, in order. They equal successive
-    scalar ``rng.random()`` calls, at the cost of one list step each."""
-    blocks = iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)
-    return chain.from_iterable(blocks).__next__
+class _Words:
+    """The event loop's random words: PCG64's 64-bit outputs, fetched in
+    blocks of UNIFORM_BLOCK and read through a position that the loop keeps
+    in a local, so a draw is one list index and no call.
 
+    ``ub[pos]`` is the uniform of word pos, ``(word >> 11) * 2**-53``: the
+    double that a scalar ``rng.random()`` call would give. On the frozen path
+    ``eb[pos]`` is the standard exponential that numpy's ziggurat returns
+    from that word on its fast path, or nan when the word leaves the fast
+    path; `exponential` then replays the slow path. The other paths need no
+    exponentials, so they refill with ``rng.random(UNIFORM_BLOCK)``, which
+    gives the same doubles.
+    """
 
-def _frozen_draws(rng: np.random.Generator):
-    """The frozen path's draws: a zero-argument uniform, the double that a
-    scalar ``rng.random()`` call gives, through the bit generator's ctypes
-    ``next_double`` without the Generator method's wrapper; and
-    ``rng.standard_exponential``, which times 1/R is ``rng.exponential(1/R)``."""
-    bits = rng.bit_generator.ctypes
-    return partial(bits.next_double, bits.state), rng.standard_exponential
+    def __init__(self, rng: np.random.Generator, frozen: bool):
+        self.rng = rng
+        self.frozen = frozen
+        self.ub, self.eb = [], []
+        self.raw = np.empty(0, dtype=np.uint64)  # the frozen path's words
+        self.fetched = 0
+        self.refill(-1)
+
+    def refill(self, pos: int) -> int:
+        """Drop the words through `pos`, append a block after the unread
+        tail, and return -1, the position before the first unread word. The
+        lists change in place, so the loop's references to them stay valid."""
+        del self.ub[:pos + 1], self.eb[:pos + 1]
+        self.fetched += UNIFORM_BLOCK
+        if not self.frozen:
+            self.ub.extend(self.rng.random(UNIFORM_BLOCK).tolist())
+            return -1
+        words = self.rng.bit_generator.random_raw(UNIFORM_BLOCK)
+        self.raw = np.concatenate((self.raw[pos + 1:], words))
+        ri = words >> 3
+        idx = (ri & 0xFF).astype(np.intp)
+        ri >>= 8
+        fast = ri * _WE[idx]  # ri < 2**53 converts to a double exactly
+        fast[ri >= _KE[idx]] = np.nan
+        self.eb.extend(fast.tolist())
+        self.ub.extend(((words >> 11) * 2.0**-53).tolist())
+        return -1
+
+    def exponential(self, pos: int) -> tuple[float, int]:
+        """numpy's ``random_standard_exponential`` from word `pos` on, a word
+        whose fast path failed: at idx 0 the tail ``r - log1p(-u)``, else
+        the wedge test of x against ``exp(-x)``, and on its failure a new
+        draw from the next word. ``math`` calls libm's ``log1p`` and ``exp``,
+        as numpy's C code does. Returns the draw and the position of the
+        last word read, with at least 13 words after it."""
+        we, ke, fe = zig.WE, zig.KE, zig.FE
+        while True:
+            ri = int(self.raw[pos]) >> 3
+            idx = ri & 0xFF
+            ri >>= 8
+            x = ri * we[idx]
+            if ri < ke[idx]:
+                return x, pos
+            if pos > REFILL_AT:
+                pos = self.refill(pos)
+            u = self.ub[(pos := pos + 1)]
+            if idx == 0:
+                return zig.R - math.log1p(-u), pos
+            if (fe[idx - 1] - fe[idx]) * u + fe[idx] < math.exp(-x):
+                return x, pos
+            pos += 1
+
+    def consumed(self, pos: int) -> int:
+        """The number of words read through position `pos`."""
+        return self.fetched - (len(self.ub) - pos - 1)
 
 
 def _alias_table(weights) -> tuple[list, list]:
@@ -357,7 +432,7 @@ def simulate(cfg: AbmConfig) -> tuple[Trajectory, EventLog]:
             "simulation is well-defined but the analytical regime results do not apply",
             stacklevel=2,
         )
-    times, xs, ys, log, counts, nulls = _run(cfg, behaviours, healths, rng)
+    times, xs, ys, log, counts, nulls, n_words = _run(cfg, behaviours, healths, rng)
     log.seed = cfg.seed
     traj = Trajectory(
         times=times,
@@ -366,7 +441,7 @@ def simulate(cfg: AbmConfig) -> tuple[Trajectory, EventLog]:
         params=cfg.params,
         meta={"seed": cfg.seed, "rng": RNG_NAME, "mode": cfg.infection_mode,
               "directionality": cfg.directionality, "n": cfg.graph.n,
-              "events": counts, "null_proposals": nulls},
+              "events": counts, "null_proposals": nulls, "words": n_words},
     )
     return traj, log
 
@@ -441,14 +516,16 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
     per_pair = lam / (n - 1)
     # the draw contract by path (module docstring)
     frozen = nbrs is None and uniform_act
-    if frozen:
-        random, standard_exponential = _frozen_draws(rng)
-    else:
-        random = _uniform_stream(rng)
+    words = _Words(rng, frozen)
+    ub, eb = words.ub, words.eb
+    pos = -1  # the last word read
+    refill_at = REFILL_AT
     ln = math.log
     moved = sick = True
 
     while True:
+        if pos > refill_at:
+            pos = words.refill(pos)
         # the behaviour terms change only with adopt and drop events, and the
         # rates only with those and with recoveries and infections, not with
         # a contact that transmits nothing or a null proposal. Every rate
@@ -488,9 +565,12 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
         if total <= 0.0:
             break
         if frozen:
-            t_new = t + (1.0 / total) * standard_exponential()
+            e = eb[(pos := pos + 1)]
+            if e != e:  # nan: the word left the ziggurat's fast path
+                e, pos = words.exponential(pos)
+            t_new = t + (1.0 / total) * e
         else:
-            t_new = t - ln(1.0 - random()) / total
+            t_new = t - ln(1.0 - ub[(pos := pos + 1)]) / total
         # sample every grid time strictly before min(t_new, horizon)
         if t_next < t_new and t_next < horizon:
             _check_counts(x, y, n1, n_inf)
@@ -501,9 +581,9 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
         if t_new >= horizon:
             break
         t = t_new
-        u = random() * total
+        u = ub[(pos := pos + 1)] * total
         if u < r_rec:
-            k = int(random() * n_inf)
+            k = int(ub[(pos := pos + 1)] * n_inf)
             i = infected[k]
             infected[k] = infected[-1]
             infected.pop()
@@ -521,13 +601,13 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
             source = None
             if contact_mode:
                 if uniform_act:
-                    i = int(random() * n)
+                    i = int(ub[(pos := pos + 1)] * n)
                 else:
-                    u = random() * n
+                    u = ub[(pos := pos + 1)] * n
                     i = int(u)
                     if u - i >= alias_prob[i]:
                         i = alias[i]
-                j = int(random() * (n - 1))
+                j = int(ub[(pos := pos + 1)] * (n - 1))
                 if j >= i:
                     j += 1
                 n_contact += 1
@@ -537,17 +617,19 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
                     target, source = j, i
                 elif bidi and y[i] == SUSCEPTIBLE and x[i] == NO_PROTECTION and y[j] == INFECTED:
                     target, source = i, j
-                if source is None or random() >= lam:
+                if source is None or ub[(pos := pos + 1)] >= lam:
                     target = None
             elif bidi and not uniform_act:
                 # per-agent weight a_i*nI + A_I; rejection against the max
                 w_max = a_max * n_inf + a_inf
                 while True:
-                    target = elig[int(random() * n_elig)]
-                    if random() * w_max <= a[target] * n_inf + a_inf:
+                    if pos > refill_at:
+                        pos = words.refill(pos)
+                    target = elig[int(ub[(pos := pos + 1)] * n_elig)]
+                    if ub[(pos := pos + 1)] * w_max <= a[target] * n_inf + a_inf:
                         break
             else:
-                target = elig[int(random() * n_elig)]
+                target = elig[int(ub[(pos := pos + 1)] * n_elig)]
             if target is not None:
                 # the target is susceptible and unprotected, so eligible
                 y[target] = INFECTED
@@ -563,16 +645,16 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
                 if record:
                     log_event((t, EVENT_INFECTION, target, source))
         elif u < r_imit:
-            k = int(random() * n0)
+            k = int(ub[(pos := pos + 1)] * n0)
             i = nonadopters[k]
             if nbrs is not None:
                 # accept with probability q01_i / (1 + zeta*ybar)
                 nb = nbrs[i]
-                j = nb[int(random() * len(nb))]
+                j = nb[int(ub[(pos := pos + 1)] * len(nb))]
                 zy = zeta * ybar
-                if x[j] == PROTECTION and random() * (1.0 + zy) >= zy:
+                if x[j] == PROTECTION and ub[(pos := pos + 1)] * (1.0 + zy) >= zy:
                     nb = nbrs[j]
-                    j = nb[int(random() * len(nb))]
+                    j = nb[int(ub[(pos := pos + 1)] * len(nb))]
                 if x[j] == NO_PROTECTION:
                     null_adopt += 1
                     continue
@@ -591,15 +673,15 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
             if record:
                 log_event((t, EVENT_ADOPT, i, None))
         else:
-            k = int(random() * n1)
+            k = int(ub[(pos := pos + 1)] * n1)
             i = adopters[k]
             if nbrs is not None:
                 # accept with probability q10_i / (1 + c)
                 nb = nbrs[i]
-                j = nb[int(random() * len(nb))]
-                if x[j] == NO_PROTECTION and random() * (1.0 + c) >= c:
+                j = nb[int(ub[(pos := pos + 1)] * len(nb))]
+                if x[j] == NO_PROTECTION and ub[(pos := pos + 1)] * (1.0 + c) >= c:
                     nb = nbrs[j]
-                    j = nb[int(random() * len(nb))]
+                    j = nb[int(ub[(pos := pos + 1)] * len(nb))]
                 if x[j] == PROTECTION:
                     null_drop += 1
                     continue
@@ -623,7 +705,8 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
         out_y.append(n_inf / n)
     counts = (n_rec, n_infect, n_adopt, n_drop, n_contact)
     nulls = {EVENT_ADOPT: null_adopt, EVENT_DROP: null_drop}
-    return grid, np.array(out_x), np.array(out_y), log, dict(zip(EVENT_KINDS, counts)), nulls
+    return (grid, np.array(out_x), np.array(out_y), log, dict(zip(EVENT_KINDS, counts)), nulls,
+            words.consumed(pos))
 
 
 @dataclass

@@ -350,18 +350,20 @@ def replay_complete(cfg, nulls=None):
     """Independent replay of the draw contract, on the complete graph and on
     any other graph.
 
-    The frozen path (complete graph, uniform activities) draws scalar
-    uniforms and exponential waiting times; every other path draws its
-    uniforms from ``rng.random(4096)`` blocks, waits -log(1 - u)/R and picks
-    a heterogeneous contact initiator from the engine's alias table (whose
-    law ``test_alias_table_is_exact`` checks). Groups are plain lists with
+    Every path draws scalar ``rng.random()`` uniforms, the doubles of the
+    engine's word blocks (``TestSamplers`` checks that), so the replay's
+    generator reads exactly the words the loop reads. The frozen path
+    (complete graph, uniform activities) waits ``rng.exponential(1/R)``;
+    every other path waits -log(1 - u)/R and picks a heterogeneous contact
+    initiator from the engine's alias table (whose law
+    ``test_alias_table_is_exact`` checks). Groups are plain lists with
     swap-with-last removal; channel totals and member weights come from the
     public per-node rate functions before every draw. Off the complete graph
     the adopt and drop channels fire at their thinning bounds, and a
     neighbour walk accepts or rejects each proposal; ``nulls``, a dict keyed
     by "adopt" and "drop", counts the rejected ones.
-    Returns the event history, the number of rejected draws and the
-    (x_bar, y_bar) state at each grid time."""
+    Returns the event history, the number of rejected draws, the
+    (x_bar, y_bar) state at each grid time and the replay's generator."""
     p = cfg.params
     n = cfg.graph.n
     act = cfg.activities
@@ -380,15 +382,7 @@ def replay_complete(cfg, nulls=None):
         y = (rng.random(n) < cfg.y0).astype(int)
 
     frozen = complete and not heterogeneous
-    if frozen:
-        uniform = rng.random
-    else:
-        block = []
-
-        def uniform():
-            if not block:
-                block.extend(reversed(rng.random(4096).tolist()))
-            return block.pop()
+    uniform = rng.random
 
     if contact and heterogeneous:
         prob, alias = abm_mod._alias_table(act.tolist())
@@ -536,7 +530,15 @@ def replay_complete(cfg, nulls=None):
                 groups["eligible"].append(i)
             events.append((t, "drop", i, None))
     sample_before(math.inf)
-    return events, rejected, np.array(grid_state)
+    return events, rejected, np.array(grid_state), rng
+
+
+def assert_replay_read_the_loop_words(cfg, traj, rng):
+    """The replay's generator `rng` read the words the loop reports
+    (``meta["words"]``), after the 2n of a sampled initial state."""
+    initial = 0 if cfg.behaviours0 is not None else 2 * cfg.graph.n
+    advanced = np.random.default_rng(cfg.seed).bit_generator.advance(initial + traj.meta["words"])
+    assert rng.bit_generator.state == advanced.state
 
 
 def assert_same_history(ref, log, abs_t):
@@ -654,10 +656,11 @@ class TestDrawByDrawReplay:
             behaviours0=np.array([1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0]),
             healths0=np.array([0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1]),
         )
-        _, log = simulate(cfg)
+        traj, log = simulate(cfg)
         assert len(log) > 10
-        events, _, _ = replay_complete(cfg)
+        events, _, _, rng = replay_complete(cfg)
         assert_same_history(events, log, abs_t=1e-9)
+        assert_replay_read_the_loop_words(cfg, traj, rng)
 
     @pytest.mark.parametrize("activities", ["uniform", "heterogeneous"])
     @pytest.mark.parametrize("mode", ["aggregated", "contact"])
@@ -683,8 +686,9 @@ class TestDrawByDrawReplay:
         traj, log = simulate(cfg)
         kinds = {k for _, k, _, _ in log}
         assert {"recovery", "infection", "adopt", "drop"} <= kinds
-        events, rejected, grid_state = replay_complete(cfg)
+        events, rejected, grid_state, rng = replay_complete(cfg)
         assert_same_history(events, log, abs_t=1e-9)
+        assert_replay_read_the_loop_words(cfg, traj, rng)
         # the rejection for the aggregated bidirectional target really ran
         if activities == "heterogeneous" and mode == "aggregated" and directionality == "bidirectional":
             assert rejected > 0
@@ -701,8 +705,9 @@ class TestDrawByDrawReplay:
         traj, log = simulate(cfg)
         assert {"recovery", "infection", "adopt", "drop"} <= {k for _, k, _, _ in log}
         nulls = {"adopt": 0, "drop": 0}
-        events, _, grid_state = replay_complete(cfg, nulls)
+        events, _, grid_state, rng = replay_complete(cfg, nulls)
         assert_same_history(events, log, abs_t=1e-9)
+        assert_replay_read_the_loop_words(cfg, traj, rng)
         assert nulls["adopt"] > 0 and nulls["drop"] > 0
         assert traj.meta["null_proposals"] == nulls
         np.testing.assert_array_equal(traj.xs, grid_state[:, 0])
@@ -711,29 +716,57 @@ class TestDrawByDrawReplay:
 
 class TestSamplers:
     def test_uniform_stream_equals_scalar_draws(self):
-        # across a block boundary
-        stream = abm_mod._uniform_stream(np.random.default_rng(3))
+        # a buffered path's reads: one to six words per event, a refill at
+        # the top of an event past REFILL_AT that keeps the unread tail, and
+        # so words from two blocks in one event
+        words = abm_mod._Words(np.random.default_rng(3), frozen=False)
+        ub, pos = words.ub, -1
         rng = np.random.default_rng(3)
-        draws = abm_mod.UNIFORM_BLOCK + 100
-        assert [stream() for _ in range(draws)] == [rng.random() for _ in range(draws)]
+        streamed, scalar = [], []
+        while len(streamed) < 3 * abm_mod.UNIFORM_BLOCK:
+            if pos > abm_mod.REFILL_AT:
+                pos = words.refill(pos)
+            for _ in range(1 + len(streamed) % 6):
+                streamed.append(ub[(pos := pos + 1)])
+                scalar.append(rng.random())
+        assert streamed == scalar
+        advanced = np.random.default_rng(3).bit_generator.advance(words.consumed(pos))
+        assert words.consumed(pos) == len(streamed)
+        assert advanced.state == rng.bit_generator.state
 
     def test_frozen_draws_equal_the_generator_methods(self):
-        # the event loop's order: a wait, then one to three uniforms. 7 417
-        # of the 333 334 waits here leave the ziggurat's fast path and draw
-        # more than one 64-bit word
-        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
-        uniform, standard_exponential = abm_mod._frozen_draws(rng)
+        # the frozen path's reads in the event loop's order: a wait, then one
+        # to three uniforms, across many refills. At seed 9, 7 417 of the
+        # 333 334 waits leave the ziggurat's fast path; both of its slow
+        # branches run, the tail at idx 0 and the wedge test's reject with a
+        # retry from the next word
         rates = np.random.default_rng(10).uniform(1.0, 1e5, 1000).tolist()
-        frozen, methods = [], []
-        while len(frozen) < 1_000_000:
-            scale = 1.0 / rates[len(frozen) % 1000]
-            frozen.append(scale * standard_exponential())
-            methods.append(twin.exponential(scale))
-            for _ in range(1 + len(frozen) % 3):
-                frozen.append(uniform())
-                methods.append(twin.random())
-        assert frozen == methods
-        assert rng.bit_generator.state == twin.bit_generator.state
+        branches = Counter()
+        for seed in (9, 1, 23):
+            words = abm_mod._Words(np.random.default_rng(seed), frozen=True)
+            ub, eb, pos = words.ub, words.eb, -1
+            twin = np.random.default_rng(seed)
+            frozen, methods = [], []
+            while len(frozen) < 1_000_000:
+                if pos > abm_mod.REFILL_AT:
+                    pos = words.refill(pos)
+                scale = 1.0 / rates[len(frozen) % 1000]
+                e = eb[(pos := pos + 1)]
+                if e != e:
+                    idx = int(words.raw[pos]) >> 3 & 0xFF
+                    before = words.consumed(pos)
+                    e, pos = words.exponential(pos)
+                    extra = words.consumed(pos) - before
+                    branches["tail" if idx == 0 else "wedge" if extra == 1 else "retry"] += 1
+                frozen.append(scale * e)
+                methods.append(twin.exponential(scale))
+                for _ in range(1 + len(frozen) % 3):
+                    frozen.append(ub[(pos := pos + 1)])
+                    methods.append(twin.random())
+            assert frozen == methods
+            advanced = np.random.default_rng(seed).bit_generator.advance(words.consumed(pos))
+            assert advanced.state == twin.bit_generator.state
+        assert branches["tail"] > 0 and branches["retry"] > 0
 
     @pytest.mark.parametrize("activities", [
         np.random.default_rng(4).pareto(2.5, 1000) + 1.0,
