@@ -48,7 +48,8 @@ successive scalar calls on every path. The paths differ in the wait:
 ``Trajectory.meta["words"]`` counts the words the loop read (not the ones
 it fetched ahead), so ``default_rng(seed)`` advanced by that count, plus the
 2n words of a sampled initial state, is where scalar draws would have left
-the generator.
+the generator. ``Trajectory.meta["lumped_at"]`` is the time the count phase
+below began, or None if it never did.
 
 Per event, in order:
 
@@ -83,15 +84,38 @@ Per event, in order:
 Initial conditions sampled from fractions consume ``rng.random(n)`` twice
 (behaviours first, then healths) before any event draw.
 
+Absorbed layers. On the frozen path in aggregated mode without a log, a
+layer can be absorbed: nobody protects (the adopt and drop rates are then
+exactly 0.0 and stay so), or the disease is gone (no infected and the
+infected activity sum exactly 0.0, so the recovery and infection rates are
+exactly 0.0). Either way every sampled member's attribute is known: a
+recovered agent is unprotected and becomes eligible, an infection target
+is eligible, and an adopter or a dropper is susceptible. Agent identities
+then change nothing, and the process lumps exactly to its counts (Kemeny &
+Snell). So once a rate recompute finds a layer absorbed, the loop goes on
+as its count chain: it reads the same words in the same order (the member
+word is skipped, not dropped), updates the counts and activity sums with
+the same float operations, and recomputes every rate with the same
+operands, so the samples, event counts and words are bit for bit those of
+the agent loop. The infected activity sum must be exactly 0.0: off the
+dyadic grid (an activity like 0.3) the subtractions leave a residue once
+the last infected recovers, the infection channel keeps a tiny rate, and
+the count phase waits for the protection-free state instead. Contact mode
+(contacts read health by index), heterogeneous activities, other graphs
+and logged runs keep the agent loop to the end.
+
 Cost per event: O(1) on every graph and every draw path (group lists with
 swap-with-last removal, walks of at most two out-neighbour steps, one alias
-lookup), after an O(n) alias table per heterogeneous contact run. The one
-exception is the rejection for the aggregated bidirectional target with
-heterogeneous activities: with n_I infected, A_I their activity sum and
-A_E the activity sum of the n_E eligible, it takes on average
+lookup), after an O(n) alias table per heterogeneous contact run; in the
+count phase, a handful of integer and float updates with no list touched.
+The one exception is the rejection for the aggregated bidirectional target
+with heterogeneous activities: with n_I infected, A_I their activity sum
+and A_E the activity sum of the n_E eligible, it takes on average
 (a_max*n_I + A_I) / (A_E*n_I/n_E + A_I) attempts, at most a_max/a_min. The
 loop holds the agent state and the out-neighbour lists in Python lists for
-the whole run, so no event touches a numpy scalar.
+the whole run, so no event touches a numpy scalar. Each grid time costs
+O(n) for the check of the counters against the agent lists (O(1) in the
+count phase).
 
 The loop has no checking mode of its own. Its verifier is the draw-by-draw
 replay in the test suite, which recomputes every rate from per-agent
@@ -432,7 +456,7 @@ def simulate(cfg: AbmConfig) -> tuple[Trajectory, EventLog]:
             "simulation is well-defined but the analytical regime results do not apply",
             stacklevel=2,
         )
-    times, xs, ys, log, counts, nulls, n_words = _run(cfg, behaviours, healths, rng)
+    times, xs, ys, log, counts, nulls, n_words, lumped_at = _run(cfg, behaviours, healths, rng)
     log.seed = cfg.seed
     traj = Trajectory(
         times=times,
@@ -441,7 +465,8 @@ def simulate(cfg: AbmConfig) -> tuple[Trajectory, EventLog]:
         params=cfg.params,
         meta={"seed": cfg.seed, "rng": RNG_NAME, "mode": cfg.infection_mode,
               "directionality": cfg.directionality, "n": cfg.graph.n,
-              "events": counts, "null_proposals": nulls, "words": n_words},
+              "events": counts, "null_proposals": nulls, "words": n_words,
+              "lumped_at": lumped_at},
     )
     return traj, log
 
@@ -450,6 +475,13 @@ def _check_counts(x: list, y: list, n1: int, n_inf: int) -> None:
     """Raise unless the agent lists hold n1 adopters and n_inf infected."""
     if sum(x) != n1 or sum(y) != n_inf:
         raise NumericalError("incremental counters diverged from agent vectors")
+
+
+def _check_lumped(n: int, n1: int, n_inf: int, n_elig: int) -> None:
+    """Raise unless the count phase's counters describe a state of an
+    absorbed layer, where nobody both protects and is infected."""
+    if not (0 <= n1 <= n and 0 <= n_inf <= n and n_elig == n - n1 - n_inf):
+        raise NumericalError("count-phase counters left the absorbed states")
 
 
 def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator):
@@ -471,6 +503,9 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
     so they are recomputed only after one; the other rates are recomputed
     only after an event that changed the state. `_check_counts` checks the
     counters against the lists at each grid time and after the last event.
+    Once a layer is absorbed on the frozen path without a log, the count
+    phase after the main loop finishes the run (module docstring); it checks
+    the lists once at entry and `_check_lumped` at each grid time after.
     """
     p = cfg.params
     g = cfg.graph
@@ -516,6 +551,9 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
     per_pair = lam / (n - 1)
     # the draw contract by path (module docstring)
     frozen = nbrs is None and uniform_act
+    # the count phase's domain (module docstring, "Absorbed layers")
+    lump = frozen and not contact_mode and not record
+    lumped_at = None
     words = _Words(rng, frozen)
     ub, eb = words.ub, words.eb
     pos = -1  # the last word read
@@ -562,6 +600,9 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
             r_imit = r_inf + r_adopt
             total = r_imit + r_drop
             moved = sick = False
+            if lump and (n1 == 0 or (n_inf == 0 and a_inf == 0.0)):
+                lumped_at = t  # a layer is absorbed: the count phase below goes on
+                break
         if total <= 0.0:
             break
         if frozen:
@@ -698,15 +739,83 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
             if record:
                 log_event((t, EVENT_DROP, i, None))
 
-    n1, n_inf = len(adopters), len(infected)
-    _check_counts(x, y, n1, n_inf)
+    if lumped_at is None:
+        n1, n_inf = len(adopters), len(infected)
+        _check_counts(x, y, n1, n_inf)
+    else:
+        # The count phase. A layer is absorbed, so every sampled member's
+        # attribute is known: with nobody protecting a recovered agent is
+        # eligible, with the disease gone an adopter or dropper is
+        # susceptible, and an infection target is always eligible. The
+        # words are read in the main loop's order (the member word skipped),
+        # and the counts, sums and rates keep its float operations and
+        # association order, so every double is the main loop's.
+        _check_counts(x, y, n1, n_inf)  # the lists are still exact here
+        a0 = a[0]  # the one activity
+        while True:
+            if total <= 0.0:
+                break
+            if pos > refill_at:
+                pos = words.refill(pos)
+            e = eb[(pos := pos + 1)]
+            if e != e:
+                e, pos = words.exponential(pos)
+            t_new = t + (1.0 / total) * e
+            if t_next < t_new and t_next < horizon:
+                _check_lumped(n, n1, n_inf, n_elig)
+                while t_next < t_new and t_next < horizon:
+                    out_x.append(xbar)
+                    out_y.append(ybar)
+                    t_next = grid_t[len(out_x)]
+            if t_new >= horizon:
+                break
+            t = t_new
+            u = ub[(pos := pos + 1)] * total
+            pos += 1  # the member word
+            if u < r_rec:
+                n_inf -= 1
+                n_elig += 1
+                a_inf -= a0
+                a_elig += a0
+                n_rec += 1
+            elif u < r_inf:
+                n_inf += 1
+                n_elig -= 1
+                a_inf += a0
+                a_elig -= a0
+                n_infect += 1
+            else:
+                if u < r_imit:
+                    n1 += 1
+                    n_elig -= 1
+                    a_elig -= a0
+                    n_adopt += 1
+                else:
+                    n1 -= 1
+                    n_elig += 1
+                    a_elig += a0
+                    n_drop += 1
+                xbar = n1 / n
+                w_adopt = (n - n1) * xbar
+                r_drop = n1 * (1.0 - xbar) * (1.0 - xbar + c)
+            ybar = n_inf / n
+            r_adopt = w_adopt * (xbar + zeta * ybar)
+            r_rec = mu * n_inf
+            if bidi:
+                r_mid = per_pair * (n_inf * a_elig + n_elig * a_inf)
+            else:
+                r_mid = per_pair * n_elig * a_inf
+            r_inf = r_rec + r_mid
+            r_imit = r_inf + r_adopt
+            total = r_imit + r_drop
+        _check_lumped(n, n1, n_inf, n_elig)
     while len(out_x) < grid.size:  # the state holds through the horizon
         out_x.append(n1 / n)
         out_y.append(n_inf / n)
     counts = (n_rec, n_infect, n_adopt, n_drop, n_contact)
     nulls = {EVENT_ADOPT: null_adopt, EVENT_DROP: null_drop}
     return (grid, np.array(out_x), np.array(out_y), log, dict(zip(EVENT_KINDS, counts)), nulls,
-            words.consumed(pos))
+            words.consumed(pos), lumped_at)
 
 
 @dataclass

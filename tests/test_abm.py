@@ -714,6 +714,123 @@ class TestDrawByDrawReplay:
         np.testing.assert_array_equal(traj.ys, grid_state[:, 1])
 
 
+def lumpable_config(n=200, zeta=5.0, lam=0.5, alpha=3.0, seed=1, **overrides):
+    """The frozen path without a log: the complete graph, uniform activities
+    and aggregated infection, where the count phase may take over."""
+    base = dict(
+        params=ModelParams(alpha=alpha, lam=lam, mu=1.0, c=3.0, zeta=zeta),
+        graph=InfluenceGraph.complete(n),
+        activities=np.full(n, alpha),
+        horizon=10.0,
+        sample_dt=0.1,
+        seed=seed,
+        record_events=False,
+    )
+    base.update(overrides)
+    if "behaviours0" not in base:
+        base.setdefault("x0", 0.3)
+        base.setdefault("y0", 0.2)
+    return AbmConfig(**base)
+
+
+class TestCountPhaseReplay:
+    """Once a layer is absorbed, a run without a log goes on as its count
+    chain (``meta["lumped_at"]``); with the log on the agent loop runs to
+    the end. The two must agree to the bit."""
+
+    @staticmethod
+    def assert_quiet_equals_logged(cfg):
+        quiet, _ = simulate(cfg)
+        logged, _ = simulate(dataclasses.replace(cfg, record_events=True))
+        assert quiet.xs.tobytes() == logged.xs.tobytes()
+        assert quiet.ys.tobytes() == logged.ys.tobytes()
+        assert quiet.meta["events"] == logged.meta["events"]
+        assert quiet.meta["null_proposals"] == logged.meta["null_proposals"]
+        assert quiet.meta["words"] == logged.meta["words"]
+        assert logged.meta["lumped_at"] is None
+        return quiet
+
+    @staticmethod
+    def state_at_lumping(traj):
+        """The (x_bar, y_bar) sample at the first grid time after lumped_at."""
+        k = int(np.searchsorted(traj.times, traj.meta["lumped_at"], side="right"))
+        return traj.xs[k], traj.ys[k]
+
+    @pytest.mark.parametrize("directionality, alpha, lam", [
+        ("bidirectional", 3.0, 0.5),
+        ("activator-infects", 3.0, 0.5),
+        ("bidirectional", 0.7, 0.9),  # activity sums that round
+    ])
+    def test_protection_dies_mid_run(self, directionality, alpha, lam):
+        cfg = lumpable_config(directionality=directionality, alpha=alpha, lam=lam)
+        traj = self.assert_quiet_equals_logged(cfg)
+        assert 0.0 < traj.meta["lumped_at"] < traj.times[-1]
+        assert self.state_at_lumping(traj)[0] == 0.0
+        assert traj.ys[-1] > 0.0  # the SIS layer goes on in the count phase
+
+    def test_disease_dies_while_behaviour_moves(self):
+        cfg = lumpable_config(n=100, lam=0.1, seed=2, x0=0.9, y0=0.05)
+        traj = self.assert_quiet_equals_logged(cfg)
+        x, y = self.state_at_lumping(traj)
+        assert y == 0.0 and x > 0.0
+        assert traj.meta["events"]["drop"] > 0
+
+    def test_both_layers_die_before_the_horizon(self):
+        traj = self.assert_quiet_equals_logged(lumpable_config(lam=0.1, x0=0.5, horizon=30.0))
+        assert traj.xs[-1] == 0.0 and traj.ys[-1] == 0.0
+        assert 0.0 < traj.meta["lumped_at"] < traj.times[-1]
+
+    def test_activities_off_the_dyadic_grid(self):
+        # at alpha 0.3 a_inf keeps a float residue once the infected are
+        # gone, so the disease-free state does not start the count phase;
+        # the protection-free state does, later
+        cfg = lumpable_config(n=100, alpha=0.3, seed=4, x0=0.95, y0=0.1)
+        traj = self.assert_quiet_equals_logged(cfg)
+        before = traj.times < traj.meta["lumped_at"]
+        assert (traj.ys[before] == 0.0).any()
+        assert self.state_at_lumping(traj) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("initial", [
+        dict(x0=0.0, y0=0.3),
+        dict(behaviours0=np.r_[np.ones(20, int), np.zeros(30, int)], healths0=np.zeros(50, int)),
+    ], ids=["nobody-protects", "nobody-infected"])
+    def test_absorbed_at_the_start(self, initial):
+        n = 50 if "healths0" in initial else 200
+        traj = self.assert_quiet_equals_logged(lumpable_config(n=n, **initial))
+        assert traj.meta["lumped_at"] == 0.0
+        assert sum(traj.meta["events"].values()) > 0
+
+    def test_count_phase_follows_the_replay(self):
+        # an oracle that shares no code with the loop: grid states and the
+        # generator's advance equal the draw-by-draw replay's
+        cfg = lumpable_config(n=30, horizon=5.0, sample_dt=0.5)
+        traj, _ = simulate(cfg)
+        assert 0.0 < traj.meta["lumped_at"] < cfg.horizon
+        events, _, grid_state, rng = replay_complete(cfg)
+        assert {"adopt", "drop"} <= {kind for _, kind, _, _ in events}
+        np.testing.assert_array_equal(traj.xs, grid_state[:, 0])
+        np.testing.assert_array_equal(traj.ys, grid_state[:, 1])
+        assert_replay_read_the_loop_words(cfg, traj, rng)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(infection_mode="contact"),
+        dict(activities=np.r_[np.full(100, 2.0), np.full(100, 4.0)]),
+        dict(record_events=True),
+    ], ids=["contact", "heterogeneous", "logged"])
+    def test_only_the_frozen_quiet_aggregated_path_lumps(self, overrides):
+        assert simulate(lumpable_config())[0].meta["lumped_at"] is not None
+        traj, _ = simulate(lumpable_config(**overrides))
+        assert traj.meta["lumped_at"] is None
+        assert traj.xs[-1] == 0.0  # protection died here too
+
+    def test_corrupted_counters_are_an_error(self):
+        abm_mod._check_lumped(10, 0, 4, 6)
+        abm_mod._check_lumped(10, 3, 0, 7)
+        for counters in [(0, 4, 5), (-1, 4, 7), (0, 11, -1), (3, 1, 5)]:
+            with pytest.raises(NumericalError, match="absorbed"):
+                abm_mod._check_lumped(10, *counters)
+
+
 class TestSamplers:
     def test_uniform_stream_equals_scalar_draws(self):
         # a buffered path's reads: one to six words per event, a refill at
