@@ -35,12 +35,17 @@ successive scalar calls on every path. The paths differ in the wait:
   uses one word; a word that leaves it (about 1 wait in 45) takes a uniform
   from the next word for the tail or the wedge test, and may start over
   from the word after. The loop computes the fast path for a whole block
-  with numpy and replays the slow path in Python, from the ziggurat's
-  tables, committed as literals (``_ziggurat``, read from numpy's
-  ``libnpyrandom.a``). This ties the frozen path to numpy's ziggurat. numpy
-  has kept it since ``Generator`` arrived, but the guard is not that
-  history: ``TestSamplers`` compares 10**6 draws at each of three seeds,
-  slow paths included, with the installed numpy's methods;
+  with numpy and replays the slow path in Python from the raw words, with
+  the ziggurat's tables, committed as literals (``_ziggurat``, read from
+  numpy's ``libnpyrandom.a``). In the count phase below each event reads
+  its wait, the channel word and the member word whatever the state, so a
+  block splits into events from its words alone: it is decoded once with
+  numpy, slow words and all, into each event's wait and channel uniform,
+  and only those two doubles are made. This ties the frozen path to
+  numpy's ziggurat. numpy has kept it since ``Generator`` arrived, but the
+  guard is not that history: ``TestSamplers`` compares 10**6 draws at each
+  of three seeds, slow paths included, and the count phase's decoded draws,
+  with the installed numpy's methods;
 - every other path (any other graph, or heterogeneous activities) waits
   -log(1 - u)/R for a uniform u. It fetches its blocks with
   ``rng.random(4096)``, the same doubles, since it needs no exponentials.
@@ -49,7 +54,8 @@ successive scalar calls on every path. The paths differ in the wait:
 it fetched ahead), so ``default_rng(seed)`` advanced by that count, plus the
 2n words of a sampled initial state, is where scalar draws would have left
 the generator. ``Trajectory.meta["lumped_at"]`` is the time the count phase
-below began, or None if it never did.
+below began, or None if it never did, and ``meta["lumped_events"]`` the
+number of events after it (0 without a count phase).
 
 Per event, in order:
 
@@ -94,28 +100,38 @@ is eligible, and an adopter or a dropper is susceptible. Agent identities
 then change nothing, and the process lumps exactly to its counts (Kemeny &
 Snell). So once a rate recompute finds a layer absorbed, the loop goes on
 as its count chain: it reads the same words in the same order (the member
-word is skipped, not dropped), updates the counts and activity sums with
-the same float operations, and recomputes every rate with the same
-operands, so the samples, event counts and words are bit for bit those of
-the agent loop. The infected activity sum must be exactly 0.0: off the
-dyadic grid (an activity like 0.3) the subtractions leave a residue once
-the last infected recovers, the infection channel keeps a tiny rate, and
-the count phase waits for the protection-free state instead. Contact mode
-(contacts read health by index), heterogeneous activities, other graphs
-and logged runs keep the agent loop to the end.
+word is skipped, not dropped), and the samples, event counts and words are
+bit for bit those of the agent loop. Only the live layer's count k moves,
+by one per event, so every rate is a function of k: the loop reads tables
+of the total rate, its inverse and the channel threshold over k = 0..n,
+built once with numpy from the recompute's operands in its order, zero
+terms included. That needs the activity sums to be functions of the
+counts. With the disease gone they no longer enter a rate. With nobody
+protecting, they do when a = m * 2**e for an odd m with m*n < 2**53: every
+sum of up to n activities is then a double, and each ``+ a`` or ``- a`` is
+exact. Otherwise (a = 0.7 or 0.3) the sums depend on the path, and a
+scalar loop updates the counts, sums and rates of the disease layer with
+the agent loop's float operations. The infected activity sum must be
+exactly 0.0 for the disease-free state to count as absorbed: off the
+dyadic grid the subtractions leave a residue once the last infected
+recovers, the infection channel keeps a tiny rate, and the count phase
+waits for the protection-free state instead. Contact mode (contacts read
+health by index), heterogeneous activities, other graphs and logged runs
+keep the agent loop to the end.
 
 Cost per event: O(1) on every graph and every draw path (group lists with
 swap-with-last removal, walks of at most two out-neighbour steps, one alias
 lookup), after an O(n) alias table per heterogeneous contact run; in the
-count phase, a handful of integer and float updates with no list touched.
-The one exception is the rejection for the aggregated bidirectional target
-with heterogeneous activities: with n_I infected, A_I their activity sum
-and A_E the activity sum of the n_E eligible, it takes on average
-(a_max*n_I + A_I) / (A_E*n_I/n_E + A_I) attempts, at most a_max/a_min. The
-loop holds the agent state and the out-neighbour lists in Python lists for
-the whole run, so no event touches a numpy scalar. Each grid time costs
-O(n) for the check of the counters against the agent lists (O(1) in the
-count phase).
+count phase, three table reads and a multiply-add after O(n) tables, with
+the draws decoded a block at a time. The one exception is the rejection
+for the aggregated bidirectional target with heterogeneous activities:
+with n_I infected, A_I their activity sum and A_E the activity sum of the
+n_E eligible, it takes on average (a_max*n_I + A_I) / (A_E*n_I/n_E + A_I)
+attempts, at most a_max/a_min. The loop holds the agent state and the
+out-neighbour lists in Python lists for the whole run, so no event touches
+a numpy scalar. Each grid time costs O(n) for the check of the counters
+against the agent lists; the count phase checks its counters at entry and
+at the end, and the scalar loop at each grid time too.
 
 The loop has no checking mode of its own. Its verifier is the draw-by-draw
 replay in the test suite, which recomputes every rate from per-agent
@@ -136,6 +152,8 @@ import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import length_hint
 from typing import ClassVar
 
 import numpy as np
@@ -356,7 +374,8 @@ class _Words:
     from that word on its fast path, or nan when the word leaves the fast
     path; `exponential` then replays the slow path. The other paths need no
     exponentials, so they refill with ``rng.random(UNIFORM_BLOCK)``, which
-    gives the same doubles.
+    gives the same doubles. The count phase reads no lists: `count_draws`
+    decodes its blocks into per-event draws.
     """
 
     def __init__(self, rng: np.random.Generator, frozen: bool):
@@ -372,48 +391,138 @@ class _Words:
         tail, and return -1, the position before the first unread word. The
         lists change in place, so the loop's references to them stay valid."""
         del self.ub[:pos + 1], self.eb[:pos + 1]
-        self.fetched += UNIFORM_BLOCK
         if not self.frozen:
+            self.fetched += UNIFORM_BLOCK
             self.ub.extend(self.rng.random(UNIFORM_BLOCK).tolist())
             return -1
-        words = self.rng.bit_generator.random_raw(UNIFORM_BLOCK)
-        self.raw = np.concatenate((self.raw[pos + 1:], words))
+        ri, idx, fast = self._fast_path(self._fetch(pos))
+        waits = ri * _WE[idx]
+        waits[~fast] = np.nan
+        self.eb.extend(waits.tolist())
+        self.ub.extend((ri * 2.0**-53).tolist())
+        return -1
+
+    @staticmethod
+    def _fast_path(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each word's ri, ``word >> 11``, and idx, bits 3 to 10, and
+        whether the ziggurat's fast path takes it: ``ri < ke[idx]``, and then
+        ``ri * we[idx]`` is its draw. A word's uniform is ``ri * 2**-53``;
+        ri < 2**53 converts to a double exactly."""
         ri = words >> 3
         idx = (ri & 0xFF).astype(np.intp)
         ri >>= 8
-        fast = ri * _WE[idx]  # ri < 2**53 converts to a double exactly
-        fast[ri >= _KE[idx]] = np.nan
-        self.eb.extend(fast.tolist())
-        self.ub.extend(((words >> 11) * 2.0**-53).tolist())
-        return -1
+        return ri, idx, ri < _KE[idx]
 
-    def exponential(self, pos: int) -> tuple[float, int]:
-        """numpy's ``random_standard_exponential`` from word `pos` on, a word
-        whose fast path failed: at idx 0 the tail ``r - log1p(-u)``, else
-        the wedge test of x against ``exp(-x)``, and on its failure a new
-        draw from the next word. ``math`` calls libm's ``log1p`` and ``exp``,
-        as numpy's C code does. Returns the draw and the position of the
-        last word read, with at least 13 words after it."""
-        we, ke, fe = zig.WE, zig.KE, zig.FE
-        while True:
-            ri = int(self.raw[pos]) >> 3
+    def _fetch(self, pos: int) -> np.ndarray:
+        """Drop the raw words through `pos`, append a block and return it."""
+        words = self.rng.bit_generator.random_raw(UNIFORM_BLOCK)
+        self.raw = np.concatenate((self.raw[pos + 1:], words))
+        self.fetched += UNIFORM_BLOCK
+        return words
+
+    def _slow_path(self, pos: int, end: int) -> tuple[float, int] | None:
+        """numpy's ``random_standard_exponential`` from raw word `pos` on, a
+        word whose fast path failed: at idx 0 the tail ``r - log1p(-u)``,
+        else the wedge test of x against ``exp(-x)``, and on its failure a
+        new draw from the next word. A uniform u is its word's
+        ``(word >> 11) * 2**-53``. ``math`` calls libm's ``log1p`` and
+        ``exp``, as numpy's C code does. Returns the draw and the position
+        of the last word read, or None if that position would be `end` or
+        later."""
+        word, we, ke, fe = self.raw.item, zig.WE, zig.KE, zig.FE
+        while pos < end:
+            ri = word(pos) >> 3
             idx = ri & 0xFF
             ri >>= 8
             x = ri * we[idx]
             if ri < ke[idx]:
                 return x, pos
-            if pos > REFILL_AT:
-                pos = self.refill(pos)
-            u = self.ub[(pos := pos + 1)]
+            if (pos := pos + 1) >= end:
+                return None
+            u = (word(pos) >> 11) * 2.0**-53
             if idx == 0:
                 return zig.R - math.log1p(-u), pos
             if (fe[idx - 1] - fe[idx]) * u + fe[idx] < math.exp(-x):
                 return x, pos
             pos += 1
+        return None
+
+    def exponential(self, pos: int) -> tuple[float, int]:
+        """The wait of the frozen path's agent loop from word `pos` on, a word
+        whose fast path failed (`_slow_path`). Returns the draw and the
+        position of the last word read, with at least 13 words after it: a
+        draw that would read closer to the end refills, keeping the words
+        from `pos` on, and is replayed."""
+        while (drawn := self._slow_path(pos, self.raw.size - 13)) is None:
+            pos = self.refill(pos - 1) + 1
+        return drawn
+
+    def count_draws(self, pos: int):
+        """The count phase's draws from the word after `pos` on: a generator
+        of one iterator per block over its events' (wait, channel uniform)
+        pairs, for ``itertools.chain.from_iterable``.
+
+        Every count-phase event reads its wait (one word on the ziggurat's
+        fast path, more on its slow path), then the channel word and the
+        member word, whatever the state. So the words alone split into
+        events: each block is decoded once with numpy, only the slow-path
+        waits are replayed in Python, and only the two doubles an event
+        uses are made. An event cut by the block's end is decoded with the
+        next block. `count_stop` gives the events and words the loop read.
+        The agent loop's lists are not read again."""
+        self.ub.clear()
+        self.eb.clear()
+        self.first = 0  # events of the blocks before the current one
+        while True:
+            self._fetch(pos)
+            ri, idx, fast = self._fast_path(self.raw)
+            # an event whose wait ends at or after `end` does not fit
+            end = self.raw.size - 2
+            # event j's first word is 3*j plus the words the slow waits before
+            # it took beyond one; `stop` is the first word of the first event
+            # left to the next block
+            slow_at, slow_waits, slow_extra = [], [], []
+            shift = start = 0  # the extra words so far, and the next event's first word
+            stop = end + 2
+            for p in np.flatnonzero(~fast).tolist():
+                if p < start or (p - shift) % 3:
+                    continue  # a word inside a slow wait, or a channel or member word
+                drawn = self._slow_path(p, end)
+                if drawn is None:
+                    stop = p
+                    break
+                slow_at.append((p - shift) // 3)
+                slow_waits.append(drawn[0])
+                slow_extra.append(drawn[1] - p)
+                shift += drawn[1] - p
+                start = drawn[1] + 3
+            extra = np.zeros((stop - shift) // 3, dtype=np.intp)
+            extra[slow_at] = slow_extra
+            # each event's last wait word, in this block's positions
+            self.ends = ends = 3 * np.arange(extra.size) + np.cumsum(extra)
+            waits = ri[ends] * _WE[idx[ends]]
+            waits[slow_at] = slow_waits
+            uniforms = ri[ends + 1] * 2.0**-53
+            self.left = iter(waits.tolist())
+            yield zip(self.left, uniforms.tolist())
+            self.first += ends.size
+            pos = int(ends[-1]) + 2 if ends.size else -1
+
+    def count_stop(self, waited: bool) -> tuple[int, int]:
+        """The count phase's whole events and the position of the last word
+        read, once its loop stopped at the event it took last: that event
+        read its wait if it `waited` (the horizon cut it), else nothing (an
+        absorbing state). A list iterator's length hint is the number of
+        items it has left."""
+        j = self.ends.size - length_hint(self.left) - 1
+        if waited:
+            return self.first + j, int(self.ends[j])
+        return self.first + j, (int(self.ends[j - 1]) + 2 if j else -1)
 
     def consumed(self, pos: int) -> int:
         """The number of words read through position `pos`."""
-        return self.fetched - (len(self.ub) - pos - 1)
+        buffered = self.raw.size if self.frozen else len(self.ub)
+        return self.fetched - (buffered - pos - 1)
 
 
 def _alias_table(weights) -> tuple[list, list]:
@@ -456,7 +565,8 @@ def simulate(cfg: AbmConfig) -> tuple[Trajectory, EventLog]:
             "simulation is well-defined but the analytical regime results do not apply",
             stacklevel=2,
         )
-    times, xs, ys, log, counts, nulls, n_words, lumped_at = _run(cfg, behaviours, healths, rng)
+    times, xs, ys, log, counts, nulls, n_words, lumped_at, lumped_events = _run(
+        cfg, behaviours, healths, rng)
     log.seed = cfg.seed
     traj = Trajectory(
         times=times,
@@ -466,7 +576,7 @@ def simulate(cfg: AbmConfig) -> tuple[Trajectory, EventLog]:
         meta={"seed": cfg.seed, "rng": RNG_NAME, "mode": cfg.infection_mode,
               "directionality": cfg.directionality, "n": cfg.graph.n,
               "events": counts, "null_proposals": nulls, "words": n_words,
-              "lumped_at": lumped_at},
+              "lumped_at": lumped_at, "lumped_events": lumped_events},
     )
     return traj, log
 
@@ -482,6 +592,53 @@ def _check_lumped(n: int, n1: int, n_inf: int, n_elig: int) -> None:
     absorbed layer, where nobody both protects and is infected."""
     if not (0 <= n1 <= n and 0 <= n_inf <= n and n_elig == n - n1 - n_inf):
         raise NumericalError("count-phase counters left the absorbed states")
+
+
+def _sums_are_counts(a: float, n: int, n_inf: int, a_inf: float, a_elig: float) -> bool:
+    """True when, with nobody protecting, the activity sums of the infected
+    and the eligible are n_inf*a and (n - n_inf)*a now and after every
+    event: with a = m * 2**e for an odd m (an integer one for a >= 2**52),
+    every j*a for j <= n is a double while m*n < 2**53, so each ``+ a`` and
+    ``- a`` of the loop is exact. Off that grid (a = 0.7 or 0.3) the sums
+    depend on the path, not on n_inf alone."""
+    return (a.as_integer_ratio()[0] * n < 2**53
+            and a_inf == n_inf * a and a_elig == (n - n_inf) * a)
+
+
+def _count_tables(behaviour: bool, n: int, a: float, a_elig: float, mu: float, c: float,
+                  zeta: float, per_pair: float, bidi: bool) -> tuple[np.ndarray, ...]:
+    """The count phase's rates as functions of the live layer's count k =
+    0..n: the adopters if `behaviour` (the disease is gone), else the
+    infected (nobody protects, `_sums_are_counts`). Returns the total rate,
+    its inverse (inf where the total is 0.0, an absorbing state) and the
+    channel threshold: r_imit, below which the event is an adopt and else
+    a drop, or r_rec, below which it is a recovery and else an infection.
+    Each entry is the event loop's recompute in that state, with its
+    operands and order, zero terms included, so the doubles are equal. The
+    arrays are returned, not lists, so that the temporaries are freed
+    before the loop's lists are made."""
+    k = np.arange(n + 1)
+    if behaviour:
+        # 0*a_elig is +-0.0 for every finite a_elig, so r_mid is +0.0
+        n1, n_inf, a_inf = k, 0, 0.0
+    else:
+        n1, n_inf, a_inf, a_elig = 0, k, k * a, (n - k) * a
+    n_elig = n - n1 - n_inf
+    xbar = n1 / n
+    ybar = n_inf / n
+    r_drop = n1 * (1.0 - xbar) * (1.0 - xbar + c)
+    r_adopt = ((n - n1) * xbar) * (xbar + zeta * ybar)
+    r_rec = mu * n_inf
+    if bidi:
+        r_mid = per_pair * (n_inf * a_elig + n_elig * a_inf)
+    else:
+        r_mid = per_pair * n_elig * a_inf
+    r_inf = r_rec + r_mid
+    r_imit = r_inf + r_adopt
+    total = r_imit + r_drop
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / total  # inf where the total is 0.0: an absorbing state
+    return total, inv, r_imit if behaviour else r_rec
 
 
 def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator):
@@ -505,7 +662,8 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
     counters against the lists at each grid time and after the last event.
     Once a layer is absorbed on the frozen path without a log, the count
     phase after the main loop finishes the run (module docstring); it checks
-    the lists once at entry and `_check_lumped` at each grid time after.
+    the lists and `_check_lumped` once at entry and once at the end, and the
+    loop without tables checks `_check_lumped` at each grid time too.
     """
     p = cfg.params
     g = cfg.graph
@@ -739,6 +897,7 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
             if record:
                 log_event((t, EVENT_DROP, i, None))
 
+    lumped_events = 0
     if lumped_at is None:
         n1, n_inf = len(adopters), len(infected)
         _check_counts(x, y, n1, n_inf)
@@ -746,68 +905,81 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
         # The count phase. A layer is absorbed, so every sampled member's
         # attribute is known: with nobody protecting a recovered agent is
         # eligible, with the disease gone an adopter or dropper is
-        # susceptible, and an infection target is always eligible. The
-        # words are read in the main loop's order (the member word skipped),
-        # and the counts, sums and rates keep its float operations and
-        # association order, so every double is the main loop's.
+        # susceptible, and an infection target is always eligible. Only the
+        # live layer's count k moves, by one per event. The draws come a
+        # block at a time in the main loop's order (the member word read and
+        # skipped), and every rate is the double the main loop computes.
         _check_counts(x, y, n1, n_inf)  # the lists are still exact here
+        _check_lumped(n, n1, n_inf, n_elig)
         a0 = a[0]  # the one activity
-        while True:
-            if total <= 0.0:
-                break
-            if pos > refill_at:
-                pos = words.refill(pos)
-            e = eb[(pos := pos + 1)]
-            if e != e:
-                e, pos = words.exponential(pos)
-            t_new = t + (1.0 / total) * e
-            if t_next < t_new and t_next < horizon:
-                _check_lumped(n, n1, n_inf, n_elig)
+        # no agent list is read again, so the tables below take their place
+        del x, y, a, adopters, nonadopters, infected, elig, elig_pos
+        draws = chain.from_iterable(words.count_draws(pos))
+        behaviour = n1 > 0  # else nobody protects, and the disease layer is live
+        k0 = n1 if behaviour else n_inf
+        # below the channel threshold k moves by `step`: an adopt, or a recovery
+        step = 1 if behaviour else -1
+        if behaviour or _sums_are_counts(a0, n, n_inf, a_inf, a_elig):
+            # every rate is a function of k, so the loop reads tables
+            tot, inv, thr = map(np.ndarray.tolist, _count_tables(
+                behaviour, n, a0, a_elig, mu, c, zeta, per_pair, bidi))
+            live, dead = (out_x, out_y) if behaviour else (out_y, out_x)
+            k = k0
+            for e, u in draws:
+                t_new = t + inv[k] * e  # inf in an absorbing state
                 while t_next < t_new and t_next < horizon:
-                    out_x.append(xbar)
-                    out_y.append(ybar)
+                    live.append(k / n)
+                    dead.append(0.0)
                     t_next = grid_t[len(out_x)]
-            if t_new >= horizon:
-                break
-            t = t_new
-            u = ub[(pos := pos + 1)] * total
-            pos += 1  # the member word
-            if u < r_rec:
-                n_inf -= 1
-                n_elig += 1
-                a_inf -= a0
-                a_elig += a0
-                n_rec += 1
-            elif u < r_inf:
-                n_inf += 1
-                n_elig -= 1
-                a_inf += a0
-                a_elig -= a0
-                n_infect += 1
-            else:
-                if u < r_imit:
-                    n1 += 1
-                    n_elig -= 1
-                    a_elig -= a0
-                    n_adopt += 1
-                else:
-                    n1 -= 1
+                if not t_new < horizon:  # nan too, for inf * 0.0
+                    break
+                t = t_new
+                k += step if u * tot[k] < thr[k] else -step
+            waited = tot[k] > 0.0
+        else:
+            # nobody protects and the activity sums carry rounding: the
+            # disease layer alone, its sums and rates updated as the main
+            # loop does. The adopt and drop rates are exactly 0.0, and
+            # adding them to r_rec + r_mid changes no test the loop makes
+            for e, u in draws:
+                if total <= 0.0:
+                    break
+                t_new = t + (1.0 / total) * e
+                if t_next < t_new and t_next < horizon:
+                    _check_lumped(n, 0, n_inf, n_elig)
+                    while t_next < t_new and t_next < horizon:
+                        out_x.append(0.0)
+                        out_y.append(n_inf / n)
+                        t_next = grid_t[len(out_x)]
+                if t_new >= horizon:
+                    break
+                t = t_new
+                if u * total < r_rec:
+                    n_inf -= 1
                     n_elig += 1
+                    a_inf -= a0
                     a_elig += a0
-                    n_drop += 1
-                xbar = n1 / n
-                w_adopt = (n - n1) * xbar
-                r_drop = n1 * (1.0 - xbar) * (1.0 - xbar + c)
-            ybar = n_inf / n
-            r_adopt = w_adopt * (xbar + zeta * ybar)
-            r_rec = mu * n_inf
-            if bidi:
-                r_mid = per_pair * (n_inf * a_elig + n_elig * a_inf)
-            else:
-                r_mid = per_pair * n_elig * a_inf
-            r_inf = r_rec + r_mid
-            r_imit = r_inf + r_adopt
-            total = r_imit + r_drop
+                else:
+                    n_inf += 1
+                    n_elig -= 1
+                    a_inf += a0
+                    a_elig -= a0
+                r_rec = mu * n_inf
+                if bidi:
+                    r_mid = per_pair * (n_inf * a_elig + n_elig * a_inf)
+                else:
+                    r_mid = per_pair * n_elig * a_inf
+                total = r_rec + r_mid
+            k, waited = n_inf, total > 0.0
+        done, pos = words.count_stop(waited)
+        # each event moved k by one, `below` of them by `step`
+        below = (done + (k - k0) * step) // 2
+        if behaviour:
+            n1, n_adopt, n_drop = k, n_adopt + below, n_drop + done - below
+        else:
+            n_inf, n_rec, n_infect = k, n_rec + below, n_infect + done - below
+        n_elig = n - n1 - n_inf
+        lumped_events = done
         _check_lumped(n, n1, n_inf, n_elig)
     while len(out_x) < grid.size:  # the state holds through the horizon
         out_x.append(n1 / n)
@@ -815,7 +987,7 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
     counts = (n_rec, n_infect, n_adopt, n_drop, n_contact)
     nulls = {EVENT_ADOPT: null_adopt, EVENT_DROP: null_drop}
     return (grid, np.array(out_x), np.array(out_y), log, dict(zip(EVENT_KINDS, counts)), nulls,
-            words.consumed(pos), lumped_at)
+            words.consumed(pos), lumped_at, lumped_events)
 
 
 @dataclass

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -714,11 +715,11 @@ class TestDrawByDrawReplay:
         np.testing.assert_array_equal(traj.ys, grid_state[:, 1])
 
 
-def lumpable_config(n=200, zeta=5.0, lam=0.5, alpha=3.0, seed=1, **overrides):
+def lumpable_config(n=200, zeta=5.0, lam=0.5, alpha=3.0, seed=1, c=3.0, **overrides):
     """The frozen path without a log: the complete graph, uniform activities
     and aggregated infection, where the count phase may take over."""
     base = dict(
-        params=ModelParams(alpha=alpha, lam=lam, mu=1.0, c=3.0, zeta=zeta),
+        params=ModelParams(alpha=alpha, lam=lam, mu=1.0, c=c, zeta=zeta),
         graph=InfluenceGraph.complete(n),
         activities=np.full(n, alpha),
         horizon=10.0,
@@ -823,6 +824,64 @@ class TestCountPhaseReplay:
         assert traj.meta["lumped_at"] is None
         assert traj.xs[-1] == 0.0  # protection died here too
 
+    @staticmethod
+    def assert_long_count_phase_equals_logged(cfg):
+        """Quiet equals logged bit for bit in a run whose count phase reads
+        at least 20 word blocks; ``lumped_events`` counts the logged twin's
+        events after ``lumped_at``, and is 0 where no count phase ran."""
+        quiet, _ = simulate(cfg)
+        logged, log = simulate(dataclasses.replace(cfg, record_events=True))
+        assert quiet.xs.tobytes() == logged.xs.tobytes()
+        assert quiet.ys.tobytes() == logged.ys.tobytes()
+        for key in ("events", "null_proposals", "words"):
+            assert quiet.meta[key] == logged.meta[key]
+        lumped_at, lumped_events = quiet.meta["lumped_at"], quiet.meta["lumped_events"]
+        assert logged.meta["lumped_at"] is None and logged.meta["lumped_events"] == 0
+        assert lumped_events == sum(t > lumped_at for t in log.flat[0::4])
+        assert 3 * lumped_events > 20 * abm_mod.UNIFORM_BLOCK
+        return quiet
+
+    @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(directionality="activator-infects"),
+        dict(n=4000, alpha=0.7, lam=0.9),  # activity sums that round: the scalar loop
+    ], ids=["bidirectional", "activator-infects", "rounded-sums"])
+    def test_long_disease_layer_cut_by_the_horizon(self, overrides):
+        cfg = lumpable_config(**{"n": 2000, "horizon": 30.0, **overrides})
+        traj = self.assert_long_count_phase_equals_logged(cfg)
+        assert self.state_at_lumping(traj)[0] == 0.0
+        assert traj.ys[-1] > 0.0  # the horizon cut the count phase
+
+    @pytest.mark.parametrize("layer, overrides", [
+        ("behaviour", dict(n=20_000, c=1.05, lam=0.1, x0=0.97, y0=0.01)),
+        ("disease", dict(n=20_000, lam=1 / 12, x0=0.0, y0=0.9)),
+    ])
+    def test_long_layer_absorbed_in_mid_block(self, layer, overrides):
+        cfg = lumpable_config(horizon=30.0, **overrides)
+        traj = self.assert_long_count_phase_equals_logged(cfg)
+        x, y = self.state_at_lumping(traj)
+        assert (y == 0.0 and x > 0.0) if layer == "behaviour" else (x == 0.0 and y > 0.0)
+        assert traj.xs[-1] == 0.0 and traj.ys[-1] == 0.0
+        # the loop's words began a block, and they ended inside one
+        assert traj.meta["words"] % abm_mod.UNIFORM_BLOCK != 0
+
+    @pytest.mark.parametrize("alpha, n, tables", [
+        (3.0, 10_000, True),
+        (0.5, 10_000, True),
+        (1.5, 10_000, True),
+        (0.7, 10_000, False),
+        (0.3, 10_000, False),
+        # an odd numerator 2**40 + 1: its multiples are doubles up to 2**13 - 1
+        ((2**40 + 1) / 2**30, 2**13 - 1, True),
+        ((2**40 + 1) / 2**30, 2**13, False),
+    ])
+    def test_tables_need_activity_sums_that_are_counts(self, alpha, n, tables):
+        n_inf = n // 5
+        assert abm_mod._sums_are_counts(alpha, n, n_inf, n_inf * alpha, (n - n_inf) * alpha) is tables
+        # sums that do not match the counts at entry never read tables
+        assert not abm_mod._sums_are_counts(alpha, n, n_inf, n_inf * alpha, (n - n_inf + 1) * alpha)
+        assert not abm_mod._sums_are_counts(alpha, n, n_inf, (n_inf - 1) * alpha, (n - n_inf) * alpha)
+
     def test_corrupted_counters_are_an_error(self):
         abm_mod._check_lumped(10, 0, 4, 6)
         abm_mod._check_lumped(10, 3, 0, 7)
@@ -884,6 +943,35 @@ class TestSamplers:
             advanced = np.random.default_rng(seed).bit_generator.advance(words.consumed(pos))
             assert advanced.state == twin.bit_generator.state
         assert branches["tail"] > 0 and branches["retry"] > 0
+
+    def test_count_draws_equal_the_generator_methods(self):
+        # the count phase's reads, decoded a block at a time from where the
+        # agent loop stopped: per event a wait, the channel uniform and the
+        # skipped member word. Four slow waits at a block's end are left to
+        # the next block at these seeds. The words read when the loop stops
+        # at an event are the twin's, before the event or after its wait
+        for seed in (9, 1, 23):
+            words = abm_mod._Words(np.random.default_rng(seed), frozen=True)
+            twin = np.random.default_rng(seed)
+            start = 1 + seed  # words the agent loop read
+            for _ in range(start):
+                twin.random()
+            decoded, methods = [], []
+            for e, u in chain.from_iterable(words.count_draws(start - 1)):
+                before = twin.bit_generator.state
+                decoded.append((e, u))
+                methods.append((twin.exponential(), twin.random()))
+                if len(decoded) == 100_000:
+                    break
+                twin.random()
+            assert decoded == methods
+            twin.bit_generator.state = before
+            twin.exponential()
+            for waited, state in ((False, before), (True, twin.bit_generator.state)):
+                done, pos = words.count_stop(waited)
+                assert done == len(decoded) - 1
+                advanced = np.random.default_rng(seed).bit_generator.advance(words.consumed(pos))
+                assert advanced.state == state
 
     @pytest.mark.parametrize("activities", [
         np.random.default_rng(4).pareto(2.5, 1000) + 1.0,
