@@ -92,32 +92,28 @@ Initial conditions sampled from fractions consume ``rng.random(n)`` twice
 
 Absorbed layers. On the frozen path in aggregated mode without a log, a
 layer can be absorbed: nobody protects (the adopt and drop rates are then
-exactly 0.0 and stay so), or the disease is gone (no infected and the
-infected activity sum exactly 0.0, so the recovery and infection rates are
-exactly 0.0). Either way every sampled member's attribute is known: a
-recovered agent is unprotected and becomes eligible, an infection target
-is eligible, and an adopter or a dropper is susceptible. Agent identities
-then change nothing, and the process lumps exactly to its counts (Kemeny &
-Snell). So once a rate recompute finds a layer absorbed, the loop goes on
-as its count chain: it reads the same words in the same order (the member
-word is skipped, not dropped), and the samples, event counts and words are
-bit for bit those of the agent loop. Only the live layer's count k moves,
-by one per event, so every rate is a function of k: the loop reads tables
-of the total rate, its inverse and the channel threshold over k = 0..n,
-built once with numpy from the recompute's operands in its order, zero
-terms included. That needs the activity sums to be functions of the
-counts. With the disease gone they no longer enter a rate. With nobody
-protecting, they do when a = m * 2**e for an odd m with m*n < 2**53: every
-sum of up to n activities is then a double, and each ``+ a`` or ``- a`` is
-exact. Otherwise (a = 0.7 or 0.3) the sums depend on the path, and a
-scalar loop updates the counts, sums and rates of the disease layer with
-the agent loop's float operations. The infected activity sum must be
-exactly 0.0 for the disease-free state to count as absorbed: off the
-dyadic grid the subtractions leave a residue once the last infected
-recovers, the infection channel keeps a tiny rate, and the count phase
-waits for the protection-free state instead. Contact mode (contacts read
-health by index), heterogeneous activities, other graphs and logged runs
-keep the agent loop to the end.
+exactly 0.0 and stay so), or the disease is gone (no infected, so the
+recovery and infection rates are exactly 0.0). Either way every sampled
+member's attribute is known: a recovered agent is unprotected and becomes
+eligible, an infection target is eligible, and an adopter or a dropper is
+susceptible. Agent identities then change nothing, and the process lumps
+exactly to its counts (Kemeny & Snell). So once a rate recompute finds a
+layer absorbed, the loop goes on as its count chain: it reads the same
+words in the same order (the member word is skipped, not dropped), and the
+samples, event counts and words are bit for bit those of the agent loop.
+Only the live layer's count k moves, by one per event, so every rate is a
+function of k: the loop reads tables of the total rate, its inverse and
+the channel threshold over k = 0..n, built once with numpy from the
+recompute's operands in its order, zero terms included. The activity sums
+are functions of the counts as well, by the rule every aggregated
+recompute follows: with uniform activities a, the sums of the infected and
+of the eligible are n_I*a and n_E*a, the correctly rounded true sums; with
+heterogeneous ones they are running totals, set to 0.0 whenever their group
+is empty. So no rounding residue outlives its group, and an empty group is
+never picked from. For a on the dyadic grid (a = m * 2**e for an odd m with
+m*n < 2**53, such as 3) the products equal the running totals bit for bit.
+Contact mode (contacts read health by index), heterogeneous activities,
+other graphs and logged runs keep the agent loop to the end.
 
 Cost per event: O(1) on every graph and every draw path (group lists with
 swap-with-last removal, walks of at most two out-neighbour steps, one alias
@@ -131,7 +127,7 @@ attempts, at most a_max/a_min. The loop holds the agent state and the
 out-neighbour lists in Python lists for the whole run, so no event touches
 a numpy scalar. Each grid time costs O(n) for the check of the counters
 against the agent lists; the count phase checks its counters at entry and
-at the end, and the scalar loop at each grid time too.
+at the end.
 
 The loop has no checking mode of its own. Its verifier is the draw-by-draw
 replay in the test suite, which recomputes every rate from per-agent
@@ -594,36 +590,23 @@ def _check_lumped(n: int, n1: int, n_inf: int, n_elig: int) -> None:
         raise NumericalError("count-phase counters left the absorbed states")
 
 
-def _sums_are_counts(a: float, n: int, n_inf: int, a_inf: float, a_elig: float) -> bool:
-    """True when, with nobody protecting, the activity sums of the infected
-    and the eligible are n_inf*a and (n - n_inf)*a now and after every
-    event: with a = m * 2**e for an odd m (an integer one for a >= 2**52),
-    every j*a for j <= n is a double while m*n < 2**53, so each ``+ a`` and
-    ``- a`` of the loop is exact. Off that grid (a = 0.7 or 0.3) the sums
-    depend on the path, not on n_inf alone."""
-    return (a.as_integer_ratio()[0] * n < 2**53
-            and a_inf == n_inf * a and a_elig == (n - n_inf) * a)
-
-
-def _count_tables(behaviour: bool, n: int, a: float, a_elig: float, mu: float, c: float,
+def _count_tables(behaviour: bool, n: int, a: float, mu: float, c: float,
                   zeta: float, per_pair: float, bidi: bool) -> tuple[np.ndarray, ...]:
     """The count phase's rates as functions of the live layer's count k =
     0..n: the adopters if `behaviour` (the disease is gone), else the
-    infected (nobody protects, `_sums_are_counts`). Returns the total rate,
-    its inverse (inf where the total is 0.0, an absorbing state) and the
-    channel threshold: r_imit, below which the event is an adopt and else
-    a drop, or r_rec, below which it is a recovery and else an infection.
-    Each entry is the event loop's recompute in that state, with its
-    operands and order, zero terms included, so the doubles are equal. The
-    arrays are returned, not lists, so that the temporaries are freed
-    before the loop's lists are made."""
+    infected (nobody protects). Returns the total rate, its inverse (inf
+    where the total is 0.0, an absorbing state) and the channel threshold:
+    r_imit, below which the event is an adopt and else a drop, or r_rec,
+    below which it is a recovery and else an infection. Each entry is the
+    event loop's recompute in that state, with its operands and order, zero
+    terms included, and the activity sums it derives from the counts with
+    the one activity `a`, so the doubles are equal. The arrays are returned,
+    not lists, so that the temporaries are freed before the loop's lists
+    are made."""
     k = np.arange(n + 1)
-    if behaviour:
-        # 0*a_elig is +-0.0 for every finite a_elig, so r_mid is +0.0
-        n1, n_inf, a_inf = k, 0, 0.0
-    else:
-        n1, n_inf, a_inf, a_elig = 0, k, k * a, (n - k) * a
+    n1, n_inf = (k, 0) if behaviour else (0, k)
     n_elig = n - n1 - n_inf
+    a_inf, a_elig = n_inf * a, n_elig * a
     xbar = n1 / n
     ybar = n_inf / n
     r_drop = n1 * (1.0 - xbar) * (1.0 - xbar + c)
@@ -662,8 +645,7 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
     counters against the lists at each grid time and after the last event.
     Once a layer is absorbed on the frozen path without a log, the count
     phase after the main loop finishes the run (module docstring); it checks
-    the lists and `_check_lumped` once at entry and once at the end, and the
-    loop without tables checks `_check_lumped` at each grid time too.
+    the lists and `_check_lumped` once at entry and once at the end.
     """
     p = cfg.params
     g = cfg.graph
@@ -671,6 +653,7 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
     acts = cfg.activities
     x, y, a = xs.tolist(), ys.tolist(), acts.tolist()
     uniform_act = float(np.ptp(acts)) == 0.0
+    a0 = a[0]  # the one activity, if they are uniform
     a_max = float(acts.max())
     a_total = float(acts.sum())
     bidi = cfg.bidirectional
@@ -750,15 +733,25 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
                 # contacts cannot change state without infected present; skipping
                 # them then is exact thinning, but only when no log is kept
                 r_mid = a_total if (n_inf > 0 or record) else 0.0
-            elif bidi:
-                r_mid = per_pair * (n_inf * a_elig + n_elig * a_inf)
             else:
-                r_mid = per_pair * n_elig * a_inf
+                # no rounding residue outlives its group in the activity sums
+                # (module docstring, "Absorbed layers")
+                if uniform_act:
+                    a_inf, a_elig = n_inf * a0, n_elig * a0
+                else:
+                    if not n_inf:
+                        a_inf = 0.0
+                    if not n_elig:
+                        a_elig = 0.0
+                if bidi:
+                    r_mid = per_pair * (n_inf * a_elig + n_elig * a_inf)
+                else:
+                    r_mid = per_pair * n_elig * a_inf
             r_inf = r_rec + r_mid
             r_imit = r_inf + r_adopt
             total = r_imit + r_drop
             moved = sick = False
-            if lump and (n1 == 0 or (n_inf == 0 and a_inf == 0.0)):
+            if lump and (n1 == 0 or n_inf == 0):
                 lumped_at = t  # a layer is absorbed: the count phase below goes on
                 break
         if total <= 0.0:
@@ -911,67 +904,28 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
         # skipped), and every rate is the double the main loop computes.
         _check_counts(x, y, n1, n_inf)  # the lists are still exact here
         _check_lumped(n, n1, n_inf, n_elig)
-        a0 = a[0]  # the one activity
         # no agent list is read again, so the tables below take their place
         del x, y, a, adopters, nonadopters, infected, elig, elig_pos
         draws = chain.from_iterable(words.count_draws(pos))
         behaviour = n1 > 0  # else nobody protects, and the disease layer is live
-        k0 = n1 if behaviour else n_inf
+        k = k0 = n1 if behaviour else n_inf
         # below the channel threshold k moves by `step`: an adopt, or a recovery
         step = 1 if behaviour else -1
-        if behaviour or _sums_are_counts(a0, n, n_inf, a_inf, a_elig):
-            # every rate is a function of k, so the loop reads tables
-            tot, inv, thr = map(np.ndarray.tolist, _count_tables(
-                behaviour, n, a0, a_elig, mu, c, zeta, per_pair, bidi))
-            live, dead = (out_x, out_y) if behaviour else (out_y, out_x)
-            k = k0
-            for e, u in draws:
-                t_new = t + inv[k] * e  # inf in an absorbing state
-                while t_next < t_new and t_next < horizon:
-                    live.append(k / n)
-                    dead.append(0.0)
-                    t_next = grid_t[len(out_x)]
-                if not t_new < horizon:  # nan too, for inf * 0.0
-                    break
-                t = t_new
-                k += step if u * tot[k] < thr[k] else -step
-            waited = tot[k] > 0.0
-        else:
-            # nobody protects and the activity sums carry rounding: the
-            # disease layer alone, its sums and rates updated as the main
-            # loop does. The adopt and drop rates are exactly 0.0, and
-            # adding them to r_rec + r_mid changes no test the loop makes
-            for e, u in draws:
-                if total <= 0.0:
-                    break
-                t_new = t + (1.0 / total) * e
-                if t_next < t_new and t_next < horizon:
-                    _check_lumped(n, 0, n_inf, n_elig)
-                    while t_next < t_new and t_next < horizon:
-                        out_x.append(0.0)
-                        out_y.append(n_inf / n)
-                        t_next = grid_t[len(out_x)]
-                if t_new >= horizon:
-                    break
-                t = t_new
-                if u * total < r_rec:
-                    n_inf -= 1
-                    n_elig += 1
-                    a_inf -= a0
-                    a_elig += a0
-                else:
-                    n_inf += 1
-                    n_elig -= 1
-                    a_inf += a0
-                    a_elig -= a0
-                r_rec = mu * n_inf
-                if bidi:
-                    r_mid = per_pair * (n_inf * a_elig + n_elig * a_inf)
-                else:
-                    r_mid = per_pair * n_elig * a_inf
-                total = r_rec + r_mid
-            k, waited = n_inf, total > 0.0
-        done, pos = words.count_stop(waited)
+        # every rate is a function of k, so the loop reads tables
+        tot, inv, thr = map(np.ndarray.tolist, _count_tables(
+            behaviour, n, a0, mu, c, zeta, per_pair, bidi))
+        live, dead = (out_x, out_y) if behaviour else (out_y, out_x)
+        for e, u in draws:
+            t_new = t + inv[k] * e  # inf in an absorbing state
+            while t_next < t_new and t_next < horizon:
+                live.append(k / n)
+                dead.append(0.0)
+                t_next = grid_t[len(out_x)]
+            if not t_new < horizon:  # nan too, for inf * 0.0
+                break
+            t = t_new
+            k += step if u * tot[k] < thr[k] else -step
+        done, pos = words.count_stop(tot[k] > 0.0)
         # each event moved k by one, `below` of them by `step`
         below = (done + (k - k0) * step) // 2
         if behaviour:

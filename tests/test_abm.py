@@ -714,6 +714,39 @@ class TestDrawByDrawReplay:
         np.testing.assert_array_equal(traj.xs, grid_state[:, 0])
         np.testing.assert_array_equal(traj.ys, grid_state[:, 1])
 
+    def test_eligible_group_empties_and_refills(self):
+        # heterogeneous activities off the dyadic grid and a fast infection:
+        # the eligible group empties, its activity sum is then 0.0, and it
+        # refills on recoveries; the replay sums the activities afresh
+        n = 5
+        cfg = AbmConfig(
+            params=ModelParams(alpha=3.0, lam=1.0, mu=1.0, c=3.0, zeta=5.0),
+            graph=InfluenceGraph.complete(n),
+            activities=np.array([3.3, 1.1, 2.2, 4.4, 7.7]),
+            horizon=5.0,
+            sample_dt=0.5,
+            seed=0,
+            behaviours0=np.array([1, 0, 0, 0, 0]),
+            healths0=np.array([0, 1, 0, 0, 0]),
+            record_events=True,
+        )
+        traj, log = simulate(cfg)
+        x, y = cfg.behaviours0.copy(), cfg.healths0.copy()
+        eligible = []  # the size of the eligible group after each event
+        for _, kind, i, _ in log:
+            if kind in ("recovery", "infection"):
+                y[i] = kind == "infection"
+            else:
+                x[i] = kind == "adopt"
+            eligible.append(int(((x == 0) & (y == 0)).sum()))
+        assert 0 in eligible and max(eligible[eligible.index(0):]) > 0
+        events, rejected, grid_state, rng = replay_complete(cfg)
+        assert rejected > 0
+        assert_same_history(events, log, abs_t=1e-9)
+        assert_replay_read_the_loop_words(cfg, traj, rng)
+        np.testing.assert_array_equal(traj.xs, grid_state[:, 0])
+        np.testing.assert_array_equal(traj.ys, grid_state[:, 1])
+
 
 def lumpable_config(n=200, zeta=5.0, lam=0.5, alpha=3.0, seed=1, c=3.0, **overrides):
     """The frozen path without a log: the complete graph, uniform activities
@@ -782,14 +815,15 @@ class TestCountPhaseReplay:
         assert 0.0 < traj.meta["lumped_at"] < traj.times[-1]
 
     def test_activities_off_the_dyadic_grid(self):
-        # at alpha 0.3 a_inf keeps a float residue once the infected are
-        # gone, so the disease-free state does not start the count phase;
-        # the protection-free state does, later
+        # at alpha 0.3 the activity sums come from the counts, so the
+        # disease-free state starts the count phase when the last infected
+        # recovers, while the behaviour layer still moves
         cfg = lumpable_config(n=100, alpha=0.3, seed=4, x0=0.95, y0=0.1)
         traj = self.assert_quiet_equals_logged(cfg)
         before = traj.times < traj.meta["lumped_at"]
-        assert (traj.ys[before] == 0.0).any()
-        assert self.state_at_lumping(traj) == (0.0, 0.0)
+        assert (traj.ys[before] > 0.0).all()
+        x, y = self.state_at_lumping(traj)
+        assert y == 0.0 and x > 0.0
 
     @pytest.mark.parametrize("initial", [
         dict(x0=0.0, y0=0.3),
@@ -844,8 +878,10 @@ class TestCountPhaseReplay:
     @pytest.mark.parametrize("overrides", [
         dict(),
         dict(directionality="activator-infects"),
-        dict(n=4000, alpha=0.7, lam=0.9),  # activity sums that round: the scalar loop
-    ], ids=["bidirectional", "activator-infects", "rounded-sums"])
+        # activities off the dyadic grid
+        dict(n=4000, alpha=0.7, lam=0.9),
+        dict(n=4000, alpha=1.4, lam=0.9, directionality="activator-infects"),
+    ], ids=["bidirectional", "activator-infects", "rounded-sums", "rounded-sums-activator-infects"])
     def test_long_disease_layer_cut_by_the_horizon(self, overrides):
         cfg = lumpable_config(**{"n": 2000, "horizon": 30.0, **overrides})
         traj = self.assert_long_count_phase_equals_logged(cfg)
@@ -865,29 +901,44 @@ class TestCountPhaseReplay:
         # the loop's words began a block, and they ended inside one
         assert traj.meta["words"] % abm_mod.UNIFORM_BLOCK != 0
 
-    @pytest.mark.parametrize("alpha, n, tables", [
-        (3.0, 10_000, True),
-        (0.5, 10_000, True),
-        (1.5, 10_000, True),
-        (0.7, 10_000, False),
-        (0.3, 10_000, False),
-        # an odd numerator 2**40 + 1: its multiples are doubles up to 2**13 - 1
-        ((2**40 + 1) / 2**30, 2**13 - 1, True),
-        ((2**40 + 1) / 2**30, 2**13, False),
-    ])
-    def test_tables_need_activity_sums_that_are_counts(self, alpha, n, tables):
-        n_inf = n // 5
-        assert abm_mod._sums_are_counts(alpha, n, n_inf, n_inf * alpha, (n - n_inf) * alpha) is tables
-        # sums that do not match the counts at entry never read tables
-        assert not abm_mod._sums_are_counts(alpha, n, n_inf, n_inf * alpha, (n - n_inf + 1) * alpha)
-        assert not abm_mod._sums_are_counts(alpha, n, n_inf, (n_inf - 1) * alpha, (n - n_inf) * alpha)
-
     def test_corrupted_counters_are_an_error(self):
         abm_mod._check_lumped(10, 0, 4, 6)
         abm_mod._check_lumped(10, 3, 0, 7)
         for counters in [(0, 4, 5), (-1, 4, 7), (0, 11, -1), (3, 1, 5)]:
             with pytest.raises(NumericalError, match="absorbed"):
                 abm_mod._check_lumped(10, *counters)
+
+
+class TestActivitySums:
+    """The aggregated infection rate reads the activity sums of the infected
+    and of the eligible, which must not outlive their groups. Here infection
+    is fast and recovery all but absent, so once the last eligible agent is
+    infected a rounding residue in the eligible sum would be the largest
+    rate left, and its infection would pick from an empty group."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("alpha, activities", [
+        (0.25, [0.3, 0.1, 0.2, 0.4]),
+        (0.1, [0.1] * 4),
+    ], ids=["heterogeneous", "uniform"])
+    def test_no_infection_while_nobody_is_eligible(self, alpha, activities, seed):
+        n = 4
+        cfg = AbmConfig(
+            params=ModelParams(alpha=alpha, lam=1.0, mu=1e-20, c=3.0, zeta=5.0),
+            graph=InfluenceGraph.complete(n),
+            activities=np.array(activities),
+            horizon=1e19,
+            sample_dt=1e18,
+            seed=seed,
+            behaviours0=np.zeros(n, int),
+            healths0=np.r_[1, np.zeros(n - 1, int)],
+            record_events=True,
+        )
+        traj, log = simulate(cfg)
+        assert traj.times[-1] == cfg.horizon and traj.ys[-1] == 1.0
+        # every infection target is susceptible and unprotected, so eligible
+        _, y = replay_events(cfg, log)
+        assert y.all()
 
 
 class TestSamplers:
