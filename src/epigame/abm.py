@@ -14,6 +14,21 @@ totals instead, and each proposal is accepted with probability (true rate) /
 (bound); a rejected proposal is a null event that advances the time and
 changes nothing else. This thinning is exact too.
 
+Contacts. The contact process fires at the constant total rate A = sum of
+the activities and picks its pair without looking at the state, so it is a
+Poisson process of its own (Perra et al. 2012). On the frozen path below
+it is one channel of the event loop's clock. On every free contact path
+(contact mode on any other graph, or with heterogeneous activities) the
+clock splits in two, exactly, by superposition and memorylessness, as in
+the next-reaction method (Gibson & Bruck 2000): the contacts come from a
+stream of their own (`_Contacts`), a block at a time, and every other
+channel waits -log(1 - u)/R_o for R_o the total rate of those channels.
+The loop sees only the candidate contacts, those whose transmission
+uniform is below lambda. A candidate before the wait's end infects if its
+pair is transmissible at its time, and is then the loop's event: it is
+logged as an infection at that time and the wait is drawn again from it.
+A candidate that transmits nothing changes nothing, the wait included.
+
 Thinning bounds. With ybar the prevalence and B_j the share of j's
 out-neighbours that protect, non-adopter i adopts at q01_i = mean over its
 out-neighbours j of x_j*(B_j + zeta*ybar), and adopter i drops at q10_i =
@@ -50,17 +65,35 @@ successive scalar calls on every path. The paths differ in the wait:
   -log(1 - u)/R for a uniform u. It fetches its blocks with
   ``rng.random(4096)``, the same doubles, since it needs no exponentials.
 
+A free contact path's contact stream is ``default_rng(seed)``'s PCG64
+jumped once (``bit_generator.jumped()``), read in blocks of CONTACT_BLOCK
+contacts until a block reaches the horizon. A block draws each contact's
+standard exponential with numpy (``standard_exponential``, the doubles of
+scalar calls), then each contact's uniform triple (``random``). A wait is
+the exponential over A, and the times are the waits summed in order from
+the last time of the block before. The triple's first uniform u picks the
+initiator: a uniform index int(u*n) with uniform activities; with
+heterogeneous ones Vose's alias table of the activities, built once per
+run: k = int(u*n), and the initiator is k if u*n - k < prob[k], else
+alias[k]. The second picks the partner, uniform over the other n - 1
+agents, and the third is the transmission uniform, against lambda.
+
 ``Trajectory.meta["words"]`` counts the words the loop read (not the ones
 it fetched ahead), so ``default_rng(seed)`` advanced by that count, plus the
 2n words of a sampled initial state, is where scalar draws would have left
-the generator. ``Trajectory.meta["lumped_at"]`` is the time the count phase
-below began, or None if it never did, and ``meta["lumped_events"]`` the
-number of events after it (0 without a count phase).
+the generator. ``meta["contact_words"]`` counts the words of the contact
+stream's blocks, so the jumped generator advanced by it is where the
+stream's scalar draws leave it; it is 0 on a path without the stream.
+``Trajectory.meta["lumped_at"]`` is the time the count phase below began,
+or None if it never did, and ``meta["lumped_events"]`` the number of events
+after it (0 without a count phase).
 
-Per event, in order:
+Per event of the loop's clock, in order:
 
 1. waiting time, R the total rate: ``rng.exponential(1/R)``'s double on
-   the frozen path, -log(1 - u)/R for a uniform u on every other path
+   the frozen path, -log(1 - u)/R for a uniform u on every other path (R_o
+   on a free contact path, where a transmitting candidate contact before
+   the wait's end is the event instead, and reads no word of this stream)
 2. a uniform for the channel choice, cumulative over
    [recovery, infection|contact, adopt, drop]
 3. member selection inside the channel: a uniform as an index into the
@@ -69,11 +102,8 @@ Per event, in order:
    start in ascending agent order; a member joins at the end, and a leaving
    member's slot takes the last member. With heterogeneous activities the
    bidirectional aggregated infection target is drawn by rejection (one
-   extra uniform against the largest weight per attempt). The contact
-   initiator is a uniform index with uniform activities. With heterogeneous
-   ones a single uniform u picks it from Vose's alias table of the
-   activities, built once per run: k = int(u*n), and the initiator is k if
-   u*n - k < prob[k], else alias[k].
+   extra uniform against the largest weight per attempt). The frozen
+   path's contact initiator is a uniform index.
 4. adopt and drop off the complete graph: the walk that accepts or rejects
    the proposal of member i. A uniform picks a uniform out-neighbour j of
    i. Adopt: if j protects, ``u * (1 + zeta*ybar) < zeta*ybar`` for a
@@ -83,9 +113,9 @@ Per event, in order:
    q01_i / (1 + zeta*ybar), with A_i the mean of x_j*B_j. Drop: the same
    with "does not protect" for "protects" and c for zeta*ybar, so P(accept)
    = q10_i / (1 + c).
-5. contact events only: a uniform for the partner (uniform over the other
-   n-1 agents) and, only when a transmissible pair realises, a uniform
-   against the per-contact infection probability.
+5. the frozen path's contact events only: a uniform for the partner
+   (uniform over the other n-1 agents) and, only when a transmissible pair
+   realises, a uniform against the per-contact infection probability.
 
 Initial conditions sampled from fractions consume ``rng.random(n)`` twice
 (behaviours first, then healths) before any event draw.
@@ -116,10 +146,13 @@ Contact mode (contacts read health by index), heterogeneous activities,
 other graphs and logged runs keep the agent loop to the end.
 
 Cost per event: O(1) on every graph and every draw path (group lists with
-swap-with-last removal, walks of at most two out-neighbour steps, one alias
-lookup), after an O(n) alias table per heterogeneous contact run; in the
+swap-with-last removal, walks of at most two out-neighbour steps); in the
 count phase, three table reads and a multiply-add after O(n) tables, with
-the draws decoded a block at a time. The one exception is the rejection
+the draws decoded a block at a time. A free contact path's contacts cost
+the loop nothing unless they are candidates: their marks are computed
+with numpy a block at a time, after an O(n) alias table per heterogeneous
+run, and a candidate costs the loop one transmissibility check, or an
+infection event if it transmits. The one exception is the rejection
 for the aggregated bidirectional target with heterogeneous activities:
 with n_I infected, A_I their activity sum and A_E the activity sum of the
 n_E eligible, it takes on average (a_max*n_I + A_I) / (A_E*n_I/n_E + A_I)
@@ -136,10 +169,14 @@ event.
 
 The loop counts its events per kind in ``Trajectory.meta["events"]``, also
 when no log is kept, and the rejected adopt and drop proposals in
-``Trajectory.meta["null_proposals"]`` (always 0 on the complete graph).
-Without a log, contact mode skips the contacts made while nobody is
-infected: they cannot change the state, so skipping them is exact thinning,
-and they are not counted.
+``Trajectory.meta["null_proposals"]`` (always 0 on the complete graph). A
+free contact path counts every contact before the horizon from its
+stream's blocks, with or without a log, and with a log they join it as
+arrays; its draws do not depend on the log, so a quiet run's samples,
+counts and words of both streams are those of its logged twin. Without a
+log, the frozen path's contact mode skips the contacts made while nobody
+is infected: they cannot change the state, so skipping them is exact
+thinning, and they are not counted.
 """
 from __future__ import annotations
 
@@ -183,6 +220,11 @@ REFILL_AT = UNIFORM_BLOCK - 16
 # the ziggurat's fast-path tables, for a whole block at once
 _WE = np.array(zig.WE)
 _KE = np.array(zig.KE, dtype=np.uint64)
+# contacts per block a free contact path draws
+CONTACT_BLOCK = 4096
+# PCG64's 128-bit LCG multiplier (O'Neill's default), to count a stream's words
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = 2**128 - 1
 
 EVENT_CONTACT = "contact"
 EVENT_INFECTION = "infection"
@@ -190,47 +232,67 @@ EVENT_RECOVERY = "recovery"
 EVENT_ADOPT = "adopt"
 EVENT_DROP = "drop"
 EVENT_KINDS = (EVENT_RECOVERY, EVENT_INFECTION, EVENT_ADOPT, EVENT_DROP, EVENT_CONTACT)
+# an event's kind code is its index in EVENT_KINDS
+K_RECOVERY, K_INFECTION, K_ADOPT, K_DROP, K_CONTACT = range(len(EVENT_KINDS))
+_KIND_CODES = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+_KIND_TABLE = np.array(EVENT_KINDS, dtype=bytes)
 
 
 @dataclass
 class EventLog:
     """Chronological event record. Times are non-decreasing.
 
-    The record is one flat list, `flat`, holding each event's time, kind,
-    actor and counterpart (None when there is none) in turn: a long run then
-    makes no per-event object for the garbage collector to track."""
+    The record is typed columns. The event loop appends each event's time,
+    kind code (its index in EVENT_KINDS), actor and counterpart (-1 when
+    there is none) in turn to one flat list of floats and ints, `flat`: a
+    long run then makes no per-event object for the garbage collector to
+    track. A free contact path's contacts join as arrays of times,
+    initiators and partners, a block at a time (`contacts`), and `columns`
+    merges the two by time."""
 
     flat: list = field(default_factory=list)
+    contacts: list = field(default_factory=list)
     seed: int | None = None
     rng_name: ClassVar[str] = RNG_NAME  # the simulator's one generator, not settable
 
     def append(self, t: float, kind: str, actor: int, counterpart: int | None = None):
-        self.flat.extend((t, kind, actor, counterpart))
+        self.flat.extend((t, _KIND_CODES[kind], actor, -1 if counterpart is None else counterpart))
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The events' times, kind codes, actors and counterparts (-1 for
+        none) in time order. A contact goes before a loop event at the same
+        time, so before the infection it causes."""
+        flat = self.flat
+        columns = [np.array(flat[0::4], dtype=float),
+                   *(np.array(flat[k::4], dtype=np.intp) for k in (1, 2, 3))]
+        if self.contacts:
+            t, i, j = map(np.concatenate, zip(*self.contacts))
+            contacts = (t, np.full(t.size, K_CONTACT, dtype=np.intp), i, j)
+            order = np.argsort(np.concatenate((t, columns[0])), kind="stable")
+            columns = [np.concatenate(pair)[order] for pair in zip(contacts, columns)]
+        return tuple(columns)
 
     @property
     def events(self) -> list:
-        """The events as (t, kind, actor, counterpart) tuples."""
-        return list(zip(*(self.flat[k::4] for k in range(4))))
+        """The events as (t, kind, actor, counterpart) tuples, with the kind
+        a string of EVENT_KINDS and None for no counterpart."""
+        t, kind, actor, counterpart = (c.tolist() for c in self.columns())
+        return list(zip(t, [EVENT_KINDS[k] for k in kind], actor,
+                        [None if c < 0 else c for c in counterpart]))
 
     def __len__(self):
-        return len(self.flat) // 4
+        return len(self.flat) // 4 + sum(t.size for t, _, _ in self.contacts)
 
     def __iter__(self):
         return iter(self.events)
 
     def to_csv(self, path) -> None:
-        flat = self.flat
-
-        def ids(column):
-            """A bytes column of the node ids in `column`, each id formatted
-            once; an absent id (None, read as nan, then -1) is the last,
-            empty entry."""
-            index = np.nan_to_num(np.array(column, dtype=float), nan=-1).astype(np.intp)
-            return text("%d", [*range(index.max(initial=-1) + 1), None])[index]
-
+        t, kind, actor, counterpart = self.columns()
+        # each node id formatted once; an absent one (-1) is the last, empty entry
+        ids = text("%d", [*range(max(actor.max(initial=-1), counterpart.max(initial=-1)) + 1),
+                          None])
         write_csv(path, "t,kind,actor,counterpart",
-                  [np.array(flat[0::4], dtype=float), np.array(flat[1::4], dtype=bytes),
-                   ids(flat[2::4]), ids(flat[3::4])],
+                  [t, _KIND_TABLE[kind], ids[actor], ids[counterpart]],
                   comment=f"rng={self.rng_name} seed={self.seed}")
 
 
@@ -521,6 +583,86 @@ class _Words:
         return self.fetched - (buffered - pos - 1)
 
 
+class _Contacts:
+    """The contact process of a free contact path, drawn from a stream of
+    its own a block at a time (module docstring, "Contacts").
+
+    A block is CONTACT_BLOCK contacts: their standard exponentials, then a
+    uniform triple each, drawn with numpy. The waits, over the activity
+    total, are summed into times by ``np.cumsum``, which adds in order as
+    the scalar sum does. `candidates` hands the loop the contacts before the
+    horizon whose transmission uniform is below lambda. Every contact before
+    the horizon is counted (`count`) and, with a log, joins it as arrays."""
+
+    def __init__(self, seed: int, acts: np.ndarray, lam: float, horizon: float,
+                 log: EventLog | None):
+        self.rng = np.random.Generator(np.random.PCG64(seed).jumped())
+        self.start = self.rng.bit_generator.state
+        self.n = acts.size
+        self.rate = float(acts.sum())
+        # with heterogeneous activities: Vose's alias table of the activities
+        self.alias = None if np.ptp(acts) == 0.0 else tuple(
+            map(np.array, _alias_table(acts.tolist())))
+        self.lam, self.horizon, self.log = lam, horizon, log
+        self.count = 0  # contacts before the horizon
+        self.words = 0  # the stream's words, once its last block is drawn
+
+    def marks(self):
+        """A generator of each block's contacts: their times, initiators,
+        partners and transmission uniforms, as arrays. It ends with the block
+        that holds the first contact at or after the horizon, and sets
+        `words`."""
+        t, n = 0.0, self.n
+        while t < self.horizon:
+            waits = self.rng.standard_exponential(CONTACT_BLOCK) / self.rate
+            u = self.rng.random((CONTACT_BLOCK, 3))
+            times = np.cumsum(np.concatenate(((t,), waits)))[1:]
+            t = times[-1]
+            scaled = u[:, 0] * n
+            i = scaled.astype(np.intp)
+            if self.alias is not None:
+                prob, alias = self.alias
+                i = np.where(scaled - i < prob[i], i, alias[i])
+            j = (u[:, 1] * (n - 1)).astype(np.intp)
+            j += j >= i
+            yield times, i, j, u[:, 2]
+        self.words = _pcg64_distance(self.start, self.rng.bit_generator.state)
+
+    def _blocks(self):
+        """Each block's candidate contacts before the horizon, as an
+        iterator of (time, initiator, partner)."""
+        for times, i, j, u in self.marks():
+            m = int(np.searchsorted(times, self.horizon))  # the contacts before the horizon
+            self.count += m
+            if self.log is not None:
+                self.log.contacts.append((times[:m], i[:m], j[:m]))
+            cand = np.flatnonzero(u[:m] < self.lam)
+            yield zip(times[cand].tolist(), i[cand].tolist(), j[cand].tolist())
+
+    def candidates(self):
+        """The candidate contacts before the horizon, one (time, initiator,
+        partner) at a time, and then (inf, -1, -1)."""
+        return chain(chain.from_iterable(self._blocks()), ((math.inf, -1, -1),))
+
+
+def _pcg64_distance(start: dict, end: dict) -> int:
+    """The number of steps from PCG64 state `start` to state `end` (two
+    ``bit_generator.state`` dicts of one stream): the LCG's jump distance,
+    found bit by bit (O'Neill's ``distance`` in pcg-cpp). Each step makes
+    one 64-bit word."""
+    cur, new = start["state"]["state"], end["state"]["state"]
+    mult, plus = _PCG64_MULTIPLIER, start["state"]["inc"]
+    distance, bit = 0, 1
+    while cur != new:
+        if (cur ^ new) & bit:
+            cur = (cur * mult + plus) & _MASK_128
+            distance |= bit
+        plus = (mult + 1) * plus & _MASK_128
+        mult = mult * mult & _MASK_128
+        bit <<= 1
+    return distance
+
+
 def _alias_table(weights) -> tuple[list, list]:
     """Vose's alias table for a pick proportional to ``weights``, in O(n).
 
@@ -561,7 +703,7 @@ def simulate(cfg: AbmConfig) -> tuple[Trajectory, EventLog]:
             "simulation is well-defined but the analytical regime results do not apply",
             stacklevel=2,
         )
-    times, xs, ys, log, counts, nulls, n_words, lumped_at, lumped_events = _run(
+    times, xs, ys, log, counts, nulls, n_words, contact_words, lumped_at, lumped_events = _run(
         cfg, behaviours, healths, rng)
     log.seed = cfg.seed
     traj = Trajectory(
@@ -572,9 +714,22 @@ def simulate(cfg: AbmConfig) -> tuple[Trajectory, EventLog]:
         meta={"seed": cfg.seed, "rng": RNG_NAME, "mode": cfg.infection_mode,
               "directionality": cfg.directionality, "n": cfg.graph.n,
               "events": counts, "null_proposals": nulls, "words": n_words,
-              "lumped_at": lumped_at, "lumped_events": lumped_events},
+              "contact_words": contact_words, "lumped_at": lumped_at,
+              "lumped_events": lumped_events},
     )
     return traj, log
+
+
+def _transmission(x: list, y: list, i: int, j: int, bidi: bool) -> tuple:
+    """The (target, source) of a contact that initiator i makes with partner
+    j when the pair is transmissible: the source infected, the target
+    susceptible and unprotected, and with `bidi` either may be the source.
+    (None, None) when it is not."""
+    if y[i] == INFECTED and y[j] == SUSCEPTIBLE and x[j] == NO_PROTECTION:
+        return j, i
+    if bidi and y[i] == SUSCEPTIBLE and x[i] == NO_PROTECTION and y[j] == INFECTED:
+        return i, j
+    return None, None
 
 
 def _check_counts(x: list, y: list, n1: int, n_inf: int) -> None:
@@ -643,9 +798,12 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
     so they are recomputed only after one; the other rates are recomputed
     only after an event that changed the state. `_check_counts` checks the
     counters against the lists at each grid time and after the last event.
-    Once a layer is absorbed on the frozen path without a log, the count
-    phase after the main loop finishes the run (module docstring); it checks
-    the lists and `_check_lumped` once at entry and once at the end.
+    On a free contact path the contacts come from `_Contacts`, and before
+    each wait's end the loop checks the candidates that fall in it (module
+    docstring, "Contacts"). Once a layer is absorbed on the frozen path
+    without a log, the count phase after the main loop finishes the run
+    (module docstring); it checks the lists and `_check_lumped` once at
+    entry and once at the end.
     """
     p = cfg.params
     g = cfg.graph
@@ -664,9 +822,6 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
     log_event = log.flat.extend
     # off the complete graph: out-neighbour lists for the thinning walks
     nbrs = None if g.is_complete else g.neighbor_lists()
-    # with heterogeneous activities: the contact initiator's alias table
-    if contact_mode and not uniform_act:
-        alias_prob, alias = _alias_table(a)
 
     free = (ys == SUSCEPTIBLE) & (xs == NO_PROTECTION)
     adopters = np.flatnonzero(xs == PROTECTION).tolist()
@@ -692,6 +847,14 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
     per_pair = lam / (n - 1)
     # the draw contract by path (module docstring)
     frozen = nbrs is None and uniform_act
+    # a free contact path's contacts come from a stream of their own, and the
+    # loop sees only the candidates; tc is the next one's time (inf if none)
+    contacts = None
+    tc = math.inf
+    if contact_mode and not frozen:
+        contacts = _Contacts(cfg.seed, acts, lam, horizon, log if record else None)
+        candidates = contacts.candidates()
+        tc, ci, cj = next(candidates)
     # the count phase's domain (module docstring, "Absorbed layers")
     lump = frozen and not contact_mode and not record
     lumped_at = None
@@ -730,9 +893,10 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
             r_adopt = w_adopt * (adopt_base + zeta * ybar)
             r_rec = mu * n_inf
             if contact_mode:
-                # contacts cannot change state without infected present; skipping
-                # them then is exact thinning, but only when no log is kept
-                r_mid = a_total if (n_inf > 0 or record) else 0.0
+                # the frozen path's contacts cannot change state without
+                # infected present; skipping them then is exact thinning, but
+                # only when no log is kept. A free path's are not in this clock
+                r_mid = a_total if contacts is None and (n_inf > 0 or record) else 0.0
             else:
                 # no rounding residue outlives its group in the activity sums
                 # (module docstring, "Absorbed layers")
@@ -763,6 +927,14 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
             t_new = t + (1.0 / total) * e
         else:
             t_new = t - ln(1.0 - ub[(pos := pos + 1)]) / total
+        # a free contact path's candidates before t_new: the first whose pair
+        # is transmissible is the event, and the others change nothing
+        target = None
+        while tc < t_new:
+            target, source = _transmission(x, y, ci, cj, bidi)
+            if target is not None:
+                t_new = tc
+            tc, ci, cj = next(candidates)
         # sample every grid time strictly before min(t_new, horizon)
         if t_next < t_new and t_next < horizon:
             _check_counts(x, y, n1, n_inf)
@@ -773,8 +945,9 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
         if t_new >= horizon:
             break
         t = t_new
-        u = ub[(pos := pos + 1)] * total
-        if u < r_rec:
+        if target is not None:
+            pass  # a candidate contact transmits: the infection below
+        elif (u := ub[(pos := pos + 1)] * total) < r_rec:
             k = int(ub[(pos := pos + 1)] * n_inf)
             i = infected[k]
             infected[k] = infected[-1]
@@ -788,28 +961,19 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
             n_rec += 1
             sick = True
             if record:
-                log_event((t, EVENT_RECOVERY, i, None))
+                log_event((t, K_RECOVERY, i, -1))
         elif u < r_inf:
-            source = None
-            if contact_mode:
-                if uniform_act:
-                    i = int(ub[(pos := pos + 1)] * n)
-                else:
-                    u = ub[(pos := pos + 1)] * n
-                    i = int(u)
-                    if u - i >= alias_prob[i]:
-                        i = alias[i]
+            source = -1
+            if contact_mode:  # the frozen path's contact channel
+                i = int(ub[(pos := pos + 1)] * n)
                 j = int(ub[(pos := pos + 1)] * (n - 1))
                 if j >= i:
                     j += 1
                 n_contact += 1
                 if record:
-                    log_event((t, EVENT_CONTACT, i, j))
-                if y[i] == INFECTED and y[j] == SUSCEPTIBLE and x[j] == NO_PROTECTION:
-                    target, source = j, i
-                elif bidi and y[i] == SUSCEPTIBLE and x[i] == NO_PROTECTION and y[j] == INFECTED:
-                    target, source = i, j
-                if source is None or ub[(pos := pos + 1)] >= lam:
+                    log_event((t, K_CONTACT, i, j))
+                target, source = _transmission(x, y, i, j, bidi)
+                if target is not None and ub[(pos := pos + 1)] >= lam:
                     target = None
             elif bidi and not uniform_act:
                 # per-agent weight a_i*nI + A_I; rejection against the max
@@ -822,20 +986,6 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
                         break
             else:
                 target = elig[int(ub[(pos := pos + 1)] * n_elig)]
-            if target is not None:
-                # the target is susceptible and unprotected, so eligible
-                y[target] = INFECTED
-                infected.append(target)
-                last = elig[-1]
-                elig[elig_pos[target]] = last
-                elig_pos[last] = elig_pos[target]
-                elig.pop()
-                a_inf += a[target]
-                a_elig -= a[target]
-                n_infect += 1
-                sick = True
-                if record:
-                    log_event((t, EVENT_INFECTION, target, source))
         elif u < r_imit:
             k = int(ub[(pos := pos + 1)] * n0)
             i = nonadopters[k]
@@ -863,7 +1013,7 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
             n_adopt += 1
             moved = True
             if record:
-                log_event((t, EVENT_ADOPT, i, None))
+                log_event((t, K_ADOPT, i, -1))
         else:
             k = int(ub[(pos := pos + 1)] * n1)
             i = adopters[k]
@@ -888,8 +1038,28 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
             n_drop += 1
             moved = True
             if record:
-                log_event((t, EVENT_DROP, i, None))
+                log_event((t, K_DROP, i, -1))
+        if target is not None:
+            # the target is susceptible and unprotected, so eligible
+            y[target] = INFECTED
+            infected.append(target)
+            last = elig[-1]
+            elig[elig_pos[target]] = last
+            elig_pos[last] = elig_pos[target]
+            elig.pop()
+            a_inf += a[target]
+            a_elig -= a[target]
+            n_infect += 1
+            sick = True
+            if record:
+                log_event((t, K_INFECTION, target, source))
 
+    contact_words = 0
+    if contacts is not None:
+        # the contacts after the loop's last event still count, and join the log
+        for _ in candidates:
+            pass
+        n_contact, contact_words = contacts.count, contacts.words
     lumped_events = 0
     if lumped_at is None:
         n1, n_inf = len(adopters), len(infected)
@@ -941,7 +1111,7 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
     counts = (n_rec, n_infect, n_adopt, n_drop, n_contact)
     nulls = {EVENT_ADOPT: null_adopt, EVENT_DROP: null_drop}
     return (grid, np.array(out_x), np.array(out_y), log, dict(zip(EVENT_KINDS, counts)), nulls,
-            words.consumed(pos), lumped_at, lumped_events)
+            words.consumed(pos), contact_words, lumped_at, lumped_events)
 
 
 @dataclass

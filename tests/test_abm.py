@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 from collections import Counter
 from itertools import chain
 
@@ -195,10 +196,15 @@ class TestSimulate:
         np.testing.assert_array_equal(t1.ys, t2.ys)
 
     def test_event_log_holds_no_per_event_objects(self):
-        # floats, strings, ints and None: nothing for the garbage collector to track
+        # the loop's events are floats and ints, nothing for the garbage
+        # collector to track, and a free contact path's contacts are arrays
         _, log = simulate(small_config())
-        assert len(log) > 0 and len(log.flat) == 4 * len(log)
+        assert len(log) > 0 and len(log.flat) == 4 * len(log) and not log.contacts
         assert not any(map(gc.is_tracked, log.flat))
+        _, log = simulate(general_config(infection_mode="contact", record_events=True))
+        assert not any(map(gc.is_tracked, log.flat))
+        assert all(isinstance(c, np.ndarray) for c in chain.from_iterable(log.contacts))
+        assert len(log) == len(log.flat) // 4 + sum(t.size for t, _, _ in log.contacts)
 
     def test_different_seeds_differ(self):
         l1 = simulate(small_config(seed=1))[1]
@@ -331,20 +337,103 @@ class TestSimulate:
             assert nulls == {"adopt": 0, "drop": 0}
         else:
             assert nulls["adopt"] > 0 and nulls["drop"] > 0
-        # the counters stay on without the log; aggregated-mode draws do not
-        # depend on the log, so the counts are the same
+        # the counters stay on without the log. Aggregated-mode draws and a
+        # free contact path's two streams do not depend on the log, so the
+        # counts, samples and words are the same; the frozen path's quiet
+        # contact mode skips the contacts made while nobody is infected
         quiet, _ = simulate(dataclasses.replace(cfg, record_events=False))
-        if mode == "aggregated":
+        if mode == "aggregated" or graph == "general":
             assert quiet.meta["events"] == counts
             assert quiet.meta["null_proposals"] == nulls
+            assert quiet.meta["words"] == traj.meta["words"]
+            assert quiet.meta["contact_words"] == traj.meta["contact_words"]
+            assert quiet.xs.tobytes() == traj.xs.tobytes()
+            assert quiet.ys.tobytes() == traj.ys.tobytes()
         else:
             assert quiet.meta["events"]["contact"] > 0
+
+    @pytest.mark.parametrize("directionality", ["bidirectional", "activator-infects"])
+    @pytest.mark.parametrize("graph", ["general", "complete"])
+    def test_free_contact_quiet_equals_logged(self, graph, directionality):
+        # a free contact path draws its contacts from their own stream, which
+        # the log does not change: samples, counts and both streams' words
+        # are those of the logged run
+        cfg = general_config(infection_mode="contact", directionality=directionality,
+                             record_events=True)
+        if graph == "complete":
+            cfg = dataclasses.replace(cfg, graph=InfluenceGraph.complete(cfg.graph.n))
+        logged, log = simulate(cfg)
+        quiet, quiet_log = simulate(dataclasses.replace(cfg, record_events=False))
+        assert len(quiet_log) == 0 and log.contacts
+        assert quiet.xs.tobytes() == logged.xs.tobytes()
+        assert quiet.ys.tobytes() == logged.ys.tobytes()
+        for key in ("events", "null_proposals", "words", "contact_words"):
+            assert quiet.meta[key] == logged.meta[key]
+        assert logged.meta["contact_words"] > 0 and logged.meta["events"]["infection"] > 0
+
+    def test_free_contact_quiet_memory_is_bounded(self):
+        # a quiet run holds its contact marks a block at a time. Nobody
+        # protects and the activities are ten times general_config's, so the
+        # run is mostly contacts: about 154 000 by horizon 200, 3.7 MB as
+        # arrays if they were all kept
+        cfg = general_config(infection_mode="contact", record_events=False)
+        cfg = dataclasses.replace(cfg, activities=10 * cfg.activities,
+                                  behaviours0=np.zeros(cfg.graph.n, dtype=int))
+        peaks = []
+        for horizon in (20.0, 200.0):
+            tracemalloc.start()
+            try:
+                traj, _ = simulate(dataclasses.replace(cfg, horizon=horizon))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert traj.meta["events"]["contact"] > 100_000
+        assert peaks[1] - peaks[0] < 2**20
 
     def test_warns_outside_payoff_ordering(self):
         p = ModelParams(alpha=3.0, lam=0.5, mu=1.0, c=0.5, zeta=8.0)
         cfg = small_config(params=p, horizon=1.0)
         with pytest.warns(UserWarning, match="payoff ordering"):
             simulate(cfg)
+
+
+def scalar_contacts(seed, act, horizon):
+    """The contact stream of a free contact path by scalar draws: each
+    contact's time, initiator, partner and transmission uniform before the
+    horizon, and the stream's generator once its last block is drawn.
+
+    The stream is ``default_rng(seed)``'s PCG64 jumped once, read in blocks
+    of CONTACT_BLOCK contacts until a block reaches the horizon. A block
+    reads each contact's ``standard_exponential()``, over the activity
+    total and summed into its time, and then each contact's three
+    ``random()`` uniforms: the initiator, from the engine's alias table
+    (whose law ``test_alias_table_is_exact`` checks) or a uniform index with
+    uniform activities; the partner, uniform over the other n - 1 agents;
+    and the uniform against lambda."""
+    n = act.size
+    heterogeneous = np.ptp(act) > 0
+    if heterogeneous:
+        prob, alias = abm_mod._alias_table(act.tolist())
+    rate = float(act.sum())
+    crng = np.random.Generator(np.random.PCG64(seed).jumped())
+    contacts, t = [], 0.0
+    while t < horizon:
+        times = []
+        for _ in range(abm_mod.CONTACT_BLOCK):
+            t = t + crng.standard_exponential() / rate
+            times.append(t)
+        for t_c in times:
+            scaled = crng.random() * n
+            i = int(scaled)
+            if heterogeneous and scaled - i >= prob[i]:
+                i = alias[i]
+            j = int(crng.random() * (n - 1))
+            if j >= i:
+                j += 1
+            u_lam = crng.random()
+            if t_c < horizon:
+                contacts.append((t_c, i, j, u_lam))
+    return contacts, crng
 
 
 def replay_complete(cfg, nulls=None):
@@ -354,17 +443,21 @@ def replay_complete(cfg, nulls=None):
     Every path draws scalar ``rng.random()`` uniforms, the doubles of the
     engine's word blocks (``TestSamplers`` checks that), so the replay's
     generator reads exactly the words the loop reads. The frozen path
-    (complete graph, uniform activities) waits ``rng.exponential(1/R)``;
-    every other path waits -log(1 - u)/R and picks a heterogeneous contact
-    initiator from the engine's alias table (whose law
-    ``test_alias_table_is_exact`` checks). Groups are plain lists with
-    swap-with-last removal; channel totals and member weights come from the
-    public per-node rate functions before every draw. Off the complete graph
-    the adopt and drop channels fire at their thinning bounds, and a
-    neighbour walk accepts or rejects each proposal; ``nulls``, a dict keyed
-    by "adopt" and "drop", counts the rejected ones.
+    (complete graph, uniform activities) waits ``rng.exponential(1/R)`` and
+    draws its contacts in the loop; every other path waits -log(1 - u)/R,
+    and in contact mode it takes the contacts from their own stream
+    (`scalar_contacts`): the loop's clock leaves them out, a contact whose
+    transmission uniform is below lambda infects if its pair is
+    transmissible, and the wait is drawn again after such an infection.
+    Groups are plain lists with swap-with-last removal; channel totals and
+    member weights come from the public per-node rate functions before every
+    draw. Off the complete graph the adopt and drop channels fire at their
+    thinning bounds, and a neighbour walk accepts or rejects each proposal;
+    ``nulls``, a dict keyed by "adopt" and "drop", counts the rejected ones.
     Returns the event history, the number of rejected draws, the
-    (x_bar, y_bar) state at each grid time and the replay's generator."""
+    (x_bar, y_bar) state at each grid time, the replay's generator and the
+    contact stream's generator (None on the frozen path and in aggregated
+    mode)."""
     p = cfg.params
     n = cfg.graph.n
     act = cfg.activities
@@ -384,9 +477,12 @@ def replay_complete(cfg, nulls=None):
 
     frozen = complete and not heterogeneous
     uniform = rng.random
-
-    if contact and heterogeneous:
-        prob, alias = abm_mod._alias_table(act.tolist())
+    stream, crng = [], None
+    if contact and not frozen:
+        stream, crng = scalar_contacts(cfg.seed, act, cfg.horizon)
+    stream.append((math.inf, -1, -1, 1.0))  # no contact after the horizon
+    stream = iter(stream)
+    next_contact = next(stream)
 
     groups = {
         name: np.nonzero(mask)[0].tolist()
@@ -435,12 +531,21 @@ def replay_complete(cfg, nulls=None):
         while len(grid_state) < grid.size and grid[len(grid_state)] < t_limit:
             grid_state.append((x.sum() / n, y.sum() / n))
 
+    def transmission(i, j):
+        if y[i] == 1 and y[j] == 0 and x[j] == 0:
+            return j, i
+        if bidi and y[i] == 0 and x[i] == 0 and y[j] == 1:
+            return i, j
+        return None
+
     events = []
     rejected = 0
     t = 0.0
     while True:
         r_rec = p.mu * len(groups["infected"])
-        if contact:
+        if contact and not frozen:
+            r_mid = 0.0  # the contacts have their own stream
+        elif contact:
             r_mid = float(act.sum())  # the event log is on, so contacts always fire
         else:
             r_mid = sum(infection_rate(x, y, act, i, p, bidi) for i in groups["eligible"])
@@ -457,9 +562,24 @@ def replay_complete(cfg, nulls=None):
         if total <= 0:
             break
         if frozen:
-            t += rng.exponential(1.0 / total)
+            t_new = t + rng.exponential(1.0 / total)
         else:
-            t += -math.log(1.0 - uniform()) / total
+            t_new = t + -math.log(1.0 - uniform()) / total
+        # the stream's contacts before the wait's end; one that infects ends it
+        pair = None
+        while pair is None and next_contact[0] < t_new:
+            t_c, i, j, u_lam = next_contact
+            events.append((t_c, "contact", i, j))
+            next_contact = next(stream)
+            if u_lam < p.lam:
+                pair = transmission(i, j)
+        if pair is not None:
+            t = t_c
+            sample_before(t)
+            infect(pair[0])
+            events.append((t, "infection", *pair))
+            continue
+        t = t_new
         sample_before(min(t, cfg.horizon))
         if t >= cfg.horizon:
             break
@@ -472,22 +592,13 @@ def replay_complete(cfg, nulls=None):
                 groups["eligible"].append(i)
             events.append((t, "recovery", i, None))
         elif u < r_rec + r_mid and contact:
-            # initiator with probability proportional to its activity
-            if heterogeneous:
-                scaled = uniform() * n
-                k = int(scaled)
-                i = k if scaled - k < prob[k] else alias[k]
-            else:
-                i = int(uniform() * n)
+            # the frozen path's contact: a uniform initiator
+            i = int(uniform() * n)
             j = int(uniform() * (n - 1))
             if j >= i:
                 j += 1
             events.append((t, "contact", i, j))
-            pair = None
-            if y[i] == 1 and y[j] == 0 and x[j] == 0:
-                pair = (j, i)
-            elif bidi and y[i] == 0 and x[i] == 0 and y[j] == 1:
-                pair = (i, j)
+            pair = transmission(i, j)
             if pair is not None and uniform() < p.lam:
                 infect(pair[0])
                 events.append((t, "infection", *pair))
@@ -530,16 +641,26 @@ def replay_complete(cfg, nulls=None):
             if y[i] == 0:
                 groups["eligible"].append(i)
             events.append((t, "drop", i, None))
+    # the stream's contacts after the last event
+    events.extend((t_c, "contact", i, j) for t_c, i, j, _ in chain([next_contact], stream)
+                  if t_c < math.inf)
     sample_before(math.inf)
-    return events, rejected, np.array(grid_state), rng
+    return events, rejected, np.array(grid_state), rng, crng
 
 
-def assert_replay_read_the_loop_words(cfg, traj, rng):
+def assert_replay_read_the_loop_words(cfg, traj, rng, crng):
     """The replay's generator `rng` read the words the loop reports
-    (``meta["words"]``), after the 2n of a sampled initial state."""
+    (``meta["words"]``), after the 2n of a sampled initial state, and its
+    contact stream's `crng` those of ``meta["contact_words"]`` (0 when the
+    run has no contact stream, `crng` None)."""
     initial = 0 if cfg.behaviours0 is not None else 2 * cfg.graph.n
     advanced = np.random.default_rng(cfg.seed).bit_generator.advance(initial + traj.meta["words"])
     assert rng.bit_generator.state == advanced.state
+    if crng is None:
+        assert traj.meta["contact_words"] == 0
+    else:
+        advanced = np.random.PCG64(cfg.seed).jumped().advance(traj.meta["contact_words"])
+        assert crng.bit_generator.state == advanced.state
 
 
 def assert_same_history(ref, log, abs_t):
@@ -659,9 +780,9 @@ class TestDrawByDrawReplay:
         )
         traj, log = simulate(cfg)
         assert len(log) > 10
-        events, _, _, rng = replay_complete(cfg)
+        events, _, _, rng, crng = replay_complete(cfg)
         assert_same_history(events, log, abs_t=1e-9)
-        assert_replay_read_the_loop_words(cfg, traj, rng)
+        assert_replay_read_the_loop_words(cfg, traj, rng, crng)
 
     @pytest.mark.parametrize("activities", ["uniform", "heterogeneous"])
     @pytest.mark.parametrize("mode", ["aggregated", "contact"])
@@ -687,9 +808,9 @@ class TestDrawByDrawReplay:
         traj, log = simulate(cfg)
         kinds = {k for _, k, _, _ in log}
         assert {"recovery", "infection", "adopt", "drop"} <= kinds
-        events, rejected, grid_state, rng = replay_complete(cfg)
+        events, rejected, grid_state, rng, crng = replay_complete(cfg)
         assert_same_history(events, log, abs_t=1e-9)
-        assert_replay_read_the_loop_words(cfg, traj, rng)
+        assert_replay_read_the_loop_words(cfg, traj, rng, crng)
         # the rejection for the aggregated bidirectional target really ran
         if activities == "heterogeneous" and mode == "aggregated" and directionality == "bidirectional":
             assert rejected > 0
@@ -706,9 +827,9 @@ class TestDrawByDrawReplay:
         traj, log = simulate(cfg)
         assert {"recovery", "infection", "adopt", "drop"} <= {k for _, k, _, _ in log}
         nulls = {"adopt": 0, "drop": 0}
-        events, _, grid_state, rng = replay_complete(cfg, nulls)
+        events, _, grid_state, rng, crng = replay_complete(cfg, nulls)
         assert_same_history(events, log, abs_t=1e-9)
-        assert_replay_read_the_loop_words(cfg, traj, rng)
+        assert_replay_read_the_loop_words(cfg, traj, rng, crng)
         assert nulls["adopt"] > 0 and nulls["drop"] > 0
         assert traj.meta["null_proposals"] == nulls
         np.testing.assert_array_equal(traj.xs, grid_state[:, 0])
@@ -740,10 +861,10 @@ class TestDrawByDrawReplay:
                 x[i] = kind == "adopt"
             eligible.append(int(((x == 0) & (y == 0)).sum()))
         assert 0 in eligible and max(eligible[eligible.index(0):]) > 0
-        events, rejected, grid_state, rng = replay_complete(cfg)
+        events, rejected, grid_state, rng, crng = replay_complete(cfg)
         assert rejected > 0
         assert_same_history(events, log, abs_t=1e-9)
-        assert_replay_read_the_loop_words(cfg, traj, rng)
+        assert_replay_read_the_loop_words(cfg, traj, rng, crng)
         np.testing.assert_array_equal(traj.xs, grid_state[:, 0])
         np.testing.assert_array_equal(traj.ys, grid_state[:, 1])
 
@@ -841,11 +962,11 @@ class TestCountPhaseReplay:
         cfg = lumpable_config(n=30, horizon=5.0, sample_dt=0.5)
         traj, _ = simulate(cfg)
         assert 0.0 < traj.meta["lumped_at"] < cfg.horizon
-        events, _, grid_state, rng = replay_complete(cfg)
+        events, _, grid_state, rng, crng = replay_complete(cfg)
         assert {"adopt", "drop"} <= {kind for _, kind, _, _ in events}
         np.testing.assert_array_equal(traj.xs, grid_state[:, 0])
         np.testing.assert_array_equal(traj.ys, grid_state[:, 1])
-        assert_replay_read_the_loop_words(cfg, traj, rng)
+        assert_replay_read_the_loop_words(cfg, traj, rng, crng)
 
     @pytest.mark.parametrize("overrides", [
         dict(infection_mode="contact"),
@@ -900,6 +1021,55 @@ class TestCountPhaseReplay:
         assert traj.xs[-1] == 0.0 and traj.ys[-1] == 0.0
         # the loop's words began a block, and they ended inside one
         assert traj.meta["words"] % abm_mod.UNIFORM_BLOCK != 0
+
+    @pytest.mark.parametrize("overrides", [
+        dict(alpha=0.7, lam=0.9),  # the disease layer goes on, activity sums that round
+        dict(alpha=0.7, lam=0.9, directionality="activator-infects"),
+        dict(n=500, alpha=0.7, c=1.05, lam=0.1, x0=0.97, y0=0.01),  # the behaviour layer goes on
+    ])
+    def test_count_phase_times_equal_a_walk_of_its_tables(self, overrides):
+        # the doubles themselves, not only the samples and counts: from the
+        # logged twin's state and word position at lumped_at, a walk of
+        # _count_tables over count_draws gives the twin's event times after
+        # it, bit for bit. Before lumped_at every event of the frozen
+        # aggregated path reads a wait and then two words, its channel and
+        # its member, so scalar draws find the word position
+        cfg = lumpable_config(**overrides)
+        quiet, _ = simulate(cfg)
+        lumped_at = quiet.meta["lumped_at"]
+        assert 0.0 < lumped_at < cfg.horizon
+        _, log = simulate(dataclasses.replace(cfg, record_events=True))
+        times, kinds, actors, _ = log.columns()
+        n, p = cfg.graph.n, cfg.params
+        twin = np.random.default_rng(cfg.seed)
+        x = twin.random(n) < cfg.x0
+        y = twin.random(n) < cfg.y0
+        agent = times <= lumped_at
+        for _ in range(int(agent.sum())):
+            twin.exponential()
+            twin.random()
+            twin.random()
+        for kind, i in zip(kinds[agent].tolist(), actors[agent].tolist()):
+            if kind in (abm_mod.K_ADOPT, abm_mod.K_DROP):
+                x[i] = kind == abm_mod.K_ADOPT
+            else:
+                y[i] = kind == abm_mod.K_INFECTION
+        behaviour = bool(x.any())  # else nobody protects and the disease layer is live
+        assert not (behaviour and y.any())
+        k = int(x.sum() if behaviour else y.sum())
+        step = 1 if behaviour else -1
+        tot, inv, thr = map(np.ndarray.tolist, abm_mod._count_tables(
+            behaviour, n, p.alpha, p.mu, p.c, p.zeta, p.lam / (n - 1), cfg.bidirectional))
+        walk, t = [], lumped_at
+        for e, u in chain.from_iterable(abm_mod._Words(twin, frozen=True).count_draws(-1)):
+            t_new = t + inv[k] * e
+            if not t_new < cfg.horizon:
+                break
+            t = t_new
+            walk.append(t)
+            k += step if u * tot[k] < thr[k] else -step
+        assert len(walk) == quiet.meta["lumped_events"] > 100
+        assert walk == times[~agent].tolist()
 
     def test_corrupted_counters_are_an_error(self):
         abm_mod._check_lumped(10, 0, 4, 6)
@@ -1023,6 +1193,31 @@ class TestSamplers:
                 assert done == len(decoded) - 1
                 advanced = np.random.default_rng(seed).bit_generator.advance(words.consumed(pos))
                 assert advanced.state == state
+
+    @pytest.mark.parametrize("activities", [
+        np.random.default_rng(4).pareto(2.5, 1000) + 1.0,
+        np.full(1000, 3.0),
+    ], ids=["pareto", "uniform"])
+    def test_contact_marks_equal_scalar_draws(self, activities):
+        # the contact stream's marks, drawn a block at a time, against scalar
+        # draws of the documented stream: times, initiators, partners and
+        # transmission uniforms, over three blocks, and the words read
+        lam = 0.5
+        horizon = 2.5 * abm_mod.CONTACT_BLOCK / activities.sum()
+        for seed in (9, 1, 23):
+            expected, crng = scalar_contacts(seed, activities, horizon)
+            stream = abm_mod._Contacts(seed, activities, lam, horizon, None)
+            blocks = list(stream.marks())
+            assert len(blocks) == 3
+            marks = zip(*(np.concatenate(column).tolist() for column in zip(*blocks)))
+            assert [m for m in marks if m[0] < horizon] == expected
+            advanced = np.random.PCG64(seed).jumped().advance(stream.words)
+            assert advanced.state == crng.bit_generator.state
+            # the loop's candidates are the marks below lambda, then no more
+            stream = abm_mod._Contacts(seed, activities, lam, horizon, None)
+            assert list(stream.candidates()) == [
+                (t, i, j) for t, i, j, u in expected if u < lam] + [(math.inf, -1, -1)]
+            assert stream.count == len(expected)
 
     @pytest.mark.parametrize("activities", [
         np.random.default_rng(4).pareto(2.5, 1000) + 1.0,

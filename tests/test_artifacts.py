@@ -279,9 +279,27 @@ def test_event_log_is_one_flat_list_read_as_tuples(tmp_path):
         f"# rng={log.rng_name} seed=3\nt,kind,actor,counterpart\n")
     log.append(0.5, "adopt", 3)
     log.append(0.75, "contact", 1, 2)
-    assert log.flat == [0.5, "adopt", 3, None, 0.75, "contact", 1, 2]
+    # kind codes index EVENT_KINDS, and -1 is no counterpart
+    assert log.flat == [0.5, 2, 3, -1, 0.75, 4, 1, 2]
     assert log.events == list(log) == [(0.5, "adopt", 3, None), (0.75, "contact", 1, 2)]
     assert len(log) == 2
+
+
+def test_event_log_merges_contact_arrays_by_time(tmp_path):
+    # a contact goes before a loop event at its time, such as the infection it causes
+    log = EventLog(seed=4)
+    log.append(0.25, "infection", 12, 11)
+    log.append(0.5, "recovery", 12)
+    log.contacts.append((np.array([0.25, 0.375]), np.array([11, 3]), np.array([12, 4])))
+    log.contacts.append((np.array([0.5]), np.array([5]), np.array([6])))
+    assert len(log) == 5
+    assert log.events == [(0.25, "contact", 11, 12), (0.25, "infection", 12, 11),
+                          (0.375, "contact", 3, 4), (0.5, "contact", 5, 6),
+                          (0.5, "recovery", 12, None)]
+    log.to_csv(tmp_path / "events.csv")
+    assert (tmp_path / "events.csv").read_text() == (
+        "# rng=numpy-pcg64 seed=4\nt,kind,actor,counterpart\n0.25,contact,11,12\n"
+        "0.25,infection,12,11\n0.375,contact,3,4\n0.5,contact,5,6\n0.5,recovery,12,\n")
 
 
 def test_provenance_fields_are_constants():
