@@ -62,8 +62,8 @@ successive scalar calls on every path. The paths differ in the wait:
   of three seeds, slow paths included, and the count phase's decoded draws,
   with the installed numpy's methods;
 - every other path (any other graph, or heterogeneous activities) waits
-  -log(1 - u)/R for a uniform u. It fetches its blocks with
-  ``rng.random(4096)``, the same doubles, since it needs no exponentials.
+  -log(1 - u)/R for a uniform u. It fetches the same raw blocks and makes
+  only their uniforms, since it needs no exponentials.
 
 A free contact path's contact stream is ``default_rng(seed)``'s PCG64
 jumped once (``bit_generator.jumped()``), read in blocks of CONTACT_BLOCK
@@ -422,25 +422,25 @@ class AbmConfig:
 
 
 class _Words:
-    """The event loop's random words: PCG64's 64-bit outputs, fetched in
-    blocks of UNIFORM_BLOCK and read through a position that the loop keeps
-    in a local, so a draw is one list index and no call.
+    """The event loop's random words: PCG64's 64-bit outputs, fetched raw in
+    blocks of UNIFORM_BLOCK on every path and read through a position that
+    the loop keeps in a local, so a draw is one list index and no call.
 
     ``ub[pos]`` is the uniform of word pos, ``(word >> 11) * 2**-53``: the
     double that a scalar ``rng.random()`` call would give. On the frozen path
     ``eb[pos]`` is the standard exponential that numpy's ziggurat returns
     from that word on its fast path, or nan when the word leaves the fast
     path; `exponential` then replays the slow path. The other paths need no
-    exponentials, so they refill with ``rng.random(UNIFORM_BLOCK)``, which
-    gives the same doubles. The count phase reads no lists: `count_draws`
-    decodes its blocks into per-event draws.
+    exponentials, so `frozen` only decides whether ``eb`` is made. The count
+    phase reads no lists: `count_draws` decodes its blocks into per-event
+    draws.
     """
 
     def __init__(self, rng: np.random.Generator, frozen: bool):
         self.rng = rng
         self.frozen = frozen
         self.ub, self.eb = [], []
-        self.raw = np.empty(0, dtype=np.uint64)  # the frozen path's words
+        self.raw = np.empty(0, dtype=np.uint64)
         self.fetched = 0
         self.refill(-1)
 
@@ -449,14 +449,14 @@ class _Words:
         tail, and return -1, the position before the first unread word. The
         lists change in place, so the loop's references to them stay valid."""
         del self.ub[:pos + 1], self.eb[:pos + 1]
-        if not self.frozen:
-            self.fetched += UNIFORM_BLOCK
-            self.ub.extend(self.rng.random(UNIFORM_BLOCK).tolist())
-            return -1
-        ri, idx, fast = self._fast_path(self._fetch(pos))
-        waits = ri * _WE[idx]
-        waits[~fast] = np.nan
-        self.eb.extend(waits.tolist())
+        words = self._fetch(pos)
+        if self.frozen:
+            ri, idx, fast = self._fast_path(words)
+            waits = ri * _WE[idx]
+            waits[~fast] = np.nan
+            self.eb.extend(waits.tolist())
+        else:
+            ri = words >> 11
         self.ub.extend((ri * 2.0**-53).tolist())
         return -1
 
@@ -579,8 +579,7 @@ class _Words:
 
     def consumed(self, pos: int) -> int:
         """The number of words read through position `pos`."""
-        buffered = self.raw.size if self.frozen else len(self.ub)
-        return self.fetched - (buffered - pos - 1)
+        return self.fetched - (self.raw.size - pos - 1)
 
 
 class _Contacts:
@@ -703,21 +702,7 @@ def simulate(cfg: AbmConfig) -> tuple[Trajectory, EventLog]:
             "simulation is well-defined but the analytical regime results do not apply",
             stacklevel=2,
         )
-    times, xs, ys, log, counts, nulls, n_words, contact_words, lumped_at, lumped_events = _run(
-        cfg, behaviours, healths, rng)
-    log.seed = cfg.seed
-    traj = Trajectory(
-        times=times,
-        xs=xs,
-        ys=ys,
-        params=cfg.params,
-        meta={"seed": cfg.seed, "rng": RNG_NAME, "mode": cfg.infection_mode,
-              "directionality": cfg.directionality, "n": cfg.graph.n,
-              "events": counts, "null_proposals": nulls, "words": n_words,
-              "contact_words": contact_words, "lumped_at": lumped_at,
-              "lumped_events": lumped_events},
-    )
-    return traj, log
+    return _run(cfg, behaviours, healths, rng)
 
 
 def _transmission(x: list, y: list, i: int, j: int, bidi: bool) -> tuple:
@@ -779,9 +764,10 @@ def _count_tables(behaviour: bool, n: int, a: float, mu: float, c: float,
     return total, inv, r_imit if behaviour else r_rec
 
 
-def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator):
-    """The event loop, for every influence graph, from the behaviours `xs`
-    and healths `ys`, which it leaves unchanged.
+def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray,
+         rng: np.random.Generator) -> tuple[Trajectory, EventLog]:
+    """`simulate`'s event loop, for every influence graph, from the
+    behaviours `xs` and healths `ys`, which it leaves unchanged.
 
     The agent vectors are copied once into Python lists; group members,
     activity sums and rates are plain Python ints and floats, so the loop does
@@ -818,7 +804,7 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
     contact_mode = cfg.infection_mode == "contact"
     record = cfg.record_events
     horizon = cfg.horizon
-    log = EventLog()
+    log = EventLog(seed=cfg.seed)
     log_event = log.flat.extend
     # off the complete graph: out-neighbour lists for the thinning walks
     nbrs = None if g.is_complete else g.neighbor_lists()
@@ -1054,17 +1040,16 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
             if record:
                 log_event((t, K_INFECTION, target, source))
 
-    contact_words = 0
     if contacts is not None:
         # the contacts after the loop's last event still count, and join the log
         for _ in candidates:
             pass
-        n_contact, contact_words = contacts.count, contacts.words
+        n_contact = contacts.count
+    # no event changes the state between a recompute and a break above, so
+    # n1 and n_inf are the counts the lists hold, checked here once
+    _check_counts(x, y, n1, n_inf)
     lumped_events = 0
-    if lumped_at is None:
-        n1, n_inf = len(adopters), len(infected)
-        _check_counts(x, y, n1, n_inf)
-    else:
+    if lumped_at is not None:
         # The count phase. A layer is absorbed, so every sampled member's
         # attribute is known: with nobody protecting a recovered agent is
         # eligible, with the disease gone an adopter or dropper is
@@ -1072,7 +1057,6 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
         # live layer's count k moves, by one per event. The draws come a
         # block at a time in the main loop's order (the member word read and
         # skipped), and every rate is the double the main loop computes.
-        _check_counts(x, y, n1, n_inf)  # the lists are still exact here
         _check_lumped(n, n1, n_inf, n_elig)
         # no agent list is read again, so the tables below take their place
         del x, y, a, adopters, nonadopters, infected, elig, elig_pos
@@ -1108,10 +1092,13 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generato
     while len(out_x) < grid.size:  # the state holds through the horizon
         out_x.append(n1 / n)
         out_y.append(n_inf / n)
-    counts = (n_rec, n_infect, n_adopt, n_drop, n_contact)
-    nulls = {EVENT_ADOPT: null_adopt, EVENT_DROP: null_drop}
-    return (grid, np.array(out_x), np.array(out_y), log, dict(zip(EVENT_KINDS, counts)), nulls,
-            words.consumed(pos), contact_words, lumped_at, lumped_events)
+    meta = {"seed": cfg.seed, "rng": RNG_NAME, "mode": cfg.infection_mode,
+            "directionality": cfg.directionality, "n": n,
+            "events": dict(zip(EVENT_KINDS, (n_rec, n_infect, n_adopt, n_drop, n_contact))),
+            "null_proposals": {EVENT_ADOPT: null_adopt, EVENT_DROP: null_drop},
+            "words": words.consumed(pos), "contact_words": 0 if contacts is None else contacts.words,
+            "lumped_at": lumped_at, "lumped_events": lumped_events}
+    return Trajectory(times=grid, xs=np.array(out_x), ys=np.array(out_y), params=p, meta=meta), log
 
 
 @dataclass

@@ -1071,6 +1071,34 @@ class TestCountPhaseReplay:
         assert len(walk) == quiet.meta["lumped_events"] > 100
         assert walk == times[~agent].tolist()
 
+    @pytest.mark.parametrize("n", [12, 31])
+    @pytest.mark.parametrize("alpha", [3.0, 0.7])
+    @pytest.mark.parametrize("directionality", ["bidirectional", "activator-infects"])
+    def test_count_tables_equal_the_per_agent_rates(self, n, alpha, directionality):
+        # the count level against the agent level, without a simulation: in
+        # every state of an absorbed layer, the tables' total rate and channel
+        # threshold are sums of the oracles' per-agent rates, mu per infected,
+        # the infection rate per eligible agent, q01 per non-adopter and q10
+        # per adopter
+        p = ModelParams(alpha=alpha, lam=0.5, mu=1.0, c=3.0, zeta=8.0)
+        g = InfluenceGraph.complete(n)
+        acts = np.full(n, alpha)
+        bidi = directionality == "bidirectional"
+        for behaviour in (True, False):
+            tot, _, thr = abm_mod._count_tables(
+                behaviour, n, alpha, p.mu, p.c, p.zeta, p.lam / (n - 1), bidi)
+            for k in range(n + 1):
+                live = np.r_[np.ones(k, int), np.zeros(n - k, int)]
+                x, y = (live, np.zeros(n, int)) if behaviour else (np.zeros(n, int), live)
+                q01, q10 = switch_rates(g, x, y, acts, p)
+                rec = p.mu * y.sum()
+                inf = sum(infection_rate(x, y, acts, i, p, bidi)
+                          for i in np.flatnonzero((x == 0) & (y == 0)))
+                adopt, drop = q01[x == 0].sum(), q10[x == 1].sum()
+                below = rec + inf + adopt if behaviour else rec
+                assert tot[k] == pytest.approx(rec + inf + adopt + drop, rel=1e-12, abs=0.0)
+                assert thr[k] == pytest.approx(below, rel=1e-12, abs=0.0)
+
     def test_corrupted_counters_are_an_error(self):
         abm_mod._check_lumped(10, 0, 4, 6)
         abm_mod._check_lumped(10, 3, 0, 7)

@@ -327,11 +327,10 @@ def test_crossings(tmp_path):
 
 def test_phase_portrait_field_and_equilibria(tmp_path):
     p = example_params(8.0)
-    # 40 x 30 rows span several write blocks
-    render_phase_portrait(p, tmp_path, grid_nx=40, grid_ny=30, initial_states=[], horizon=1.0)
+    written = render_phase_portrait(p, tmp_path, horizon=1.0)
     ref = "x,y,dx,dy\n"
-    for x in np.linspace(0.0, 1.0, 40):
-        for y in np.linspace(0.0, 1.0, 30):
+    for x in np.linspace(0.0, 1.0, 20):
+        for y in np.linspace(0.0, 1.0, 20):
             dx, dy = planar_rhs_xy(float(x), float(y), p)
             ref += f"{x:.17g},{y:.17g},{dx:.17g},{dy:.17g}\n"
     assert (tmp_path / "field.csv").read_text() == ref
@@ -341,12 +340,13 @@ def test_phase_portrait_field_and_equilibria(tmp_path):
         if rep.exists:
             ref += f"{rep.kind.value},{rep.point[0]:.17g},{rep.point[1]:.17g},{rep.stability.value}\n"
     assert (tmp_path / "equilibria.csv").read_text() == ref
-
-
-@pytest.mark.parametrize("grid", [(1, 20), (20, 1)])
-def test_phase_portrait_needs_a_2x2_grid(tmp_path, grid):
-    with pytest.raises(ValueError, match="at least 2x2"):
-        render_phase_portrait(example_params(8.0), tmp_path, *grid, initial_states=[])
+    # one trajectory from each of the eight points on the circle
+    for k, path in enumerate(written[2:]):
+        angle = 2.0 * math.pi * k / 8
+        start = read_floats(path)[0]
+        assert path.name == f"traj_{k:02d}.csv"
+        assert start[1:3].tolist() == [0.5 + 0.35 * math.cos(angle), 0.5 + 0.35 * math.sin(angle)]
+    assert len(written) == 2 + 8
 
 
 def read_floats(path):
