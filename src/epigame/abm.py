@@ -67,23 +67,24 @@ successive scalar calls on every path. The paths differ in the wait:
 
 A free contact path's contact stream is ``default_rng(seed)``'s PCG64
 jumped once (``bit_generator.jumped()``), read in blocks of CONTACT_BLOCK
-contacts until a block reaches the horizon. A block draws each contact's
-standard exponential with numpy (``standard_exponential``, the doubles of
-scalar calls), then each contact's uniform triple (``random``). A wait is
-the exponential over A, and the times are the waits summed in order from
-the last time of the block before. The triple's first uniform u picks the
-initiator: a uniform index int(u*n) with uniform activities; with
-heterogeneous ones Vose's alias table of the activities, built once per
-run: k = int(u*n), and the initiator is k if u*n - k < prob[k], else
-alias[k]. The second picks the partner, uniform over the other n - 1
-agents, and the third is the transmission uniform, against lambda.
+contacts until a block reaches the horizon. A block is one
+``random((CONTACT_BLOCK, 4))`` array, the doubles of scalar ``random()``
+calls, with a row of four uniforms per contact in the loop's own order.
+The first, u, gives the wait -log(1 - u)/A, and the times are the waits
+summed in order from the last time of the block before. The second, v,
+picks the initiator: a uniform index int(v*n) with uniform activities;
+with heterogeneous ones Vose's alias table of the activities, built once
+per run: k = int(v*n), and the initiator is k if v*n - k < prob[k], else
+alias[k]. The third picks the partner, uniform over the other n - 1
+agents, and the fourth is the transmission uniform, against lambda.
 
 ``Trajectory.meta["words"]`` counts the words the loop read (not the ones
 it fetched ahead), so ``default_rng(seed)`` advanced by that count, plus the
 2n words of a sampled initial state, is where scalar draws would have left
 the generator. ``meta["contact_words"]`` counts the words of the contact
-stream's blocks, so the jumped generator advanced by it is where the
-stream's scalar draws leave it; it is 0 on a path without the stream.
+stream's blocks, one per uniform, so 4*CONTACT_BLOCK per block: the jumped
+generator advanced by it is where the stream's scalar draws leave it. It
+is 0 on a path without the stream.
 ``Trajectory.meta["lumped_at"]`` is the time the count phase below began,
 or None if it never did, and ``meta["lumped_events"]`` the number of events
 after it (0 without a count phase).
@@ -222,9 +223,6 @@ _WE = np.array(zig.WE)
 _KE = np.array(zig.KE, dtype=np.uint64)
 # contacts per block a free contact path draws
 CONTACT_BLOCK = 4096
-# PCG64's 128-bit LCG multiplier (O'Neill's default), to count a stream's words
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK_128 = 2**128 - 1
 
 EVENT_CONTACT = "contact"
 EVENT_INFECTION = "infection"
@@ -586,17 +584,18 @@ class _Contacts:
     """The contact process of a free contact path, drawn from a stream of
     its own a block at a time (module docstring, "Contacts").
 
-    A block is CONTACT_BLOCK contacts: their standard exponentials, then a
-    uniform triple each, drawn with numpy. The waits, over the activity
-    total, are summed into times by ``np.cumsum``, which adds in order as
-    the scalar sum does. `candidates` hands the loop the contacts before the
-    horizon whose transmission uniform is below lambda. Every contact before
-    the horizon is counted (`count`) and, with a log, joins it as arrays."""
+    A block is CONTACT_BLOCK contacts, one row of four uniforms each, drawn
+    with numpy: the wait's, the initiator's, the partner's and the
+    transmission uniform. The waits, -log(1 - u) over the activity total,
+    are summed into times by ``np.cumsum``, which adds in order as the
+    scalar sum does. `words` grows by each block's size. `candidates` hands
+    the loop the contacts before the horizon whose transmission uniform is
+    below lambda. Every contact before the horizon is counted (`count`)
+    and, with a log, joins it as arrays."""
 
     def __init__(self, seed: int, acts: np.ndarray, lam: float, horizon: float,
                  log: EventLog | None):
         self.rng = np.random.Generator(np.random.PCG64(seed).jumped())
-        self.start = self.rng.bit_generator.state
         self.n = acts.size
         self.rate = float(acts.sum())
         # with heterogeneous activities: Vose's alias table of the activities
@@ -604,28 +603,27 @@ class _Contacts:
             map(np.array, _alias_table(acts.tolist())))
         self.lam, self.horizon, self.log = lam, horizon, log
         self.count = 0  # contacts before the horizon
-        self.words = 0  # the stream's words, once its last block is drawn
+        self.words = 0  # the words of the blocks drawn so far
 
     def marks(self):
         """A generator of each block's contacts: their times, initiators,
         partners and transmission uniforms, as arrays. It ends with the block
-        that holds the first contact at or after the horizon, and sets
-        `words`."""
+        that holds the first contact at or after the horizon."""
         t, n = 0.0, self.n
         while t < self.horizon:
-            waits = self.rng.standard_exponential(CONTACT_BLOCK) / self.rate
-            u = self.rng.random((CONTACT_BLOCK, 3))
+            u = self.rng.random((CONTACT_BLOCK, 4))
+            self.words += u.size
+            waits = -np.log(1.0 - u[:, 0]) / self.rate
             times = np.cumsum(np.concatenate(((t,), waits)))[1:]
             t = times[-1]
-            scaled = u[:, 0] * n
+            scaled = u[:, 1] * n
             i = scaled.astype(np.intp)
             if self.alias is not None:
                 prob, alias = self.alias
                 i = np.where(scaled - i < prob[i], i, alias[i])
-            j = (u[:, 1] * (n - 1)).astype(np.intp)
+            j = (u[:, 2] * (n - 1)).astype(np.intp)
             j += j >= i
-            yield times, i, j, u[:, 2]
-        self.words = _pcg64_distance(self.start, self.rng.bit_generator.state)
+            yield times, i, j, u[:, 3]
 
     def _blocks(self):
         """Each block's candidate contacts before the horizon, as an
@@ -642,24 +640,6 @@ class _Contacts:
         """The candidate contacts before the horizon, one (time, initiator,
         partner) at a time, and then (inf, -1, -1)."""
         return chain(chain.from_iterable(self._blocks()), ((math.inf, -1, -1),))
-
-
-def _pcg64_distance(start: dict, end: dict) -> int:
-    """The number of steps from PCG64 state `start` to state `end` (two
-    ``bit_generator.state`` dicts of one stream): the LCG's jump distance,
-    found bit by bit (O'Neill's ``distance`` in pcg-cpp). Each step makes
-    one 64-bit word."""
-    cur, new = start["state"]["state"], end["state"]["state"]
-    mult, plus = _PCG64_MULTIPLIER, start["state"]["inc"]
-    distance, bit = 0, 1
-    while cur != new:
-        if (cur ^ new) & bit:
-            cur = (cur * mult + plus) & _MASK_128
-            distance |= bit
-        plus = (mult + 1) * plus & _MASK_128
-        mult = mult * mult & _MASK_128
-        bit <<= 1
-    return distance
 
 
 def _alias_table(weights) -> tuple[list, list]:

@@ -118,6 +118,11 @@ def random_digraph(rng, n, max_degree=4):
     return adj
 
 
+# general_config's seed for the coverage cases in contact mode: at 77 the
+# contact stream leaves those runs without a rejected drop proposal
+GENERAL_CONTACT_SEED = 78
+
+
 def general_config(seed=77, n=24, **overrides):
     """Small random directed graph with heterogeneous activities and explicit
     initial vectors."""
@@ -322,7 +327,8 @@ class TestSimulate:
     @pytest.mark.parametrize("graph", ["complete", "general"])
     def test_event_counters_match_log(self, graph, mode):
         make = small_config if graph == "complete" else general_config
-        cfg = make(infection_mode=mode, record_events=True)
+        seed = {"seed": GENERAL_CONTACT_SEED} if (graph, mode) == ("general", "contact") else {}
+        cfg = make(infection_mode=mode, record_events=True, **seed)
         traj, log = simulate(cfg)
         counts = traj.meta["events"]
         assert set(counts) == {"recovery", "infection", "adopt", "drop", "contact"}
@@ -403,13 +409,13 @@ def scalar_contacts(seed, act, horizon):
     horizon, and the stream's generator once its last block is drawn.
 
     The stream is ``default_rng(seed)``'s PCG64 jumped once, read in blocks
-    of CONTACT_BLOCK contacts until a block reaches the horizon. A block
-    reads each contact's ``standard_exponential()``, over the activity
-    total and summed into its time, and then each contact's three
-    ``random()`` uniforms: the initiator, from the engine's alias table
-    (whose law ``test_alias_table_is_exact`` checks) or a uniform index with
-    uniform activities; the partner, uniform over the other n - 1 agents;
-    and the uniform against lambda."""
+    of CONTACT_BLOCK contacts until a block reaches the horizon. Each
+    contact reads four scalar ``random()`` uniforms in turn: the wait's u,
+    with the wait -log(1 - u) (``np.log`` on the scalar) over the activity
+    total, summed into its time; the initiator, from the engine's alias
+    table (whose law ``test_alias_table_is_exact`` checks) or a uniform
+    index with uniform activities; the partner, uniform over the other
+    n - 1 agents; and the uniform against lambda."""
     n = act.size
     heterogeneous = np.ptp(act) > 0
     if heterogeneous:
@@ -418,11 +424,8 @@ def scalar_contacts(seed, act, horizon):
     crng = np.random.Generator(np.random.PCG64(seed).jumped())
     contacts, t = [], 0.0
     while t < horizon:
-        times = []
         for _ in range(abm_mod.CONTACT_BLOCK):
-            t = t + crng.standard_exponential() / rate
-            times.append(t)
-        for t_c in times:
+            t = t + float(-np.log(1.0 - crng.random())) / rate
             scaled = crng.random() * n
             i = int(scaled)
             if heterogeneous and scaled - i >= prob[i]:
@@ -431,8 +434,8 @@ def scalar_contacts(seed, act, horizon):
             if j >= i:
                 j += 1
             u_lam = crng.random()
-            if t_c < horizon:
-                contacts.append((t_c, i, j, u_lam))
+            if t < horizon:
+                contacts.append((t, i, j, u_lam))
     return contacts, crng
 
 
@@ -652,13 +655,15 @@ def assert_replay_read_the_loop_words(cfg, traj, rng, crng):
     """The replay's generator `rng` read the words the loop reports
     (``meta["words"]``), after the 2n of a sampled initial state, and its
     contact stream's `crng` those of ``meta["contact_words"]`` (0 when the
-    run has no contact stream, `crng` None)."""
+    run has no contact stream, `crng` None; four words per contact of
+    whole blocks otherwise)."""
     initial = 0 if cfg.behaviours0 is not None else 2 * cfg.graph.n
     advanced = np.random.default_rng(cfg.seed).bit_generator.advance(initial + traj.meta["words"])
     assert rng.bit_generator.state == advanced.state
     if crng is None:
         assert traj.meta["contact_words"] == 0
     else:
+        assert traj.meta["contact_words"] % (4 * abm_mod.CONTACT_BLOCK) == 0
         advanced = np.random.PCG64(cfg.seed).jumped().advance(traj.meta["contact_words"])
         assert crng.bit_generator.state == advanced.state
 
@@ -823,7 +828,8 @@ class TestDrawByDrawReplay:
         # random digraph, heterogeneous activities: the thinning walks, the
         # alias table for the contact initiator and the rejection for the
         # aggregated infection target all run
-        cfg = general_config(infection_mode=mode, directionality=directionality)
+        seed = GENERAL_CONTACT_SEED if mode == "contact" else 77
+        cfg = general_config(seed, infection_mode=mode, directionality=directionality)
         traj, log = simulate(cfg)
         assert {"recovery", "infection", "adopt", "drop"} <= {k for _, k, _, _ in log}
         nulls = {"adopt": 0, "drop": 0}
@@ -1192,6 +1198,29 @@ class TestSamplers:
             advanced = np.random.default_rng(seed).bit_generator.advance(words.consumed(pos))
             assert advanced.state == twin.bit_generator.state
         assert branches["tail"] > 0 and branches["retry"] > 0
+
+    def test_slow_wait_at_a_blocks_end_is_replayed_across_the_refill(self):
+        # a wait whose word leaves the ziggurat's fast path among the last 13
+        # of the first block: `exponential` refills, keeping that word, and
+        # draws it again from the new block. The draw is the twin's, at least
+        # 13 words are left after it, and the words read are the twin's
+        seeds = 0
+        for seed in range(40):
+            first = abm_mod._Words(np.random.default_rng(seed), frozen=True)
+            size = first.raw.size
+            slow = [p for p in range(size - 13, size) if first.eb[p] != first.eb[p]]
+            seeds += bool(slow)
+            for p in slow:
+                words = abm_mod._Words(np.random.default_rng(seed), frozen=True)
+                twin = np.random.default_rng(seed)
+                for _ in range(p):
+                    twin.random()
+                e, pos = words.exponential(p)
+                assert e == twin.standard_exponential()
+                assert words.raw.size - pos - 1 >= 13
+                advanced = np.random.default_rng(seed).bit_generator.advance(words.consumed(pos))
+                assert advanced.state == twin.bit_generator.state
+        assert seeds >= 3
 
     def test_count_draws_equal_the_generator_methods(self):
         # the count phase's reads, decoded a block at a time from where the
