@@ -168,16 +168,15 @@ replay in the test suite, which recomputes every rate from per-agent
 formulas before each draw and must reproduce the loop's history event for
 event.
 
-The loop counts its events per kind in ``Trajectory.meta["events"]``, also
-when no log is kept, and the rejected adopt and drop proposals in
-``Trajectory.meta["null_proposals"]`` (always 0 on the complete graph). A
-free contact path counts every contact before the horizon from its
-stream's blocks, with or without a log, and with a log they join it as
-arrays; its draws do not depend on the log, so a quiet run's samples,
-counts and words of both streams are those of its logged twin. Without a
-log, the frozen path's contact mode skips the contacts made while nobody
-is infected: they cannot change the state, so skipping them is exact
-thinning, and they are not counted.
+The loop counts its events per kind in ``Trajectory.meta["events"]`` and
+the rejected adopt and drop proposals in ``meta["null_proposals"]`` (always
+0 on the complete graph), log or no log. A free contact path counts every
+contact before the horizon from its stream's blocks, and a log takes them
+as arrays. The frozen path's contact mode skips the contacts made while
+nobody is infected: they cannot change the state, so skipping them is
+exact thinning, and they are neither counted nor logged. No draw depends
+on the log, so on every path a quiet run's samples, counts and words of
+both streams are those of its logged twin.
 """
 from __future__ import annotations
 
@@ -860,9 +859,9 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray,
             r_rec = mu * n_inf
             if contact_mode:
                 # the frozen path's contacts cannot change state without
-                # infected present; skipping them then is exact thinning, but
-                # only when no log is kept. A free path's are not in this clock
-                r_mid = a_total if contacts is None and (n_inf > 0 or record) else 0.0
+                # infected present, so skipping them then is exact thinning,
+                # log or no log. A free path's are not in this clock
+                r_mid = a_total if contacts is None and n_inf > 0 else 0.0
             else:
                 # no rounding residue outlives its group in the activity sums
                 # (module docstring, "Absorbed layers")

@@ -142,6 +142,33 @@ def general_config(seed=77, n=24, **overrides):
     return AbmConfig(**base)
 
 
+def heterogeneous_complete_config(**overrides):
+    """general_config's agents, activities and initial state on the complete
+    graph: a free path there, in either infection mode."""
+    cfg = general_config(**overrides)
+    return dataclasses.replace(cfg, graph=InfluenceGraph.complete(cfg.graph.n))
+
+
+def frozen_extinction_config(**overrides):
+    """The frozen path in contact mode, logged, where the disease dies at
+    about t = 0.8 while protection lives and the behaviour layer moves on."""
+    n = 30
+    base = dict(
+        params=ModelParams(alpha=3.0, lam=0.1, mu=1.0, c=3.0, zeta=8.0),
+        graph=InfluenceGraph.complete(n),
+        activities=np.full(n, 3.0),
+        horizon=5.0,
+        sample_dt=0.5,
+        seed=5,
+        x0=0.95,
+        y0=0.1,
+        infection_mode="contact",
+        record_events=True,
+    )
+    base.update(overrides)
+    return AbmConfig(**base)
+
+
 def replay_events(cfg, log):
     """Re-apply a recorded event log to the initial state, checking that every
     event is legal at the moment it fires. Returns the final vectors."""
@@ -343,39 +370,44 @@ class TestSimulate:
             assert nulls == {"adopt": 0, "drop": 0}
         else:
             assert nulls["adopt"] > 0 and nulls["drop"] > 0
-        # the counters stay on without the log. Aggregated-mode draws and a
-        # free contact path's two streams do not depend on the log, so the
-        # counts, samples and words are the same; the frozen path's quiet
-        # contact mode skips the contacts made while nobody is infected
-        quiet, _ = simulate(dataclasses.replace(cfg, record_events=False))
-        if mode == "aggregated" or graph == "general":
-            assert quiet.meta["events"] == counts
-            assert quiet.meta["null_proposals"] == nulls
-            assert quiet.meta["words"] == traj.meta["words"]
-            assert quiet.meta["contact_words"] == traj.meta["contact_words"]
-            assert quiet.xs.tobytes() == traj.xs.tobytes()
-            assert quiet.ys.tobytes() == traj.ys.tobytes()
-        else:
-            assert quiet.meta["events"]["contact"] > 0
 
-    @pytest.mark.parametrize("directionality", ["bidirectional", "activator-infects"])
-    @pytest.mark.parametrize("graph", ["general", "complete"])
-    def test_free_contact_quiet_equals_logged(self, graph, directionality):
-        # a free contact path draws its contacts from their own stream, which
-        # the log does not change: samples, counts and both streams' words
-        # are those of the logged run
-        cfg = general_config(infection_mode="contact", directionality=directionality,
-                             record_events=True)
-        if graph == "complete":
-            cfg = dataclasses.replace(cfg, graph=InfluenceGraph.complete(cfg.graph.n))
+    @pytest.mark.parametrize("make, overrides", [
+        pytest.param("lumpable", {}, id="frozen-aggregated"),
+        pytest.param("small", dict(infection_mode="contact"), id="frozen-contact"),
+        pytest.param("extinction", {}, id="frozen-contact-extinction"),
+        pytest.param("heterogeneous-complete", {}, id="complete-heterogeneous-aggregated"),
+        pytest.param("heterogeneous-complete", dict(infection_mode="contact"),
+                     id="complete-heterogeneous-contact-bidirectional"),
+        pytest.param("heterogeneous-complete",
+                     dict(infection_mode="contact", directionality="activator-infects"),
+                     id="complete-heterogeneous-contact-activator-infects"),
+        pytest.param("general", {}, id="general-aggregated"),
+        pytest.param("general", dict(infection_mode="contact"), id="general-contact-bidirectional"),
+        pytest.param("general", dict(infection_mode="contact", directionality="activator-infects"),
+                     id="general-contact-activator-infects"),
+    ])
+    def test_quiet_equals_logged(self, make, overrides):
+        # no path's draws depend on the log, so a quiet run's samples, counts
+        # and both streams' words are those of its logged twin: also where
+        # the quiet twin runs the count phase, and where the frozen contact
+        # channel stops with the disease
+        make = {"lumpable": lumpable_config, "small": small_config,
+                "extinction": frozen_extinction_config, "general": general_config,
+                "heterogeneous-complete": heterogeneous_complete_config}[make]
+        cfg = make(record_events=True, **overrides)
         logged, log = simulate(cfg)
         quiet, quiet_log = simulate(dataclasses.replace(cfg, record_events=False))
-        assert len(quiet_log) == 0 and log.contacts
+        assert len(quiet_log) == 0 and len(log) > 0
         assert quiet.xs.tobytes() == logged.xs.tobytes()
         assert quiet.ys.tobytes() == logged.ys.tobytes()
         for key in ("events", "null_proposals", "words", "contact_words"):
             assert quiet.meta[key] == logged.meta[key]
-        assert logged.meta["contact_words"] > 0 and logged.meta["events"]["infection"] > 0
+        if make is lumpable_config:
+            assert quiet.meta["lumped_at"] is not None
+        if cfg.infection_mode == "contact":
+            # a contact infects, and the loop's wait is drawn again after it
+            assert logged.meta["events"]["contact"] > 0
+            assert logged.meta["events"]["infection"] > 0
 
     def test_free_contact_quiet_memory_is_bounded(self):
         # a quiet run holds its contact marks a block at a time. Nobody
@@ -447,11 +479,12 @@ def replay_complete(cfg, nulls=None):
     engine's word blocks (``TestSamplers`` checks that), so the replay's
     generator reads exactly the words the loop reads. The frozen path
     (complete graph, uniform activities) waits ``rng.exponential(1/R)`` and
-    draws its contacts in the loop; every other path waits -log(1 - u)/R,
-    and in contact mode it takes the contacts from their own stream
-    (`scalar_contacts`): the loop's clock leaves them out, a contact whose
-    transmission uniform is below lambda infects if its pair is
-    transmissible, and the wait is drawn again after such an infection.
+    draws its contacts in the loop, only while someone is infected; every
+    other path waits -log(1 - u)/R, and in contact mode it takes the
+    contacts from their own stream (`scalar_contacts`): the loop's clock
+    leaves them out, a contact whose transmission uniform is below lambda
+    infects if its pair is transmissible, and the wait is drawn again after
+    such an infection.
     Groups are plain lists with swap-with-last removal; channel totals and
     member weights come from the public per-node rate functions before every
     draw. Off the complete graph the adopt and drop channels fire at their
@@ -549,7 +582,8 @@ def replay_complete(cfg, nulls=None):
         if contact and not frozen:
             r_mid = 0.0  # the contacts have their own stream
         elif contact:
-            r_mid = float(act.sum())  # the event log is on, so contacts always fire
+            # contacts cannot change the state while nobody is infected
+            r_mid = float(act.sum()) if groups["infected"] else 0.0
         else:
             r_mid = sum(infection_rate(x, y, act, i, p, bidi) for i in groups["eligible"])
         n1 = len(groups["adopters"])
@@ -838,6 +872,22 @@ class TestDrawByDrawReplay:
         assert_replay_read_the_loop_words(cfg, traj, rng, crng)
         assert nulls["adopt"] > 0 and nulls["drop"] > 0
         assert traj.meta["null_proposals"] == nulls
+        np.testing.assert_array_equal(traj.xs, grid_state[:, 0])
+        np.testing.assert_array_equal(traj.ys, grid_state[:, 1])
+
+    def test_frozen_contacts_stop_with_the_disease(self):
+        # once nobody is infected the frozen contact channel is silent, log
+        # or no log, while protection lives and drops go on
+        cfg = frozen_extinction_config()
+        traj, log = simulate(cfg)
+        extinct = max(t for t, kind, _, _ in log if kind == "recovery")
+        before = {kind for t, kind, _, _ in log if t <= extinct}
+        after = {kind for t, kind, _, _ in log if t > extinct}
+        assert traj.ys[-1] == 0.0 and extinct < cfg.horizon
+        assert "contact" in before and "drop" in after and "contact" not in after
+        events, _, grid_state, rng, crng = replay_complete(cfg)
+        assert_same_history(events, log, abs_t=1e-9)
+        assert_replay_read_the_loop_words(cfg, traj, rng, crng)
         np.testing.assert_array_equal(traj.xs, grid_state[:, 0])
         np.testing.assert_array_equal(traj.ys, grid_state[:, 1])
 
@@ -1317,6 +1367,16 @@ class TestEnsemble:
     def test_rejects_zero_runs(self):
         with pytest.raises(ConfigError):
             ensemble(small_config(), n_runs=0)
+
+    def test_logged_replicates_give_the_quiet_statistics(self):
+        # quiet equals logged on every path, so a logged config gives the
+        # statistics of its quiet twin bit for bit; seed 5 is a run whose
+        # disease dies while protection lives
+        cfg = frozen_extinction_config()
+        logged = ensemble(cfg, n_runs=4, n_jobs=1)
+        quiet = ensemble(dataclasses.replace(cfg, record_events=False), n_runs=4)
+        for name in ("x_mean", "y_mean", "x_std", "y_std", "finals"):
+            assert getattr(logged, name).tobytes() == getattr(quiet, name).tobytes()
 
     def test_parallel_runs_equal_serial_runs(self):
         # each run is seeded on its own, so the worker processes change no bit
