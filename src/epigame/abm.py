@@ -86,8 +86,9 @@ stream's blocks, one per uniform, so 4*CONTACT_BLOCK per block: the jumped
 generator advanced by it is where the stream's scalar draws leave it. It
 is 0 on a path without the stream.
 ``Trajectory.meta["lumped_at"]`` is the time the count phase below began,
-or None if it never did, and ``meta["lumped_events"]`` the number of events
-after it (0 without a count phase).
+which is when protection died, or None if it never did, and
+``meta["lumped_events"]`` the number of events after it (0 without a
+count phase).
 
 Per event of the loop's clock, in order:
 
@@ -121,30 +122,32 @@ Per event of the loop's clock, in order:
 Initial conditions sampled from fractions consume ``rng.random(n)`` twice
 (behaviours first, then healths) before any event draw.
 
-Absorbed layers. On the frozen path in aggregated mode without a log, a
-layer can be absorbed: nobody protects (the adopt and drop rates are then
-exactly 0.0 and stay so), or the disease is gone (no infected, so the
-recovery and infection rates are exactly 0.0). Either way every sampled
-member's attribute is known: a recovered agent is unprotected and becomes
-eligible, an infection target is eligible, and an adopter or a dropper is
-susceptible. Agent identities then change nothing, and the process lumps
-exactly to its counts (Kemeny & Snell). So once a rate recompute finds a
-layer absorbed, the loop goes on as its count chain: it reads the same
-words in the same order (the member word is skipped, not dropped), and the
-samples, event counts and words are bit for bit those of the agent loop.
-Only the live layer's count k moves, by one per event, so every rate is a
-function of k: the loop reads tables of the total rate, its inverse and
-the channel threshold over k = 0..n, built once with numpy from the
-recompute's operands in its order, zero terms included. The activity sums
-are functions of the counts as well, by the rule every aggregated
-recompute follows: with uniform activities a, the sums of the infected and
-of the eligible are n_I*a and n_E*a, the correctly rounded true sums; with
-heterogeneous ones they are running totals, set to 0.0 whenever their group
-is empty. So no rounding residue outlives its group, and an empty group is
-never picked from. For a on the dyadic grid (a = m * 2**e for an odd m with
-m*n < 2**53, such as 3) the products equal the running totals bit for bit.
-Contact mode (contacts read health by index), heterogeneous activities,
-other graphs and logged runs keep the agent loop to the end.
+Absorbed layers. On the frozen path in aggregated mode without a log, once
+nobody protects the adopt and drop rates are exactly 0.0 and stay so. Every
+sampled member's attribute is then known: a recovered agent is unprotected
+and becomes eligible, and an infection target is eligible. Agent identities
+change nothing, and the process lumps exactly to the SIS chain of the
+infected count (Kemeny & Snell). So once a rate recompute finds that nobody
+protects, the loop goes on as that chain: it reads the same words in the
+same order (the member word is skipped, not dropped), and the samples,
+event counts and words are bit for bit those of the agent loop. The
+infected count k moves by one per event, so every rate is a function of k:
+the loop reads tables of the total rate, its inverse and the recovery
+threshold over k = 0..n, built once with numpy from the recompute's
+operands in its order. The tables leave out the adopt and drop terms that
+the recompute adds, which are +0.0 with nobody protecting, and x + 0.0 == x
+for every x >= 0, so no double moves. The activity sums are functions of
+the counts as well, by the rule every aggregated recompute follows: with
+uniform activities a, the sums of the infected and of the eligible are
+n_I*a and n_E*a, the correctly rounded true sums; with heterogeneous ones
+they are running totals, set to 0.0 whenever their group is empty. So no
+rounding residue outlives its group, and an empty group is never picked
+from. For a on the dyadic grid (a = m * 2**e for an odd m with m*n < 2**53,
+such as 3) the products equal the running totals bit for bit. A run whose
+disease dies while protection lives stays in the agent loop until
+protection dies too, and then enters the count phase in its absorbing
+state. Contact mode (contacts read health by index), heterogeneous
+activities, other graphs and logged runs keep the agent loop to the end.
 
 Cost per event: O(1) on every graph and every draw path (group lists with
 swap-with-last removal, walks of at most two out-neighbour steps); in the
@@ -349,6 +352,8 @@ class AbmConfig:
             raise ConfigError("no initial condition given")
         if self.record_events is None:
             self.record_events = self.graph.n <= 1000
+        elif not isinstance(self.record_events, bool):
+            raise ConfigError("record_events must be true, false or null")
 
     @property
     def bidirectional(self) -> bool:
@@ -401,9 +406,6 @@ class AbmConfig:
         initial = {k: None if d[k] is None else config_vector(k, d[k], int)
                    for k in ("behaviours0", "healths0") if k in d}
         initial.update({k: config_value(k, d[k], float) for k in ("x0", "y0") if k in d})
-        record_events = d.get("record_events")
-        if record_events is not None and not isinstance(record_events, bool):
-            raise ConfigError("record_events must be true, false or null")
         return cls(
             params=params,
             graph=graph,
@@ -413,7 +415,7 @@ class AbmConfig:
             seed=config_value("seed", d.get("seed"), int),
             infection_mode=d.get("infection_mode", "aggregated"),
             directionality=d.get("directionality", "bidirectional"),
-            record_events=record_events,
+            record_events=d.get("record_events"),
             **initial,
         )
 
@@ -703,44 +705,36 @@ def _check_counts(x: list, y: list, n1: int, n_inf: int) -> None:
 
 
 def _check_lumped(n: int, n1: int, n_inf: int, n_elig: int) -> None:
-    """Raise unless the count phase's counters describe a state of an
-    absorbed layer, where nobody both protects and is infected."""
-    if not (0 <= n1 <= n and 0 <= n_inf <= n and n_elig == n - n1 - n_inf):
+    """Raise unless the count phase's counters describe a state of the SIS
+    chain: nobody protects, so every susceptible agent is eligible."""
+    if not (n1 == 0 and 0 <= n_inf <= n and n_elig == n - n_inf):
         raise NumericalError("count-phase counters left the absorbed states")
 
 
-def _count_tables(behaviour: bool, n: int, a: float, mu: float, c: float,
-                  zeta: float, per_pair: float, bidi: bool) -> tuple[np.ndarray, ...]:
-    """The count phase's rates as functions of the live layer's count k =
-    0..n: the adopters if `behaviour` (the disease is gone), else the
-    infected (nobody protects). Returns the total rate, its inverse (inf
-    where the total is 0.0, an absorbing state) and the channel threshold:
-    r_imit, below which the event is an adopt and else a drop, or r_rec,
-    below which it is a recovery and else an infection. Each entry is the
-    event loop's recompute in that state, with its operands and order, zero
-    terms included, and the activity sums it derives from the counts with
-    the one activity `a`, so the doubles are equal. The arrays are returned,
-    not lists, so that the temporaries are freed before the loop's lists
-    are made."""
-    k = np.arange(n + 1)
-    n1, n_inf = (k, 0) if behaviour else (0, k)
-    n_elig = n - n1 - n_inf
+def _count_tables(n: int, a: float, mu: float, per_pair: float,
+                  bidi: bool) -> tuple[np.ndarray, ...]:
+    """The count phase's rates as functions of the infected count k = 0..n
+    with nobody protecting. Returns the total rate, its inverse (inf where
+    the total is 0.0, the disease-free absorbing state) and the channel
+    threshold r_rec, below which the event is a recovery and else an
+    infection. Each entry is the event loop's recompute in that state, with
+    its operands and order, and the activity sums it derives from the counts
+    with the one activity `a`, so the doubles are equal. The loop also adds
+    the adopt and drop rates, which are +0.0 there, and x + 0.0 is x for
+    every x >= 0. The arrays are returned, not lists, so that the
+    temporaries are freed before the loop's lists are made."""
+    n_inf = np.arange(n + 1)
+    n_elig = n - n_inf
     a_inf, a_elig = n_inf * a, n_elig * a
-    xbar = n1 / n
-    ybar = n_inf / n
-    r_drop = n1 * (1.0 - xbar) * (1.0 - xbar + c)
-    r_adopt = ((n - n1) * xbar) * (xbar + zeta * ybar)
     r_rec = mu * n_inf
     if bidi:
         r_mid = per_pair * (n_inf * a_elig + n_elig * a_inf)
     else:
         r_mid = per_pair * n_elig * a_inf
-    r_inf = r_rec + r_mid
-    r_imit = r_inf + r_adopt
-    total = r_imit + r_drop
+    total = r_rec + r_mid
     with np.errstate(divide="ignore"):
         inv = 1.0 / total  # inf where the total is 0.0: an absorbing state
-    return total, inv, r_imit if behaviour else r_rec
+    return total, inv, r_rec
 
 
 def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray,
@@ -765,10 +759,11 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray,
     counters against the lists at each grid time and after the last event.
     On a free contact path the contacts come from `_Contacts`, and before
     each wait's end the loop checks the candidates that fall in it (module
-    docstring, "Contacts"). Once a layer is absorbed on the frozen path
-    without a log, the count phase after the main loop finishes the run
-    (module docstring); it checks the lists and `_check_lumped` once at
-    entry and once at the end.
+    docstring, "Contacts"). Once nobody protects on the frozen path in
+    aggregated mode without a log, the count phase after the main loop
+    finishes the run as the SIS chain of the infected count (module
+    docstring, "Absorbed layers"); it checks the lists and `_check_lumped`
+    once at entry and once at the end.
     """
     p = cfg.params
     g = cfg.graph
@@ -820,7 +815,8 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray,
         contacts = _Contacts(cfg.seed, acts, lam, horizon, log if record else None)
         candidates = contacts.candidates()
         tc, ci, cj = next(candidates)
-    # the count phase's domain (module docstring, "Absorbed layers")
+    # the count phase's domain, entered once nobody protects (module
+    # docstring, "Absorbed layers")
     lump = frozen and not contact_mode and not record
     lumped_at = None
     words = _Words(rng, frozen)
@@ -863,8 +859,9 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray,
                 # log or no log. A free path's are not in this clock
                 r_mid = a_total if contacts is None and n_inf > 0 else 0.0
             else:
-                # no rounding residue outlives its group in the activity sums
-                # (module docstring, "Absorbed layers")
+                # no rounding residue outlives its group in the activity sums,
+                # so the count phase's tables are these doubles (module
+                # docstring, "Absorbed layers")
                 if uniform_act:
                     a_inf, a_elig = n_inf * a0, n_elig * a0
                 else:
@@ -880,8 +877,8 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray,
             r_imit = r_inf + r_adopt
             total = r_imit + r_drop
             moved = sick = False
-            if lump and (n1 == 0 or n_inf == 0):
-                lumped_at = t  # a layer is absorbed: the count phase below goes on
+            if lump and n1 == 0:
+                lumped_at = t  # nobody protects: the count phase below goes on
                 break
         if total <= 0.0:
             break
@@ -1029,43 +1026,33 @@ def _run(cfg: AbmConfig, xs: np.ndarray, ys: np.ndarray,
     _check_counts(x, y, n1, n_inf)
     lumped_events = 0
     if lumped_at is not None:
-        # The count phase. A layer is absorbed, so every sampled member's
-        # attribute is known: with nobody protecting a recovered agent is
-        # eligible, with the disease gone an adopter or dropper is
-        # susceptible, and an infection target is always eligible. Only the
-        # live layer's count k moves, by one per event. The draws come a
-        # block at a time in the main loop's order (the member word read and
-        # skipped), and every rate is the double the main loop computes.
+        # The count phase. Nobody protects, so every sampled member's
+        # attribute is known: a recovered agent and an infection target are
+        # both eligible. Only the infected count k moves, by one per event. The draws come a block at a time in the main loop's
+        # order (the member word read and skipped), and every rate is the
+        # double the main loop computes.
         _check_lumped(n, n1, n_inf, n_elig)
         # no agent list is read again, so the tables below take their place
         del x, y, a, adopters, nonadopters, infected, elig, elig_pos
         draws = chain.from_iterable(words.count_draws(pos))
-        behaviour = n1 > 0  # else nobody protects, and the disease layer is live
-        k = k0 = n1 if behaviour else n_inf
-        # below the channel threshold k moves by `step`: an adopt, or a recovery
-        step = 1 if behaviour else -1
+        k = k0 = n_inf
         # every rate is a function of k, so the loop reads tables
-        tot, inv, thr = map(np.ndarray.tolist, _count_tables(
-            behaviour, n, a0, mu, c, zeta, per_pair, bidi))
-        live, dead = (out_x, out_y) if behaviour else (out_y, out_x)
+        tot, inv, thr = map(np.ndarray.tolist, _count_tables(n, a0, mu, per_pair, bidi))
         for e, u in draws:
             t_new = t + inv[k] * e  # inf in an absorbing state
             while t_next < t_new and t_next < horizon:
-                live.append(k / n)
-                dead.append(0.0)
+                out_x.append(0.0)
+                out_y.append(k / n)
                 t_next = grid_t[len(out_x)]
             if not t_new < horizon:  # nan too, for inf * 0.0
                 break
             t = t_new
-            k += step if u * tot[k] < thr[k] else -step
+            k += -1 if u * tot[k] < thr[k] else 1  # a recovery, else an infection
         done, pos = words.count_stop(tot[k] > 0.0)
-        # each event moved k by one, `below` of them by `step`
-        below = (done + (k - k0) * step) // 2
-        if behaviour:
-            n1, n_adopt, n_drop = k, n_adopt + below, n_drop + done - below
-        else:
-            n_inf, n_rec, n_infect = k, n_rec + below, n_infect + done - below
-        n_elig = n - n1 - n_inf
+        # each event moved k by one, `recoveries` of them down
+        recoveries = (done + k0 - k) // 2
+        n_inf, n_rec, n_infect = k, n_rec + recoveries, n_infect + done - recoveries
+        n_elig = n - n_inf
         lumped_events = done
         _check_lumped(n, n1, n_inf, n_elig)
     while len(out_x) < grid.size:  # the state holds through the horizon

@@ -945,9 +945,10 @@ def lumpable_config(n=200, zeta=5.0, lam=0.5, alpha=3.0, seed=1, c=3.0, **overri
 
 
 class TestCountPhaseReplay:
-    """Once a layer is absorbed, a run without a log goes on as its count
-    chain (``meta["lumped_at"]``); with the log on the agent loop runs to
-    the end. The two must agree to the bit."""
+    """Once nobody protects, a run without a log goes on as the SIS chain of
+    its infected count (``meta["lumped_at"]``); with the log on the agent
+    loop runs to the end. The two must agree to the bit. A run whose
+    disease dies first stays in the agent loop until protection dies too."""
 
     @staticmethod
     def assert_quiet_equals_logged(cfg):
@@ -959,6 +960,31 @@ class TestCountPhaseReplay:
         assert quiet.meta["null_proposals"] == logged.meta["null_proposals"]
         assert quiet.meta["words"] == logged.meta["words"]
         assert logged.meta["lumped_at"] is None
+        return quiet
+
+    @classmethod
+    def assert_agent_loop_until_protection_dies(cls, cfg):
+        """The disease dies while protection lives, so the quiet run keeps
+        the agent loop: to the horizon (``lumped_at`` None, protection still
+        alive), or until protection dies too, after the last recovery, where
+        the count phase starts in its absorbing state. Returns the quiet run."""
+        quiet = cls.assert_quiet_equals_logged(cfg)
+        _, log = simulate(dataclasses.replace(cfg, record_events=True))
+        times, kinds, _, _ = log.columns()
+        n1_0 = round(quiet.xs[0] * cfg.graph.n)
+
+        def adopters_at(t):
+            upto = kinds[times <= t]
+            return n1_0 + int((upto == abm_mod.K_ADOPT).sum() - (upto == abm_mod.K_DROP).sum())
+
+        disease_gone = times[kinds == abm_mod.K_RECOVERY].max(initial=0.0)
+        assert adopters_at(disease_gone) > 0
+        lumped_at = quiet.meta["lumped_at"]
+        if lumped_at is None:
+            assert quiet.xs[-1] > 0.0
+        else:
+            assert lumped_at > disease_gone and adopters_at(lumped_at) == 0
+            assert quiet.meta["lumped_events"] == 0
         return quiet
 
     @staticmethod
@@ -981,9 +1007,8 @@ class TestCountPhaseReplay:
 
     def test_disease_dies_while_behaviour_moves(self):
         cfg = lumpable_config(n=100, lam=0.1, seed=2, x0=0.9, y0=0.05)
-        traj = self.assert_quiet_equals_logged(cfg)
-        x, y = self.state_at_lumping(traj)
-        assert y == 0.0 and x > 0.0
+        traj = self.assert_agent_loop_until_protection_dies(cfg)
+        assert traj.ys[-1] == 0.0
         assert traj.meta["events"]["drop"] > 0
 
     def test_both_layers_die_before_the_horizon(self):
@@ -992,15 +1017,12 @@ class TestCountPhaseReplay:
         assert 0.0 < traj.meta["lumped_at"] < traj.times[-1]
 
     def test_activities_off_the_dyadic_grid(self):
-        # at alpha 0.3 the activity sums come from the counts, so the
-        # disease-free state starts the count phase when the last infected
-        # recovers, while the behaviour layer still moves
+        # at alpha 0.3 the activity sums come from the counts, so no
+        # rounding residue keeps an infection rate once the last infected
+        # recovers, while the behaviour layer still moves in the agent loop
         cfg = lumpable_config(n=100, alpha=0.3, seed=4, x0=0.95, y0=0.1)
-        traj = self.assert_quiet_equals_logged(cfg)
-        before = traj.times < traj.meta["lumped_at"]
-        assert (traj.ys[before] > 0.0).all()
-        x, y = self.state_at_lumping(traj)
-        assert y == 0.0 and x > 0.0
+        traj = self.assert_agent_loop_until_protection_dies(cfg)
+        assert traj.ys[-1] == 0.0
 
     @pytest.mark.parametrize("initial", [
         dict(x0=0.0, y0=0.3),
@@ -1008,8 +1030,12 @@ class TestCountPhaseReplay:
     ], ids=["nobody-protects", "nobody-infected"])
     def test_absorbed_at_the_start(self, initial):
         n = 50 if "healths0" in initial else 200
-        traj = self.assert_quiet_equals_logged(lumpable_config(n=n, **initial))
-        assert traj.meta["lumped_at"] == 0.0
+        cfg = lumpable_config(n=n, **initial)
+        if "healths0" in initial:
+            traj = self.assert_agent_loop_until_protection_dies(cfg)
+        else:
+            traj = self.assert_quiet_equals_logged(cfg)
+            assert traj.meta["lumped_at"] == 0.0
         assert sum(traj.meta["events"].values()) > 0
 
     def test_count_phase_follows_the_replay(self):
@@ -1071,9 +1097,14 @@ class TestCountPhaseReplay:
     ])
     def test_long_layer_absorbed_in_mid_block(self, layer, overrides):
         cfg = lumpable_config(horizon=30.0, **overrides)
-        traj = self.assert_long_count_phase_equals_logged(cfg)
-        x, y = self.state_at_lumping(traj)
-        assert (y == 0.0 and x > 0.0) if layer == "behaviour" else (x == 0.0 and y > 0.0)
+        if layer == "behaviour":
+            # the disease dies first, and the agent loop runs on to the
+            # death of protection
+            traj = self.assert_agent_loop_until_protection_dies(cfg)
+        else:
+            traj = self.assert_long_count_phase_equals_logged(cfg)
+            x, y = self.state_at_lumping(traj)
+            assert x == 0.0 and y > 0.0
         assert traj.xs[-1] == 0.0 and traj.ys[-1] == 0.0
         # the loop's words began a block, and they ended inside one
         assert traj.meta["words"] % abm_mod.UNIFORM_BLOCK != 0
@@ -1081,7 +1112,6 @@ class TestCountPhaseReplay:
     @pytest.mark.parametrize("overrides", [
         dict(alpha=0.7, lam=0.9),  # the disease layer goes on, activity sums that round
         dict(alpha=0.7, lam=0.9, directionality="activator-infects"),
-        dict(n=500, alpha=0.7, c=1.05, lam=0.1, x0=0.97, y0=0.01),  # the behaviour layer goes on
     ])
     def test_count_phase_times_equal_a_walk_of_its_tables(self, overrides):
         # the doubles themselves, not only the samples and counts: from the
@@ -1110,12 +1140,10 @@ class TestCountPhaseReplay:
                 x[i] = kind == abm_mod.K_ADOPT
             else:
                 y[i] = kind == abm_mod.K_INFECTION
-        behaviour = bool(x.any())  # else nobody protects and the disease layer is live
-        assert not (behaviour and y.any())
-        k = int(x.sum() if behaviour else y.sum())
-        step = 1 if behaviour else -1
+        assert not x.any()  # nobody protects, and the infected count is the chain's state
+        k = int(y.sum())
         tot, inv, thr = map(np.ndarray.tolist, abm_mod._count_tables(
-            behaviour, n, p.alpha, p.mu, p.c, p.zeta, p.lam / (n - 1), cfg.bidirectional))
+            n, p.alpha, p.mu, p.lam / (n - 1), cfg.bidirectional))
         walk, t = [], lumped_at
         for e, u in chain.from_iterable(abm_mod._Words(twin, frozen=True).count_draws(-1)):
             t_new = t + inv[k] * e
@@ -1123,7 +1151,7 @@ class TestCountPhaseReplay:
                 break
             t = t_new
             walk.append(t)
-            k += step if u * tot[k] < thr[k] else -step
+            k += -1 if u * tot[k] < thr[k] else 1
         assert len(walk) == quiet.meta["lumped_events"] > 100
         assert walk == times[~agent].tolist()
 
@@ -1132,33 +1160,30 @@ class TestCountPhaseReplay:
     @pytest.mark.parametrize("directionality", ["bidirectional", "activator-infects"])
     def test_count_tables_equal_the_per_agent_rates(self, n, alpha, directionality):
         # the count level against the agent level, without a simulation: in
-        # every state of an absorbed layer, the tables' total rate and channel
-        # threshold are sums of the oracles' per-agent rates, mu per infected,
-        # the infection rate per eligible agent, q01 per non-adopter and q10
-        # per adopter
+        # every state with nobody protecting, the tables' total rate and
+        # recovery threshold are sums of the oracles' per-agent rates, mu per
+        # infected, the infection rate per eligible agent, q01 per
+        # non-adopter and q10 per adopter, the last two exactly 0
         p = ModelParams(alpha=alpha, lam=0.5, mu=1.0, c=3.0, zeta=8.0)
         g = InfluenceGraph.complete(n)
         acts = np.full(n, alpha)
         bidi = directionality == "bidirectional"
-        for behaviour in (True, False):
-            tot, _, thr = abm_mod._count_tables(
-                behaviour, n, alpha, p.mu, p.c, p.zeta, p.lam / (n - 1), bidi)
-            for k in range(n + 1):
-                live = np.r_[np.ones(k, int), np.zeros(n - k, int)]
-                x, y = (live, np.zeros(n, int)) if behaviour else (np.zeros(n, int), live)
-                q01, q10 = switch_rates(g, x, y, acts, p)
-                rec = p.mu * y.sum()
-                inf = sum(infection_rate(x, y, acts, i, p, bidi)
-                          for i in np.flatnonzero((x == 0) & (y == 0)))
-                adopt, drop = q01[x == 0].sum(), q10[x == 1].sum()
-                below = rec + inf + adopt if behaviour else rec
-                assert tot[k] == pytest.approx(rec + inf + adopt + drop, rel=1e-12, abs=0.0)
-                assert thr[k] == pytest.approx(below, rel=1e-12, abs=0.0)
+        tot, _, thr = abm_mod._count_tables(n, alpha, p.mu, p.lam / (n - 1), bidi)
+        for k in range(n + 1):
+            x, y = np.zeros(n, int), np.r_[np.ones(k, int), np.zeros(n - k, int)]
+            q01, q10 = switch_rates(g, x, y, acts, p)
+            rec = p.mu * y.sum()
+            inf = sum(infection_rate(x, y, acts, i, p, bidi)
+                      for i in np.flatnonzero((x == 0) & (y == 0)))
+            adopt, drop = q01[x == 0].sum(), q10[x == 1].sum()
+            assert adopt == 0.0 and drop == 0.0
+            assert tot[k] == pytest.approx(rec + inf + adopt + drop, rel=1e-12, abs=0.0)
+            assert thr[k] == pytest.approx(rec, rel=1e-12, abs=0.0)
 
     def test_corrupted_counters_are_an_error(self):
         abm_mod._check_lumped(10, 0, 4, 6)
-        abm_mod._check_lumped(10, 3, 0, 7)
-        for counters in [(0, 4, 5), (-1, 4, 7), (0, 11, -1), (3, 1, 5)]:
+        abm_mod._check_lumped(10, 0, 0, 10)
+        for counters in [(0, 4, 5), (-1, 4, 7), (0, 11, -1), (3, 1, 5), (3, 0, 7)]:
             with pytest.raises(NumericalError, match="absorbed"):
                 abm_mod._check_lumped(10, *counters)
 
@@ -1466,6 +1491,9 @@ class TestConfig:
             dict(seed=1.0),
             # the contact process picks one of the n - 1 other agents
             dict(graph=InfluenceGraph.from_adjacency([[0]]), activities=[3.0]),
+            # the spec must round-trip through from_dict, which takes only a bool
+            dict(record_events="yes"),
+            dict(record_events=1),
         ],
     )
     def test_rejects_malformed(self, overrides):
