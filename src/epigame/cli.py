@@ -44,13 +44,7 @@ from .core import (
     config_value,
     config_vector,
 )
-from .cycles import (
-    DEFAULT_MIN_CROSSINGS,
-    DEFAULT_TOL_CYCLE,
-    DEFAULT_TRANSIENT_FRAC,
-    check_cycle_settings,
-    detect_cycle,
-)
+from .cycles import detect_cycle
 from .equilibria import REGIME_CONDITIONS, classify_regime, find_equilibria, regime_ledger
 from .meanfield import (
     DEFAULT_ATOL,
@@ -81,9 +75,6 @@ SETTINGS = {
     "y0": ("initial", "y", float),
     "n": ("abm", "n", int),
     "mode": ("abm", "infection_mode", str),
-    "tol_cycle": ("cycle", "tol_cycle", float),
-    "transient_frac": ("cycle", "transient_frac", float),
-    "min_crossings": ("cycle", "min_crossings", int),
     "n_runs": ("compare", "n_runs", int),
     "n_jobs": ("compare", "n_jobs", int),
 }
@@ -105,6 +96,8 @@ ABM_SPEC_KEYS = tuple(k for k in abm_mod.AbmConfig.SPEC_KEYS
 # the keys each config block may hold: those the commands read and those
 # their sidecars write. Any other key in a block is a configuration error;
 # top-level keys are left alone, since one config may serve several commands.
+# The cycle block holds none (cycle takes its thresholds from its solve), so
+# a setting an older sidecar wrote there is an error, not a silent no-op.
 BLOCK_KEYS = {
     "params": PARAM_KEYS,
     "abm": ("n", *abm_mod.AbmConfig.SPEC_KEYS),
@@ -357,10 +350,9 @@ def _cmd_abm_sim(cfg: dict, args, s: dict) -> int:
 
 def _cmd_cycle(cfg: dict, args, s: dict) -> int:
     p, s = _model(cfg, args, s)
-    check_cycle_settings(**s["cycle"])  # before the solve and the output directory
     outdir = _outdir(cfg, args)
     traj = integrate_planar(MacroState(**s["initial"]), p, s["horizon"], s["rtol"], s["atol"])
-    report = detect_cycle(traj, **s["cycle"])
+    report = detect_cycle(traj)
     out = outdir / "cycle.json"
     write_json(out, report.to_dict())
     report.crossings_to_csv(outdir / "crossings.csv")
@@ -477,9 +469,7 @@ COMMANDS = {
     "mf-hetero": (_cmd_mf_hetero, "integrate the per-node mean-field system",
                   {**_ODE, "sample_dt": None}),
     "abm-sim": (_cmd_abm_sim, "run one stochastic agent-based realization", _AGENTS),
-    "cycle": (_cmd_cycle, "integrate then detect a limit cycle",
-              {**_ODE, "tol_cycle": DEFAULT_TOL_CYCLE, "transient_frac": DEFAULT_TRANSIENT_FRAC,
-               "min_crossings": DEFAULT_MIN_CROSSINGS}),
+    "cycle": (_cmd_cycle, "integrate then detect a limit cycle", _ODE),
     "sweep": (_cmd_sweep, "classify regimes over a parameter grid", {}),
     "compare": (_cmd_compare, "ABM ensemble vs planar mean-field",
                 {**_AGENTS, "n_runs": 20, "n_jobs": 1}),

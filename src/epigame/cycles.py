@@ -2,10 +2,12 @@
 
 Section-based detection is preferred over spectral peak-finding because the
 orbit is strongly non-sinusoidal near the saddle points; crossing times of a
-vertical section x = x_sec are robust. Detection reads the planar solve, not
-its samples: a crossing, like an extremum of x or y, is a sign change of a
-function of the state between two accepted steps, refined by a root find on
-that step's dense interpolant, so no sample spacing enters any result.
+vertical section x = beta_plus, through the interior equilibrium, are robust.
+Detection reads the planar solve, not its samples: a crossing, like an
+extremum of x or y, is a sign change of a function of the state between two
+accepted steps, refined by a root find on that step's dense interpolant, so
+no sample spacing enters any result. Every threshold of a verdict comes from
+the tolerances of that solve, so detection takes no settings of its own.
 """
 from __future__ import annotations
 
@@ -17,13 +19,13 @@ from typing import ClassVar
 import numpy as np
 
 from .artifacts import text, write_csv
-from .core import ConfigError
 from .equilibria import beta_pm
 from .meanfield import Trajectory, planar_rhs_xy
 
-DEFAULT_TOL_CYCLE = 1e-4
-DEFAULT_TRANSIENT_FRAC = 0.3
-DEFAULT_MIN_CROSSINGS = 5
+# the share of the horizon discarded as transient, the settled crossings a
+# cycle needs, and how far their successive periods may differ, relatively
+TRANSIENT_FRAC = 0.3
+MIN_CROSSINGS = 5
 _PERIOD_RTOL = 1e-3
 
 
@@ -164,49 +166,33 @@ def _roots(sol, g, t0: float, t1: float, upward: bool = False) -> list[tuple[flo
     return roots
 
 
-def check_cycle_settings(tol_cycle: float, transient_frac: float, min_crossings: int) -> None:
-    """Raise ConfigError for a `transient_frac` outside [0, 1), a `tol_cycle`
-    that is not > 0 (nan included) or a `min_crossings` below 2 (one crossing
-    has nothing to compare)."""
-    if not 0.0 <= transient_frac < 1.0:
-        raise ConfigError(f"cycle.transient_frac must lie in [0, 1), not {transient_frac!r}")
-    if not tol_cycle > 0.0:
-        raise ConfigError(f"cycle.tol_cycle must be > 0, not {tol_cycle!r}")
-    if min_crossings < 2:
-        raise ConfigError(f"cycle.min_crossings must be >= 2, not {min_crossings!r}")
-
-
-def detect_cycle(
-    traj: Trajectory,
-    tol_cycle: float = DEFAULT_TOL_CYCLE,
-    transient_frac: float = DEFAULT_TRANSIENT_FRAC,
-    min_crossings: int = DEFAULT_MIN_CROSSINGS,
-) -> CycleReport:
+def detect_cycle(traj: Trajectory) -> CycleReport:
     """Decide whether a planar solve settled onto a point or a periodic orbit.
 
     Every figure comes from the solve behind `traj` (its accepted steps and
     dense interpolant) and its parameters `traj.params`, none from its
-    samples; a trajectory without that solve raises ValueError. The first
-    `transient_frac` of the horizon is discarded. Convergence to a point
-    requires a terminal vector-field norm below 100*tol and a state
-    displacement below 1e4*tol over the steps of the last 10% of the
-    horizon, where tol = rtol + atol of the solve: the error of a solve
-    bounds how still its end can be (1e-8 and 1e-6 at rtol 1e-10, atol
-    1e-12). A limit cycle requires at least `min_crossings` successive
-    upward section crossings whose y-values differ by less than tol_cycle
-    and whose inter-crossing times change by less than 1e-3 relative; its
-    amplitudes are the ranges of x and y over the last period, from their
-    exact extrema. Settings out of range raise ConfigError
-    (`check_cycle_settings`).
+    samples; a trajectory without that solve raises ValueError. Every
+    threshold comes from tol = rtol + atol of that solve, whose error bounds
+    how still its end can be and how well two of its crossings can agree.
+    Convergence to a point requires a terminal vector-field norm below
+    100*tol and a state displacement below 1e4*tol over the steps of the last
+    10% of the horizon (1e-8 and 1e-6 at rtol 1e-10, atol 1e-12). Otherwise
+    the first TRANSIENT_FRAC of the horizon is discarded, and a limit cycle
+    requires at least MIN_CROSSINGS successive upward crossings of the
+    section x = beta_plus whose y-values differ by less than 1e4*tol and
+    whose inter-crossing times change by less than 1e-3 relative, and x and
+    y amplitudes of at least 1e4*tol; its amplitudes are the ranges of x and
+    y over the last period, from their exact extrema. With no beta_plus in
+    (0, 1) there is no interior equilibrium for an orbit to wind around (the
+    square's edges are invariant), and the verdict is `undecided`.
     """
-    check_cycle_settings(tol_cycle, transient_frac, min_crossings)
     sol = traj.solution
     if sol is None:
         raise ValueError("detect_cycle needs the planar solve behind the trajectory "
                          "(integrate_planar keeps it)")
     p = traj.params
     horizon = traj.horizon
-    t_cut = transient_frac * horizon
+    t_cut = TRANSIENT_FRAC * horizon
     xs, ys = np.clip(sol.y, 0.0, 1.0)
 
     # fixed-point verdict first: vanished velocity and no residual drift
@@ -215,16 +201,14 @@ def detect_cycle(
     tail = sol.t >= 0.9 * horizon
     tail_disp = float(np.hypot(xs[tail] - xf, ys[tail] - yf).max(initial=0.0))
     tol = traj.meta["rtol"] + traj.meta["atol"]
-    if math.hypot(dx, dy) < 100 * tol and tail_disp < 1e4 * tol:
+    floor = 1e4 * tol
+    if math.hypot(dx, dy) < 100 * tol and tail_disp < floor:
         return CycleReport(verdict=Verdict.CONVERGED_TO_POINT, point=(xf, yf),
                            transient_discarded=t_cut)
 
-    roots = beta_pm(p)
-    if roots.beta_plus is not None and 0.0 < roots.beta_plus < 1.0:
-        x_sec = float(roots.beta_plus)
-    else:
-        settled = xs[sol.t >= t_cut]
-        x_sec = float((settled.min() + settled.max()) / 2.0)
+    x_sec = beta_pm(p).beta_plus
+    if x_sec is None or not 0.0 < x_sec < 1.0:
+        return CycleReport(verdict=Verdict.UNDECIDED, transient_discarded=t_cut)
 
     found = _roots(sol, lambda x, y: x - x_sec, t_cut, horizon, upward=True)
     crossings = [Crossing(k=k, t=t, y=float(state[1]), period=t - found[k - 1][0] if k else None)
@@ -232,14 +216,14 @@ def detect_cycle(
 
     report = CycleReport(verdict=Verdict.UNDECIDED, crossings=crossings,
                          transient_discarded=t_cut, section_x=x_sec)
-    if len(crossings) < min_crossings:
+    if len(crossings) < MIN_CROSSINGS:
         return report
 
-    last = crossings[-min_crossings:]
+    last = crossings[-MIN_CROSSINGS:]
     ys_last = [c.y for c in last]
     periods = [c.period for c in last if c.period is not None]
-    y_ok = all(abs(b - a) < tol_cycle for a, b in zip(ys_last, ys_last[1:]))
-    p_ok = len(periods) >= min_crossings - 1 and all(
+    y_ok = all(abs(b - a) < floor for a, b in zip(ys_last, ys_last[1:]))
+    p_ok = len(periods) >= MIN_CROSSINGS - 1 and all(
         abs(b - a) / a < _PERIOD_RTOL for a, b in zip(periods, periods[1:])
     )
     if not (y_ok and p_ok):
@@ -257,7 +241,12 @@ def detect_cycle(
         values = [*ends[axis], *(state[axis] for _, state in extrema)]
         return float(max(values) - min(values))
 
+    # a spiral that still winds in can repeat within the floor: a cycle must
+    # also swing wider than it
+    amplitude_x, amplitude_y = amplitude(0), amplitude(1)
+    if amplitude_x < floor or amplitude_y < floor:
+        return report
     report.verdict = Verdict.LIMIT_CYCLE
     report.period = period
-    report.amplitude_x, report.amplitude_y = amplitude(0), amplitude(1)
+    report.amplitude_x, report.amplitude_y = amplitude_x, amplitude_y
     return report

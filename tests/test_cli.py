@@ -409,18 +409,11 @@ MALFORMED_GRAPHS = [
     pytest.param("mf-sim", ["--rtol", "-1"], None, "rtol", id="mf-rtol-negative"),
     pytest.param("mf-sim", ["--atol", "nan"], None, "atol", id="mf-atol-nan"),
     pytest.param("mf-sim", [], {"horizon": True}, "horizon", id="horizon-bool"),
-    pytest.param("cycle", ["--tol-cycle", "nan"], None, "tol_cycle", id="tol_cycle-nan"),
-    # cycle detection: a fraction of the horizon, a positive tolerance, two crossings
-    pytest.param("cycle", ["--horizon", "20", "--transient-frac", "2"], None,
-                 "cycle.transient_frac", id="transient_frac-above-one"),
-    pytest.param("cycle", ["--horizon", "20", "--transient-frac", "-0.5"], None,
-                 "cycle.transient_frac", id="transient_frac-negative"),
-    pytest.param("cycle", ["--horizon", "20", "--tol-cycle", "-1"], None, "cycle.tol_cycle",
-                 id="tol_cycle-negative"),
-    pytest.param("cycle", ["--horizon", "20", "--tol-cycle", "0"], None, "cycle.tol_cycle",
-                 id="tol_cycle-zero"),
-    pytest.param("cycle", ["--horizon", "20"], {"cycle": {"min_crossings": 1}},
-                 "cycle.min_crossings", id="min_crossings-one"),
+    # cycle takes its thresholds from its solve: the settings it once read
+    # from its block, as an older sidecar writes them, are refused by name
+    *(pytest.param("cycle", ["--horizon", "20"], {"cycle": {key: value}}, f"'{key}'",
+                   id=f"cycle-block-{key}")
+      for key, value in (("tol_cycle", 1e-4), ("transient_frac", 0.3), ("min_crossings", 5))),
     pytest.param("sweep", [], {"sweep": {"grid": {"c": {"min": 2, "max": 4, "steps": 2.5}}}},
                  "steps", id="axis-steps-fraction"),
     pytest.param("abm-sim", ["--seed", "1", "--horizon", "1"], {"abm": {"n": 20.5}}, "abm.n",
@@ -569,9 +562,7 @@ FLAGS = {
     "sweep": PARAM_FLAGS,
     "mf-sim": [*ODE_FLAGS, ("--sample-dt", "0.5", "sample_dt", 0.5)],
     "mf-hetero": [*ODE_FLAGS, ("--sample-dt", "0.5", "sample_dt", 0.5)],
-    "cycle": [*ODE_FLAGS, ("--tol-cycle", "1e-3", "tol_cycle", 1e-3),
-              ("--transient-frac", "0.25", "transient_frac", 0.25),
-              ("--min-crossings", "3", "min_crossings", 3)],
+    "cycle": ODE_FLAGS,
     "abm-sim": [*AGENT_FLAGS, ("--strict", None, "strict", True)],
     "compare": [*AGENT_FLAGS, ("--n-runs", "4", "n_runs", 4), ("--n-jobs", "2", "n_jobs", 2)],
 }
@@ -605,14 +596,22 @@ def test_cycle_takes_no_sample_spacing(tmp_path, capsys):
 
 
 def test_cycle_settings_live_in_the_cycle_block(tmp_path, capsys):
+    # cycle takes every threshold from its solve, so its block may be given
+    # but holds no key, its sidecar writes none, and the flags are gone; the
+    # same names at the top level, which all commands share, are left alone
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tol_cycle": 0.5, "min_crossings": 2,
-                               "cycle": {"tol_cycle": 1e-3}}))
+    cfg.write_text(json.dumps({"tol_cycle": 0.5, "min_crossings": 2, "cycle": {}}))
     args = ["cycle", *REF, "--zeta", "9.5", "--horizon", "10", "--config", str(cfg)]
     assert run(args, tmp_path) == 0
     capsys.readouterr()
     sidecar = json.loads((tmp_path / "cycle.config.json").read_text())
-    assert sidecar["cycle"] == {"tol_cycle": 1e-3, "transient_frac": 0.3, "min_crossings": 5}
+    assert "cycle" not in sidecar and BLOCK_KEYS["cycle"] == ()
+    for flag in ("--tol-cycle", "--transient-frac", "--min-crossings"):
+        with pytest.raises(SystemExit) as exc:
+            run([*args, flag, "1"], tmp_path / "out")
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["abm-sim", "compare", "mf-sim", "cycle", "mf-hetero"])
@@ -656,26 +655,6 @@ class TestCycle:
         assert "verdict: converged-to-point" in capsys.readouterr().out
         report = json.loads((tmp_path / "cycle.json").read_text())
         assert report["point"] == pytest.approx([0.457427, 0.385643], abs=1e-5)
-
-    @pytest.mark.parametrize("flags,cfg,message", [
-        (["--transient-frac", "2"], None, "cycle.transient_frac"),
-        (["--tol-cycle", "0"], None, "cycle.tol_cycle"),
-        ([], {"cycle": {"min_crossings": 1}}, "cycle.min_crossings"),
-        (["--min-crossings", "1"], None, "cycle.min_crossings"),
-    ], ids=["transient_frac", "tol_cycle", "min_crossings", "min_crossings-flag"])
-    def test_setting_out_of_range_exits_before_the_solve(self, tmp_path, capsys, monkeypatch,
-                                                         flags, cfg, message):
-        solves = []
-        monkeypatch.setattr("epigame.cli.integrate_planar", lambda *a, **k: solves.append(a))
-        args = ["cycle", *REF, "--zeta", "9.5", "--horizon", "500", *flags]
-        if cfg is not None:
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps(cfg))
-            args += ["--config", str(path)]
-        assert run(args, tmp_path / "out") == 2
-        assert message in capsys.readouterr().err
-        assert solves == []
-        assert not (tmp_path / "out").exists()
 
 
 class TestSweep:
